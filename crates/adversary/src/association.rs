@@ -15,8 +15,13 @@
 //!   `E` (Definition 4.12);
 //! * the chunk potential `u_D` (Definition 4.3) and the total `u(t) =
 //!   Σ u_D − n/4` (Definition 4.4) are maintained incrementally.
+//!
+//! The layout is dense: chunks live in a vector indexed by chunk number,
+//! and each object's backrefs in a vector indexed by object id. A backref
+//! is the start word address of the chunk it names, so it stays valid
+//! across step changes (the chunk index is `addr >> step`).
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
 
 use pcb_heap::ObjectId;
 
@@ -44,6 +49,26 @@ struct Chunk {
     in_e: bool,
 }
 
+impl Chunk {
+    /// Whether the chunk has a non-empty association or is in `E`.
+    fn is_used(&self) -> bool {
+        !self.entries.is_empty() || self.in_e
+    }
+
+    /// `u_D` for a chunk of `2^step` words at density exponent `rho`.
+    fn potential(&self, step: u32, rho: u32) -> u128 {
+        let cap = 1u128 << step;
+        if self.in_e {
+            cap
+        } else {
+            cap.min((self.sum as u128) << rho)
+        }
+    }
+}
+
+/// Marks an empty backref slot.
+const NO_CHUNK: u64 = u64::MAX;
+
 /// The association state at one step, with `u(t)` maintained incrementally.
 #[derive(Debug, Clone)]
 pub struct Association {
@@ -52,9 +77,16 @@ pub struct Association {
     /// Density exponent `ρ`: used chunks keep `sum ≥ 2^{step−ρ}` and the
     /// chunk potential saturates at density `2^-ρ`.
     rho: u32,
-    chunks: BTreeMap<u64, Chunk>,
-    /// Live-object backrefs: object -> chunk indices holding its entries.
-    by_object: HashMap<ObjectId, Vec<u64>>,
+    /// Chunk `k` covers words `[k·2^step, (k+1)·2^step)`; chunks past the
+    /// last used one may be absent.
+    chunks: Vec<Chunk>,
+    /// Number of chunks with a non-empty association or in `E`.
+    used: usize,
+    /// Live-object backrefs, indexed by object id: the start addresses of
+    /// the (at most two) chunks holding the object's entries, `NO_CHUNK`
+    /// when absent and never in slot 0 alone. Two backrefs that fall in
+    /// the same chunk after a step change name that chunk once.
+    backrefs: Vec<[u64; 2]>,
     /// Σ u_D over all chunks, in words.
     u_sum: u128,
 }
@@ -65,8 +97,9 @@ impl Association {
         Association {
             step,
             rho,
-            chunks: BTreeMap::new(),
-            by_object: HashMap::new(),
+            chunks: Vec::new(),
+            used: 0,
+            backrefs: Vec::new(),
             u_sum: 0,
         }
     }
@@ -93,7 +126,7 @@ impl Association {
 
     /// Number of chunks with a non-empty association or in `E`.
     pub fn used_chunks(&self) -> usize {
-        self.chunks.len()
+        self.used
     }
 
     /// The chunk index holding `addr` at the current step.
@@ -101,26 +134,63 @@ impl Association {
         addr >> self.step
     }
 
-    /// Applies `f` to the chunk at `index`, keeping `u_sum` consistent.
+    /// Sum of the words associated with the chunk at `index` (0 for an
+    /// unused chunk).
+    pub fn chunk_sum(&self, index: u64) -> u64 {
+        self.chunks.get(index as usize).map_or(0, |c| c.sum)
+    }
+
+    /// Applies `f` to the chunk at `index`, keeping `u_sum` and the used
+    /// count consistent.
     fn update<R>(&mut self, index: u64, f: impl FnOnce(&mut Chunk) -> R) -> R {
-        let chunk = self.chunks.entry(index).or_default();
-        let cap = 1u128 << self.step;
-        let before = if chunk.in_e {
-            cap
-        } else {
-            cap.min((chunk.sum as u128) << self.rho)
-        };
-        let r = f(chunk);
-        let after = if chunk.in_e {
-            cap
-        } else {
-            cap.min((chunk.sum as u128) << self.rho)
-        };
-        if chunk.entries.is_empty() && !chunk.in_e {
-            self.chunks.remove(&index);
+        let i = index as usize;
+        if i >= self.chunks.len() {
+            self.chunks.resize_with(i + 1, Chunk::default);
         }
+        let (step, rho) = (self.step, self.rho);
+        let chunk = &mut self.chunks[i];
+        let (was_used, before) = (chunk.is_used(), chunk.potential(step, rho));
+        let r = f(chunk);
+        let (is_used, after) = (chunk.is_used(), chunk.potential(step, rho));
+        self.used = self.used + usize::from(is_used) - usize::from(was_used);
         self.u_sum = self.u_sum - before + after;
         r
+    }
+
+    /// The object's backref slot (both empty if it has none).
+    fn refs(&self, id: ObjectId) -> [u64; 2] {
+        self.backrefs
+            .get(id.get() as usize)
+            .copied()
+            .unwrap_or([NO_CHUNK; 2])
+    }
+
+    fn set_refs(&mut self, id: ObjectId, refs: [u64; 2]) {
+        let i = id.get() as usize;
+        if i >= self.backrefs.len() {
+            if refs[0] == NO_CHUNK {
+                return;
+            }
+            self.backrefs.resize(i + 1, [NO_CHUNK; 2]);
+        }
+        self.backrefs[i] = refs;
+    }
+
+    /// The distinct chunk indices an object's backrefs name.
+    fn chunks_of(&self, id: ObjectId) -> (Option<u64>, Option<u64>) {
+        let [a, b] = self.refs(id);
+        let first = (a != NO_CHUNK).then(|| a >> self.step);
+        let second = (b != NO_CHUNK && Some(b >> self.step) != first).then(|| b >> self.step);
+        (first, second)
+    }
+
+    /// Removes the object's backrefs to the chunk at `index`.
+    fn drop_backref(&mut self, id: ObjectId, index: u64) {
+        let step = self.step;
+        let [a, b] = self
+            .refs(id)
+            .map(|r| if r >> step == index { NO_CHUNK } else { r });
+        self.set_refs(id, if a == NO_CHUNK { [b, NO_CHUNK] } else { [a, b] });
     }
 
     /// Associates a whole live object with the chunk at `index` (used by
@@ -136,7 +206,13 @@ impl Association {
             chunk.sum += words;
         });
         if live {
-            self.by_object.entry(id).or_default().push(index);
+            let mut refs = self.refs(id);
+            let slot = refs
+                .iter_mut()
+                .find(|a| **a == NO_CHUNK)
+                .expect("an object is associated with at most two chunks");
+            *slot = index << self.step;
+            self.set_refs(id, refs);
         }
     }
 
@@ -144,48 +220,30 @@ impl Association {
     /// (line 12: `O_D = O_D1 ∪ O_D2`), and `E` membership lapses
     /// (Definition 4.12).
     pub fn advance_step(&mut self) {
-        let old = std::mem::take(&mut self.chunks);
         self.step += 1;
-        self.u_sum = 0;
-        for (index, mut chunk) in old {
-            let new_index = index / 2;
-            chunk.in_e = false;
-            let merged = self.chunks.entry(new_index).or_default();
-            merged.sum += chunk.sum;
-            merged.entries.append(&mut chunk.entries);
-        }
-        self.chunks.retain(|_, c| !c.entries.is_empty());
-        // An object whose two halves sat in the two merging chunks is now
-        // whole in one chunk: coalesce its half-entries so the shedding
-        // logic never sees a half without a distinct partner.
-        for chunk in self.chunks.values_mut() {
-            let mut i = 0;
-            while i < chunk.entries.len() {
-                if chunk.entries[i].half {
-                    if let Some(j) = (i + 1..chunk.entries.len())
-                        .find(|&j| chunk.entries[j].id == chunk.entries[i].id)
-                    {
-                        let other = chunk.entries.swap_remove(j);
-                        debug_assert!(other.half);
-                        chunk.entries[i].words += other.words;
-                        chunk.entries[i].half = false;
-                    }
-                }
-                i += 1;
+        let merged_len = self.chunks.len().div_ceil(2);
+        let mut halves: Vec<(ObjectId, usize)> = Vec::new();
+        for k in 0..merged_len {
+            let mut lo = std::mem::take(&mut self.chunks[2 * k]);
+            let mut hi = self
+                .chunks
+                .get_mut(2 * k + 1)
+                .map(std::mem::take)
+                .unwrap_or_default();
+            coalesce_halves(&mut lo, &mut hi, &mut halves);
+            lo.sum += hi.sum;
+            if lo.entries.is_empty() {
+                lo.entries = hi.entries;
+            } else {
+                lo.entries.append(&mut hi.entries);
             }
+            lo.in_e = false;
+            self.chunks[k] = lo;
         }
-        let cap = 1u128 << self.step;
-        self.u_sum = self
-            .chunks
-            .values()
-            .map(|c| cap.min((c.sum as u128) << self.rho))
-            .sum();
-        for indices in self.by_object.values_mut() {
-            for idx in indices.iter_mut() {
-                *idx /= 2;
-            }
-            indices.dedup();
-        }
+        self.chunks.truncate(merged_len);
+        let (step, rho) = (self.step, self.rho);
+        self.used = self.chunks.iter().filter(|c| c.is_used()).count();
+        self.u_sum = self.chunks.iter().map(|c| c.potential(step, rho)).sum();
     }
 
     /// Marks a (compacted-then-freed) object's entries dead; the entries
@@ -193,10 +251,9 @@ impl Association {
     /// reused (the paper's "association is not removed when an object is
     /// compacted").
     pub fn mark_dead(&mut self, id: ObjectId) {
-        let Some(indices) = self.by_object.remove(&id) else {
-            return;
-        };
-        for index in indices {
+        let (first, second) = self.chunks_of(id);
+        self.set_refs(id, [NO_CHUNK; 2]);
+        for index in first.into_iter().chain(second) {
             self.update(index, |chunk| {
                 for e in chunk.entries.iter_mut().filter(|e| e.id == id) {
                     e.live = false;
@@ -207,7 +264,7 @@ impl Association {
 
     /// Whether the object currently has live entries.
     pub fn is_associated(&self, id: ObjectId) -> bool {
-        self.by_object.contains_key(&id)
+        self.refs(id)[0] != NO_CHUNK
     }
 
     /// Line 13 of Algorithm 1: for every chunk, de-allocate as many
@@ -215,22 +272,34 @@ impl Association {
     /// Dropping a half re-assigns it to the partner chunk (which is then
     /// re-evaluated); dropping a whole de-allocates the object for real.
     ///
+    /// Each visit to a chunk drops, repeatedly, the largest live entry
+    /// (by `(words, whole, id)`) whose removal keeps the threshold. The
+    /// chunk's sum only falls during a visit, so an entry too large to drop
+    /// once stays too large: one pass over the live entries in descending
+    /// order makes the same choices.
+    ///
     /// Returns the objects to free, in a deterministic order.
     pub fn shed_density_surplus(&mut self) -> Vec<ObjectId> {
         let threshold = 1u64 << (self.step - self.rho);
         let mut freed = Vec::new();
-        let mut worklist: Vec<u64> = self.chunks.keys().copied().collect();
+        let mut worklist: Vec<u64> = (0..self.chunks.len() as u64)
+            .filter(|&i| self.chunks[i as usize].is_used())
+            .collect();
+        let mut candidates: Vec<Entry> = Vec::new();
         while let Some(index) = worklist.pop() {
-            while let Some(chunk) = self.chunks.get(&index) {
-                // Droppable: live entries whose removal keeps the chunk at
-                // or above the density threshold. Prefer the largest.
-                let candidate = chunk
+            let chunk = &self.chunks[index as usize];
+            candidates.clear();
+            candidates.extend(
+                chunk
                     .entries
                     .iter()
-                    .filter(|e| e.live && chunk.sum - e.words >= threshold)
-                    .max_by_key(|e| (e.words, !e.half, e.id))
-                    .copied();
-                let Some(entry) = candidate else { break };
+                    .filter(|e| e.live && chunk.sum - e.words >= threshold),
+            );
+            candidates.sort_unstable_by_key(|e| Reverse((e.words, !e.half, e.id)));
+            for &entry in &candidates {
+                if self.chunks[index as usize].sum - entry.words < threshold {
+                    continue;
+                }
                 self.update(index, |chunk| {
                     let pos = chunk
                         .entries
@@ -243,18 +312,12 @@ impl Association {
                 if entry.half {
                     // Re-assign the dropped half to the chunk holding the
                     // other half, then re-evaluate that chunk.
-                    let partner = {
-                        let indices = self
-                            .by_object
-                            .get_mut(&entry.id)
-                            .expect("live half has backrefs");
-                        let pos = indices
-                            .iter()
-                            .position(|&i| i == index)
-                            .expect("backref to this chunk");
-                        indices.swap_remove(pos);
-                        indices[0]
-                    };
+                    let step = self.step;
+                    let [a, b] = self.refs(entry.id);
+                    let partner_addr = if a >> step == index { b } else { a };
+                    assert!(partner_addr != NO_CHUNK, "a live half has a partner chunk");
+                    self.set_refs(entry.id, [partner_addr, NO_CHUNK]);
+                    let partner = partner_addr >> step;
                     self.update(partner, |chunk| {
                         let other = chunk
                             .entries
@@ -268,13 +331,30 @@ impl Association {
                     });
                     worklist.push(partner);
                 } else {
-                    self.by_object.remove(&entry.id);
+                    self.set_refs(entry.id, [NO_CHUNK; 2]);
                     freed.push(entry.id);
                 }
             }
         }
         freed.sort_unstable();
         freed
+    }
+
+    /// Empties the chunk at `index` (association and `E` membership).
+    fn reset(&mut self, index: u64) {
+        // Only dead residue can sit on chunks a new object fully covers,
+        // but stay defensive and drop the backrefs of live entries.
+        let live: Vec<ObjectId> = self.chunks.get(index as usize).map_or(Vec::new(), |c| {
+            c.entries.iter().filter(|e| e.live).map(|e| e.id).collect()
+        });
+        self.update(index, |chunk| {
+            chunk.entries.clear();
+            chunk.sum = 0;
+            chunk.in_e = false;
+        });
+        for id in live {
+            self.drop_backref(id, index);
+        }
     }
 
     /// Line 14 of Algorithm 1, after placing object `o` (of size
@@ -285,21 +365,7 @@ impl Association {
         debug_assert!(d2 == d1 + 1 && d3 == d2 + 1, "chunks are consecutive");
         debug_assert_eq!(size, 4 << self.step, "stage-II objects span 4 chunks");
         for index in [d1, d2, d3] {
-            let dropped = self.update(index, |chunk| {
-                chunk.sum = 0;
-                chunk.in_e = false;
-                std::mem::take(&mut chunk.entries)
-            });
-            // Remove backrefs of discarded live entries (only dead entries
-            // can be present on fully covered chunks, but stay defensive).
-            for e in dropped.iter().filter(|e| e.live) {
-                if let Some(indices) = self.by_object.get_mut(&e.id) {
-                    indices.retain(|&i| i != index);
-                    if indices.is_empty() {
-                        self.by_object.remove(&e.id);
-                    }
-                }
-            }
+            self.reset(index);
         }
         let half = size / 2;
         for index in [d1, d3] {
@@ -316,7 +382,7 @@ impl Association {
         self.update(d2, |chunk| {
             chunk.in_e = true;
         });
-        self.by_object.insert(id, vec![d1, d3]);
+        self.set_refs(id, [d1 << self.step, d3 << self.step]);
     }
 
     /// The no-halves variant of [`claim_new_object`](Self::claim_new_object)
@@ -326,19 +392,7 @@ impl Association {
     pub fn claim_whole_object(&mut self, d1: u64, d2: u64, d3: u64, id: ObjectId, size: u64) {
         debug_assert!(d2 == d1 + 1 && d3 == d2 + 1, "chunks are consecutive");
         for index in [d1, d2, d3] {
-            let dropped = self.update(index, |chunk| {
-                chunk.sum = 0;
-                chunk.in_e = false;
-                std::mem::take(&mut chunk.entries)
-            });
-            for e in dropped.iter().filter(|e| e.live) {
-                if let Some(indices) = self.by_object.get_mut(&e.id) {
-                    indices.retain(|&i| i != index);
-                    if indices.is_empty() {
-                        self.by_object.remove(&e.id);
-                    }
-                }
-            }
+            self.reset(index);
         }
         self.update(d1, |chunk| {
             chunk.entries.push(Entry {
@@ -349,28 +403,30 @@ impl Association {
             });
             chunk.sum += size;
         });
-        self.by_object.insert(id, vec![d1]);
+        self.set_refs(id, [d1 << self.step, NO_CHUNK]);
     }
 
     /// Total words in live entries (the live space the association is
     /// holding hostage); used by tests for Proposition 4.17.
     pub fn live_associated_words(&self) -> u128 {
         self.chunks
-            .values()
+            .iter()
             .flat_map(|c| &c.entries)
             .filter(|e| e.live)
             .map(|e| e.words as u128)
             .sum()
     }
 
-    /// Per-chunk view for invariant checks: `(index, sum, live_count,
-    /// entry_count, in_e)`.
+    /// Per-chunk view of the used chunks, in index order, for invariant
+    /// checks: `(index, sum, live_count, entry_count, in_e)`.
     pub fn chunk_stats(&self) -> Vec<(u64, u64, usize, usize, bool)> {
         self.chunks
             .iter()
-            .map(|(&i, c)| {
+            .enumerate()
+            .filter(|(_, c)| c.is_used())
+            .map(|(i, c)| {
                 (
-                    i,
+                    i as u64,
                     c.sum,
                     c.entries.iter().filter(|e| e.live).count(),
                     c.entries.len(),
@@ -383,8 +439,9 @@ impl Association {
     /// Checks Claim 4.15-style structural invariants plus internal
     /// consistency; returns a description of the first violation.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut halves: HashMap<ObjectId, u32> = HashMap::new();
-        for (&index, chunk) in &self.chunks {
+        // Live half-entries per object id.
+        let mut halves = vec![0u32; self.backrefs.len()];
+        for (index, chunk) in self.chunks.iter().enumerate() {
             let sum: u64 = chunk.entries.iter().map(|e| e.words).sum();
             if sum != chunk.sum {
                 return Err(format!("chunk {index}: sum {} != {}", chunk.sum, sum));
@@ -397,51 +454,85 @@ impl Association {
                     return Err(format!("chunk {index}: zero-word entry {}", e.id));
                 }
                 if e.live {
-                    let backrefs = self
-                        .by_object
-                        .get(&e.id)
-                        .ok_or_else(|| format!("live {} missing backrefs", e.id))?;
-                    if !backrefs.contains(&index) {
+                    let (first, second) = self.chunks_of(e.id);
+                    if first.is_none() {
+                        return Err(format!("live {} missing backrefs", e.id));
+                    }
+                    if first != Some(index as u64) && second != Some(index as u64) {
                         return Err(format!("live {} lacks backref to {index}", e.id));
                     }
                     if e.half {
-                        *halves.entry(e.id).or_default() += 1;
+                        halves[e.id.get() as usize] += 1;
                     }
                 }
             }
         }
         // Claim 4.15(2): a live object is whole in one chunk or split as
         // two halves over two chunks.
-        for (id, indices) in &self.by_object {
-            match indices.len() {
-                1 => {}
-                2 => {
-                    if halves.get(id) != Some(&2) {
-                        return Err(format!("{id} in two chunks but not as two halves"));
-                    }
-                    if indices[0] == indices[1] {
-                        return Err(format!("{id} has duplicate chunk backrefs"));
-                    }
-                }
-                k => return Err(format!("{id} associated with {k} chunks")),
+        for (raw, &count) in halves.iter().enumerate() {
+            let id = ObjectId::from_raw(raw as u64);
+            if self.chunks_of(id).1.is_some() && count != 2 {
+                return Err(format!("{id} in two chunks but not as two halves"));
             }
         }
+        if let Some((raw, _)) = self
+            .backrefs
+            .iter()
+            .enumerate()
+            .find(|(_, r)| r[0] == NO_CHUNK && r[1] != NO_CHUNK)
+        {
+            return Err(format!("object {raw}: backref slot 0 empty, slot 1 set"));
+        }
+        let used = self.chunks.iter().filter(|c| c.is_used()).count();
+        if used != self.used {
+            return Err(format!("used count {} != fresh {used}", self.used));
+        }
         // u_sum agrees with a from-scratch computation.
-        let cap = 1u128 << self.step;
-        let fresh: u128 = self.chunks.values().map(|c| self.u_of_raw(c, cap)).sum();
+        let fresh: u128 = self
+            .chunks
+            .iter()
+            .map(|c| c.potential(self.step, self.rho))
+            .sum();
         if fresh != self.u_sum {
             return Err(format!("u_sum {} != fresh {}", self.u_sum, fresh));
         }
         Ok(())
     }
+}
 
-    fn u_of_raw(&self, chunk: &Chunk, cap: u128) -> u128 {
-        if chunk.in_e {
-            cap
-        } else {
-            cap.min((chunk.sum as u128) << self.rho)
-        }
+/// Coalesces the half-entries of objects whose two halves sit in the two
+/// merging chunks `lo` and `hi`: the half in `lo` becomes whole and the one
+/// in `hi` goes, so the shedding logic never sees a half without a distinct
+/// partner. Entries of one chunk have distinct ids, so only pairs across
+/// the two chunks can match.
+fn coalesce_halves(lo: &mut Chunk, hi: &mut Chunk, scratch: &mut Vec<(ObjectId, usize)>) {
+    if hi.entries.is_empty() {
+        return;
     }
+    scratch.clear();
+    scratch.extend(
+        lo.entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.half)
+            .map(|(i, e)| (e.id, i)),
+    );
+    if scratch.is_empty() {
+        return;
+    }
+    scratch.sort_unstable();
+    hi.entries.retain(|e| {
+        if !e.half {
+            return true;
+        }
+        let Ok(k) = scratch.binary_search_by_key(&e.id, |&(id, _)| id) else {
+            return true;
+        };
+        let whole = &mut lo.entries[scratch[k].1];
+        whole.words += e.words;
+        whole.half = false;
+        false
+    });
 }
 
 #[cfg(test)]
@@ -495,7 +586,7 @@ mod tests {
                     chunk.sum += half;
                 });
             }
-            self.by_object.insert(id_, vec![d, d + 1]);
+            self.set_refs(id_, [d << self.step, (d + 1) << self.step]);
         }
     }
 

@@ -166,6 +166,10 @@ impl IdMap {
         self.slots[i] = Some(obj);
     }
 
+    fn get(&self, id: ObjectId) -> Option<LiveObj> {
+        self.slots.get(id.get() as usize).copied().flatten()
+    }
+
     fn remove(&mut self, id: ObjectId) -> Option<LiveObj> {
         self.slots.get_mut(id.get() as usize)?.take()
     }
@@ -315,14 +319,16 @@ impl PfProgram {
         let step = 2 * self.cfg.rho - 1;
         let mut assoc = Association::new(step, self.cfg.rho);
         let chunk_words = 1u64 << step;
-        let mut items: Vec<(ObjectId, LiveObj, bool)> = self
-            .live
-            .iter()
-            .map(|(id, o)| (id, o, true))
-            .chain(self.ghosts.iter().map(|(id, o)| (id, o, false)))
-            .collect();
-        items.sort_by_key(|&(id, _, _)| id);
-        for (id, obj, live) in items {
+        // `live` and `ghosts` are id-indexed with disjoint ids, so walking
+        // the ids in order visits every survivor once, in id order.
+        let ids = self.live.slots.len().max(self.ghosts.slots.len());
+        for raw in 0..ids as u64 {
+            let id = ObjectId::from_raw(raw);
+            let (obj, live) = match (self.live.get(id), self.ghosts.get(id)) {
+                (Some(obj), _) => (obj, true),
+                (None, Some(obj)) => (obj, false),
+                (None, None) => continue,
+            };
             if let Some(word) = first_occupying_word(obj.addr, obj.size, self.f, self.cfg.rho) {
                 // The occupying word is defined w.r.t. step-ρ chunks; the
                 // association chunk (size 2^{2ρ−1}) is the one containing
@@ -477,12 +483,7 @@ impl Program for PfProgram {
                 let d1 = addr.get().div_ceil(chunk);
                 debug_assert!((d1 + 3) * chunk <= addr.get() + size.get());
                 let (u_before, q) = if self.cfg.validate {
-                    let q: u64 = assoc
-                        .chunk_stats()
-                        .iter()
-                        .filter(|&&(idx, ..)| idx >= d1 && idx < d1 + 3)
-                        .map(|&(_, sum, ..)| sum)
-                        .sum();
+                    let q: u64 = (d1..d1 + 3).map(|d| assoc.chunk_sum(d)).sum();
                     (assoc.potential(self.cfg.log_n), q)
                 } else {
                     (0, 0)
