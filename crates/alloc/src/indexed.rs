@@ -166,30 +166,22 @@ impl AddrMap {
         self.keys.fill(EMPTY);
         self.len = 0;
     }
-
-    /// All `(key, value)` pairs, in table (not key) order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.keys
-            .iter()
-            .zip(&self.vals)
-            .filter(|(&k, _)| k != EMPTY)
-            .map(|(&k, &v)| (k, v))
-    }
 }
 
-/// Three-level hierarchical bitmap over gap start addresses: level 0 has
-/// one bit per address, each upper level summarises 64 words of the one
-/// below. Predecessor/successor queries touch at most a few words per
-/// level instead of walking a tree.
+/// Three-level hierarchical bitmap over `u64` indices (gap start
+/// addresses here, page numbers in the page manager): level 0 has one bit
+/// per index, each upper level summarises 64 words of the one below.
+/// Predecessor/successor queries touch at most a few words per level
+/// instead of walking a tree.
 #[derive(Debug, Clone, Default)]
-struct StartBits {
+pub(crate) struct StartBits {
     l0: Vec<u64>,
     l1: Vec<u64>,
     l2: Vec<u64>,
 }
 
 impl StartBits {
-    fn set(&mut self, i: u64) {
+    pub(crate) fn set(&mut self, i: u64) {
         let i = usize::try_from(i).expect("address fits in usize");
         let w0 = i / 64;
         if w0 >= self.l0.len() {
@@ -208,7 +200,7 @@ impl StartBits {
         self.l2[w2] |= 1 << (w1 % 64);
     }
 
-    fn clear(&mut self, i: u64) {
+    pub(crate) fn clear(&mut self, i: u64) {
         let i = i as usize;
         let w0 = i / 64;
         self.l0[w0] &= !(1 << (i % 64));
@@ -229,7 +221,7 @@ impl StartBits {
     }
 
     /// Lowest set bit at or above `from`.
-    fn succ(&self, from: u64) -> Option<u64> {
+    pub(crate) fn succ(&self, from: u64) -> Option<u64> {
         let Ok(from) = usize::try_from(from) else {
             return None;
         };

@@ -23,387 +23,175 @@
 //! move; the density threshold only decides when evacuation is
 //! *worthwhile* space-wise.
 //!
-//! Per-class bookkeeping follows the [`MirrorImpl`] knob: the indexed arm
-//! keeps pages in a slab addressed through an open-addressed `base -> slab
-//! index` map, with the `open`/`sparse` candidate sets as lazily-cleaned
-//! min-heaps (entries are revalidated against the page's current live
-//! count on peek); the reference arm retains the seed `BTreeMap`/`BTreeSet`
-//! structures. The page pool itself is a [`FreeSpace`] and follows the same
-//! knob.
+//! Per-class bookkeeping is a dense page table. Class `k` keeps one
+//! occupancy bit per slot (indexed by `addr >> k`), one presence bit per
+//! installed page (indexed by page number `base >> (k + log2 slots)`), and
+//! the `open`/`sparse` candidate sets as exact hierarchical bitmaps over
+//! page numbers, so "lowest open page" is one successor query. A page's
+//! live count is a masked popcount of its slot bits. Occupant ids are not
+//! stored: evacuation reads them from the heap's referee, which already
+//! maps every live slot address to its object. The page pool is a
+//! [`FreeSpace`] and follows the [`MirrorImpl`] knob.
 
 use core::fmt;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::ops::Range;
 
 use pcb_heap::{
-    Addr, AllocRequest, HeapOps, MemoryManager, MoveOutcome, ObjectId, PlacementError, Size,
+    Addr, AllocRequest, HeapOps, MemoryManager, MirrorCheck, MoveOutcome, ObjectId, PlacementError,
+    Size, SpaceMap,
 };
 
 use crate::freelist::FreeSpace;
-use crate::indexed::AddrMap;
+use crate::indexed::StartBits;
 use crate::MirrorImpl;
 
 /// Objects per page: each class-`k` page spans `4 * 2^k` words, mirroring
 /// the factor-4 chunk geometry of the paper's Section 4 analysis.
 pub const SLOTS_PER_PAGE: u64 = 4;
 
-#[derive(Debug, Clone)]
-struct Page {
-    /// Slot -> occupant.
-    slots: Vec<Option<ObjectId>>,
+/// Page shape shared by every class.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    /// `log2` of the slots per page.
+    log_slots: u32,
+    /// Pages with at most this many live slots are evacuation candidates
+    /// (`slots / 4`, i.e. density ≤ 1/4).
+    sparse_live: usize,
 }
 
-impl Page {
-    fn new(slots: usize) -> Self {
-        Page {
-            slots: vec![None; slots],
-        }
+impl Geometry {
+    fn slots(self) -> usize {
+        1 << self.log_slots
     }
 
-    fn live(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+    fn page_of(self, slot: u64) -> u64 {
+        slot >> self.log_slots
     }
 
-    fn first_free_slot(&self) -> Option<usize> {
-        self.slots.iter().position(|s| s.is_none())
-    }
-}
-
-/// Page lookup plus the `open`/`sparse` candidate sets, in either
-/// implementation.
-#[derive(Debug, Clone)]
-enum PageIndex {
-    Indexed {
-        /// base -> index into `slab`.
-        map: AddrMap,
-        slab: Vec<Option<Page>>,
-        free_ids: Vec<usize>,
-        /// Lazy min-heaps of candidate bases; entries are validated
-        /// against the page's live count on peek, and rebuilt from `map`
-        /// when stale entries dominate.
-        open: BinaryHeap<Reverse<u64>>,
-        sparse: BinaryHeap<Reverse<u64>>,
-    },
-    Reference {
-        /// base -> page.
-        pages: BTreeMap<u64, Page>,
-        /// Bases of pages with at least one free slot.
-        open: BTreeSet<u64>,
-        /// Bases of evacuation candidates (live ≤ `sparse_live`).
-        sparse: BTreeSet<u64>,
-    },
-}
-
-impl PageIndex {
-    fn new(mirror: MirrorImpl) -> Self {
-        match mirror {
-            MirrorImpl::Indexed => PageIndex::Indexed {
-                map: AddrMap::default(),
-                slab: Vec::new(),
-                free_ids: Vec::new(),
-                open: BinaryHeap::new(),
-                sparse: BinaryHeap::new(),
-            },
-            MirrorImpl::Reference => PageIndex::Reference {
-                pages: BTreeMap::new(),
-                open: BTreeSet::new(),
-                sparse: BTreeSet::new(),
-            },
+    /// The occupancy words page `page` spans, and the mask of its bits in
+    /// each: part of one word below 64 slots per page, whole words from
+    /// 64 on.
+    fn span(self, page: u64) -> (Range<usize>, u64) {
+        let first = page << self.log_slots;
+        let word = (first / 64) as usize;
+        if self.log_slots < 6 {
+            let mask = ((1u64 << self.slots()) - 1) << (first % 64);
+            (word..word + 1, mask)
+        } else {
+            (word..word + (1 << (self.log_slots - 6)), !0)
         }
     }
 }
 
-/// One size class: its pages and candidate indexes plus the free-slot
-/// tally.
-#[derive(Debug, Clone)]
+fn bit(bits: &[u64], i: u64) -> bool {
+    bits.get((i / 64) as usize)
+        .is_some_and(|w| w >> (i % 64) & 1 == 1)
+}
+
+/// One size class's page table (see the module docs).
+#[derive(Debug, Clone, Default)]
 struct ClassState {
-    index: PageIndex,
-    /// Total free slots across all pages of the class.
+    /// One bit per slot: set iff the slot is occupied.
+    occ: Vec<u64>,
+    /// One bit per page number: set iff the page is installed.
+    present: Vec<u64>,
+    /// Installed pages with at least one free slot.
+    open: StartBits,
+    /// Installed pages with at most `sparse_live` live slots.
+    sparse: StartBits,
+    /// Total free slots across all installed pages of the class.
     free_slots: usize,
 }
 
 impl ClassState {
-    fn new(mirror: MirrorImpl) -> Self {
-        ClassState {
-            index: PageIndex::new(mirror),
-            free_slots: 0,
+    fn is_present(&self, page: u64) -> bool {
+        bit(&self.present, page)
+    }
+
+    /// Live slots of the installed page `page`.
+    fn live(&self, page: u64, geom: Geometry) -> usize {
+        let (words, mask) = geom.span(page);
+        self.occ[words]
+            .iter()
+            .map(|w| (w & mask).count_ones() as usize)
+            .sum()
+    }
+
+    /// Lowest free slot of the installed page `page`, if any.
+    fn first_free_slot(&self, page: u64, geom: Geometry) -> Option<u64> {
+        let (words, mask) = geom.span(page);
+        let first = words.start;
+        self.occ[words].iter().enumerate().find_map(|(i, &w)| {
+            let free = !w & mask;
+            (free != 0).then(|| (first + i) as u64 * 64 + u64::from(free.trailing_zeros()))
+        })
+    }
+
+    /// Installs an empty page, which is both open and sparse.
+    fn install(&mut self, page: u64, geom: Geometry) {
+        let (words, _) = geom.span(page);
+        if self.occ.len() < words.end {
+            self.occ.resize(words.end, 0);
+        }
+        let w = (page / 64) as usize;
+        if self.present.len() <= w {
+            self.present.resize(w + 1, 0);
+        }
+        self.present[w] |= 1 << (page % 64);
+        self.open.set(page);
+        self.sparse.set(page);
+        self.free_slots += geom.slots();
+    }
+
+    /// Drops the installed page `page` from the table, leaving its slot
+    /// bits to the caller.
+    fn uninstall(&mut self, page: u64, geom: Geometry) {
+        self.free_slots -= geom.slots() - self.live(page, geom);
+        self.present[(page / 64) as usize] &= !(1 << (page % 64));
+        self.open.clear(page);
+        self.sparse.clear(page);
+    }
+
+    /// Occupies the free slot `slot` of an installed page; candidate
+    /// memberships can only end.
+    fn fill(&mut self, slot: u64, geom: Geometry) {
+        self.occ[(slot / 64) as usize] |= 1 << (slot % 64);
+        self.free_slots -= 1;
+        let page = geom.page_of(slot);
+        let live = self.live(page, geom);
+        if live == geom.slots() {
+            self.open.clear(page);
+        }
+        if live == geom.sparse_live + 1 {
+            self.sparse.clear(page);
         }
     }
 
-    fn page(&self, base: u64) -> Option<&Page> {
-        match &self.index {
-            PageIndex::Indexed { map, slab, .. } => {
-                map.get(base).and_then(|idx| slab[idx as usize].as_ref())
-            }
-            PageIndex::Reference { pages, .. } => pages.get(&base),
+    /// Frees the occupied slot `slot` of an installed page and returns the
+    /// page's live count; memberships can only begin, and only at the
+    /// exact threshold crossing.
+    fn vacate(&mut self, slot: u64, geom: Geometry) -> usize {
+        self.occ[(slot / 64) as usize] &= !(1 << (slot % 64));
+        self.free_slots += 1;
+        let page = geom.page_of(slot);
+        let live = self.live(page, geom);
+        if live + 1 == geom.slots() {
+            self.open.set(page);
         }
+        if live == geom.sparse_live {
+            self.sparse.set(page);
+        }
+        live
     }
 
-    fn page_mut(&mut self, base: u64) -> Option<&mut Page> {
-        match &mut self.index {
-            PageIndex::Indexed { map, slab, .. } => {
-                map.get(base).and_then(|idx| slab[idx as usize].as_mut())
-            }
-            PageIndex::Reference { pages, .. } => pages.get_mut(&base),
-        }
-    }
-
-    /// Installs a fresh (empty) page at `base`.
-    fn insert_page(&mut self, base: u64, page: Page, slots: usize, sparse_live: usize) {
-        match &mut self.index {
-            PageIndex::Indexed {
-                map,
-                slab,
-                free_ids,
-                open,
-                sparse,
-            } => {
-                let idx = match free_ids.pop() {
-                    Some(idx) => {
-                        slab[idx] = Some(page);
-                        idx
-                    }
-                    None => {
-                        slab.push(Some(page));
-                        slab.len() - 1
-                    }
-                };
-                map.insert(base, idx as u64);
-                // An empty page is both open and sparse.
-                open.push(Reverse(base));
-                sparse.push(Reverse(base));
-                Self::maybe_rebuild(map, slab, open, |p| p.live() < slots);
-                Self::maybe_rebuild(map, slab, sparse, |p| p.live() <= sparse_live);
-            }
-            PageIndex::Reference {
-                pages,
-                open,
-                sparse,
-            } => {
-                pages.insert(base, page);
-                open.insert(base);
-                sparse.insert(base);
-            }
-        }
-    }
-
-    /// Removes the page at `base`, dropping its candidate memberships
-    /// (eagerly on the reference arm, lazily on the indexed one).
-    fn remove_page(&mut self, base: u64) -> Option<Page> {
-        match &mut self.index {
-            PageIndex::Indexed {
-                map,
-                slab,
-                free_ids,
-                ..
-            } => {
-                let idx = map.remove(base)? as usize;
-                free_ids.push(idx);
-                slab[idx].take()
-            }
-            PageIndex::Reference {
-                pages,
-                open,
-                sparse,
-            } => {
-                open.remove(&base);
-                sparse.remove(&base);
-                pages.remove(&base)
-            }
-        }
-    }
-
-    /// Updates candidate memberships after a slot of `base` was filled
-    /// (live count went up: memberships can only end).
-    fn note_fill(&mut self, base: u64, slots: usize, sparse_live: usize) {
-        match &mut self.index {
-            // Stale entries are discarded lazily on peek.
-            PageIndex::Indexed { .. } => {}
-            PageIndex::Reference { .. } => self.reindex_reference(base, slots, sparse_live),
-        }
-    }
-
-    /// Updates candidate memberships after a slot of `base` was cleared
-    /// (live count went down by one: memberships can only begin, and only
-    /// at the exact threshold crossing).
-    fn note_clear(&mut self, base: u64, live_now: usize, slots: usize, sparse_live: usize) {
-        match &mut self.index {
-            PageIndex::Indexed {
-                map,
-                slab,
-                open,
-                sparse,
-                ..
-            } => {
-                if live_now + 1 == slots {
-                    open.push(Reverse(base));
-                    Self::maybe_rebuild(map, slab, open, |p| p.live() < slots);
-                }
-                if live_now == sparse_live {
-                    sparse.push(Reverse(base));
-                    Self::maybe_rebuild(map, slab, sparse, |p| p.live() <= sparse_live);
-                }
-            }
-            PageIndex::Reference { .. } => self.reindex_reference(base, slots, sparse_live),
-        }
-    }
-
-    /// The seed membership recomputation (reference arm only).
-    fn reindex_reference(&mut self, base: u64, slots: usize, sparse_live: usize) {
-        let PageIndex::Reference {
-            pages,
-            open,
-            sparse,
-        } = &mut self.index
-        else {
-            unreachable!("reference reindex on indexed arm");
-        };
-        let Some(page) = pages.get(&base) else {
-            open.remove(&base);
-            sparse.remove(&base);
-            return;
-        };
-        let live = page.live();
-        if live < slots {
-            open.insert(base);
-        } else {
-            open.remove(&base);
-        }
-        if live <= sparse_live {
-            sparse.insert(base);
-        } else {
-            sparse.remove(&base);
-        }
-    }
-
-    /// Lowest base with at least one free slot, if any.
-    fn first_open(&mut self, slots: usize) -> Option<u64> {
-        match &mut self.index {
-            PageIndex::Indexed {
-                map, slab, open, ..
-            } => {
-                while let Some(&Reverse(base)) = open.peek() {
-                    let live = map
-                        .get(base)
-                        .and_then(|idx| slab[idx as usize].as_ref())
-                        .map(Page::live);
-                    if live.is_some_and(|l| l < slots) {
-                        return Some(base);
-                    }
-                    open.pop();
-                }
-                None
-            }
-            PageIndex::Reference { open, .. } => open.first().copied(),
-        }
-    }
-
-    /// Lowest evacuation-candidate base, if any.
-    fn first_sparse(&mut self, sparse_live: usize) -> Option<u64> {
-        match &mut self.index {
-            PageIndex::Indexed {
-                map, slab, sparse, ..
-            } => {
-                while let Some(&Reverse(base)) = sparse.peek() {
-                    let live = map
-                        .get(base)
-                        .and_then(|idx| slab[idx as usize].as_ref())
-                        .map(Page::live);
-                    if live.is_some_and(|l| l <= sparse_live) {
-                        return Some(base);
-                    }
-                    sparse.pop();
-                }
-                None
-            }
-            PageIndex::Reference { sparse, .. } => sparse.first().copied(),
-        }
-    }
-
-    /// Rebuilds a candidate heap from ground truth once stale/duplicate
-    /// entries outnumber live pages 4:1.
-    fn maybe_rebuild(
-        map: &AddrMap,
-        slab: &[Option<Page>],
-        heap: &mut BinaryHeap<Reverse<u64>>,
-        member: impl Fn(&Page) -> bool,
-    ) {
-        if heap.len() <= 4 * map.len() + 8 {
-            return;
-        }
-        heap.clear();
-        for (base, idx) in map.iter() {
-            if slab[idx as usize].as_ref().is_some_and(&member) {
-                heap.push(Reverse(base));
-            }
-        }
-    }
-
+    /// Installed page numbers, ascending.
     #[cfg(test)]
-    fn snapshot(&self) -> Vec<(u64, Page)> {
-        let mut out: Vec<(u64, Page)> = match &self.index {
-            PageIndex::Indexed { map, slab, .. } => map
-                .iter()
-                .map(|(base, idx)| (base, slab[idx as usize].clone().expect("mapped page")))
-                .collect(),
-            PageIndex::Reference { pages, .. } => {
-                pages.iter().map(|(&b, p)| (b, p.clone())).collect()
-            }
-        };
-        out.sort_by_key(|&(b, _)| b);
-        out
-    }
-
-    #[cfg(test)]
-    fn open_contains(&self, base: u64, slots: usize) -> bool {
-        match &self.index {
-            PageIndex::Indexed { open, .. } => {
-                self.page(base).is_some_and(|p| p.live() < slots)
-                    && open.iter().any(|&Reverse(b)| b == base)
-            }
-            PageIndex::Reference { open, .. } => open.contains(&base),
-        }
-    }
-
-    #[cfg(test)]
-    fn sparse_contains(&self, base: u64, sparse_live: usize) -> bool {
-        match &self.index {
-            PageIndex::Indexed { sparse, .. } => {
-                self.page(base).is_some_and(|p| p.live() <= sparse_live)
-                    && sparse.iter().any(|&Reverse(b)| b == base)
-            }
-            PageIndex::Reference { sparse, .. } => sparse.contains(&base),
-        }
-    }
-
-    /// No candidate entry points at a missing page (reference arm), and
-    /// the slab/map stay coherent (indexed arm).
-    #[cfg(test)]
-    fn check_structure(&self) {
-        match &self.index {
-            PageIndex::Indexed {
-                map,
-                slab,
-                free_ids,
-                ..
-            } => {
-                let live_slots = slab.iter().filter(|s| s.is_some()).count();
-                assert_eq!(map.len(), live_slots, "map and slab agree");
-                assert_eq!(slab.len(), live_slots + free_ids.len());
-                for (_, idx) in map.iter() {
-                    assert!(slab[idx as usize].is_some(), "mapped slot is live");
-                }
-            }
-            PageIndex::Reference {
-                pages,
-                open,
-                sparse,
-            } => {
-                for base in open.iter().chain(sparse) {
-                    assert!(pages.contains_key(base));
-                }
-            }
-        }
+    fn pages(&self) -> impl Iterator<Item = u64> + '_ {
+        self.present.iter().enumerate().flat_map(|(w, &bits)| {
+            (0..64)
+                .filter(move |b| bits >> b & 1 == 1)
+                .map(move |b| w as u64 * 64 + b)
+        })
     }
 }
 
@@ -461,11 +249,9 @@ pub struct PageManager {
     classes: Vec<ClassState>,
     pool: FreeSpace,
     max_order: u32,
-    /// Objects per page (the factor-`slots` geometry; 4 by default).
-    slots: usize,
-    /// Pages with at most this many live slots are evacuation candidates
-    /// (`slots / 4`, i.e. density ≤ 1/4).
-    sparse_live: usize,
+    /// Objects per page (the factor-`slots` geometry; 4 by default) and
+    /// the evacuation threshold.
+    geom: Geometry,
     evictions: u64,
 }
 
@@ -486,7 +272,7 @@ impl PageManager {
         Self::with_geometry(c, max_order, SLOTS_PER_PAGE as usize)
     }
 
-    /// [`new`](Self::new) with an explicit mirror impl.
+    /// [`new`](Self::new) with an explicit mirror impl for the page pool.
     ///
     /// # Panics
     ///
@@ -510,7 +296,8 @@ impl PageManager {
         Self::try_with_geometry(c, max_order, SLOTS_PER_PAGE as usize)
     }
 
-    /// [`try_new`](Self::try_new) with an explicit mirror impl.
+    /// [`try_new`](Self::try_new) with an explicit mirror impl for the
+    /// page pool.
     ///
     /// # Errors
     ///
@@ -569,11 +356,13 @@ impl PageManager {
             return Err(PageGeometryError::BadSlots { slots });
         }
         Ok(PageManager {
-            classes: (0..=max_order).map(|_| ClassState::new(mirror)).collect(),
+            classes: (0..=max_order).map(|_| ClassState::default()).collect(),
             pool: FreeSpace::with_impl(mirror),
             max_order,
-            slots,
-            sparse_live: slots / 4,
+            geom: Geometry {
+                log_slots: slots.trailing_zeros(),
+                sparse_live: slots / 4,
+            },
             evictions: 0,
         })
     }
@@ -581,7 +370,7 @@ impl PageManager {
     /// The live-slot fraction at or below which pages are evacuated
     /// (`slots/4` out of `slots`, i.e. 1/4).
     pub fn eviction_density(&self) -> f64 {
-        self.sparse_live as f64 / self.slots as f64
+        self.geom.sparse_live as f64 / self.geom.slots() as f64
     }
 
     /// How many pages have been evacuated so far.
@@ -594,25 +383,19 @@ impl PageManager {
     }
 
     fn page_words(&self, k: u32) -> u64 {
-        (self.slots as u64) << k
+        (self.geom.slots() as u64) << k
     }
 
-    fn slot_addr(base: u64, k: u32, slot: usize) -> Addr {
-        Addr::new(base + (slot as u64) * (1u64 << k))
-    }
-
-    /// Places into an open page of class `k`, if any.
-    fn place_in_open(&mut self, k: u32, id: ObjectId) -> Option<Addr> {
-        let slots = self.slots;
-        let sparse_live = self.sparse_live;
+    /// Places into the lowest open page of class `k`, if any.
+    fn place_in_open(&mut self, k: u32) -> Option<Addr> {
+        let geom = self.geom;
         let class = &mut self.classes[k as usize];
-        let base = class.first_open(slots)?;
-        let page = class.page_mut(base).expect("open page exists");
-        let slot = page.first_free_slot().expect("page in open set has a slot");
-        page.slots[slot] = Some(id);
-        class.free_slots -= 1;
-        class.note_fill(base, slots, sparse_live);
-        Some(Self::slot_addr(base, k, slot))
+        let page = class.open.succ(0)?;
+        let slot = class
+            .first_free_slot(page, geom)
+            .expect("page in open set has a slot");
+        class.fill(slot, geom);
+        Some(Addr::new(slot << k))
     }
 
     /// Tries to evacuate one sparse page, returning whether a page was
@@ -624,29 +407,27 @@ impl PageManager {
     /// the budget covers the move — an O(classes) scan. Larger classes are
     /// tried first: they return the most space per eviction.
     fn evict_one(&mut self, ops: &mut HeapOps<'_, '_>) -> Result<bool, PlacementError> {
-        let slots = self.slots;
-        let sparse_live = self.sparse_live;
+        let geom = self.geom;
         let mut pick: Option<(u32, u64)> = None;
-        for k in (0..self.classes.len()).rev() {
-            let class = &mut self.classes[k];
-            let Some(base) = class.first_sparse(sparse_live) else {
+        for (k, class) in self.classes.iter().enumerate().rev() {
+            let Some(page) = class.sparse.succ(0) else {
                 continue;
             };
-            let live = class.page(base).expect("sparse page exists").live();
-            let spare_elsewhere = class.free_slots - (slots - live);
+            let live = class.live(page, geom);
+            let spare_elsewhere = class.free_slots - (geom.slots() - live);
             if spare_elsewhere < live {
                 continue;
             }
             if !ops.can_move(Size::new(live as u64 * (1u64 << k))) {
                 continue;
             }
-            pick = Some((k as u32, base));
+            pick = Some((k as u32, page));
             break;
         }
-        let Some((k, base)) = pick else {
+        let Some((k, page)) = pick else {
             return Ok(false);
         };
-        self.evacuate(k, base, ops)?;
+        self.evacuate(k, page, ops)?;
         Ok(true)
     }
 
@@ -657,45 +438,60 @@ impl PageManager {
         self.pool.largest_gap().get() >= 2 * self.page_words(k) - 1
     }
 
-    /// Moves every survivor of page `(k, base)` into other pages of the
-    /// class, then returns the page to the pool.
+    /// Moves every survivor of page `page` of class `k` into other pages
+    /// of the class, in slot order, then returns the page to the pool.
     fn evacuate(
         &mut self,
         k: u32,
-        base: u64,
+        page: u64,
         ops: &mut HeapOps<'_, '_>,
     ) -> Result<(), PlacementError> {
-        let class = &mut self.classes[k as usize];
-        let page = class.remove_page(base).expect("victim page exists");
-        class.free_slots -= self.slots - page.live();
-        for occupant in page.slots.iter() {
-            let Some(id) = *occupant else { continue };
-            if !ops.heap().is_live(id) {
-                continue;
-            }
-            let dest = match self.place_in_open(k, id) {
-                Some(dest) => dest,
-                None => {
-                    // Spare capacity was checked before evacuating, but
-                    // races with program frees are possible; grow via pool.
-                    let fresh = self.acquire_page(k);
-                    self.install_page(k, fresh);
-                    self.place_in_open(k, id)
-                        .expect("fresh page has free slots")
-                }
-            };
-            match ops.relocate(id, dest).map_err(PlacementError::from)? {
-                MoveOutcome::Moved => {}
-                MoveOutcome::Discarded => {
-                    // The program freed the object at its destination (the
-                    // P_F ghost discipline); note_free has not run, so
-                    // clear the slot ourselves.
-                    self.clear_slot(dest, Size::new(1 << k));
+        let geom = self.geom;
+        self.classes[k as usize].uninstall(page, geom);
+        let (words, mask) = geom.span(page);
+        for w in words {
+            let word = &mut self.classes[k as usize].occ[w];
+            let mut bits = *word & mask;
+            *word &= !mask;
+            while bits != 0 {
+                let slot = w as u64 * 64 + u64::from(bits.trailing_zeros());
+                bits &= bits - 1;
+                // Only the object being moved can die during a move, so
+                // every other set bit still names a live referee object.
+                // A bit the referee holds free is a corrupted table (the
+                // chaos phantom): fail rather than let evacuation erase it.
+                let at = Addr::new(slot << k);
+                let Some(id) = ops.heap().space().object_at(at) else {
+                    return Err(PlacementError::new(format!(
+                        "page table marks class-{k} slot at {} occupied, but the space map holds it free",
+                        at.get()
+                    )));
+                };
+                let dest = match self.place_in_open(k) {
+                    Some(dest) => dest,
+                    None => {
+                        // Spare capacity was checked before evacuating, but
+                        // races with program frees are possible; grow via pool.
+                        let fresh = self.acquire_page(k);
+                        self.install_page(k, fresh);
+                        self.place_in_open(k).expect("fresh page has free slots")
+                    }
+                };
+                match ops.relocate(id, dest).map_err(PlacementError::from)? {
+                    MoveOutcome::Moved => {}
+                    MoveOutcome::Discarded => {
+                        // The program freed the object at its destination
+                        // (the P_F ghost discipline); note_free has not
+                        // run, so clear the slot ourselves.
+                        self.clear_slot(dest, Size::new(1 << k));
+                    }
                 }
             }
         }
-        self.pool
-            .release(Addr::new(base), Size::new(self.page_words(k)));
+        self.pool.release(
+            Addr::new(page << (k + geom.log_slots)),
+            Size::new(self.page_words(k)),
+        );
         self.evictions += 1;
         Ok(())
     }
@@ -707,57 +503,63 @@ impl PageManager {
     }
 
     fn install_page(&mut self, k: u32, base: u64) {
-        let slots = self.slots;
-        let sparse_live = self.sparse_live;
-        let class = &mut self.classes[k as usize];
-        class.insert_page(base, Page::new(slots), slots, sparse_live);
-        class.free_slots += slots;
+        let geom = self.geom;
+        self.classes[k as usize].install(base >> (k + geom.log_slots), geom);
     }
 
     fn clear_slot(&mut self, addr: Addr, size: Size) {
         let k = Self::class_for(size);
-        let words = self.page_words(k);
-        let slots = self.slots;
-        let sparse_live = self.sparse_live;
-        let base = addr.align_down(words).get();
+        let geom = self.geom;
+        let slot = addr.get() >> k;
+        let page = geom.page_of(slot);
         let class = &mut self.classes[k as usize];
-        let Some(page) = class.page_mut(base) else {
+        if !class.is_present(page) {
             // The slot's page was already evacuated/released.
             return;
-        };
-        let slot = ((addr.get() - base) >> k) as usize;
-        page.slots[slot] = None;
-        let live = page.live();
-        class.free_slots += 1;
-        if live == 0 {
-            class.remove_page(base);
-            class.free_slots -= slots;
-            self.pool.release(Addr::new(base), Size::new(words));
-        } else {
-            class.note_clear(base, live, slots, sparse_live);
+        }
+        if class.vacate(slot, geom) == 0 {
+            class.uninstall(page, geom);
+            self.pool.release(
+                Addr::new(page << (k + geom.log_slots)),
+                Size::new(self.page_words(k)),
+            );
         }
     }
 
-    /// Debug helper for tests: verifies `free_slots` and the `open`/
-    /// `sparse` indexes against the page contents.
+    /// Debug helper for tests: verifies `free_slots`, the slot bits
+    /// outside installed pages and the `open`/`sparse` sets against the
+    /// page contents.
     #[cfg(test)]
     fn check_consistency(&self) {
+        let geom = self.geom;
+        let member = |set: &StartBits, page: u64| set.succ(page) == Some(page);
         for (k, class) in self.classes.iter().enumerate() {
-            class.check_structure();
-            let snapshot = class.snapshot();
-            let free: usize = snapshot.iter().map(|(_, p)| self.slots - p.live()).sum();
+            let mut free = 0;
+            let mut live_total = 0;
+            for page in class.pages() {
+                let live = class.live(page, geom);
+                free += geom.slots() - live;
+                live_total += live;
+                assert_eq!(
+                    member(&class.open, page),
+                    live < geom.slots(),
+                    "class {k} page {page} open"
+                );
+                assert_eq!(
+                    member(&class.sparse, page),
+                    live <= geom.sparse_live,
+                    "class {k} page {page} sparse"
+                );
+            }
             assert_eq!(class.free_slots, free, "class {k}");
-            for (base, page) in &snapshot {
-                assert_eq!(
-                    class.open_contains(*base, self.slots),
-                    page.live() < self.slots,
-                    "class {k} base {base} open"
-                );
-                assert_eq!(
-                    class.sparse_contains(*base, self.sparse_live),
-                    page.live() <= self.sparse_live,
-                    "class {k} base {base} sparse"
-                );
+            let set: usize = class.occ.iter().map(|w| w.count_ones() as usize).sum();
+            assert_eq!(set, live_total, "class {k}: slot bits outside pages");
+            for set in [&class.open, &class.sparse] {
+                let mut at = set.succ(0);
+                while let Some(page) = at {
+                    assert!(class.is_present(page), "class {k}: stale page {page}");
+                    at = set.succ(page + 1);
+                }
             }
         }
     }
@@ -797,7 +599,7 @@ impl MemoryManager for PageManager {
         }
         ops.stat_add("pages.placements", 1);
         ops.stat_record("alloc.size", req.size.get());
-        if let Some(addr) = self.place_in_open(k, req.id) {
+        if let Some(addr) = self.place_in_open(k) {
             ops.stat_add("pages.open_serves", 1);
             return Ok(addr);
         }
@@ -806,8 +608,7 @@ impl MemoryManager for PageManager {
         // the (possibly replenished) pool.
         let before = self.evictions;
         loop {
-            let slots = self.slots;
-            if self.classes[k as usize].first_open(slots).is_some() || self.pool_has_room(k) {
+            if self.classes[k as usize].open.succ(0).is_some() || self.pool_has_room(k) {
                 break;
             }
             if !self.evict_one(ops)? {
@@ -815,20 +616,103 @@ impl MemoryManager for PageManager {
             }
         }
         ops.stat_add("pages.evictions", self.evictions - before);
-        if let Some(addr) = self.place_in_open(k, req.id) {
+        if let Some(addr) = self.place_in_open(k) {
             ops.stat_add("pages.open_serves", 1);
             return Ok(addr);
         }
         let base = self.acquire_page(k);
         self.install_page(k, base);
         ops.stat_add("pages.new_pages", 1);
-        Ok(self
-            .place_in_open(k, req.id)
-            .expect("fresh page has free slots"))
+        Ok(self.place_in_open(k).expect("fresh page has free slots"))
     }
 
     fn note_free(&mut self, _id: ObjectId, addr: Addr, size: Size) {
         self.clear_slot(addr, size);
+    }
+
+    /// The page table must account for exactly the referee's objects:
+    /// each one's slot bit is set in an installed page of its class, no
+    /// other slot bit is set, and the pool hands out nothing the referee
+    /// holds.
+    fn mirror_check(&self, space: &SpaceMap) -> MirrorCheck {
+        let geom = self.geom;
+        for (extent, id) in space.iter() {
+            let k = Self::class_for(extent.size());
+            let start = extent.start().get();
+            let slot = start >> k;
+            let tracked = k <= self.max_order && start % (1 << k) == 0 && {
+                let class = &self.classes[k as usize];
+                class.is_present(geom.page_of(slot)) && bit(&class.occ, slot)
+            };
+            if !tracked {
+                return MirrorCheck::Divergent(format!(
+                    "object {id} at [{}, {}) has no occupied class-{k} slot",
+                    start,
+                    extent.end().get()
+                ));
+            }
+        }
+        let set: usize = self
+            .classes
+            .iter()
+            .flat_map(|class| &class.occ)
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        if set != space.len() {
+            return MirrorCheck::Divergent(format!(
+                "{set} occupied slots for {} live objects",
+                space.len()
+            ));
+        }
+        if let Err(detail) = self.pool.check_invariants() {
+            return MirrorCheck::Divergent(format!("page pool invariants broken: {detail}"));
+        }
+        for gap in self.pool.gaps() {
+            if !space.is_free(gap) {
+                return MirrorCheck::Divergent(format!(
+                    "page-pool gap [{}, {}) is occupied in the space map",
+                    gap.start().get(),
+                    gap.end().get()
+                ));
+            }
+        }
+        if self.pool.frontier() < space.frontier() {
+            return MirrorCheck::Divergent(format!(
+                "page-pool frontier {} is below the space-map frontier {}",
+                self.pool.frontier().get(),
+                space.frontier().get()
+            ));
+        }
+        MirrorCheck::Clean
+    }
+
+    /// Plants a phantom occupant: the first free slot of the page of the
+    /// `roll`-th referee object (address order on both substrates, moving
+    /// on to later objects while their pages are full) is marked occupied.
+    /// A phantom only withholds space, so it can never cause an
+    /// overlapping placement; `mirror_check` sees one slot too many.
+    fn inject_mirror_fault(&mut self, roll: u64, space: &SpaceMap) -> bool {
+        let count = space.len();
+        if count == 0 {
+            return false;
+        }
+        let skip = (roll % count as u64) as usize;
+        let geom = self.geom;
+        for (extent, _) in space.iter().skip(skip).chain(space.iter().take(skip)) {
+            let k = Self::class_for(extent.size());
+            let Some(class) = self.classes.get_mut(k as usize) else {
+                continue;
+            };
+            let page = geom.page_of(extent.start().get() >> k);
+            if !class.is_present(page) {
+                continue;
+            }
+            if let Some(slot) = class.first_free_slot(page, geom) {
+                class.fill(slot, geom);
+                return true;
+            }
+        }
+        false
     }
 }
 
@@ -948,7 +832,7 @@ mod tests {
                 .round((0..64).filter(|i| i % 4 != 0), vec![8u64; 8])
         };
         let mut sizes = Vec::new();
-        for slots in [4usize, 8, 16] {
+        for slots in [4usize, 8, 16, 128] {
             let mut exec = Execution::new(
                 Heap::new(5),
                 script(),
@@ -971,6 +855,65 @@ mod tests {
     }
 
     #[test]
+    fn injected_phantom_is_caught_by_mirror_check() {
+        use pcb_heap::Substrate;
+        for slots in [4usize, 128] {
+            for substrate in Substrate::ALL {
+                let program = ScriptedProgram::new(Size::new(1024))
+                    .round([], [8, 8, 8, 3, 1, 1, 2])
+                    .round([1, 4], [4]);
+                let mut exec = Execution::new(
+                    Heap::new(10).with_substrate(substrate),
+                    program,
+                    PageManager::with_geometry(10, 8, slots),
+                );
+                exec.run().expect("clean run");
+                let (heap, _, mut manager) = exec.into_parts();
+                assert_eq!(manager.mirror_check(heap.space()), MirrorCheck::Clean);
+                assert!(manager.inject_mirror_fault(0xDEAD_BEEF, heap.space()));
+                manager.check_consistency();
+                assert!(
+                    matches!(
+                        manager.mirror_check(heap.space()),
+                        MirrorCheck::Divergent(_)
+                    ),
+                    "slots={slots} on {substrate:?} missed the phantom"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn evacuating_a_phantom_fails_instead_of_healing_it() {
+        // Two 8-slot class-0 pages: page 0 thinned to object 0, page 1
+        // to six objects. A phantom next to object 0 keeps page 0 sparse
+        // (2 live ≤ 2); a class-3 request with no pool room then
+        // evacuates it and meets the phantom.
+        let program = ScriptedProgram::new(Size::new(64))
+            .round([], vec![1u64; 16])
+            .round((1..10).collect::<Vec<_>>(), []);
+        let mut exec = Execution::new(Heap::new(2), program, PageManager::with_geometry(2, 8, 8));
+        exec.run().expect("clean run");
+        let (heap, _, mut manager) = exec.into_parts();
+        assert!(manager.inject_mirror_fault(0, heap.space()));
+        let demand = ScriptedProgram::new(Size::new(64)).round([], [8]);
+        let err = Execution::new(heap, demand, manager)
+            .run()
+            .expect_err("the phantom surfaces");
+        assert!(err.to_string().contains("holds it free"), "{err}");
+    }
+
+    #[test]
+    fn full_pages_decline_injection() {
+        let program = ScriptedProgram::new(Size::new(1024)).round([], [8, 8, 8, 8]);
+        let mut exec = Execution::new(Heap::new(10), program, PageManager::new(10, 10));
+        exec.run().unwrap();
+        let (heap, _, mut manager) = exec.into_parts();
+        assert!(!manager.inject_mirror_fault(7, heap.space()));
+        assert_eq!(manager.mirror_check(heap.space()), MirrorCheck::Clean);
+    }
+
+    #[test]
     fn eviction_compacts_fragmented_classes() {
         // Eight pages of class 0, each reduced to one survivor, then
         // demand from class 3: evictions consolidate the survivors and
@@ -987,9 +930,10 @@ mod tests {
     }
 
     #[test]
-    fn page_arms_stay_in_lockstep() {
-        // Heavy churn across classes, with eviction pressure: both arms
-        // must produce identical reports and eviction counts.
+    fn pool_mirrors_stay_in_lockstep() {
+        // Heavy churn across classes, with eviction pressure: the page
+        // pool on either free-space mirror must produce identical reports
+        // and eviction counts.
         let mut program = ScriptedProgram::new(Size::new(1 << 16));
         let mut base = 0usize;
         for r in 0..20u64 {

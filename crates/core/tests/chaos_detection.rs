@@ -1,6 +1,6 @@
 //! Property: every injected mirror corruption is *detected*.
 //!
-//! The chaos harness plants a single free-list corruption
+//! The chaos harness plants a single mirror corruption
 //! ([`FaultSite::MirrorFlip`]) mid-run; paranoia mode cross-checks the
 //! manager's mirror against the ground-truth `SpaceMap` every `k`
 //! rounds. The property under test is the safety contract of §2.12:
@@ -18,13 +18,15 @@ use partial_compaction::workload::{ChurnConfig, ChurnWorkload};
 use partial_compaction::{FaultPlan, FaultSite, ManagerKind, Params};
 use proptest::prelude::*;
 
-/// The managers that maintain a free-list mirror (and therefore
-/// implement fault injection); the other kinds report
-/// [`MirrorCheck::Unsupported`] and are exercised separately below.
-const MIRRORED: [ManagerKind; 3] = [
+/// The managers that maintain a mirror of the referee (a free list, or
+/// the page table of `pages-thm2`) and therefore implement fault
+/// injection; the other kinds report [`MirrorCheck::Unsupported`] and are
+/// exercised separately below.
+const MIRRORED: [ManagerKind; 4] = [
     ManagerKind::FirstFit,
     ManagerKind::BestFit,
     ManagerKind::NextFit,
+    ManagerKind::PagesThm2,
 ];
 
 const M: u64 = 1 << 12;
