@@ -5,19 +5,18 @@
 //! allocation* discipline the paper's Section 3 overview reasons about
 //! (an object of size `2^i` lands on an address divisible by `2^i`).
 //!
-//! The free-block index follows the [`MirrorImpl`] knob: the indexed arm
-//! keeps one open-addressed `addr -> order` map (free-block starts are
-//! unique across orders), per-order lazily-cleaned min-heaps, and a
-//! nonempty-order bitmask, making buddy-merge probes and block selection
-//! O(1); the reference arm retains the seed per-order `BTreeSet<u64>`.
+//! The free-block index keeps one open-addressed `addr -> order` map
+//! (free-block starts are unique across orders), per-order lazily-cleaned
+//! min-heaps, and a nonempty-order bitmask, making buddy-merge probes and
+//! block selection O(1). The seed per-order `BTreeSet<u64>` index survives
+//! only as a test oracle (`tests/oracle/`).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use pcb_heap::{Addr, AllocRequest, HeapOps, MemoryManager, ObjectId, PlacementError, Size};
 
 use crate::indexed::AddrMap;
-use crate::MirrorImpl;
 
 /// How the buddy allocator picks among free blocks large enough to serve a
 /// request.
@@ -34,72 +33,46 @@ pub enum BuddySelect {
     LowestAddr,
 }
 
-/// Per-order free-block index, in either implementation.
+/// Per-order free-block index: one `addr -> order` map (free-block starts
+/// are unique across orders), per-order lazily-cleaned min-heaps, and a
+/// nonempty-order bitmask.
 #[derive(Debug, Clone)]
-enum FreeIndex {
-    /// `addr -> order` map plus per-order lazy min-heaps and a
-    /// nonempty-order bitmask.
-    Indexed {
-        map: AddrMap,
-        heaps: Vec<BinaryHeap<Reverse<u64>>>,
-        counts: Vec<u32>,
-        mask: u64,
-    },
-    /// The seed `free[k]` = start addresses of free `2^k` blocks.
-    Reference(Vec<BTreeSet<u64>>),
+struct FreeIndex {
+    map: AddrMap,
+    heaps: Vec<BinaryHeap<Reverse<u64>>>,
+    counts: Vec<u32>,
+    mask: u64,
 }
 
 impl FreeIndex {
-    fn new(mirror: MirrorImpl, orders: usize) -> Self {
-        match mirror {
-            MirrorImpl::Indexed => FreeIndex::Indexed {
-                map: AddrMap::default(),
-                heaps: (0..orders).map(|_| BinaryHeap::new()).collect(),
-                counts: vec![0; orders],
-                mask: 0,
-            },
-            MirrorImpl::Reference => FreeIndex::Reference(vec![BTreeSet::new(); orders]),
+    fn new(orders: usize) -> Self {
+        FreeIndex {
+            map: AddrMap::default(),
+            heaps: (0..orders).map(|_| BinaryHeap::new()).collect(),
+            counts: vec![0; orders],
+            mask: 0,
         }
     }
 
     fn insert(&mut self, order: u32, addr: u64) {
-        match self {
-            FreeIndex::Indexed {
-                map,
-                heaps,
-                counts,
-                mask,
-            } => {
-                map.insert(addr, u64::from(order));
-                heaps[order as usize].push(Reverse(addr));
-                counts[order as usize] += 1;
-                *mask |= 1 << order;
-            }
-            FreeIndex::Reference(free) => {
-                free[order as usize].insert(addr);
-            }
-        }
+        self.map.insert(addr, u64::from(order));
+        self.heaps[order as usize].push(Reverse(addr));
+        self.counts[order as usize] += 1;
+        self.mask |= 1 << order;
     }
 
     /// Removes `(order, addr)` if it is a free block; returns whether it
     /// was (the buddy-merge probe).
     fn remove_if_free(&mut self, order: u32, addr: u64) -> bool {
-        match self {
-            FreeIndex::Indexed {
-                map, counts, mask, ..
-            } => {
-                if map.get(addr) != Some(u64::from(order)) {
-                    return false;
-                }
-                map.remove(addr);
-                counts[order as usize] -= 1;
-                if counts[order as usize] == 0 {
-                    *mask &= !(1 << order);
-                }
-                true
-            }
-            FreeIndex::Reference(free) => free[order as usize].remove(&addr),
+        if self.map.get(addr) != Some(u64::from(order)) {
+            return false;
         }
+        self.map.remove(addr);
+        self.counts[order as usize] -= 1;
+        if self.counts[order as usize] == 0 {
+            self.mask &= !(1 << order);
+        }
+        true
     }
 
     /// Removes a block known to be free.
@@ -110,26 +83,18 @@ impl FreeIndex {
 
     /// Lowest free address of exactly `order`, if any.
     fn min_at(&mut self, order: u32) -> Option<u64> {
-        match self {
-            FreeIndex::Indexed { map, heaps, .. } => {
-                let heap = &mut heaps[order as usize];
-                while let Some(&Reverse(addr)) = heap.peek() {
-                    if map.get(addr) == Some(u64::from(order)) {
-                        return Some(addr);
-                    }
-                    heap.pop();
-                }
-                None
+        let heap = &mut self.heaps[order as usize];
+        while let Some(&Reverse(addr)) = heap.peek() {
+            if self.map.get(addr) == Some(u64::from(order)) {
+                return Some(addr);
             }
-            FreeIndex::Reference(free) => free[order as usize].first().copied(),
+            heap.pop();
         }
+        None
     }
 
     fn count(&self, order: u32) -> usize {
-        match self {
-            FreeIndex::Indexed { counts, .. } => counts[order as usize] as usize,
-            FreeIndex::Reference(free) => free[order as usize].len(),
-        }
+        self.counts[order as usize] as usize
     }
 }
 
@@ -142,7 +107,7 @@ impl FreeIndex {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BuddyAllocator {
-    /// Free blocks per order, behind the mirror knob.
+    /// Free blocks per order.
     free: FreeIndex,
     max_order: u32,
     frontier: u64,
@@ -152,29 +117,19 @@ pub struct BuddyAllocator {
 
 impl BuddyAllocator {
     /// Creates a buddy allocator with top-level blocks of `2^max_order`
-    /// words on the default mirror impl; requests larger than that are
-    /// rejected.
+    /// words; requests larger than that are rejected.
     ///
     /// # Panics
     ///
     /// Panics if `max_order >= 48` (absurd block sizes would overflow the
     /// simulated address arithmetic long before then).
     pub fn new(max_order: u32, select: BuddySelect) -> Self {
-        Self::with_mirror(max_order, select, MirrorImpl::default())
-    }
-
-    /// [`new`](Self::new) with an explicit mirror impl.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_order >= 48`.
-    pub fn with_mirror(max_order: u32, select: BuddySelect, mirror: MirrorImpl) -> Self {
         assert!(
             max_order < 48,
             "max_order {max_order} is unreasonably large"
         );
         BuddyAllocator {
-            free: FreeIndex::new(mirror, max_order as usize + 1),
+            free: FreeIndex::new(max_order as usize + 1),
             max_order,
             frontier: 0,
             select,
@@ -202,42 +157,31 @@ impl BuddyAllocator {
     /// Finds a free block per the selection strategy; `None` if no block of
     /// order `>= k` is free.
     fn select_block(&mut self, k: u32) -> Option<(u32, u64)> {
-        match &self.free {
-            FreeIndex::Indexed { mask, .. } => {
-                // Only nonempty orders need their heap consulted.
-                let mut candidates =
-                    *mask & (!0u64 << k) & ((1u128 << (self.max_order + 1)) - 1) as u64;
-                match self.select {
-                    BuddySelect::SmallestOrder => {
-                        if candidates == 0 {
-                            return None;
-                        }
-                        let order = candidates.trailing_zeros();
-                        let addr = self.free.min_at(order).expect("nonempty order");
-                        Some((order, addr))
-                    }
-                    BuddySelect::LowestAddr => {
-                        let mut best: Option<(u32, u64)> = None;
-                        while candidates != 0 {
-                            let order = candidates.trailing_zeros();
-                            candidates &= candidates - 1;
-                            let addr = self.free.min_at(order).expect("nonempty order");
-                            best = match best {
-                                Some((_, b)) if b <= addr => best,
-                                _ => Some((order, addr)),
-                            };
-                        }
-                        best
-                    }
+        // Only nonempty orders need their heap consulted.
+        let mut candidates =
+            self.free.mask & (!0u64 << k) & ((1u128 << (self.max_order + 1)) - 1) as u64;
+        match self.select {
+            BuddySelect::SmallestOrder => {
+                if candidates == 0 {
+                    return None;
                 }
+                let order = candidates.trailing_zeros();
+                let addr = self.free.min_at(order).expect("nonempty order");
+                Some((order, addr))
             }
-            FreeIndex::Reference(free) => match self.select {
-                BuddySelect::SmallestOrder => (k..=self.max_order)
-                    .find_map(|j| free[j as usize].first().copied().map(|addr| (j, addr))),
-                BuddySelect::LowestAddr => (k..=self.max_order)
-                    .filter_map(|j| free[j as usize].first().copied().map(|addr| (j, addr)))
-                    .min_by_key(|&(_, addr)| addr),
-            },
+            BuddySelect::LowestAddr => {
+                let mut best: Option<(u32, u64)> = None;
+                while candidates != 0 {
+                    let order = candidates.trailing_zeros();
+                    candidates &= candidates - 1;
+                    let addr = self.free.min_at(order).expect("nonempty order");
+                    best = match best {
+                        Some((_, b)) if b <= addr => best,
+                        _ => Some((order, addr)),
+                    };
+                }
+                best
+            }
         }
     }
 
@@ -422,48 +366,12 @@ mod tests {
             )
             .round((64..128).step_by(3), sizes);
         for select in [BuddySelect::SmallestOrder, BuddySelect::LowestAddr] {
-            for mirror in MirrorImpl::ALL {
-                let mut exec = Execution::new(
-                    Heap::non_moving(),
-                    program.clone(),
-                    BuddyAllocator::with_mirror(8, select, mirror),
-                );
-                exec.run().unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn index_arms_stay_in_lockstep() {
-        // Both free-index arms must place every object identically under
-        // split/merge churn, for both selection strategies.
-        let mut program = ScriptedProgram::new(Size::new(1 << 20));
-        let mut base = 0usize;
-        for r in 0..16u64 {
-            let sizes: Vec<u64> = (1..=12u64).map(|s| (s * 5 * (r + 1)) % 60 + 1).collect();
-            let frees: Vec<usize> = if base >= 12 {
-                (base - 12..base).step_by(2).collect()
-            } else {
-                Vec::new()
-            };
-            program = program.round(frees, sizes);
-            base += 12;
-        }
-        for select in [BuddySelect::SmallestOrder, BuddySelect::LowestAddr] {
-            let mut runs = MirrorImpl::ALL.iter().map(|&mirror| {
-                let mut exec = Execution::new(
-                    Heap::non_moving(),
-                    program.clone(),
-                    BuddyAllocator::with_mirror(8, select, mirror),
-                );
-                let report = exec.run().expect("buddy survives churn");
-                let (_, _, manager) = exec.into_parts();
-                (format!("{report:?}"), manager.free_blocks())
-            });
-            let first = runs.next().unwrap();
-            for other in runs {
-                assert_eq!(first, other, "{select:?}");
-            }
+            let mut exec = Execution::new(
+                Heap::non_moving(),
+                program.clone(),
+                BuddyAllocator::new(8, select),
+            );
+            exec.run().unwrap();
         }
     }
 }

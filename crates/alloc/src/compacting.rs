@@ -42,20 +42,11 @@ impl CompactingManager {
     ///
     /// Panics if `c < 1` or `m == 0`.
     pub fn new(c: u64, m: u64) -> Self {
-        Self::with_mirror(c, m, crate::MirrorImpl::default())
-    }
-
-    /// [`new`](Self::new) with an explicit mirror impl.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c < 1` or `m == 0`.
-    pub fn with_mirror(c: u64, m: u64, mirror: crate::MirrorImpl) -> Self {
         assert!(c >= 1, "compaction bound must be at least 1");
         assert!(m > 0, "live bound must be positive");
         CompactingManager {
             limit: (c + 1) * m,
-            space: FreeSpace::with_impl(mirror),
+            space: FreeSpace::new(),
             compactions: 0,
         }
     }

@@ -36,7 +36,6 @@ mod compacting;
 mod freelist;
 mod full_compact;
 mod indexed;
-mod mirror;
 mod pages;
 mod policy;
 mod registry;
@@ -48,7 +47,6 @@ pub use buddy::{BuddyAllocator, BuddySelect};
 pub use compacting::CompactingManager;
 pub use freelist::{FitPolicy, FreeSpace, TakeStats};
 pub use full_compact::FullCompactor;
-pub use mirror::{MirrorImpl, ParseMirrorImplError};
 pub use pages::{PageGeometryError, PageManager, SLOTS_PER_PAGE};
 pub use policy::FreeListManager;
 pub use registry::{BuildError, ManagerKind, ParseManagerKindError};

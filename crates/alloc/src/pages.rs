@@ -31,7 +31,7 @@
 //! live count is a masked popcount of its slot bits. Occupant ids are not
 //! stored: evacuation reads them from the heap's referee, which already
 //! maps every live slot address to its object. The page pool is a
-//! [`FreeSpace`] and follows the [`MirrorImpl`] knob.
+//! [`FreeSpace`].
 
 use core::fmt;
 use std::ops::Range;
@@ -43,7 +43,6 @@ use pcb_heap::{
 
 use crate::freelist::FreeSpace;
 use crate::indexed::StartBits;
-use crate::MirrorImpl;
 
 /// Objects per page: each class-`k` page spans `4 * 2^k` words, mirroring
 /// the factor-4 chunk geometry of the paper's Section 4 analysis.
@@ -257,7 +256,7 @@ pub struct PageManager {
 
 impl PageManager {
     /// Creates a manager for compaction bound `c` serving classes
-    /// `2^0 ..= 2^max_order` on the default mirror impl.
+    /// `2^0 ..= 2^max_order`.
     ///
     /// `c` does not parameterize the manager's structure — the c-partial
     /// constraint is enforced move-by-move through the heap's budget
@@ -272,18 +271,6 @@ impl PageManager {
         Self::with_geometry(c, max_order, SLOTS_PER_PAGE as usize)
     }
 
-    /// [`new`](Self::new) with an explicit mirror impl for the page pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c < 2` or `max_order >= 46`.
-    pub fn with_mirror(c: u64, max_order: u32, mirror: MirrorImpl) -> Self {
-        match Self::try_with_mirror(c, max_order, mirror) {
-            Ok(manager) => manager,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Like [`new`](Self::new), but reports invalid parameters as a
     /// [`PageGeometryError`] instead of panicking — the harness-facing
     /// constructor, where a user's parameter mistake must become a clean
@@ -294,20 +281,6 @@ impl PageManager {
     /// Returns [`PageGeometryError`] if `c < 2` or `max_order >= 46`.
     pub fn try_new(c: u64, max_order: u32) -> Result<Self, PageGeometryError> {
         Self::try_with_geometry(c, max_order, SLOTS_PER_PAGE as usize)
-    }
-
-    /// [`try_new`](Self::try_new) with an explicit mirror impl for the
-    /// page pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PageGeometryError`] if `c < 2` or `max_order >= 46`.
-    pub fn try_with_mirror(
-        c: u64,
-        max_order: u32,
-        mirror: MirrorImpl,
-    ) -> Result<Self, PageGeometryError> {
-        Self::build(c, max_order, SLOTS_PER_PAGE as usize, mirror)
     }
 
     /// Creates a manager with `slots` objects per page instead of the
@@ -337,15 +310,6 @@ impl PageManager {
         max_order: u32,
         slots: usize,
     ) -> Result<Self, PageGeometryError> {
-        Self::build(c, max_order, slots, MirrorImpl::default())
-    }
-
-    fn build(
-        c: u64,
-        max_order: u32,
-        slots: usize,
-        mirror: MirrorImpl,
-    ) -> Result<Self, PageGeometryError> {
         if c < 2 {
             return Err(PageGeometryError::BoundTooSmall { c });
         }
@@ -357,7 +321,7 @@ impl PageManager {
         }
         Ok(PageManager {
             classes: (0..=max_order).map(|_| ClassState::default()).collect(),
-            pool: FreeSpace::with_impl(mirror),
+            pool: FreeSpace::new(),
             max_order,
             geom: Geometry {
                 log_slots: slots.trailing_zeros(),
@@ -687,8 +651,8 @@ impl MemoryManager for PageManager {
     }
 
     /// Plants a phantom occupant: the first free slot of the page of the
-    /// `roll`-th referee object (address order on both substrates, moving
-    /// on to later objects while their pages are full) is marked occupied.
+    /// `roll`-th referee object (in address order, moving on to later
+    /// objects while their pages are full) is marked occupied.
     /// A phantom only withholds space, so it can never cause an
     /// overlapping placement; `mirror_check` sees one slot too many.
     fn inject_mirror_fault(&mut self, roll: u64, space: &SpaceMap) -> bool {
@@ -723,20 +687,14 @@ mod tests {
 
     #[test]
     fn pages_fill_before_growing() {
-        for mirror in MirrorImpl::ALL {
-            let program = ScriptedProgram::new(Size::new(1024)).round([], [8, 8, 8, 8, 8]);
-            let mut exec = Execution::new(
-                Heap::new(10),
-                program,
-                PageManager::with_mirror(10, 10, mirror),
-            );
-            let report = exec.run().unwrap();
-            // First four share one 32-word page; the fifth starts a second
-            // page at 32 (HS counts used words, so the span ends at 32+8).
-            assert_eq!(report.heap_size, 40);
-            let (_, _, manager) = exec.into_parts();
-            manager.check_consistency();
-        }
+        let program = ScriptedProgram::new(Size::new(1024)).round([], [8, 8, 8, 8, 8]);
+        let mut exec = Execution::new(Heap::new(10), program, PageManager::new(10, 10));
+        let report = exec.run().unwrap();
+        // First four share one 32-word page; the fifth starts a second
+        // page at 32 (HS counts used words, so the span ends at 32+8).
+        assert_eq!(report.heap_size, 40);
+        let (_, _, manager) = exec.into_parts();
+        manager.check_consistency();
     }
 
     #[test]
@@ -752,23 +710,17 @@ mod tests {
 
     #[test]
     fn empty_pages_return_to_the_pool_for_other_classes() {
-        for mirror in MirrorImpl::ALL {
-            let program = ScriptedProgram::new(Size::new(1024))
-                .round([], [8, 8, 8, 8]) // one 32-word page, full
-                .round([0, 1, 2, 3], [2, 2]); // page empties; class 1 reuses it
-            let mut exec = Execution::new(
-                Heap::new(10),
-                program,
-                PageManager::with_mirror(10, 10, mirror),
-            );
-            let report = exec.run().unwrap();
-            assert_eq!(
-                report.heap_size, 32,
-                "the emptied class-3 page houses the class-1 page"
-            );
-            let (_, _, manager) = exec.into_parts();
-            manager.check_consistency();
-        }
+        let program = ScriptedProgram::new(Size::new(1024))
+            .round([], [8, 8, 8, 8]) // one 32-word page, full
+            .round([0, 1, 2, 3], [2, 2]); // page empties; class 1 reuses it
+        let mut exec = Execution::new(Heap::new(10), program, PageManager::new(10, 10));
+        let report = exec.run().unwrap();
+        assert_eq!(
+            report.heap_size, 32,
+            "the emptied class-3 page houses the class-1 page"
+        );
+        let (_, _, manager) = exec.into_parts();
+        manager.check_consistency();
     }
 
     #[test]
@@ -777,22 +729,16 @@ mod tests {
         // pool), then two full class-0 pages; free six of the eight ones
         // to leave two sparse pages, then demand class-2 pages. With the
         // pool empty, eviction must fire.
-        for mirror in MirrorImpl::ALL {
-            let program = ScriptedProgram::new(Size::new(1024))
-                .round([], [16, 16, 1, 1, 1, 1, 1, 1, 1, 1])
-                .round([3, 4, 5, 6, 7, 8], [4, 4, 4, 4, 4]);
-            let mut exec = Execution::new(
-                Heap::new(10),
-                program,
-                PageManager::with_mirror(10, 10, mirror),
-            );
-            let report = exec.run().unwrap();
-            let (_, _, manager) = exec.into_parts();
-            manager.check_consistency();
-            assert!(manager.evictions() >= 1, "eviction should have triggered");
-            assert!(report.objects_moved >= 1);
-            assert!(report.moved_fraction <= 0.1 + 1e-12);
-        }
+        let program = ScriptedProgram::new(Size::new(1024))
+            .round([], [16, 16, 1, 1, 1, 1, 1, 1, 1, 1])
+            .round([3, 4, 5, 6, 7, 8], [4, 4, 4, 4, 4]);
+        let mut exec = Execution::new(Heap::new(10), program, PageManager::new(10, 10));
+        let report = exec.run().unwrap();
+        let (_, _, manager) = exec.into_parts();
+        manager.check_consistency();
+        assert!(manager.evictions() >= 1, "eviction should have triggered");
+        assert!(report.objects_moved >= 1);
+        assert!(report.moved_fraction <= 0.1 + 1e-12);
     }
 
     #[test]
@@ -856,30 +802,27 @@ mod tests {
 
     #[test]
     fn injected_phantom_is_caught_by_mirror_check() {
-        use pcb_heap::Substrate;
         for slots in [4usize, 128] {
-            for substrate in Substrate::ALL {
-                let program = ScriptedProgram::new(Size::new(1024))
-                    .round([], [8, 8, 8, 3, 1, 1, 2])
-                    .round([1, 4], [4]);
-                let mut exec = Execution::new(
-                    Heap::new(10).with_substrate(substrate),
-                    program,
-                    PageManager::with_geometry(10, 8, slots),
-                );
-                exec.run().expect("clean run");
-                let (heap, _, mut manager) = exec.into_parts();
-                assert_eq!(manager.mirror_check(heap.space()), MirrorCheck::Clean);
-                assert!(manager.inject_mirror_fault(0xDEAD_BEEF, heap.space()));
-                manager.check_consistency();
-                assert!(
-                    matches!(
-                        manager.mirror_check(heap.space()),
-                        MirrorCheck::Divergent(_)
-                    ),
-                    "slots={slots} on {substrate:?} missed the phantom"
-                );
-            }
+            let program = ScriptedProgram::new(Size::new(1024))
+                .round([], [8, 8, 8, 3, 1, 1, 2])
+                .round([1, 4], [4]);
+            let mut exec = Execution::new(
+                Heap::new(10),
+                program,
+                PageManager::with_geometry(10, 8, slots),
+            );
+            exec.run().expect("clean run");
+            let (heap, _, mut manager) = exec.into_parts();
+            assert_eq!(manager.mirror_check(heap.space()), MirrorCheck::Clean);
+            assert!(manager.inject_mirror_fault(0xDEAD_BEEF, heap.space()));
+            manager.check_consistency();
+            assert!(
+                matches!(
+                    manager.mirror_check(heap.space()),
+                    MirrorCheck::Divergent(_)
+                ),
+                "slots={slots} missed the phantom"
+            );
         }
     }
 
@@ -927,43 +870,5 @@ mod tests {
         manager.check_consistency();
         assert!(manager.evictions() >= 1);
         assert!(report.moved_fraction <= 0.2 + 1e-12);
-    }
-
-    #[test]
-    fn pool_mirrors_stay_in_lockstep() {
-        // Heavy churn across classes, with eviction pressure: the page
-        // pool on either free-space mirror must produce identical reports
-        // and eviction counts.
-        let mut program = ScriptedProgram::new(Size::new(1 << 16));
-        let mut base = 0usize;
-        for r in 0..20u64 {
-            let sizes: Vec<u64> = (1..=8u64).map(|s| (s * 3 * (r + 1)) % 16 + 1).collect();
-            let frees: Vec<usize> = if base >= 8 {
-                (base - 8..base).filter(|i| i % 4 != 3).collect()
-            } else {
-                Vec::new()
-            };
-            program = program.round(frees, sizes);
-            base += 8;
-        }
-        let mut runs = MirrorImpl::ALL.iter().map(|&mirror| {
-            let mut exec = Execution::new(
-                Heap::new(5),
-                program.clone(),
-                PageManager::with_mirror(5, 8, mirror),
-            );
-            let report = exec.run().expect("pages survive churn");
-            let (_, _, manager) = exec.into_parts();
-            manager.check_consistency();
-            (
-                format!("{report:?}"),
-                manager.evictions(),
-                manager.internal_waste(),
-            )
-        });
-        let first = runs.next().unwrap();
-        for other in runs {
-            assert_eq!(first, other);
-        }
     }
 }

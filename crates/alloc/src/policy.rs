@@ -27,16 +27,11 @@ pub struct FreeListManager {
 }
 
 impl FreeListManager {
-    /// Creates a manager with the given policy on the default mirror impl.
+    /// Creates a manager with the given policy.
     pub fn new(policy: FitPolicy) -> Self {
-        Self::with_mirror(policy, crate::MirrorImpl::default())
-    }
-
-    /// [`new`](Self::new) with an explicit mirror impl.
-    pub fn with_mirror(policy: FitPolicy, mirror: crate::MirrorImpl) -> Self {
         FreeListManager {
             policy,
-            space: FreeSpace::with_impl(mirror),
+            space: FreeSpace::new(),
             cursor: Addr::ZERO,
         }
     }
@@ -133,8 +128,8 @@ impl MemoryManager for FreeListManager {
     /// Plants a guaranteed-detectable corruption: one word that the
     /// referee knows is live is released into the free list, as if a
     /// stray bit-flip had resurrected it. The victim is chosen from
-    /// `roll` over the referee's extents (address order on both
-    /// substrates), so the same roll corrupts the same word everywhere.
+    /// `roll` over the referee's extents (in address order), so the same
+    /// roll corrupts the same word everywhere.
     fn inject_mirror_fault(&mut self, roll: u64, space: &SpaceMap) -> bool {
         let occupied = space.iter().count();
         if occupied == 0 {
@@ -197,35 +192,29 @@ mod tests {
 
     #[test]
     fn injected_mirror_fault_is_caught_by_mirror_check() {
-        use pcb_heap::Substrate;
         for policy in FitPolicy::ALL {
-            for substrate in Substrate::ALL {
-                let program = ScriptedProgram::new(Size::new(1024))
-                    .round([], [4, 4, 4, 4])
-                    .round([1, 3], [2]);
-                let mut exec = Execution::new(
-                    Heap::non_moving().with_substrate(substrate),
-                    program,
-                    FreeListManager::new(policy),
-                );
-                exec.run().expect("clean run");
-                let (heap, _, mut manager) = exec.into_parts();
-                assert_eq!(
+            let program = ScriptedProgram::new(Size::new(1024))
+                .round([], [4, 4, 4, 4])
+                .round([1, 3], [2]);
+            let mut exec =
+                Execution::new(Heap::non_moving(), program, FreeListManager::new(policy));
+            exec.run().expect("clean run");
+            let (heap, _, mut manager) = exec.into_parts();
+            assert_eq!(
+                manager.mirror_check(heap.space()),
+                MirrorCheck::Clean,
+                "{} diverged without a fault",
+                policy.name()
+            );
+            assert!(manager.inject_mirror_fault(0xDEAD_BEEF, heap.space()));
+            assert!(
+                matches!(
                     manager.mirror_check(heap.space()),
-                    MirrorCheck::Clean,
-                    "{} on {substrate:?} diverged without a fault",
-                    policy.name()
-                );
-                assert!(manager.inject_mirror_fault(0xDEAD_BEEF, heap.space()));
-                assert!(
-                    matches!(
-                        manager.mirror_check(heap.space()),
-                        MirrorCheck::Divergent(_)
-                    ),
-                    "{} on {substrate:?} missed the planted fault",
-                    policy.name()
-                );
-            }
+                    MirrorCheck::Divergent(_)
+                ),
+                "{} missed the planted fault",
+                policy.name()
+            );
         }
     }
 

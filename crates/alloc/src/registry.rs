@@ -10,7 +10,6 @@ use crate::buddy::{BuddyAllocator, BuddySelect};
 use crate::compacting::CompactingManager;
 use crate::freelist::FitPolicy;
 use crate::full_compact::FullCompactor;
-use crate::mirror::MirrorImpl;
 use crate::pages::PageManager;
 use crate::policy::FreeListManager;
 use crate::robson::RobsonAllocator;
@@ -147,52 +146,23 @@ impl ManagerKind {
     /// Returns [`BuildError`] naming the kind and the violated
     /// constraint.
     pub fn try_build(self, params: &Params) -> Result<Box<dyn MemoryManager>, BuildError> {
-        self.try_build_with(params, MirrorImpl::default())
-    }
-
-    /// [`try_build`](Self::try_build) with an explicit [`MirrorImpl`] for
-    /// the manager's internal bookkeeping. Placement decisions (and hence
-    /// reports) are byte-identical across mirror impls; only the data
-    /// structures behind them differ.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] naming the kind and the violated
-    /// constraint.
-    pub fn try_build_with(
-        self,
-        params: &Params,
-        mirror: MirrorImpl,
-    ) -> Result<Box<dyn MemoryManager>, BuildError> {
         let (c, m, log_n) = (params.c(), params.m(), params.log_n());
         Ok(match self {
-            ManagerKind::FirstFit => {
-                Box::new(FreeListManager::with_mirror(FitPolicy::FirstFit, mirror))
-            }
-            ManagerKind::BestFit => {
-                Box::new(FreeListManager::with_mirror(FitPolicy::BestFit, mirror))
-            }
-            ManagerKind::WorstFit => {
-                Box::new(FreeListManager::with_mirror(FitPolicy::WorstFit, mirror))
-            }
-            ManagerKind::NextFit => {
-                Box::new(FreeListManager::with_mirror(FitPolicy::NextFit, mirror))
-            }
-            ManagerKind::Buddy => Box::new(BuddyAllocator::with_mirror(
-                log_n,
-                BuddySelect::SmallestOrder,
-                mirror,
-            )),
-            ManagerKind::Segregated => Box::new(SegregatedManager::with_mirror(log_n, mirror)),
+            ManagerKind::FirstFit => Box::new(FreeListManager::new(FitPolicy::FirstFit)),
+            ManagerKind::BestFit => Box::new(FreeListManager::new(FitPolicy::BestFit)),
+            ManagerKind::WorstFit => Box::new(FreeListManager::new(FitPolicy::WorstFit)),
+            ManagerKind::NextFit => Box::new(FreeListManager::new(FitPolicy::NextFit)),
+            ManagerKind::Buddy => Box::new(BuddyAllocator::new(log_n, BuddySelect::SmallestOrder)),
+            ManagerKind::Segregated => Box::new(SegregatedManager::new(log_n)),
             ManagerKind::Robson => Box::new(RobsonAllocator::new(log_n)),
-            ManagerKind::Tlsf => Box::new(TlsfManager::with_mirror(mirror)),
-            ManagerKind::CompactingBp11 => Box::new(CompactingManager::with_mirror(c, m, mirror)),
-            ManagerKind::PagesThm2 => Box::new(
-                PageManager::try_with_mirror(c.max(2), log_n, mirror).map_err(|e| BuildError {
+            ManagerKind::Tlsf => Box::new(TlsfManager::new()),
+            ManagerKind::CompactingBp11 => Box::new(CompactingManager::new(c, m)),
+            ManagerKind::PagesThm2 => Box::new(PageManager::try_new(c.max(2), log_n).map_err(
+                |e| BuildError {
                     kind: self,
                     detail: e.to_string(),
-                })?,
-            ),
+                },
+            )?),
             ManagerKind::FullCompaction => Box::new(FullCompactor::new()),
         })
     }

@@ -8,62 +8,14 @@
 //! contrast to the buddy and free-list managers in the empirical harness.
 //!
 //! The per-class free sets only ever need "insert" and "pop the minimum",
-//! so the indexed arm of the [`MirrorImpl`] knob stores each class as a
-//! binary min-heap (no lazy deletion needed: slots leave the set only via
-//! pop); the reference arm retains the seed `BTreeSet<u64>` per class.
+//! so each class is a binary min-heap (no lazy deletion needed: slots
+//! leave the set only via pop). The seed `BTreeSet<u64>` per class
+//! survives only as a test oracle (`tests/oracle/`).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use pcb_heap::{Addr, AllocRequest, HeapOps, MemoryManager, ObjectId, PlacementError, Size};
-
-use crate::MirrorImpl;
-
-/// Per-class free-slot sets, in either implementation.
-#[derive(Debug, Clone)]
-enum SlotIndex {
-    Indexed(Vec<BinaryHeap<Reverse<u64>>>),
-    Reference(Vec<BTreeSet<u64>>),
-}
-
-impl SlotIndex {
-    fn new(mirror: MirrorImpl, classes: usize) -> Self {
-        match mirror {
-            MirrorImpl::Indexed => {
-                SlotIndex::Indexed((0..classes).map(|_| BinaryHeap::new()).collect())
-            }
-            MirrorImpl::Reference => SlotIndex::Reference(vec![BTreeSet::new(); classes]),
-        }
-    }
-
-    fn insert(&mut self, class: u32, addr: u64) {
-        match self {
-            SlotIndex::Indexed(heaps) => heaps[class as usize].push(Reverse(addr)),
-            SlotIndex::Reference(sets) => {
-                sets[class as usize].insert(addr);
-            }
-        }
-    }
-
-    /// Removes and returns the lowest free slot of `class`, if any.
-    fn pop_min(&mut self, class: u32) -> Option<u64> {
-        match self {
-            SlotIndex::Indexed(heaps) => heaps[class as usize].pop().map(|Reverse(a)| a),
-            SlotIndex::Reference(sets) => {
-                let slot = sets[class as usize].first().copied()?;
-                sets[class as usize].remove(&slot);
-                Some(slot)
-            }
-        }
-    }
-
-    fn count(&self, class: u32) -> usize {
-        match self {
-            SlotIndex::Indexed(heaps) => heaps[class as usize].len(),
-            SlotIndex::Reference(sets) => sets[class as usize].len(),
-        }
-    }
-}
 
 /// A non-moving segregated-storage manager.
 ///
@@ -75,26 +27,20 @@ impl SlotIndex {
 #[derive(Debug, Clone)]
 pub struct SegregatedManager {
     /// `free[k]` holds start addresses of free `2^k`-word slots.
-    free: SlotIndex,
+    free: Vec<BinaryHeap<Reverse<u64>>>,
     max_order: u32,
     frontier: u64,
 }
 
 impl SegregatedManager {
-    /// Creates a manager with size classes `2^0 .. 2^max_order` on the
-    /// default mirror impl.
+    /// Creates a manager with size classes `2^0 .. 2^max_order`.
     pub fn new(max_order: u32) -> Self {
-        Self::with_mirror(max_order, MirrorImpl::default())
-    }
-
-    /// [`new`](Self::new) with an explicit mirror impl.
-    pub fn with_mirror(max_order: u32, mirror: MirrorImpl) -> Self {
         assert!(
             max_order < 48,
             "max_order {max_order} is unreasonably large"
         );
         SegregatedManager {
-            free: SlotIndex::new(mirror, max_order as usize + 1),
+            free: (0..=max_order).map(|_| BinaryHeap::new()).collect(),
             max_order,
             frontier: 0,
         }
@@ -102,7 +48,7 @@ impl SegregatedManager {
 
     /// Free slots per class (diagnostics).
     pub fn free_slots(&self) -> Vec<usize> {
-        (0..=self.max_order).map(|k| self.free.count(k)).collect()
+        self.free.iter().map(BinaryHeap::len).collect()
     }
 
     fn class_for(size: Size) -> u32 {
@@ -127,7 +73,7 @@ impl MemoryManager for SegregatedManager {
                 req.size, self.max_order
             )));
         }
-        if let Some(slot) = self.free.pop_min(k) {
+        if let Some(Reverse(slot)) = self.free[k as usize].pop() {
             return Ok(Addr::new(slot));
         }
         let addr = self.frontier;
@@ -137,7 +83,7 @@ impl MemoryManager for SegregatedManager {
 
     fn note_free(&mut self, _id: ObjectId, addr: Addr, size: Size) {
         let k = Self::class_for(size);
-        self.free.insert(k, addr.get());
+        self.free[k as usize].push(Reverse(addr.get()));
     }
 }
 
@@ -148,36 +94,24 @@ mod tests {
 
     #[test]
     fn slots_are_reused_within_a_class() {
-        for mirror in MirrorImpl::ALL {
-            let program = ScriptedProgram::new(Size::new(1024))
-                .round([], [8, 8, 8])
-                .round([1], [8]);
-            let mut exec = Execution::new(
-                Heap::non_moving(),
-                program,
-                SegregatedManager::with_mirror(10, mirror),
-            );
-            let report = exec.run().unwrap();
-            assert_eq!(report.heap_size, 24, "the freed middle slot is reused");
-        }
+        let program = ScriptedProgram::new(Size::new(1024))
+            .round([], [8, 8, 8])
+            .round([1], [8]);
+        let mut exec = Execution::new(Heap::non_moving(), program, SegregatedManager::new(10));
+        let report = exec.run().unwrap();
+        assert_eq!(report.heap_size, 24, "the freed middle slot is reused");
     }
 
     #[test]
     fn classes_do_not_share_space() {
         // Free all the 8-word slots, then allocate 16-word objects: the
         // freed space cannot be reused (that is the policy's weakness).
-        for mirror in MirrorImpl::ALL {
-            let program = ScriptedProgram::new(Size::new(1024))
-                .round([], [8, 8, 8, 8])
-                .round([0, 1, 2, 3], [16, 16]);
-            let mut exec = Execution::new(
-                Heap::non_moving(),
-                program,
-                SegregatedManager::with_mirror(10, mirror),
-            );
-            let report = exec.run().unwrap();
-            assert_eq!(report.heap_size, 32 + 32);
-        }
+        let program = ScriptedProgram::new(Size::new(1024))
+            .round([], [8, 8, 8, 8])
+            .round([0, 1, 2, 3], [16, 16]);
+        let mut exec = Execution::new(Heap::non_moving(), program, SegregatedManager::new(10));
+        let report = exec.run().unwrap();
+        assert_eq!(report.heap_size, 32 + 32);
     }
 
     #[test]
@@ -195,35 +129,5 @@ mod tests {
         let program = ScriptedProgram::new(Size::new(4096)).round([], [2049]);
         let mut exec = Execution::new(Heap::non_moving(), program, SegregatedManager::new(11));
         assert!(exec.run().is_err());
-    }
-
-    #[test]
-    fn slot_arms_stay_in_lockstep() {
-        let mut program = ScriptedProgram::new(Size::new(1 << 20));
-        let mut base = 0usize;
-        for r in 0..12u64 {
-            let sizes: Vec<u64> = (1..=10u64).map(|s| (s * 7 * (r + 1)) % 100 + 1).collect();
-            let frees: Vec<usize> = if base >= 10 {
-                (base - 10..base).step_by(2).collect()
-            } else {
-                Vec::new()
-            };
-            program = program.round(frees, sizes);
-            base += 10;
-        }
-        let mut runs = MirrorImpl::ALL.iter().map(|&mirror| {
-            let mut exec = Execution::new(
-                Heap::non_moving(),
-                program.clone(),
-                SegregatedManager::with_mirror(10, mirror),
-            );
-            let report = exec.run().expect("segregated survives churn");
-            let (_, _, manager) = exec.into_parts();
-            (format!("{report:?}"), manager.free_slots())
-        });
-        let first = runs.next().unwrap();
-        for other in runs {
-            assert_eq!(first, other);
-        }
     }
 }

@@ -13,12 +13,12 @@
 //! This implementation follows the classic structure (first-level index
 //! `fl = ⌊log₂ size⌋`, second-level split into `2^SL_BITS` ranges,
 //! bitmap-guided lookup, immediate coalescing on free) over the
-//! simulated address space. The bucket index itself follows the
-//! [`MirrorImpl`] knob: the indexed arm keeps lazily-cleaned min-heaps
-//! per bucket behind a real two-level nonempty bitmap (two
-//! find-first-set probes per lookup), while the reference arm retains
-//! the seed `BTreeSet` buckets with a linear `Vec<bool>` scan. Both
-//! choose identical blocks and report identical probe counts.
+//! simulated address space. The bucket index keeps lazily-cleaned
+//! min-heaps per bucket behind a real two-level nonempty bitmap (two
+//! find-first-set probes per lookup). The seed `BTreeSet` buckets with a
+//! linear `Vec<bool>` scan survive only as a test oracle
+//! (`tests/oracle/`), which must choose identical blocks and report
+//! identical probe counts.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -26,7 +26,6 @@ use std::collections::{BTreeSet, BinaryHeap};
 use pcb_heap::{Addr, AllocRequest, HeapOps, MemoryManager, ObjectId, PlacementError, Size};
 
 use crate::freelist::FreeSpace;
-use crate::MirrorImpl;
 
 /// Second-level subdivision: each power-of-two range splits into
 /// `2^SL_BITS` buckets.
@@ -38,7 +37,7 @@ const FL_SHIFT: u32 = SL_BITS;
 const FL_MAX: u32 = 40;
 /// Total buckets.
 const BUCKETS: usize = (FL_MAX * SL_COUNT) as usize;
-/// Words in the indexed arm's nonempty bitmap.
+/// Words in the bucket index's nonempty bitmap.
 const BITMAP_WORDS: usize = BUCKETS.div_ceil(64);
 
 /// A non-moving TLSF (good-fit, two-level segregated) manager.
@@ -56,24 +55,16 @@ pub struct TlsfManager {
     mirror: FreeSpace,
 }
 
-/// The two-level bucket index, in either implementation.
+/// The two-level bucket index: lazily-cleaned min-heaps of `(start, len)`
+/// per bucket, exact live counts, and a two-level nonempty bitmap
+/// (`summary` has one bit per `words` entry) so a lookup is two
+/// find-first-set probes.
 #[derive(Debug, Clone)]
-enum BucketIndex {
-    /// Lazily-cleaned min-heaps of `(start, len)` per bucket, exact live
-    /// counts, and a two-level nonempty bitmap (`summary` has one bit
-    /// per `words` entry) so a lookup is two find-first-set probes.
-    Indexed {
-        heaps: Vec<BinaryHeap<Reverse<(u64, u64)>>>,
-        counts: Vec<u32>,
-        words: [u64; BITMAP_WORDS],
-        summary: u64,
-    },
-    /// The seed address-ordered `BTreeSet` buckets with a linear
-    /// nonempty scan, retained as the lockstep oracle.
-    Reference {
-        buckets: Vec<BTreeSet<(u64, u64)>>,
-        nonempty: Vec<bool>,
-    },
+struct BucketIndex {
+    heaps: Vec<BinaryHeap<Reverse<(u64, u64)>>>,
+    counts: Vec<u32>,
+    words: [u64; BITMAP_WORDS],
+    summary: u64,
 }
 
 impl Default for TlsfManager {
@@ -83,29 +74,16 @@ impl Default for TlsfManager {
 }
 
 impl TlsfManager {
-    /// Creates an empty TLSF manager on the default mirror impl.
+    /// Creates an empty TLSF manager.
     pub fn new() -> Self {
-        Self::with_mirror(MirrorImpl::default())
-    }
-
-    /// Creates an empty TLSF manager on the given mirror impl (both the
-    /// free-space mirror and the bucket index follow the knob).
-    pub fn with_mirror(mirror: MirrorImpl) -> Self {
-        let index = match mirror {
-            MirrorImpl::Indexed => BucketIndex::Indexed {
+        TlsfManager {
+            index: BucketIndex {
                 heaps: (0..BUCKETS).map(|_| BinaryHeap::new()).collect(),
                 counts: vec![0; BUCKETS],
                 words: [0; BITMAP_WORDS],
                 summary: 0,
             },
-            MirrorImpl::Reference => BucketIndex::Reference {
-                buckets: vec![BTreeSet::new(); BUCKETS],
-                nonempty: vec![false; BUCKETS],
-            },
-        };
-        TlsfManager {
-            index,
-            mirror: FreeSpace::with_impl(mirror),
+            mirror: FreeSpace::new(),
         }
     }
 
@@ -141,72 +119,46 @@ impl TlsfManager {
     fn insert_block(&mut self, start: u64, len: u64) {
         let (fl, sl) = Self::mapping(len);
         let idx = Self::bucket_index(fl, sl);
-        match &mut self.index {
-            BucketIndex::Indexed {
-                heaps,
-                counts,
-                words,
-                summary,
-            } => {
-                heaps[idx].push(Reverse((start, len)));
-                counts[idx] += 1;
-                words[idx / 64] |= 1 << (idx % 64);
-                *summary |= 1 << (idx / 64);
-            }
-            BucketIndex::Reference { buckets, nonempty } => {
-                buckets[idx].insert((start, len));
-                nonempty[idx] = true;
-            }
-        }
+        let index = &mut self.index;
+        index.heaps[idx].push(Reverse((start, len)));
+        index.counts[idx] += 1;
+        index.words[idx / 64] |= 1 << (idx % 64);
+        index.summary |= 1 << (idx / 64);
     }
 
-    fn remove_block(&mut self, start: u64, len: u64) {
+    /// De-indexes a block of `len` words (its heap entry is left stale).
+    fn remove_block(&mut self, len: u64) {
         let (fl, sl) = Self::mapping(len);
         let idx = Self::bucket_index(fl, sl);
-        match &mut self.index {
-            BucketIndex::Indexed {
-                heaps,
-                counts,
-                words,
-                summary,
-            } => {
-                // Lazy deletion: only the count and bitmap move now; the
-                // stale heap entry is discarded at the next lookup (its
-                // start no longer matches a mirror gap of this length).
-                counts[idx] -= 1;
-                if counts[idx] == 0 {
-                    words[idx / 64] &= !(1 << (idx % 64));
-                    if words[idx / 64] == 0 {
-                        *summary &= !(1 << (idx / 64));
-                    }
-                }
-                let heap = &mut heaps[idx];
-                if heap.len() >= 64 && heap.len() as u64 > 4 * u64::from(counts[idx]) {
-                    let mirror = &self.mirror;
-                    let mut entries = std::mem::take(heap).into_vec();
-                    entries.sort_unstable();
-                    entries.dedup();
-                    entries.retain(|&Reverse((s, l))| {
-                        mirror
-                            .gap_starting_at(Addr::new(s))
-                            .is_some_and(|g| g.size().get() == l)
-                    });
-                    *heap = BinaryHeap::from(entries);
-                }
+        let index = &mut self.index;
+        // Lazy deletion: only the count and bitmap move now; the stale
+        // heap entry is discarded at the next lookup (its start no longer
+        // matches a mirror gap of this length).
+        index.counts[idx] -= 1;
+        if index.counts[idx] == 0 {
+            index.words[idx / 64] &= !(1 << (idx % 64));
+            if index.words[idx / 64] == 0 {
+                index.summary &= !(1 << (idx / 64));
             }
-            BucketIndex::Reference { buckets, nonempty } => {
-                let removed = buckets[idx].remove(&(start, len));
-                debug_assert!(removed, "block ({start},{len}) indexed");
-                if buckets[idx].is_empty() {
-                    nonempty[idx] = false;
-                }
-            }
+        }
+        let heap = &mut index.heaps[idx];
+        if heap.len() >= 64 && heap.len() as u64 > 4 * u64::from(index.counts[idx]) {
+            let mirror = &self.mirror;
+            let mut entries = std::mem::take(heap).into_vec();
+            entries.sort_unstable();
+            entries.dedup();
+            entries.retain(|&Reverse((s, l))| {
+                mirror
+                    .gap_starting_at(Addr::new(s))
+                    .is_some_and(|g| g.size().get() == l)
+            });
+            *heap = BinaryHeap::from(entries);
         }
     }
 
-    /// Lowest-address live block in bucket `idx` of the indexed arm,
-    /// popping stale (lazily deleted) entries on the way.
-    fn indexed_first(
+    /// Lowest-address live block in bucket `idx`, popping stale (lazily
+    /// deleted) entries on the way.
+    fn bucket_first(
         heaps: &mut [BinaryHeap<Reverse<(u64, u64)>>],
         idx: usize,
         mirror: &FreeSpace,
@@ -224,8 +176,8 @@ impl TlsfManager {
         None
     }
 
-    /// First nonempty bucket at or after `from` in the indexed arm: one
-    /// probe of the summary word, one of the selected bitmap word.
+    /// First nonempty bucket at or after `from`: one probe of the summary
+    /// word, one of the selected bitmap word.
     fn first_nonempty_from(
         words: &[u64; BITMAP_WORDS],
         summary: u64,
@@ -255,122 +207,74 @@ impl TlsfManager {
     fn find_block(&mut self, size: u64) -> Option<(u64, u64)> {
         let (fl, sl) = Self::search_mapping(size);
         let from = Self::bucket_index(fl, sl);
-        match &mut self.index {
-            BucketIndex::Indexed {
-                heaps,
-                words,
-                summary,
-                ..
-            } => Self::first_nonempty_from(words, *summary, from)
-                .and_then(|idx| Self::indexed_first(heaps, idx, &self.mirror))
-                .filter(|&(_, len)| len >= size),
-            BucketIndex::Reference { buckets, nonempty } => nonempty[from..]
-                .iter()
-                .position(|&ne| ne)
-                .and_then(|off| buckets[from + off].first().copied())
-                .filter(|&(_, len)| len >= size),
-        }
+        let index = &mut self.index;
+        Self::first_nonempty_from(&index.words, index.summary, from)
+            .and_then(|idx| Self::bucket_first(&mut index.heaps, idx, &self.mirror))
+            .filter(|&(_, len)| len >= size)
     }
 
     /// [`find_block`](Self::find_block) plus the number of bucket slots
-    /// a linear nonempty scan would examine (the reference arm's honest
-    /// lookup cost; the indexed arm derives the identical count from its
-    /// bitmap in O(1)). Chooses exactly the same block.
+    /// a linear nonempty scan would examine (the classic algorithm's
+    /// honest lookup cost, derived from the bitmap in O(1)). Chooses
+    /// exactly the same block.
     fn find_block_traced(&mut self, size: u64) -> (Option<(u64, u64)>, u64) {
         let (fl, sl) = Self::search_mapping(size);
         let from = Self::bucket_index(fl, sl);
-        match &mut self.index {
-            BucketIndex::Indexed {
-                heaps,
-                words,
-                summary,
-                ..
-            } => match Self::first_nonempty_from(words, *summary, from) {
-                Some(idx) => {
-                    let found = Self::indexed_first(heaps, idx, &self.mirror)
-                        .filter(|&(_, len)| len >= size);
-                    (found, (idx - from) as u64 + 1)
-                }
-                None => (None, (BUCKETS - from) as u64),
-            },
-            BucketIndex::Reference { buckets, nonempty } => {
-                match nonempty[from..].iter().position(|&ne| ne) {
-                    Some(off) => {
-                        let found = buckets[from + off]
-                            .first()
-                            .copied()
-                            .filter(|&(_, len)| len >= size);
-                        (found, off as u64 + 1)
-                    }
-                    None => (None, (nonempty.len() - from) as u64),
-                }
+        let index = &mut self.index;
+        match Self::first_nonempty_from(&index.words, index.summary, from) {
+            Some(idx) => {
+                let found = Self::bucket_first(&mut index.heaps, idx, &self.mirror)
+                    .filter(|&(_, len)| len >= size);
+                (found, (idx - from) as u64 + 1)
             }
+            None => (None, (BUCKETS - from) as u64),
         }
     }
 
     /// Total free words indexed (diagnostics).
     pub fn indexed_free_words(&self) -> u64 {
-        match &self.index {
-            BucketIndex::Indexed { heaps, .. } => {
-                // Deduplicate and validate lazily-deleted entries.
-                let live: BTreeSet<(u64, u64)> = heaps
-                    .iter()
-                    .flat_map(|h| h.iter())
-                    .map(|&Reverse(e)| e)
-                    .filter(|&(s, l)| {
-                        self.mirror
-                            .gap_starting_at(Addr::new(s))
-                            .is_some_and(|g| g.size().get() == l)
-                    })
-                    .collect();
-                live.iter().map(|&(_, len)| len).sum()
-            }
-            BucketIndex::Reference { buckets, .. } => buckets
-                .iter()
-                .flat_map(|b| b.iter())
-                .map(|&(_, len)| len)
-                .sum(),
-        }
+        // Deduplicate and validate lazily-deleted entries.
+        let live: BTreeSet<(u64, u64)> = self
+            .index
+            .heaps
+            .iter()
+            .flat_map(|h| h.iter())
+            .map(|&Reverse(e)| e)
+            .filter(|&(s, l)| {
+                self.mirror
+                    .gap_starting_at(Addr::new(s))
+                    .is_some_and(|g| g.size().get() == l)
+            })
+            .collect();
+        live.iter().map(|&(_, len)| len).sum()
     }
 
     /// Internal-consistency check for tests.
     #[cfg(test)]
     fn check_consistency(&self) {
-        match &self.index {
-            BucketIndex::Indexed {
-                counts,
-                words,
-                summary,
-                heaps,
-            } => {
-                let mut live = vec![0u32; BUCKETS];
-                for g in self.mirror.gaps() {
-                    let (fl, sl) = Self::mapping(g.size().get());
-                    let idx = Self::bucket_index(fl, sl);
-                    live[idx] += 1;
-                    let present = heaps[idx]
-                        .iter()
-                        .any(|&Reverse(e)| e == (g.start().get(), g.size().get()));
-                    assert!(present, "gap {g:?} missing from bucket {idx}");
-                }
-                for idx in 0..BUCKETS {
-                    assert_eq!(counts[idx], live[idx], "count at {idx}");
-                    let bit = (words[idx / 64] >> (idx % 64)) & 1 == 1;
-                    assert_eq!(bit, counts[idx] > 0, "bitmap at {idx}");
-                }
-                for (w, &word) in words.iter().enumerate() {
-                    assert_eq!((summary >> w) & 1 == 1, word != 0, "summary at {w}");
-                }
-            }
-            BucketIndex::Reference { buckets, nonempty } => {
-                for (idx, bucket) in buckets.iter().enumerate() {
-                    assert_eq!(nonempty[idx], !bucket.is_empty(), "bitmap at {idx}");
-                    for &(start, len) in bucket {
-                        let (fl, sl) = Self::mapping(len);
-                        assert_eq!(Self::bucket_index(fl, sl), idx, "({start},{len}) misfiled");
-                    }
-                }
-            }
+        let BucketIndex {
+            heaps,
+            counts,
+            words,
+            summary,
+        } = &self.index;
+        let mut live = vec![0u32; BUCKETS];
+        for g in self.mirror.gaps() {
+            let (fl, sl) = Self::mapping(g.size().get());
+            let idx = Self::bucket_index(fl, sl);
+            live[idx] += 1;
+            let present = heaps[idx]
+                .iter()
+                .any(|&Reverse(e)| e == (g.start().get(), g.size().get()));
+            assert!(present, "gap {g:?} missing from bucket {idx}");
+        }
+        for idx in 0..BUCKETS {
+            assert_eq!(counts[idx], live[idx], "count at {idx}");
+            let bit = (words[idx / 64] >> (idx % 64)) & 1 == 1;
+            assert_eq!(bit, counts[idx] > 0, "bitmap at {idx}");
+        }
+        for (w, &word) in words.iter().enumerate() {
+            assert_eq!((summary >> w) & 1 == 1, word != 0, "summary at {w}");
         }
         assert_eq!(self.indexed_free_words(), self.mirror.gap_words().get());
     }
@@ -414,7 +318,7 @@ impl MemoryManager for TlsfManager {
                     ops.stat_add("tlsf.good_fit_serves", 1);
                     ops.stat_record("tlsf.hole_size", len);
                 }
-                self.remove_block(start, len);
+                self.remove_block(len);
                 let taken = self.mirror.take_exact(Addr::new(start), req.size);
                 debug_assert!(taken, "mirror agrees with the index");
                 if len > size {
@@ -442,10 +346,10 @@ impl MemoryManager for TlsfManager {
         // Coalesce through the mirror: de-index the adjacent gaps, release
         // into the mirror, then (re)index whatever merged gap results.
         if let Some(g) = self.mirror.gap_ending_at(addr) {
-            self.remove_block(g.start().get(), g.size().get());
+            self.remove_block(g.size().get());
         }
         if let Some(g) = self.mirror.gap_starting_at(addr + size) {
-            self.remove_block(g.start().get(), g.size().get());
+            self.remove_block(g.size().get());
         }
         self.mirror.release(addr, size);
         // If the release retreated the frontier there is nothing to index.
@@ -485,66 +389,52 @@ mod tests {
     fn good_fit_blocks_always_fit() {
         // Any block found via search_mapping must be large enough: seed
         // non-adjacent gaps of varied sizes, then probe every size.
-        for mirror in MirrorImpl::ALL {
-            let mut m = TlsfManager::with_mirror(mirror);
-            let taken = m.mirror.take_exact(Addr::new(0), Size::new(400));
-            assert!(taken);
-            for (start, len) in [(0u64, 5u64), (10, 8), (20, 13), (40, 64), (110, 200)] {
-                m.mirror.release(Addr::new(start), Size::new(len));
-                m.insert_block(start, len);
-            }
-            for size in 1..300u64 {
-                if let Some((_, len)) = m.find_block(size) {
-                    assert!(len >= size, "found {len} for request {size}");
-                }
+        let mut m = TlsfManager::new();
+        let taken = m.mirror.take_exact(Addr::new(0), Size::new(400));
+        assert!(taken);
+        for (start, len) in [(0u64, 5u64), (10, 8), (20, 13), (40, 64), (110, 200)] {
+            m.mirror.release(Addr::new(start), Size::new(len));
+            m.insert_block(start, len);
+        }
+        for size in 1..300u64 {
+            if let Some((_, len)) = m.find_block(size) {
+                assert!(len >= size, "found {len} for request {size}");
             }
         }
     }
 
     #[test]
     fn serves_scripts_and_reuses_space() {
-        for mirror in MirrorImpl::ALL {
-            let program = ScriptedProgram::new(Size::new(1024))
-                .round([], [8, 8, 8, 8])
-                .round([1, 2], [16, 4]);
-            let mut exec = Execution::new(
-                Heap::non_moving(),
-                program,
-                TlsfManager::with_mirror(mirror),
-            );
-            let report = exec.run().expect("tlsf serves the script");
-            assert_eq!(report.objects_placed, 6);
-            // The coalesced 16-word hole [8,24) absorbs the 16-word request.
-            assert_eq!(report.heap_size, 36);
-            let (_, _, manager) = exec.into_parts();
-            manager.check_consistency();
-        }
+        let program = ScriptedProgram::new(Size::new(1024))
+            .round([], [8, 8, 8, 8])
+            .round([1, 2], [16, 4]);
+        let mut exec = Execution::new(Heap::non_moving(), program, TlsfManager::new());
+        let report = exec.run().expect("tlsf serves the script");
+        assert_eq!(report.objects_placed, 6);
+        // The coalesced 16-word hole [8,24) absorbs the 16-word request.
+        assert_eq!(report.heap_size, 36);
+        let (_, _, manager) = exec.into_parts();
+        manager.check_consistency();
     }
 
     #[test]
     fn interleaved_churn_keeps_index_consistent() {
-        for mirror in MirrorImpl::ALL {
-            let mut program = ScriptedProgram::new(Size::new(4096));
-            let mut base = 0usize;
-            for r in 0..12 {
-                let sizes: Vec<u64> = (1..=16u64).map(|s| (s * (r + 1)) % 37 + 1).collect();
-                let frees: Vec<usize> = if base > 0 {
-                    (base - 16..base).step_by(2).collect()
-                } else {
-                    Vec::new()
-                };
-                program = program.round(frees, sizes);
-                base += 16;
-            }
-            let mut exec = Execution::new(
-                Heap::non_moving(),
-                program,
-                TlsfManager::with_mirror(mirror),
-            );
-            exec.run().expect("tlsf survives churn");
-            let (_, _, manager) = exec.into_parts();
-            manager.check_consistency();
+        let mut program = ScriptedProgram::new(Size::new(4096));
+        let mut base = 0usize;
+        for r in 0..12 {
+            let sizes: Vec<u64> = (1..=16u64).map(|s| (s * (r + 1)) % 37 + 1).collect();
+            let frees: Vec<usize> = if base > 0 {
+                (base - 16..base).step_by(2).collect()
+            } else {
+                Vec::new()
+            };
+            program = program.round(frees, sizes);
+            base += 16;
         }
+        let mut exec = Execution::new(Heap::non_moving(), program, TlsfManager::new());
+        exec.run().expect("tlsf survives churn");
+        let (_, _, manager) = exec.into_parts();
+        manager.check_consistency();
     }
 
     #[test]
@@ -563,42 +453,5 @@ mod tests {
         );
         let (_, _, manager) = exec.into_parts();
         manager.check_consistency();
-    }
-
-    #[test]
-    fn bucket_arms_stay_in_lockstep() {
-        // Identical churn through both bucket implementations: every
-        // placement and probe count must agree.
-        let mut program = ScriptedProgram::new(Size::new(1 << 20));
-        let mut base = 0usize;
-        for r in 0..20u64 {
-            let sizes: Vec<u64> = (1..=24u64).map(|s| (s * 13 * (r + 1)) % 700 + 1).collect();
-            let frees: Vec<usize> = if base >= 24 {
-                (base - 24..base).step_by(3).collect()
-            } else {
-                Vec::new()
-            };
-            program = program.round(frees, sizes);
-            base += 24;
-        }
-        let mut a = Execution::new(
-            Heap::non_moving(),
-            program.clone(),
-            TlsfManager::with_mirror(MirrorImpl::Indexed),
-        )
-        .with_stats();
-        let mut b = Execution::new(
-            Heap::non_moving(),
-            program,
-            TlsfManager::with_mirror(MirrorImpl::Reference),
-        )
-        .with_stats();
-        let ra = a.run().expect("indexed runs");
-        let rb = b.run().expect("reference runs");
-        assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
-        let (_, _, ma) = a.into_parts();
-        ma.check_consistency();
-        let (_, _, mb) = b.into_parts();
-        mb.check_consistency();
     }
 }

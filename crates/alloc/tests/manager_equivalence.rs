@@ -1,55 +1,121 @@
-//! Lockstep mirror equivalence: random free-space operation sequences and
-//! random manager workloads are driven through the indexed mirror and the
-//! seed BTree reference simultaneously, asserting identical answers at
-//! every step. This is the ground-truth argument for swapping the manager
-//! mirrors: any divergence, however small, fails here before it can bias
-//! a placement decision.
+//! Lockstep manager-side equivalence: random free-space operation
+//! sequences and random manager workloads are driven through the runtime
+//! structures and the seed `BTreeMap`/`BTreeSet` oracles kept in `oracle/`
+//! simultaneously, asserting identical answers at every step. This is the
+//! ground-truth argument for the runtime indexes: any divergence, however
+//! small, fails here before it can bias a placement decision.
+//!
+//! Covered: every [`FreeSpace`] operation (traced probe counts included)
+//! against [`ReferenceFreeSpace`]; the buddy allocator under both
+//! [`BuddySelect`] strategies (`LowestAddr` is the discipline behind
+//! `robson-aligned`), the segregated and the TLSF managers against their
+//! seed managers, with manager stats on; and `pages-thm2` against the seed
+//! page manager, whose page pool runs on the seed free space.
+
+mod oracle;
 
 use proptest::prelude::*;
 
-use pcb_alloc::{FitPolicy, FreeSpace, ManagerKind, MirrorImpl};
-use pcb_heap::{Addr, Execution, Heap, Params, Size};
+use pcb_alloc::{
+    BuddyAllocator, BuddySelect, FitPolicy, FreeSpace, PageManager, SegregatedManager, TlsfManager,
+};
+use pcb_heap::{
+    Addr, Execution, Extent, Heap, MemoryManager, ScriptedProgram, Size, StatSink, Trace,
+    TraceRecorder,
+};
+
+use oracle::{
+    ReferenceFreeSpace, SeedBuddyAllocator, SeedPageManager, SeedSegregatedManager, SeedTlsfManager,
+};
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Take via a fit policy (0..4 maps onto `FitPolicy::ALL`).
+    /// Traced take via a fit policy (0..4 maps onto `FitPolicy::ALL`).
     Take { size: u64, policy: usize },
-    /// Take the next-fit way, advancing the external cursor.
-    TakeNextFit { size: u64 },
+    /// Untraced take; must pick the same address as the traced one would.
+    TakePlain { size: u64, policy: usize },
+    /// Take the next-fit way, advancing the external cursor (traced when
+    /// `traced`).
+    TakeNextFit { size: u64, traced: bool },
     /// Take the lowest aligned gap (buddy-style).
     TakeAligned { size: u64, align_log2: u32 },
     /// Claim an explicit extent; both sides must agree on whether it was
     /// free.
     TakeExact { start: u64, size: u64 },
-    /// First-fit take bounded by an arena limit; both sides must agree on
-    /// `None` when nothing fits below the limit.
-    TakeWithin { size: u64, limit: u64 },
+    /// A bounded take; both sides must agree on `None` when nothing fits
+    /// below the limit.
+    TakeWithin {
+        size: u64,
+        policy: usize,
+        limit: u64,
+    },
     /// Release the `pick`-th previously taken extent.
     Release { pick: usize },
+    /// Forget everything.
+    Clear,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    let take = || (1u64..48, 0usize..4).prop_map(|(size, policy)| Op::Take { size, policy });
+    // Mostly small sizes keep holes reusable; the large arms straddle the
+    // runtime's exact-class limit (256 words) so the overflow index sees
+    // traffic too, and the three fixed large sizes leave equal-length
+    // large gaps behind, so best/worst-fit ties are decided there as well.
+    let size = || {
+        prop_oneof![
+            1u64..48,
+            1u64..48,
+            1u64..48,
+            200u64..700,
+            (0u64..3).prop_map(|k| 300 + 200 * k),
+        ]
+    };
     let release = || (0usize..64).prop_map(|pick| Op::Release { pick });
     prop_oneof![
-        take(),
-        take(),
-        take(),
-        (1u64..48).prop_map(|size| Op::TakeNextFit { size }),
+        (size(), 0usize..4).prop_map(|(size, policy)| Op::Take { size, policy }),
+        (size(), 0usize..4).prop_map(|(size, policy)| Op::Take { size, policy }),
+        (size(), 0usize..4).prop_map(|(size, policy)| Op::TakePlain { size, policy }),
+        (size(), any::<bool>()).prop_map(|(size, traced)| Op::TakeNextFit { size, traced }),
         (1u64..32, 0u32..5).prop_map(|(size, align_log2)| Op::TakeAligned { size, align_log2 }),
-        (0u64..2_000, 1u64..48).prop_map(|(start, size)| Op::TakeExact { start, size }),
-        (1u64..48, 1u64..2_000).prop_map(|(size, limit)| Op::TakeWithin { size, limit }),
+        (0u64..4_000, 0u64..48).prop_map(|(start, size)| Op::TakeExact { start, size }),
+        (size(), 0usize..4, 1u64..4_000).prop_map(|(size, policy, limit)| Op::TakeWithin {
+            size,
+            policy,
+            limit
+        }),
         release(),
         release(),
         release(),
+        release(),
+        (0u8..40).prop_map(|roll| if roll == 0 {
+            Op::Clear
+        } else {
+            Op::Release {
+                pick: roll as usize,
+            }
+        }),
     ]
 }
 
-/// A random but well-formed script: each round allocates sizes in
-/// `[1, 64]` and frees a random subset of what is live, keeping total
-/// live below the bound (shared shape with `prop_managers`).
-fn random_script(rounds: &[(Vec<u64>, Vec<usize>)], live_bound: u64) -> pcb_heap::ScriptedProgram {
-    let mut program = pcb_heap::ScriptedProgram::new(Size::new(live_bound));
+/// The state comparison run after every operation: gap structure,
+/// frontier, aggregates and both invariant checks.
+fn assert_same_state(fs: &FreeSpace, oracle: &ReferenceFreeSpace) -> Result<(), TestCaseError> {
+    prop_assert_eq!(fs.frontier(), oracle.frontier());
+    prop_assert_eq!(fs.gap_count(), oracle.gap_count());
+    prop_assert_eq!(fs.gap_words(), oracle.gap_words());
+    prop_assert_eq!(fs.largest_gap(), oracle.largest_gap());
+    let gaps: Vec<Extent> = fs.gaps().collect();
+    let oracle_gaps: Vec<Extent> = oracle.gaps().collect();
+    prop_assert_eq!(gaps, oracle_gaps);
+    prop_assert_eq!(fs.check_invariants(), Ok(()));
+    prop_assert_eq!(oracle.check_invariants(), Ok(()));
+    Ok(())
+}
+
+/// A random but well-formed script: each round allocates the given sizes
+/// and frees a random subset of what is live, keeping total live below
+/// the bound (shared shape with `prop_managers`).
+fn random_script(rounds: &[(Vec<u64>, Vec<usize>)], live_bound: u64) -> ScriptedProgram {
+    let mut program = ScriptedProgram::new(Size::new(live_bound));
     let mut live: Vec<(usize, u64)> = Vec::new();
     let mut live_words = 0u64;
     let mut next_index = 0usize;
@@ -78,80 +144,210 @@ fn random_script(rounds: &[(Vec<u64>, Vec<usize>)], live_bound: u64) -> pcb_heap
     program
 }
 
-/// The mirror-state comparison run after every operation: gap structure,
-/// frontier, aggregates, and a handful of point probes must agree.
-fn assert_mirrors_agree(indexed: &FreeSpace, reference: &FreeSpace) -> Result<(), TestCaseError> {
-    prop_assert_eq!(indexed.frontier(), reference.frontier());
-    prop_assert_eq!(indexed.gap_count(), reference.gap_count());
-    prop_assert_eq!(indexed.gap_words(), reference.gap_words());
-    prop_assert_eq!(indexed.largest_gap(), reference.largest_gap());
-    let igaps: Vec<_> = indexed.gaps().collect();
-    let rgaps: Vec<_> = reference.gaps().collect();
-    prop_assert_eq!(igaps, rgaps);
-    prop_assert!(indexed.check_invariants().is_ok(), "indexed invariants");
-    prop_assert!(reference.check_invariants().is_ok(), "reference invariants");
-    Ok(())
+/// Everything a managed run exposes: the report (or the error), the event
+/// stream, the manager stats and a manager-specific index digest.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    report: Result<String, String>,
+    trace: Trace,
+    stats: Option<StatSink>,
+    index: String,
+}
+
+fn drive<M: MemoryManager>(
+    heap: Heap,
+    program: ScriptedProgram,
+    manager: M,
+    stats: bool,
+    index: impl Fn(&M) -> String,
+) -> Outcome {
+    let c = heap.budget().c();
+    let mut exec = Execution::new(heap, program, manager);
+    if stats {
+        exec = exec.with_stats();
+    }
+    let mut rec = TraceRecorder::new(c);
+    let report = exec
+        .run_observed(&mut rec)
+        .map(|r| format!("{r:?}"))
+        .map_err(|e| e.to_string());
+    let stats = exec.take_stats();
+    let (_, _, manager) = exec.into_parts();
+    Outcome {
+        report,
+        trace: rec.into_trace(),
+        stats,
+        index: index(&manager),
+    }
+}
+
+/// Runs `program` through every runtime manager that has a seed oracle
+/// and through that oracle, demanding identical outcomes. Traced and
+/// untraced placement paths differ inside the managers (probe
+/// accounting), so both are held to the oracle.
+fn managers_match_their_seeds(program: &ScriptedProgram, max_order: u32) {
+    for stats in [false, true] {
+        for select in [BuddySelect::SmallestOrder, BuddySelect::LowestAddr] {
+            let runtime = drive(
+                Heap::non_moving(),
+                program.clone(),
+                BuddyAllocator::new(max_order, select),
+                stats,
+                |m| format!("{:?}", m.free_blocks()),
+            );
+            let seed = drive(
+                Heap::non_moving(),
+                program.clone(),
+                SeedBuddyAllocator::new(max_order, select),
+                stats,
+                |m| format!("{:?}", m.free_blocks()),
+            );
+            assert_eq!(runtime, seed, "buddy {select:?}, stats {stats}");
+        }
+        let runtime = drive(
+            Heap::non_moving(),
+            program.clone(),
+            SegregatedManager::new(max_order),
+            stats,
+            |m| format!("{:?}", m.free_slots()),
+        );
+        let seed = drive(
+            Heap::non_moving(),
+            program.clone(),
+            SeedSegregatedManager::new(max_order),
+            stats,
+            |m| format!("{:?}", m.free_slots()),
+        );
+        assert_eq!(runtime, seed, "segregated, stats {stats}");
+        let runtime = drive(
+            Heap::non_moving(),
+            program.clone(),
+            TlsfManager::new(),
+            stats,
+            |m| m.indexed_free_words().to_string(),
+        );
+        let seed = drive(
+            Heap::non_moving(),
+            program.clone(),
+            SeedTlsfManager::default(),
+            stats,
+            |m| m.indexed_free_words().to_string(),
+        );
+        assert_eq!(runtime, seed, "tlsf, stats {stats}");
+        let runtime = drive(
+            Heap::new(8),
+            program.clone(),
+            PageManager::new(8, max_order),
+            stats,
+            |m| m.evictions().to_string(),
+        );
+        let seed = drive(
+            Heap::new(8),
+            program.clone(),
+            SeedPageManager::with_geometry(8, max_order, 4),
+            stats,
+            |m| m.evictions().to_string(),
+        );
+        assert_eq!(runtime, seed, "pages-thm2, stats {stats}");
+    }
+}
+
+/// A deterministic churn script: `rounds` rounds of `per_round` sizes from
+/// `size(round, i)`, each round freeing every `stride`-th object of the
+/// previous one.
+fn churn(
+    rounds: u64,
+    per_round: usize,
+    stride: usize,
+    size: impl Fn(u64, u64) -> u64,
+) -> ScriptedProgram {
+    let mut program = ScriptedProgram::new(Size::new(1 << 20));
+    let mut base = 0usize;
+    for r in 0..rounds {
+        let sizes: Vec<u64> = (1..=per_round as u64).map(|i| size(r, i)).collect();
+        let frees: Vec<usize> = if base >= per_round {
+            (base - per_round..base).step_by(stride).collect()
+        } else {
+            Vec::new()
+        };
+        program = program.round(frees, sizes);
+        base += per_round;
+    }
+    program
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // Operation-level lockstep: every take answers with the same address,
-    // every exact claim with the same verdict, and the full gap structure
-    // matches after every single operation.
+    // Operation-level lockstep: every take answers with the same address
+    // and probe count, every exact claim with the same verdict, and the
+    // full gap structure matches after every single operation.
     #[test]
-    fn free_space_impls_answer_identically(
+    fn free_space_matches_the_oracle(
         ops in proptest::collection::vec(op_strategy(), 1..120),
-        probes in proptest::collection::vec(0u64..2_200, 1..8),
+        probes in proptest::collection::vec(0u64..4_200, 1..8),
     ) {
-        let mut indexed = FreeSpace::with_impl(MirrorImpl::Indexed);
-        let mut reference = FreeSpace::with_impl(MirrorImpl::Reference);
-        let mut icursor = Addr::ZERO;
-        let mut rcursor = Addr::ZERO;
+        let mut fs = FreeSpace::new();
+        let mut oracle = ReferenceFreeSpace::new();
+        let mut cursor = Addr::ZERO;
+        let mut oracle_cursor = Addr::ZERO;
         let mut taken: Vec<(Addr, Size)> = Vec::new();
         for op in ops {
             match op {
                 Op::Take { size, policy } => {
                     let (size, policy) = (Size::new(size), FitPolicy::ALL[policy]);
-                    let got = indexed.take(size, policy);
-                    let want = reference.take(size, policy);
+                    let got = fs.take_traced(size, policy);
+                    let want = oracle.take_traced(size, policy);
+                    prop_assert_eq!(got, want, "take_traced {} {:?}", size, policy);
+                    taken.push((got.0, size));
+                }
+                Op::TakePlain { size, policy } => {
+                    let (size, policy) = (Size::new(size), FitPolicy::ALL[policy]);
+                    let got = fs.take(size, policy);
+                    let want = oracle.take(size, policy);
                     prop_assert_eq!(got, want, "take {} {:?}", size, policy);
                     taken.push((got, size));
                 }
-                Op::TakeNextFit { size } => {
+                Op::TakeNextFit { size, traced } => {
                     let size = Size::new(size);
-                    let got = indexed.take_next_fit(size, &mut icursor);
-                    let want = reference.take_next_fit(size, &mut rcursor);
+                    let (got, want) = if traced {
+                        let got = fs.take_next_fit_traced(size, &mut cursor);
+                        let want = oracle.take_next_fit_traced(size, &mut oracle_cursor);
+                        prop_assert_eq!(got.1, want.1, "next-fit stats {}", size);
+                        (got.0, want.0)
+                    } else {
+                        (
+                            fs.take_next_fit(size, &mut cursor),
+                            oracle.take_next_fit(size, &mut oracle_cursor),
+                        )
+                    };
                     prop_assert_eq!(got, want, "take_next_fit {}", size);
-                    prop_assert_eq!(icursor, rcursor, "next-fit cursors");
+                    prop_assert_eq!(cursor, oracle_cursor, "next-fit cursors");
                     taken.push((got, size));
                 }
                 Op::TakeAligned { size, align_log2 } => {
                     let size = Size::new(size);
                     let align = 1u64 << align_log2;
-                    let got = indexed.take_aligned(size, align);
-                    let want = reference.take_aligned(size, align);
+                    let got = fs.take_aligned(size, align);
+                    let want = oracle.take_aligned(size, align);
                     prop_assert_eq!(got, want, "take_aligned {} @{}", size, align);
                     taken.push((got, size));
                 }
                 Op::TakeExact { start, size } => {
                     let (start, size) = (Addr::new(start), Size::new(size));
-                    prop_assert_eq!(
-                        indexed.is_free(start, size),
-                        reference.is_free(start, size)
-                    );
-                    let got = indexed.take_exact(start, size);
-                    let want = reference.take_exact(start, size);
+                    prop_assert_eq!(fs.is_free(start, size), oracle.is_free(start, size));
+                    let got = fs.take_exact(start, size);
+                    let want = oracle.take_exact(start, size);
                     prop_assert_eq!(got, want, "take_exact [{}, {}+{})", start, start, size);
-                    if got {
+                    if got && !size.is_zero() {
                         taken.push((start, size));
                     }
                 }
-                Op::TakeWithin { size, limit } => {
-                    let size = Size::new(size);
-                    let got = indexed.try_take_within(size, FitPolicy::FirstFit, limit);
-                    let want = reference.try_take_within(size, FitPolicy::FirstFit, limit);
-                    prop_assert_eq!(got, want, "try_take_within {} < {}", size, limit);
+                Op::TakeWithin { size, policy, limit } => {
+                    let (size, policy) = (Size::new(size), FitPolicy::ALL[policy]);
+                    let got = fs.try_take_within(size, policy, limit);
+                    let want = oracle.try_take_within(size, policy, limit);
+                    prop_assert_eq!(got, want, "try_take_within {} {:?} < {}", size, policy, limit);
                     if let Some(addr) = got {
                         taken.push((addr, size));
                     }
@@ -161,21 +357,23 @@ proptest! {
                         continue;
                     }
                     let (addr, size) = taken.remove(pick % taken.len());
-                    indexed.release(addr, size);
-                    reference.release(addr, size);
+                    fs.release(addr, size);
+                    oracle.release(addr, size);
+                }
+                Op::Clear => {
+                    fs.clear();
+                    oracle.clear();
+                    taken.clear();
+                    cursor = Addr::ZERO;
+                    oracle_cursor = Addr::ZERO;
                 }
             }
-            assert_mirrors_agree(&indexed, &reference)?;
+            assert_same_state(&fs, &oracle)?;
             for &probe in &probes {
                 let addr = Addr::new(probe);
-                prop_assert_eq!(
-                    indexed.gap_containing(addr),
-                    reference.gap_containing(addr),
-                    "gap_containing {}",
-                    addr
-                );
-                prop_assert_eq!(indexed.gap_starting_at(addr), reference.gap_starting_at(addr));
-                prop_assert_eq!(indexed.gap_ending_at(addr), reference.gap_ending_at(addr));
+                prop_assert_eq!(fs.gap_containing(addr), oracle.gap_containing(addr), "gap_containing {}", addr);
+                prop_assert_eq!(fs.gap_starting_at(addr), oracle.gap_starting_at(addr));
+                prop_assert_eq!(fs.gap_ending_at(addr), oracle.gap_ending_at(addr));
             }
         }
     }
@@ -184,12 +382,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // Manager-level lockstep: every manager in the suite produces a
-    // byte-identical report on both mirror impls for arbitrary
-    // well-formed workloads (`Report` has no `PartialEq`; the debug
-    // rendering covers every field).
+    // Manager-level lockstep: every manager with a seed oracle produces
+    // the same report, event stream, stats and index state for arbitrary
+    // well-formed workloads.
     #[test]
-    fn every_manager_reports_identically_across_mirrors(
+    fn managers_match_their_seeds_on_random_scripts(
         rounds in proptest::collection::vec(
             (
                 proptest::collection::vec(1u64..64, 1..12),
@@ -198,40 +395,109 @@ proptest! {
             1..10,
         ),
     ) {
-        let live_bound = 1u64 << 12;
-        let params = Params::new(live_bound, 6, 8).expect("valid");
-        for kind in ManagerKind::WITH_BASELINE {
-            let run = |mirror: MirrorImpl| {
-                let program = random_script(&rounds, live_bound);
-                let heap = if kind.is_unbounded() {
-                    Heap::unlimited_compaction()
-                } else if kind.is_compacting() {
-                    Heap::new(8)
-                } else {
-                    Heap::non_moving()
-                };
-                let manager = kind.try_build_with(&params, mirror).expect("buildable");
-                let mut exec = Execution::new(heap, program, manager);
-                exec.run().map(|report| format!("{report:?}"))
-            };
-            let indexed = run(MirrorImpl::Indexed);
-            let reference = run(MirrorImpl::Reference);
-            match (indexed, reference) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "{} diverged", kind),
-                (Err(a), Err(b)) => prop_assert_eq!(
-                    a.to_string(),
-                    b.to_string(),
-                    "{} failed differently",
-                    kind
-                ),
-                (a, b) => prop_assert!(
-                    false,
-                    "{} diverged: indexed {:?}, reference {:?}",
-                    kind,
-                    a.map(|_| "ok"),
-                    b.map(|_| "ok")
-                ),
+        managers_match_their_seeds(&random_script(&rounds, 1 << 12), 6);
+    }
+}
+
+/// A denser free-space cross-check than the proptest: an identical mixed
+/// script with sizes straddling the exact-class limit, comparing every
+/// observable after every operation.
+#[test]
+fn free_space_matches_the_oracle_on_a_long_mixed_script() {
+    let mut fs = FreeSpace::new();
+    let mut oracle = ReferenceFreeSpace::new();
+    let mut live: Vec<(Addr, Size)> = Vec::new();
+    let mut cursor = Addr::ZERO;
+    let mut oracle_cursor = Addr::ZERO;
+    for i in 0..3000u64 {
+        let roll = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        let size = Size::new(1 + roll % 300);
+        match roll % 7 {
+            0..=3 => {
+                let policy = FitPolicy::ALL[(roll % 4) as usize];
+                let got = fs.take_traced(size, policy);
+                assert_eq!(got, oracle.take_traced(size, policy), "step {i}");
+                live.push((got.0, size));
+            }
+            4 => {
+                let got = fs.take_next_fit_traced(size, &mut cursor);
+                let want = oracle.take_next_fit_traced(size, &mut oracle_cursor);
+                assert_eq!(got, want, "step {i}");
+                assert_eq!(cursor, oracle_cursor);
+                live.push((got.0, size));
+            }
+            5 => {
+                let got = fs.take_aligned(size, 1 << (roll % 6));
+                assert_eq!(got, oracle.take_aligned(size, 1 << (roll % 6)), "step {i}");
+                live.push((got, size));
+            }
+            _ => {
+                if !live.is_empty() {
+                    let (a, s) = live.remove((roll as usize * 31) % live.len());
+                    fs.release(a, s);
+                    oracle.release(a, s);
+                }
             }
         }
+        assert_eq!(fs.frontier(), oracle.frontier(), "step {i}");
+        assert_eq!(fs.gap_count(), oracle.gap_count(), "step {i}");
+        assert_eq!(fs.gap_words(), oracle.gap_words(), "step {i}");
+        assert_eq!(fs.largest_gap(), oracle.largest_gap(), "step {i}");
+        if i % 64 == 0 {
+            let gaps: Vec<Extent> = fs.gaps().collect();
+            let oracle_gaps: Vec<Extent> = oracle.gaps().collect();
+            assert_eq!(gaps, oracle_gaps, "step {i}");
+            fs.check_invariants().unwrap();
+        }
     }
+}
+
+/// Equal-length gaps, below and above the exact-class limit: every fit
+/// policy must break the tie towards the lowest address, like the oracle.
+#[test]
+fn fit_ties_break_towards_the_lowest_address() {
+    for len in [10u64, 300] {
+        for policy in FitPolicy::ALL {
+            let mut fs = FreeSpace::new();
+            let mut oracle = ReferenceFreeSpace::new();
+            // Three equal blocks, each followed by a one-word spacer; the
+            // first and last blocks are freed, leaving two equal gaps.
+            let size = Size::new(len);
+            let one = Size::new(1);
+            let mut starts = Vec::new();
+            for _ in 0..3 {
+                let a = fs.take(size, FitPolicy::FirstFit);
+                assert_eq!(a, oracle.take(size, FitPolicy::FirstFit));
+                starts.push(a);
+                let spacer = fs.take(one, FitPolicy::FirstFit);
+                assert_eq!(spacer, oracle.take(one, FitPolicy::FirstFit));
+            }
+            for &a in [starts[0], starts[2]].iter() {
+                fs.release(a, size);
+                oracle.release(a, size);
+            }
+            let ask = Size::new(len - 3);
+            let got = fs.take_traced(ask, policy);
+            assert_eq!(got, oracle.take_traced(ask, policy), "{len} {policy:?}");
+            assert_eq!(got.0, starts[0], "{len} {policy:?}");
+        }
+    }
+}
+
+/// Split/merge churn for the buddy allocator, reuse churn for the
+/// segregated manager, wide-size churn for TLSF's buckets, and eviction
+/// pressure for the page pool.
+#[test]
+fn managers_match_their_seeds_under_churn() {
+    managers_match_their_seeds(&churn(16, 12, 2, |r, s| (s * 5 * (r + 1)) % 60 + 1), 8);
+    managers_match_their_seeds(&churn(12, 10, 2, |r, s| (s * 7 * (r + 1)) % 100 + 1), 10);
+    managers_match_their_seeds(&churn(20, 24, 3, |r, s| (s * 13 * (r + 1)) % 700 + 1), 10);
+    managers_match_their_seeds(&churn(20, 8, 4, |r, s| (s * 3 * (r + 1)) % 16 + 1), 8);
+}
+
+/// A request above the largest class fails identically on both sides.
+#[test]
+fn managers_match_their_seeds_on_oversized_requests() {
+    let program = ScriptedProgram::new(Size::new(4096)).round([], [8, 65]);
+    managers_match_their_seeds(&program, 6);
 }

@@ -9,6 +9,7 @@
 //! identical, and the dense manager's page table must pass its own mirror
 //! check against the referee at the end.
 
+#[allow(dead_code, unused_imports)] // shared with `manager_equivalence`, which drives the rest
 mod oracle;
 
 use pcb_adversary::{PfConfig, PfProgram};

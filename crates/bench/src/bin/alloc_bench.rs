@@ -1,18 +1,15 @@
-//! Before/after benchmark of the manager mirrors (`PCB_MIRROR`).
+//! Benchmark of the manager-side free-space mirror ([`FreeSpace`]).
 //!
-//! Two families of cells, both run once per [`MirrorImpl`]:
+//! Two families of cells:
 //!
 //! 1. **Op cells** drive a bare [`FreeSpace`] with a deterministic
 //!    synthetic churn stream — takes under each fit discipline plus the
 //!    aligned (buddy-style) path, interleaved with releases of random
-//!    live extents. This isolates exactly the structures the indexed
-//!    mirror replaces (the address-ordered hole mirror and the size
-//!    index), best-of-N, with a checksum of every returned address
-//!    asserting the two impls answer identically op for op.
-//! 2. **E2e cells** run the full `P_F` simulation against every manager
-//!    in the suite on each mirror and assert the two `SimReport`s
-//!    serialize byte-identically (the mirror must be invisible in the
-//!    results) before comparing wall clock.
+//!    live extents — best-of-N. A checksum of every returned address is
+//!    recorded as an identity field, so `pcb bench diff` fails if a
+//!    placement ever changes.
+//! 2. **E2e cells** time the full `P_F` simulation against every manager
+//!    in the suite.
 //!
 //! ```text
 //! cargo run --release -p pcb-bench --bin alloc_bench [-- --smoke] [-- --out <path>]
@@ -27,7 +24,7 @@ use std::time::Instant;
 
 use partial_compaction::alloc::{FitPolicy, FreeSpace};
 use partial_compaction::heap::{Addr, Recorder, Size};
-use partial_compaction::{parallel, sim, ManagerKind, MirrorImpl, Params};
+use partial_compaction::{parallel, sim, ManagerKind, Params};
 use pcb_json::{Json, ToJson};
 
 /// How an op cell turns a size into a take against the mirror.
@@ -39,8 +36,8 @@ enum TakeMode {
     NextFit,
     /// `take_aligned(size, size)` on power-of-two sizes — the buddy
     /// path, under the buddy invariant (carves stay aligned; a
-    /// non-aligned churn stream would degenerate both impls into full
-    /// address scans no aligned-path manager ever produces).
+    /// non-aligned churn stream would degenerate into full address scans
+    /// no aligned-path manager ever produces).
     Aligned,
 }
 
@@ -123,10 +120,9 @@ fn churn_stream(total: usize, seed: u64) -> Vec<MirrorOp> {
 }
 
 /// Replays the stream against a fresh mirror, folding every answer into
-/// a checksum: two impls that ever place or free differently cannot end
-/// with the same digest.
-fn replay(cell: &OpCell, ops: &[MirrorOp], mirror: MirrorImpl) -> (FreeSpace, u64) {
-    let mut space = FreeSpace::with_impl(mirror);
+/// a checksum: a change to any placement or free changes the digest.
+fn replay(cell: &OpCell, ops: &[MirrorOp]) -> u64 {
+    let mut space = FreeSpace::new();
     let mut cursor = Addr::ZERO;
     let mut taken: Vec<(Addr, Size)> = Vec::new();
     let mut digest = 0u64;
@@ -161,23 +157,7 @@ fn replay(cell: &OpCell, ops: &[MirrorOp], mirror: MirrorImpl) -> (FreeSpace, u6
             }
         }
     }
-    (space, digest)
-}
-
-/// Asserts two replayed mirrors describe the same free-space state.
-fn assert_states_agree(cell: &OpCell, indexed: &FreeSpace, reference: &FreeSpace) {
-    assert_eq!(indexed.frontier(), reference.frontier(), "{}", cell.name);
-    assert_eq!(indexed.gap_count(), reference.gap_count(), "{}", cell.name);
-    assert_eq!(indexed.gap_words(), reference.gap_words(), "{}", cell.name);
-    assert_eq!(
-        indexed.largest_gap(),
-        reference.largest_gap(),
-        "{}",
-        cell.name
-    );
-    let igaps: Vec<_> = indexed.gaps().collect();
-    let rgaps: Vec<_> = reference.gaps().collect();
-    assert_eq!(igaps, rgaps, "{}: gap structure diverged", cell.name);
+    digest
 }
 
 /// Best-of-`iters` wall clock around `run`, returning the last value.
@@ -192,12 +172,11 @@ fn timed<T>(iters: u32, mut run: impl FnMut() -> T) -> (f64, T) {
     (best, out.expect("at least one iteration"))
 }
 
-/// One end-to-end `P_F` simulation of `kind` on `mirror`, serialized.
-fn simulate(kind: ManagerKind, params: Params, mirror: MirrorImpl) -> String {
+/// One end-to-end `P_F` simulation of `kind`, serialized.
+fn simulate(kind: ManagerKind, params: Params) -> String {
     sim::Sim::new(params)
         .adversary(sim::Adversary::PF)
         .manager(kind)
-        .mirror(mirror)
         .run()
         .expect("e2e cell runs")
         .to_json()
@@ -226,103 +205,66 @@ fn main() {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
 
-    // Mirror-op cells: the structures the rebuild replaces, in isolation.
+    // Mirror-op cells: the free-space index in isolation.
     let mut op_rows: Vec<Json> = Vec::new();
-    let (mut total_ref_op, mut total_idx_op) = (0.0f64, 0.0f64);
+    let mut total_op = 0.0f64;
     for cell in op_cells() {
         let ops = churn_stream(op_count, 0x5eed_0001);
-        let (ref_secs, (ref_space, ref_digest)) =
-            timed(iters, || replay(&cell, &ops, MirrorImpl::Reference));
-        let (idx_secs, (idx_space, idx_digest)) =
-            timed(iters, || replay(&cell, &ops, MirrorImpl::Indexed));
-        assert_eq!(
-            idx_digest, ref_digest,
-            "{}: mirror answers diverged",
-            cell.name
-        );
-        assert_states_agree(&cell, &idx_space, &ref_space);
-        let speedup = ref_secs / idx_secs;
+        let (secs, digest) = timed(iters, || replay(&cell, &ops));
         eprintln!(
-            "{:18} {:8} ops  {:7.4}s -> {:7.4}s ({:5.2}x)  {:9.0} ops/s",
+            "{:18} {:8} ops  {:7.4}s  {:9.0} ops/s",
             cell.name,
             op_count,
-            ref_secs,
-            idx_secs,
-            speedup,
-            op_count as f64 / idx_secs,
+            secs,
+            op_count as f64 / secs,
         );
-        total_ref_op += ref_secs;
-        total_idx_op += idx_secs;
+        total_op += secs;
         op_rows.push(Json::object([
             ("name", Json::from(cell.name)),
             ("ops", Json::from(op_count as u64)),
-            ("reference_seconds", Json::from(ref_secs)),
-            ("indexed_seconds", Json::from(idx_secs)),
-            ("speedup", Json::from(speedup)),
+            ("digest", Json::from(digest)),
+            ("indexed_seconds", Json::from(secs)),
             (
                 "indexed_throughput_ops_per_sec",
-                Json::from(op_count as f64 / idx_secs),
+                Json::from(op_count as f64 / secs),
             ),
-            (
-                "reference_throughput_ops_per_sec",
-                Json::from(op_count as f64 / ref_secs),
-            ),
-            ("states_identical", Json::from(true)),
         ]));
     }
 
-    // E2e cells: every manager under P_F, mirror swapped, reports pinned.
+    // E2e cells: every manager under P_F.
     let mut e2e_rows: Vec<Json> = Vec::new();
-    let (mut total_ref_e2e, mut total_idx_e2e) = (0.0f64, 0.0f64);
+    let mut total_e2e = 0.0f64;
     for kind in ManagerKind::ALL {
         let params = Params::new(e2e_m, e2e_log_n, 20).expect("e2e cell is a valid Params");
-        let (ref_secs, ref_report) = timed(1, || simulate(kind, params, MirrorImpl::Reference));
-        let (idx_secs, idx_report) = timed(1, || simulate(kind, params, MirrorImpl::Indexed));
-        assert_eq!(
-            ref_report, idx_report,
-            "{kind}: SimReports diverged between mirrors"
-        );
+        let (secs, _) = timed(1, || simulate(kind, params));
         // Count the placement/free event stream once (observer overhead
-        // excluded from the timed runs; the stream is mirror-invariant).
+        // excluded from the timed run).
         let mut recorder = Recorder::new();
         sim::Sim::new(params)
             .adversary(sim::Adversary::PF)
             .manager(kind)
             .observe(&mut recorder)
             .run()
-            .expect("observed run matches the timed runs");
+            .expect("observed run matches the timed run");
         let events = recorder.len() as u64;
-        let speedup = ref_secs / idx_secs;
         eprintln!(
-            "e2e/{:16} {:8} events  {:7.4}s -> {:7.4}s ({:5.2}x)",
+            "e2e/{:16} {:8} events  {:7.4}s",
             kind.to_string(),
             events,
-            ref_secs,
-            idx_secs,
-            speedup,
+            secs,
         );
-        total_ref_e2e += ref_secs;
-        total_idx_e2e += idx_secs;
+        total_e2e += secs;
         e2e_rows.push(Json::object([
             ("name", Json::from(format!("e2e/{kind}").as_str())),
             ("events", Json::from(events)),
-            ("reference_e2e_seconds", Json::from(ref_secs)),
-            ("indexed_e2e_seconds", Json::from(idx_secs)),
-            ("e2e_speedup", Json::from(speedup)),
+            ("indexed_e2e_seconds", Json::from(secs)),
             (
                 "indexed_throughput_events_per_sec",
-                Json::from(events as f64 / idx_secs),
+                Json::from(events as f64 / secs),
             ),
-            (
-                "reference_throughput_events_per_sec",
-                Json::from(events as f64 / ref_secs),
-            ),
-            ("reports_identical", Json::from(true)),
         ]));
     }
 
-    let overall_op = total_ref_op / total_idx_op;
-    let overall_e2e = total_ref_e2e / total_idx_e2e;
     let report = Json::object([
         ("smoke", Json::from(smoke)),
         ("threads", Json::from(threads)),
@@ -331,13 +273,9 @@ fn main() {
         ("ops_per_cell", Json::from(op_count as u64)),
         ("op_cells", Json::Array(op_rows)),
         ("e2e_cells", Json::Array(e2e_rows)),
-        ("total_reference_op_seconds", Json::from(total_ref_op)),
-        ("total_indexed_op_seconds", Json::from(total_idx_op)),
-        ("overall_op_speedup", Json::from(overall_op)),
-        ("total_reference_e2e_seconds", Json::from(total_ref_e2e)),
-        ("total_indexed_e2e_seconds", Json::from(total_idx_e2e)),
-        ("overall_e2e_speedup", Json::from(overall_e2e)),
+        ("total_indexed_op_seconds", Json::from(total_op)),
+        ("total_indexed_e2e_seconds", Json::from(total_e2e)),
     ]);
     std::fs::write(&out_path, format!("{report}\n")).expect("write artifact");
-    eprintln!("overall: ops {overall_op:.2}x, e2e {overall_e2e:.2}x -> {out_path}");
+    eprintln!("total: ops {total_op:.4}s, e2e {total_e2e:.4}s -> {out_path}");
 }

@@ -1,16 +1,13 @@
-//! Before/after benchmark of the occupancy substrate.
+//! Benchmark of the occupancy referee ([`SpaceMap`]).
 //!
 //! For every cell of a pinned `(M, log₂ n, c, manager)` grid drawn from
 //! the empirical experiment, the bench:
 //!
-//! 1. runs the full `P_F` simulation end-to-end once per substrate and
-//!    asserts the two `SimReport`s serialize byte-identically (the
-//!    bitmap substrate must be invisible in the results);
+//! 1. runs the full `P_F` simulation end-to-end once;
 //! 2. records the execution's event stream once and replays the
-//!    occupy/release ops against a bare [`SpaceMap`] per substrate,
-//!    best-of-N — this isolates exactly the referee the substrate
-//!    implements, without the manager free-list mirrors and adversary
-//!    bookkeeping both substrates pay identically end-to-end;
+//!    occupy/release ops against a bare [`SpaceMap`], best-of-N — this
+//!    isolates the referee from the manager mirrors and the adversary
+//!    bookkeeping;
 //! 3. times the observability window-query surface (the
 //!    `occupied_words_in` sweep behind the heat map plus the `gaps()`
 //!    walk behind fragmentation snapshots) on the final replayed state.
@@ -25,7 +22,7 @@
 //! `BENCH_heap.json` unless `--out` overrides it. Smoke and full mode
 //! run the *same number* of cells so `pcb bench diff` can
 //! structure-check a smoke artifact against the checked-in full
-//! baseline. `--trace-out` records spans and the substrate's high-water
+//! baseline. `--trace-out` records spans and the referee's high-water
 //! counters in Chrome trace-event format.
 
 use std::hint::black_box;
@@ -33,13 +30,11 @@ use std::time::Instant;
 
 use pcb_telemetry as telemetry;
 
-use partial_compaction::heap::{
-    Addr, Event, Extent, ObjectId, Recorder, Size, SpaceMap, Substrate,
-};
+use partial_compaction::heap::{Addr, Event, Extent, ObjectId, Recorder, Size, SpaceMap};
 use partial_compaction::{parallel, sim, ManagerKind, Params};
 use pcb_json::{Json, ToJson};
 
-/// One grid cell of the before/after comparison.
+/// One grid cell of the benchmark.
 struct Cell {
     m: u64,
     log_n: u32,
@@ -81,7 +76,7 @@ fn grid(smoke: bool) -> Vec<Cell> {
     cells
 }
 
-/// A mutation against the substrate referee, distilled from the event
+/// A mutation against the referee, distilled from the event
 /// stream (round markers dropped). A `Moved` event becomes the
 /// release-then-occupy pair the heap performs internally.
 #[derive(Clone, Copy)]
@@ -106,13 +101,11 @@ fn distill(recorder: &Recorder) -> Vec<ReplayOp> {
     ops
 }
 
-/// Replays the distilled op stream against a bare [`SpaceMap`] on
-/// `substrate` — exactly the referee this substrate swap replaces; the
-/// heap's object table, budget ledger, and stats are identical code on
-/// both sides and are covered by the end-to-end timings. Returns the
-/// final map for the window-query phase.
-fn replay(ops: &[ReplayOp], substrate: Substrate) -> SpaceMap {
-    let mut space = SpaceMap::with_substrate(substrate);
+/// Replays the distilled op stream against a bare [`SpaceMap`]; the
+/// heap's object table, budget ledger, and stats are covered by the
+/// end-to-end timings. Returns the final map for the window-query phase.
+fn replay(ops: &[ReplayOp]) -> SpaceMap {
+    let mut space = SpaceMap::new();
     for &op in ops {
         match op {
             ReplayOp::Occupy(id, addr, size) => space
@@ -162,13 +155,12 @@ fn timed<T>(iters: u32, mut run: impl FnMut() -> T) -> (f64, T) {
     (best, out.expect("at least one iteration"))
 }
 
-/// One end-to-end simulation of the cell on `substrate`, serialized.
-fn simulate(cell: &Cell, substrate: Substrate) -> String {
+/// One end-to-end simulation of the cell, serialized.
+fn simulate(cell: &Cell) -> String {
     let params = Params::new(cell.m, cell.log_n, cell.c).expect("grid cell is a valid Params");
     sim::Sim::new(params)
         .adversary(sim::Adversary::PF)
         .manager(cell.manager)
-        .substrate(substrate)
         .run()
         .expect("grid cell runs")
         .to_json()
@@ -201,23 +193,12 @@ fn main() {
         .unwrap_or(1);
 
     let mut rows: Vec<Json> = Vec::new();
-    let (mut total_ref_replay, mut total_bit_replay) = (0.0f64, 0.0f64);
-    let (mut total_ref_e2e, mut total_bit_e2e) = (0.0f64, 0.0f64);
-    let (mut total_ref_window, mut total_bit_window) = (0.0f64, 0.0f64);
+    let (mut total_replay, mut total_e2e, mut total_window) = (0.0f64, 0.0f64, 0.0f64);
     let mut total_ops = 0u64;
     for cell in grid(smoke) {
         let params = Params::new(cell.m, cell.log_n, cell.c).expect("grid cell is a valid Params");
-        // End-to-end, unobserved: the substrate must be invisible in the
-        // report, and the wall-clock gap it closes is bounded by the
-        // manager/adversary work both sides share.
-        let (ref_e2e, ref_report) = timed(1, || simulate(&cell, Substrate::Reference));
-        let (bit_e2e, bit_report) = timed(1, || simulate(&cell, Substrate::Bitmap));
-        assert_eq!(
-            ref_report,
-            bit_report,
-            "{}: SimReports diverged between substrates",
-            cell.label()
-        );
+        // End-to-end, unobserved.
+        let (e2e, _) = timed(1, || simulate(&cell));
         // Record the op stream once (observer overhead excluded from all
         // timed runs) and replay it against the bare referee.
         let mut recorder = Recorder::new();
@@ -228,75 +209,47 @@ fn main() {
             .run()
             .expect("observed run matches the timed runs");
         let ops = distill(&recorder);
-        let (ref_replay, _) = timed(iters, || replay(&ops, Substrate::Reference));
-        let (bit_replay, final_space) = {
+        let (replay_s, final_space) = {
             let _span = telemetry::span!("bench.bitmap_replay");
-            timed(iters, || replay(&ops, Substrate::Bitmap))
+            timed(iters, || replay(&ops))
         };
         // Window-query surface on the final replayed state.
-        let ref_space = replay(&ops, Substrate::Reference);
-        let (ref_window, ref_acc) = timed(iters, || window_sweep(&ref_space, sweep_rounds));
-        let (bit_window, bit_acc) = timed(iters, || window_sweep(&final_space, sweep_rounds));
-        assert_eq!(ref_acc, bit_acc, "{}: window sweeps diverged", cell.label());
+        let (window, _) = timed(iters, || window_sweep(&final_space, sweep_rounds));
         if telemetry::enabled() {
-            if let Some(c) = final_space.counters() {
-                telemetry::record_max("space.words_scanned", c.words_scanned);
-                telemetry::record_max("space.summary_skips", c.summary_skips);
-                telemetry::record_max("space.slot_high_water", c.slot_high_water);
-                telemetry::record_max("space.slots_reused", c.slots_reused);
-            }
+            let c = final_space.counters();
+            telemetry::record_max("space.words_scanned", c.words_scanned);
+            telemetry::record_max("space.summary_skips", c.summary_skips);
+            telemetry::record_max("space.slot_high_water", c.slot_high_water);
+            telemetry::record_max("space.slots_reused", c.slots_reused);
         }
 
         let op_count = ops.len() as u64;
-        let replay_speedup = ref_replay / bit_replay;
-        let window_speedup = ref_window / bit_window;
         eprintln!(
-            "{:36} {:8} ops  replay {:7.4}s -> {:7.4}s ({:5.2}x)  \
-             windows {:7.4}s -> {:7.4}s ({:5.2}x)  e2e {:5.2}x",
+            "{:36} {:8} ops  replay {:7.4}s  windows {:7.4}s  e2e {:7.4}s",
             cell.label(),
             op_count,
-            ref_replay,
-            bit_replay,
-            replay_speedup,
-            ref_window,
-            bit_window,
-            window_speedup,
-            ref_e2e / bit_e2e,
+            replay_s,
+            window,
+            e2e,
         );
-        total_ref_replay += ref_replay;
-        total_bit_replay += bit_replay;
-        total_ref_e2e += ref_e2e;
-        total_bit_e2e += bit_e2e;
-        total_ref_window += ref_window;
-        total_bit_window += bit_window;
+        total_replay += replay_s;
+        total_e2e += e2e;
+        total_window += window;
         total_ops += op_count;
         rows.push(Json::object([
             ("name", Json::from(cell.label().as_str())),
             ("ops", Json::from(op_count)),
             ("events", Json::from(recorder.len() as u64)),
-            ("reference_replay_seconds", Json::from(ref_replay)),
-            ("bitmap_replay_seconds", Json::from(bit_replay)),
-            ("replay_speedup", Json::from(replay_speedup)),
+            ("bitmap_replay_seconds", Json::from(replay_s)),
             (
                 "bitmap_throughput_ops_per_sec",
-                Json::from(op_count as f64 / bit_replay),
+                Json::from(op_count as f64 / replay_s),
             ),
-            (
-                "reference_throughput_ops_per_sec",
-                Json::from(op_count as f64 / ref_replay),
-            ),
-            ("reference_window_seconds", Json::from(ref_window)),
-            ("bitmap_window_seconds", Json::from(bit_window)),
-            ("window_speedup", Json::from(window_speedup)),
-            ("reference_e2e_seconds", Json::from(ref_e2e)),
-            ("bitmap_e2e_seconds", Json::from(bit_e2e)),
-            ("e2e_speedup", Json::from(ref_e2e / bit_e2e)),
-            ("reports_identical", Json::from(true)),
+            ("bitmap_window_seconds", Json::from(window)),
+            ("bitmap_e2e_seconds", Json::from(e2e)),
         ]));
     }
 
-    let overall_replay = total_ref_replay / total_bit_replay;
-    let overall_window = total_ref_window / total_bit_window;
     let report = Json::object([
         ("smoke", Json::from(smoke)),
         ("threads", Json::from(threads)),
@@ -305,25 +258,14 @@ fn main() {
         ("sweep_rounds", Json::from(sweep_rounds)),
         ("total_ops", Json::from(total_ops)),
         ("cells", Json::Array(rows)),
-        (
-            "total_reference_replay_seconds",
-            Json::from(total_ref_replay),
-        ),
-        ("total_bitmap_replay_seconds", Json::from(total_bit_replay)),
-        ("overall_replay_speedup", Json::from(overall_replay)),
-        ("overall_window_speedup", Json::from(overall_window)),
-        ("total_reference_e2e_seconds", Json::from(total_ref_e2e)),
-        ("total_bitmap_e2e_seconds", Json::from(total_bit_e2e)),
-        (
-            "overall_e2e_speedup",
-            Json::from(total_ref_e2e / total_bit_e2e),
-        ),
+        ("total_bitmap_replay_seconds", Json::from(total_replay)),
+        ("total_bitmap_window_seconds", Json::from(total_window)),
+        ("total_bitmap_e2e_seconds", Json::from(total_e2e)),
     ]);
     std::fs::write(&out_path, format!("{report}\n")).expect("write artifact");
     eprintln!(
-        "overall: replay {overall_replay:.2}x, windows {overall_window:.2}x, \
-         e2e {:.2}x -> {out_path}",
-        total_ref_e2e / total_bit_e2e
+        "total: replay {total_replay:.4}s, windows {total_window:.4}s, \
+         e2e {total_e2e:.4}s -> {out_path}"
     );
     if let Some(path) = trace_out {
         telemetry::disable();

@@ -9,8 +9,8 @@
 //! seed plus a parts-per-million firing rate for each named
 //! [`FaultSite`]. Every decision is a pure function of
 //! `(plan, site, index)` — no global state, no clock, no RNG object —
-//! so a faulty run is exactly reproducible across thread counts,
-//! substrates, and checkpoint/resume boundaries.
+//! so a faulty run is exactly reproducible across thread counts and
+//! checkpoint/resume boundaries.
 //!
 //! The empty plan is free: [`FaultPlan::should_fire`] reads one
 //! array slot and returns before any hashing when the site's rate is

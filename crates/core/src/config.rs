@@ -1,25 +1,26 @@
 //! Typed run configuration, resolved once at the process boundary.
 //!
-//! Historically each module re-read its own environment variables —
-//! `PCB_THREADS` in [`parallel`](crate::parallel), `PCB_SUBSTRATE` in the
-//! heap's `SpaceMap` — which made the effective configuration of a run
-//! impossible to see in one place and easy to desynchronize (a test that
-//! sets a variable races every other test in the binary). [`RunConfig`]
-//! inverts that: the CLI (or a test) resolves the environment **once**,
-//! optionally overrides fields from flags, and threads the resulting
-//! value through `Sim`, the fleet simulator, and the exhaustive search.
-//! The environment variables remain the fallback for code that never
-//! sees a `RunConfig` (library users calling `par_map` directly), so the
-//! old behaviour is unchanged where the new API is not used.
+//! A module that re-reads its own environment variable makes the
+//! effective configuration of a run impossible to see in one place and
+//! easy to desynchronize (a test that sets a variable races every other
+//! test in the binary). [`RunConfig`] inverts that: the CLI (or a test)
+//! resolves the environment **once**, optionally overrides fields from
+//! flags, and threads the resulting value through `Sim`, the fleet
+//! simulator, and the exhaustive search. `PCB_THREADS` remains the
+//! fallback for code that never sees a `RunConfig` (library users calling
+//! `par_map` directly).
+//!
+//! Every field changes how a run executes or what it collects, never
+//! which data structures answer it: the referee and the manager indexes
+//! have one implementation each, and their seed oracles live in the
+//! lockstep tests.
 
 use core::fmt;
 
-use pcb_alloc::MirrorImpl;
 use pcb_chaos::FaultPlan;
-use pcb_heap::Substrate;
 
-/// The resolved knobs of one run: worker threads, occupancy substrate,
-/// and telemetry collection.
+/// The resolved knobs of one run: worker threads, telemetry and metrics
+/// collection, and the chaos/paranoia settings.
 ///
 /// Construct with [`RunConfig::from_env`] at the process boundary, then
 /// override fields from CLI flags; every field is plain data, so the
@@ -29,12 +30,6 @@ pub struct RunConfig {
     /// Worker threads for [`par_map_threads`](crate::parallel::par_map_threads)
     /// fan-outs (≥ 1).
     pub threads: usize,
-    /// Occupancy substrate for every heap the run creates.
-    pub substrate: Substrate,
-    /// Manager-mirror implementation for every manager the run builds
-    /// (the manager-side analogue of the substrate knob; reports are
-    /// byte-identical across impls).
-    pub mirror: MirrorImpl,
     /// Whether telemetry span collection is on.
     pub telemetry: bool,
     /// Deterministic fault schedule threaded into every execution the
@@ -51,15 +46,11 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// Resolves the configuration from the environment: `PCB_THREADS`
-    /// (falling back to the machine's available parallelism),
-    /// `PCB_SUBSTRATE` (falling back to the bitmap substrate),
-    /// `PCB_MIRROR` (falling back to the indexed mirror), and the
-    /// current telemetry state.
+    /// (falling back to the machine's available parallelism) and the
+    /// current telemetry and metrics state.
     pub fn from_env() -> Self {
         RunConfig {
             threads: crate::parallel::thread_count(),
-            substrate: Substrate::from_env(),
-            mirror: MirrorImpl::from_env(),
             telemetry: pcb_telemetry::enabled(),
             chaos: FaultPlan::empty(),
             paranoia: 0,
@@ -70,18 +61,6 @@ impl RunConfig {
     /// Overrides the thread count (values < 1 are clamped to 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Overrides the substrate.
-    pub fn with_substrate(mut self, substrate: Substrate) -> Self {
-        self.substrate = substrate;
-        self
-    }
-
-    /// Overrides the manager-mirror implementation.
-    pub fn with_mirror(mut self, mirror: MirrorImpl) -> Self {
-        self.mirror = mirror;
         self
     }
 
@@ -110,8 +89,8 @@ impl RunConfig {
     }
 
     /// Applies the process-global side of the configuration (the
-    /// telemetry and metrics registries are process singletons; threads
-    /// and substrate are threaded explicitly and need no global
+    /// telemetry and metrics registries are process singletons; the
+    /// other fields are threaded explicitly and need no global
     /// application).
     pub fn apply(&self) {
         if self.telemetry {
@@ -128,13 +107,11 @@ impl RunConfig {
 }
 
 impl Default for RunConfig {
-    /// Single-threaded, default substrate, telemetry off — the fully
-    /// deterministic baseline used by tests and oracles.
+    /// Single-threaded, telemetry off — the fully deterministic baseline
+    /// used by tests and oracles.
     fn default() -> Self {
         RunConfig {
             threads: 1,
-            substrate: Substrate::default(),
-            mirror: MirrorImpl::default(),
             telemetry: false,
             chaos: FaultPlan::empty(),
             paranoia: 0,
@@ -147,16 +124,12 @@ impl fmt::Display for RunConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "threads={} substrate={} telemetry={}",
+            "threads={} telemetry={}",
             self.threads,
-            self.substrate,
             if self.telemetry { "on" } else { "off" }
         )?;
-        // The mirror, chaos and metrics knobs print only when set, so the
-        // common display stays exactly as it always was.
-        if self.mirror != MirrorImpl::default() {
-            write!(f, " mirror={}", self.mirror)?;
-        }
+        // The chaos, paranoia and metrics knobs print only when set, so
+        // the common display stays compact.
         if !self.chaos.is_empty() {
             write!(f, " chaos={}", self.chaos)?;
         }
@@ -178,18 +151,13 @@ mod tests {
     fn default_is_the_deterministic_baseline() {
         let cfg = RunConfig::default();
         assert_eq!(cfg.threads, 1);
-        assert_eq!(cfg.substrate, Substrate::Bitmap);
         assert!(!cfg.telemetry);
     }
 
     #[test]
     fn builders_override_fields() {
-        let cfg = RunConfig::default()
-            .with_threads(4)
-            .with_substrate(Substrate::Reference)
-            .with_telemetry(true);
+        let cfg = RunConfig::default().with_threads(4).with_telemetry(true);
         assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.substrate, Substrate::Reference);
         assert!(cfg.telemetry);
         assert_eq!(RunConfig::default().with_threads(0).threads, 1);
     }
@@ -204,25 +172,13 @@ mod tests {
     #[test]
     fn display_is_compact() {
         let cfg = RunConfig::default();
-        assert_eq!(cfg.to_string(), "threads=1 substrate=bitmap telemetry=off");
-    }
-
-    #[test]
-    fn display_names_the_mirror_knob_only_when_non_default() {
-        let cfg = RunConfig::default().with_mirror(MirrorImpl::Reference);
-        assert_eq!(
-            cfg.to_string(),
-            "threads=1 substrate=bitmap telemetry=off mirror=reference"
-        );
+        assert_eq!(cfg.to_string(), "threads=1 telemetry=off");
     }
 
     #[test]
     fn display_names_the_metrics_knob_only_when_on() {
         let cfg = RunConfig::default().with_metrics(true);
-        assert_eq!(
-            cfg.to_string(),
-            "threads=1 substrate=bitmap telemetry=off metrics=on"
-        );
+        assert_eq!(cfg.to_string(), "threads=1 telemetry=off metrics=on");
     }
 
     #[test]
@@ -233,7 +189,7 @@ mod tests {
             .with_paranoia(8);
         assert_eq!(
             cfg.to_string(),
-            "threads=1 substrate=bitmap telemetry=off chaos=seed=7,tenant-panic=50 paranoia=8"
+            "threads=1 telemetry=off chaos=seed=7,tenant-panic=50 paranoia=8"
         );
     }
 }

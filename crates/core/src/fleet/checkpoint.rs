@@ -120,13 +120,11 @@ pub(crate) fn hash_desc(desc: &str) -> u64 {
 /// is deliberately excluded (see the module docs).
 pub(crate) fn fingerprint(cfg: &FleetConfig, run: &RunConfig) -> u64 {
     hash_desc(&format!(
-        "{}|{}|{}|{:?}|{}|{}|{}|{}|{}",
+        "{}|{}|{}|{:?}|{}|{}|{}",
         cfg.tenants,
         cfg.shards,
         cfg.manager,
         cfg.mixer,
-        run.substrate,
-        run.mirror,
         run.chaos,
         run.paranoia,
         // Metrics shape the accumulator (the snapshot is part of the
@@ -199,7 +197,7 @@ pub(crate) fn load(
     if stamped != Some(fingerprint(cfg, run)) {
         return Err(fail(
             "fingerprint mismatch: checkpoint belongs to a different \
-             fleet configuration (tenants/shards/manager/mixer/substrate/mirror/chaos/paranoia)"
+             fleet configuration (tenants/shards/manager/mixer/chaos/paranoia/metrics)"
                 .into(),
         ));
     }

@@ -35,7 +35,7 @@
 //! exact; the retained failure records are capped so the aggregation
 //! state stays O(shards). Because the panic site and round are pure
 //! functions of `(chaos seed, tenant index)`, the failure section is
-//! byte-identical for any thread count and substrate.
+//! byte-identical for any thread count.
 //!
 //! # Checkpoint/resume
 //!
@@ -446,8 +446,8 @@ impl FleetAccumulator {
 }
 
 /// The aggregate result of a fleet run. Every field is a deterministic
-/// function of ([`FleetConfig`], substrate); nothing here depends on
-/// thread count or wall-clock.
+/// function of the [`FleetConfig`] and the run's chaos, paranoia and
+/// metrics settings; nothing here depends on thread count or wall-clock.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
     /// Tenants simulated.
@@ -768,7 +768,7 @@ fn run_tenant(
         "bucket params must match the tenant's shape"
     );
     let built = manager
-        .try_build_with(&params, run.mirror)
+        .try_build(&params)
         .map_err(|e| FleetError::Config(format!("tenant {index}: {e}")))?;
     let heap = if manager.is_unbounded() {
         Heap::unlimited_compaction()
@@ -776,8 +776,7 @@ fn run_tenant(
         Heap::new(shape.c)
     } else {
         Heap::non_moving()
-    }
-    .with_substrate(run.substrate);
+    };
     let program: Box<dyn Program> = if run.chaos.should_fire(FaultSite::TenantPanic, index) {
         let rounds = u64::from(mixer.config().rounds.max(1));
         let panic_round = (run.chaos.roll(FaultSite::TenantPanic, index) % rounds) as u32;
@@ -1159,10 +1158,9 @@ mod tests {
     #[test]
     fn injected_panics_are_quarantined_deterministically() {
         use pcb_chaos::FaultPlan;
-        use pcb_heap::Substrate;
         // 20% of tenants panic mid-run; the fleet must survive and the
         // quarantine section must be byte-identical for every thread
-        // count and substrate.
+        // count.
         let cfg = tiny();
         let chaos = FaultPlan::new(7).with_rate(FaultSite::TenantPanic, 200_000);
         let run_cfg = RunConfig::default().with_chaos(chaos);
@@ -1187,18 +1185,12 @@ mod tests {
         assert!(text.contains("quarantined"), "{text}");
         let expect = pcb_json::ToJson::to_json(&baseline).to_string();
         for threads in [2, 4] {
-            for substrate in [Substrate::Bitmap, Substrate::Reference] {
-                let report = run(
-                    &cfg,
-                    &run_cfg.with_threads(threads).with_substrate(substrate),
-                )
-                .unwrap();
-                assert_eq!(
-                    pcb_json::ToJson::to_json(&report).to_string(),
-                    expect,
-                    "threads={threads} substrate={substrate}"
-                );
-            }
+            let report = run(&cfg, &run_cfg.with_threads(threads)).unwrap();
+            assert_eq!(
+                pcb_json::ToJson::to_json(&report).to_string(),
+                expect,
+                "threads={threads}"
+            );
         }
     }
 
@@ -1282,6 +1274,40 @@ mod tests {
         let err = run_checkpointed(&cfg, &run_cfg, &CheckpointOptions::new(&path).resume(true))
             .unwrap_err();
         assert!(matches!(err, FleetError::Checkpoint(_)), "{err}");
+    }
+
+    #[test]
+    fn checkpoints_stamped_with_the_retired_knobs_are_rejected() {
+        // Checkpoints written while the occupancy substrate and the
+        // manager mirror were run settings hashed both into the
+        // fingerprint; such a file must fail to resume cleanly.
+        let cfg = tiny();
+        let run_cfg = RunConfig::default();
+        let path = temp_checkpoint("retired-knobs");
+        let opts = CheckpointOptions::new(&path).every(4).stop_after(4);
+        assert!(matches!(
+            run_checkpointed(&cfg, &run_cfg, &opts).unwrap(),
+            FleetOutcome::Paused { .. }
+        ));
+        let old = checkpoint::hash_desc(&format!(
+            "{}|{}|{}|{:?}|bitmap|indexed|{}|{}|{}",
+            cfg.tenants,
+            cfg.shards,
+            cfg.manager,
+            cfg.mixer,
+            run_cfg.chaos,
+            run_cfg.paranoia,
+            run_cfg.metrics,
+        ));
+        let current = checkpoint::fingerprint(&cfg, &run_cfg).to_string();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains(&current));
+        std::fs::write(&path, text.replace(&current, &old.to_string())).unwrap();
+        let err = run_checkpointed(&cfg, &run_cfg, &CheckpointOptions::new(&path).resume(true))
+            .unwrap_err();
+        assert!(matches!(err, FleetError::Checkpoint(_)), "{err}");
+        assert!(err.to_string().contains("fingerprint mismatch"), "{err}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   real allocators on a simulated heap and compare measured waste with
 //!   the theory;
 //! * [`fleet`] — simulate 10⁵–10⁷ independent tenant heaps with streaming
-//!   aggregation ([`RunConfig`] carries the resolved threads/substrate
-//!   configuration through every entry point);
+//!   aggregation ([`RunConfig`] carries the resolved run configuration
+//!   through every entry point);
 //! * re-exports of the three substrate crates: [`heap`]
 //!   (the interaction model), [`alloc`] (nine memory
 //!   managers), and [`adversary`] (the bad programs
@@ -93,9 +93,8 @@ pub use pcb_workload as workload;
 
 // The most-used types, flattened for convenience.
 pub use pcb_adversary::{PfConfig, PfProgram, PfVariant, RobsonProgram};
-pub use pcb_alloc::{ManagerKind, MirrorImpl};
+pub use pcb_alloc::ManagerKind;
 pub use pcb_chaos::{FaultPlan, FaultSite};
 pub use pcb_heap::{
-    Execution, Heap, Observer, Observers, Recorder, Report, Size, StatSink, Substrate, TimeSeries,
-    TraceWriter,
+    Execution, Heap, Observer, Observers, Recorder, Report, Size, StatSink, TimeSeries, TraceWriter,
 };

@@ -2,7 +2,7 @@
 //! JSONL stream, for watching long `fleet`/`simulate`/`worst-case` runs.
 //!
 //! The heartbeat is strictly a side channel. Reports are compared
-//! byte-for-byte across thread counts, substrates, and heartbeat on/off,
+//! byte-for-byte across thread counts and heartbeat on/off,
 //! so everything wall-clock-flavoured (rates, ETAs, elapsed seconds)
 //! lives here — written to stderr and to the `--progress-out` JSONL
 //! stream, never to stdout and never into a report. This is the same

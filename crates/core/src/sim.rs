@@ -9,11 +9,11 @@
 use core::fmt;
 
 use pcb_adversary::{PfConfig, PfProgram, PfVariant, RobsonProgram};
-use pcb_alloc::{ManagerKind, MirrorImpl};
+use pcb_alloc::ManagerKind;
 use pcb_chaos::FaultPlan;
 use pcb_heap::{
     Execution, ExecutionError, Heap, MemoryManager, Observer, Observers, Program, StatSink,
-    Substrate, TimeSeries,
+    TimeSeries,
 };
 
 use crate::bounds::thm1;
@@ -149,8 +149,6 @@ pub struct Sim<'a> {
     observer: Option<&'a mut dyn Observer>,
     series_every: Option<u32>,
     stats: bool,
-    substrate: Option<Substrate>,
-    mirror: Option<MirrorImpl>,
     chaos: FaultPlan,
     paranoia: u32,
 }
@@ -165,8 +163,6 @@ impl fmt::Debug for Sim<'_> {
             .field("observer", &self.observer.is_some())
             .field("series_every", &self.series_every)
             .field("stats", &self.stats)
-            .field("substrate", &self.substrate)
-            .field("mirror", &self.mirror)
             .field("chaos", &self.chaos)
             .field("paranoia", &self.paranoia)
             .finish()
@@ -186,8 +182,6 @@ impl<'a> Sim<'a> {
             observer: None,
             series_every: None,
             stats: false,
-            substrate: None,
-            mirror: None,
             chaos: FaultPlan::empty(),
             paranoia: 0,
         }
@@ -233,24 +227,6 @@ impl<'a> Sim<'a> {
         self
     }
 
-    /// Pins the occupancy substrate for this run (otherwise the
-    /// `PCB_SUBSTRATE` environment default applies). Both substrates
-    /// produce identical reports; `Substrate::Reference` cross-checks a
-    /// run against the `BTreeMap` oracle.
-    pub fn substrate(mut self, substrate: Substrate) -> Self {
-        self.substrate = Some(substrate);
-        self
-    }
-
-    /// Pins the manager-mirror implementation for this run (otherwise
-    /// the `PCB_MIRROR` environment default applies). Both impls produce
-    /// identical reports; `MirrorImpl::Reference` cross-checks a run
-    /// against the seed BTree mirror.
-    pub fn mirror(mut self, mirror: MirrorImpl) -> Self {
-        self.mirror = Some(mirror);
-        self
-    }
-
     /// Attaches a deterministic fault schedule to the execution. The
     /// empty plan (the default) injects nothing at zero cost.
     pub fn chaos(mut self, plan: FaultPlan) -> Self {
@@ -265,15 +241,11 @@ impl<'a> Sim<'a> {
         self
     }
 
-    /// Applies a resolved [`RunConfig`](crate::RunConfig): pins the
-    /// substrate and mirror and carries over the chaos/paranoia knobs (a
-    /// `Sim` runs on one thread, so the config's thread count does not
-    /// apply here).
+    /// Applies a resolved [`RunConfig`](crate::RunConfig): carries over
+    /// the chaos/paranoia knobs (a `Sim` runs on one thread, so the
+    /// config's thread count does not apply here).
     pub fn config(self, run: &crate::RunConfig) -> Self {
-        self.substrate(run.substrate)
-            .mirror(run.mirror)
-            .chaos(run.chaos)
-            .paranoia(run.paranoia)
+        self.chaos(run.chaos).paranoia(run.paranoia)
     }
 
     /// Drives an execution to completion, attaching the configured
@@ -315,17 +287,10 @@ impl<'a> Sim<'a> {
             observer,
             series_every,
             stats,
-            substrate,
-            mirror,
             chaos,
             paranoia,
         } = self;
-        let pin = |heap: Heap| match substrate {
-            Some(s) => heap.with_substrate(s),
-            None => heap,
-        };
-        let mirror = mirror.unwrap_or_else(MirrorImpl::from_env);
-        let build = |manager: ManagerKind| match manager.try_build_with(&params, mirror) {
+        let build = |manager: ManagerKind| match manager.try_build(&params) {
             Ok(built) => built,
             Err(e) => panic!("{e}"),
         };
@@ -339,11 +304,11 @@ impl<'a> Sim<'a> {
                 }
                 let rho = cfg.rho;
                 let h_raw = cfg.h;
-                let heap = pin(if manager.is_unbounded() {
+                let heap = if manager.is_unbounded() {
                     Heap::unlimited_compaction()
                 } else {
                     Heap::new(params.c())
-                });
+                };
                 let mut exec = Execution::new(heap, PfProgram::new(cfg), build(manager))
                     .with_chaos(chaos)
                     .with_paranoia(paranoia);
@@ -381,13 +346,13 @@ impl<'a> Sim<'a> {
             }
             Adversary::Robson => {
                 let program = RobsonProgram::new(params.m(), params.log_n());
-                let heap = pin(if manager.is_unbounded() {
+                let heap = if manager.is_unbounded() {
                     Heap::unlimited_compaction()
                 } else if manager.is_compacting() {
                     Heap::new(params.c())
                 } else {
                     Heap::non_moving()
-                });
+                };
                 let mut exec = Execution::new(heap, program, build(manager))
                     .with_chaos(chaos)
                     .with_paranoia(paranoia);
@@ -525,17 +490,14 @@ mod tests {
     }
 
     #[test]
-    fn config_pins_the_substrate() {
+    fn config_carries_chaos_and_paranoia() {
         use crate::RunConfig;
-        let via_config = sim(ManagerKind::FirstFit)
-            .config(&RunConfig::default().with_substrate(pcb_heap::Substrate::Reference))
-            .run()
-            .unwrap();
-        let pinned = sim(ManagerKind::FirstFit)
-            .substrate(pcb_heap::Substrate::Reference)
-            .run()
-            .unwrap();
-        assert_eq!(via_config.execution.heap_size, pinned.execution.heap_size);
+        let run = RunConfig::default()
+            .with_chaos("seed=3,mirror-flip=1000000".parse().unwrap())
+            .with_paranoia(1);
+        assert!(sim(ManagerKind::FirstFit).run().is_ok());
+        let err = sim(ManagerKind::FirstFit).config(&run).run().unwrap_err();
+        assert!(err.to_string().contains("mirror"), "{err}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use partial_compaction::heap::{Execution, ExecutionError, Heap, MirrorCheck, Substrate};
+use partial_compaction::heap::{Execution, ExecutionError, Heap, MirrorCheck};
 use partial_compaction::workload::{ChurnConfig, ChurnWorkload};
 use partial_compaction::{FaultPlan, FaultSite, ManagerKind, Params};
 use proptest::prelude::*;
@@ -44,19 +44,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     // Corruption injected at a chaos-chosen round is caught within the
-    // paranoia cadence, across managers, substrates, and seeds.
+    // paranoia cadence, across managers and seeds.
     #[test]
     fn injected_corruption_is_detected_within_the_paranoia_cadence(
         seed in 0u64..(1 << 48),
         cadence in 1u32..5,
-        substrate_idx in 0usize..Substrate::ALL.len(),
         kind_idx in 0usize..MIRRORED.len(),
     ) {
-        let substrate = Substrate::ALL[substrate_idx];
         let kind = MIRRORED[kind_idx];
         let params = Params::new(M, LOG_N, 2).expect("valid params");
         let manager = kind.try_build(&params).expect("mirrored kinds build");
-        let heap = Heap::non_moving().with_substrate(substrate);
+        let heap = Heap::non_moving();
         // Rate 100% arms the flip at the first round with live objects;
         // the engine plants at most one corruption per run.
         let plan = FaultPlan::new(seed).with_rate(FaultSite::MirrorFlip, 1_000_000);
@@ -76,7 +74,7 @@ proptest! {
                 prop_assert!(
                     injected.is_none(),
                     "corruption injected at round {:?} survived a clean \
-                     {kind} run on {substrate} (cadence {cadence})",
+                     {kind} run (cadence {cadence})",
                     injected,
                 );
             }
@@ -106,14 +104,12 @@ proptest! {
     fn a_planted_fault_is_visible_to_the_very_next_mirror_check(
         seed in 0u64..(1 << 48),
         roll in 0u64..u64::MAX,
-        substrate_idx in 0usize..Substrate::ALL.len(),
         kind_idx in 0usize..MIRRORED.len(),
     ) {
-        let substrate = Substrate::ALL[substrate_idx];
         let kind = MIRRORED[kind_idx];
         let params = Params::new(M, LOG_N, 2).expect("valid params");
         let manager = kind.try_build(&params).expect("mirrored kinds build");
-        let heap = Heap::non_moving().with_substrate(substrate);
+        let heap = Heap::non_moving();
         let mut exec = Execution::new(heap, churn(seed), manager);
         exec.run_summary().expect("fault-free churn completes");
         let (heap, _, mut manager) = exec.into_parts();
@@ -125,7 +121,7 @@ proptest! {
         prop_assert!(planted, "a finished churn run leaves live objects");
         prop_assert!(
             matches!(manager.mirror_check(heap.space()), MirrorCheck::Divergent(_)),
-            "planted corruption invisible to {kind} mirror check on {substrate}",
+            "planted corruption invisible to {kind} mirror check",
         );
     }
 }

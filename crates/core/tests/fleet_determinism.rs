@@ -1,12 +1,12 @@
 //! Fleet invariants that must hold across machines: the aggregate
-//! report is byte-identical for every thread count × substrate
-//! combination, and the streamed aggregation matches an oracle that
+//! report is byte-identical for every thread count, and the streamed
+//! aggregation matches an oracle that
 //! runs each tenant independently and folds the summaries by hand.
 
 use partial_compaction::fleet::{self, FleetConfig};
 use partial_compaction::heap::HeapSummary;
 use partial_compaction::workload::MixerConfig;
-use partial_compaction::{Execution, Heap, ManagerKind, Params, RunConfig, Substrate};
+use partial_compaction::{Execution, Heap, ManagerKind, Params, RunConfig};
 use pcb_json::ToJson;
 
 fn small_fleet() -> FleetConfig {
@@ -23,36 +23,27 @@ fn small_fleet() -> FleetConfig {
 }
 
 /// The tentpole guarantee: `PCB_THREADS` (resolved into
-/// [`RunConfig::threads`]) and the heap substrate never change a byte of
-/// the aggregate report.
+/// [`RunConfig::threads`]) never changes a byte of the aggregate report.
 #[test]
-fn report_bytes_identical_across_threads_and_substrates() {
+fn report_bytes_identical_across_threads() {
     let cfg = small_fleet();
     let baseline = fleet::run(&cfg, &RunConfig::default())
         .expect("fleet runs")
         .to_json()
         .to_string();
-    for substrate in Substrate::ALL {
-        for threads in [1usize, 2, 4] {
-            let run = RunConfig::default()
-                .with_threads(threads)
-                .with_substrate(substrate);
-            let report = fleet::run(&cfg, &run).expect("fleet runs");
-            assert_eq!(
-                report.to_json().to_string(),
-                baseline,
-                "threads={threads} substrate={substrate:?}"
-            );
-        }
+    for threads in [1usize, 2, 4] {
+        let run = RunConfig::default().with_threads(threads);
+        let report = fleet::run(&cfg, &run).expect("fleet runs");
+        assert_eq!(report.to_json().to_string(), baseline, "threads={threads}");
     }
 }
 
 /// The metric plane obeys the same contract: with metrics on, the
 /// snapshot rides the accumulator (counter sums, gauge maxes, histogram
 /// buckets — integers only), so the whole report, `metrics` key
-/// included, stays byte-identical across thread counts and substrates.
+/// included, stays byte-identical across thread counts.
 #[test]
-fn metrics_plane_identical_across_threads_and_substrates() {
+fn metrics_plane_identical_across_threads() {
     let cfg = small_fleet();
     let with_metrics = RunConfig::default().with_metrics(true);
     let baseline_report = fleet::run(&cfg, &with_metrics).expect("fleet runs");
@@ -65,16 +56,10 @@ fn metrics_plane_identical_across_threads_and_substrates() {
         baseline.contains("\"metrics\""),
         "snapshot embedded in JSON"
     );
-    for substrate in Substrate::ALL {
-        for threads in [1usize, 2, 4] {
-            let run = with_metrics.with_threads(threads).with_substrate(substrate);
-            let report = fleet::run(&cfg, &run).expect("fleet runs");
-            assert_eq!(
-                report.to_json().to_string(),
-                baseline,
-                "threads={threads} substrate={substrate:?}"
-            );
-        }
+    for threads in [1usize, 2, 4] {
+        let run = with_metrics.with_threads(threads);
+        let report = fleet::run(&cfg, &run).expect("fleet runs");
+        assert_eq!(report.to_json().to_string(), baseline, "threads={threads}");
     }
     // Metrics off: no snapshot, no JSON key, same tenant-derived numbers.
     let off = fleet::run(&cfg, &RunConfig::default()).expect("fleet runs");

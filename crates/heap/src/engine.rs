@@ -359,7 +359,7 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         while !self.program.finished() && self.round < self.max_rounds {
             self.step_round_inner(None)?;
         }
-        self.publish_substrate_counters();
+        self.publish_space_counters();
         self.publish_metrics();
         Ok(self.report())
     }
@@ -380,7 +380,7 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         while !self.program.finished() && self.round < self.max_rounds {
             self.step_round_inner(None)?;
         }
-        self.publish_substrate_counters();
+        self.publish_space_counters();
         self.publish_metrics();
         Ok(self.summary())
     }
@@ -396,24 +396,23 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         while !self.program.finished() && self.round < self.max_rounds {
             self.step_round_inner(Some(observer))?;
         }
-        self.publish_substrate_counters();
+        self.publish_space_counters();
         self.publish_metrics();
         Ok(self.report())
     }
 
-    /// Publishes the substrate's telemetry counters (bitmap words scanned,
+    /// Publishes the referee's telemetry counters (bitmap words scanned,
     /// summary-level skips, SoA slot reuse) as high-water marks; a no-op
-    /// while telemetry is disabled or on the reference substrate.
-    fn publish_substrate_counters(&self) {
+    /// while telemetry is disabled.
+    fn publish_space_counters(&self) {
         if !pcb_telemetry::enabled() {
             return;
         }
-        if let Some(c) = self.heap.space().counters() {
-            pcb_telemetry::record_max("space.words_scanned", c.words_scanned);
-            pcb_telemetry::record_max("space.summary_skips", c.summary_skips);
-            pcb_telemetry::record_max("space.slot_high_water", c.slot_high_water);
-            pcb_telemetry::record_max("space.slots_reused", c.slots_reused);
-        }
+        let c = self.heap.space().counters();
+        pcb_telemetry::record_max("space.words_scanned", c.words_scanned);
+        pcb_telemetry::record_max("space.summary_skips", c.summary_skips);
+        pcb_telemetry::record_max("space.slot_high_water", c.slot_high_water);
+        pcb_telemetry::record_max("space.slots_reused", c.slots_reused);
         if self.chaos_counters != ChaosCounters::default() {
             pcb_telemetry::record_max("chaos.alloc_refusals", self.chaos_counters.alloc_refusals);
             pcb_telemetry::record_max("chaos.budget_cuts", self.chaos_counters.budget_cuts);
@@ -423,7 +422,7 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
 
     /// Publishes the run's totals into the `pcb-metrics` registry: engine
     /// operation counts, the waste attribution triple, chaos injections,
-    /// and substrate scan counters. A single relaxed load while the
+    /// and referee scan counters. A single relaxed load while the
     /// registry is disabled (the default). Values are exact integers
     /// derived from the simulated run, so snapshots folded from them stay
     /// byte-identical across thread counts.
@@ -468,12 +467,11 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
             CUTS.add(self.chaos_counters.budget_cuts);
             FLIPS.add(self.chaos_counters.mirror_faults);
         }
-        if let Some(c) = self.heap.space().counters() {
-            SCANNED.record_max(c.words_scanned);
-            SKIPS.record_max(c.summary_skips);
-            SLOT_HIGH.record_max(c.slot_high_water);
-            REUSED.record_max(c.slots_reused);
-        }
+        let c = self.heap.space().counters();
+        SCANNED.record_max(c.words_scanned);
+        SKIPS.record_max(c.summary_skips);
+        SLOT_HIGH.record_max(c.slot_high_water);
+        REUSED.record_max(c.slots_reused);
         // Manager-side counters collected this run share the same
         // exposition path, as do the manager's own index high-water
         // marks (the `manager.*` series).
@@ -606,7 +604,7 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         // Chaos: plant at most one mirror corruption per execution, at
         // the end of the round the schedule selects. The victim word is
         // derived from the plan's seed and the round, so the corruption
-        // is identical across thread counts and substrates.
+        // is identical across thread counts.
         if self.mirror_fault_round.is_none()
             && self
                 .chaos

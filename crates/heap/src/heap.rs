@@ -11,7 +11,7 @@ use crate::addr::{Addr, Extent, Size};
 use crate::budget::CompactionBudget;
 use crate::error::HeapError;
 use crate::object::{ObjectId, ObjectIdGen, ObjectRecord};
-use crate::space::{SpaceMap, Substrate};
+use crate::space::SpaceMap;
 
 /// Sentinel for "not live" in [`ObjectTable::id_to_slot`].
 const NO_SLOT: u32 = u32::MAX;
@@ -204,27 +204,6 @@ impl Heap {
             round: 0,
             stats: HeapStats::default(),
         }
-    }
-
-    /// Selects the occupancy substrate (builder style); without this the
-    /// heap follows `PCB_SUBSTRATE` (bitmap when unset).
-    ///
-    /// # Panics
-    ///
-    /// Panics if anything has already been placed: the substrate must be
-    /// chosen before the first placement.
-    pub fn with_substrate(mut self, substrate: Substrate) -> Self {
-        assert!(
-            self.space.is_empty() && self.objects.len() == 0,
-            "the substrate must be selected before the first placement"
-        );
-        self.space = SpaceMap::with_substrate(substrate);
-        self
-    }
-
-    /// The substrate backing the occupancy map.
-    pub fn substrate(&self) -> Substrate {
-        self.space.substrate()
     }
 
     /// Restricts object sizes to at most `n` words (the paper's parameter
@@ -589,23 +568,6 @@ mod tests {
         let a = h.fresh_id();
         h.place(a, Addr::new(0), Size::new(1)).unwrap();
         assert_eq!(h.record(a).unwrap().birth_round(), 3);
-    }
-
-    #[test]
-    fn substrate_builder_selects_and_reports() {
-        for s in Substrate::ALL {
-            let h = Heap::new(10).with_substrate(s);
-            assert_eq!(h.substrate(), s);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "before the first placement")]
-    fn substrate_after_placement_panics() {
-        let mut h = Heap::new(10);
-        let a = h.fresh_id();
-        h.place(a, Addr::new(0), Size::new(1)).unwrap();
-        let _ = h.with_substrate(Substrate::Reference);
     }
 
     #[test]

@@ -80,6 +80,6 @@ pub use object::{ObjectId, ObjectIdGen, ObjectRecord};
 pub use params::{Params, ParamsError};
 pub use program::{MoveResponse, Program, ScriptRound, ScriptedProgram};
 pub use series::TimeSeries;
-pub use space::{ParseSubstrateError, SpaceMap, Substrate, SubstrateCounters};
+pub use space::{SpaceCounters, SpaceMap};
 pub use stats::{Histogram, StatSink};
 pub use trace::{Trace, TraceEvent, TraceRecorder, TraceWriter, TraceWriterBuilder};

@@ -1,14 +1,18 @@
-//! Lockstep substrate equivalence: random occupy/release/relocate/query
-//! sequences are driven through the bitmap substrate and the `BTreeMap`
-//! reference oracle simultaneously, asserting that the full state and
+//! Lockstep referee equivalence: random occupy/release/relocate/query
+//! sequences are driven through the bitmap [`SpaceMap`] and the seed
+//! `BTreeMap` oracle simultaneously, asserting that the full state and
 //! every query answer — including every error — are identical at every
-//! step. This is the ground-truth argument for swapping the substrate:
-//! any divergence, however small, fails here before it can bias a
-//! simulation result.
+//! step. This is the ground-truth argument for the bitmap referee: any
+//! divergence, however small, fails here before it can bias a simulation
+//! result.
+
+mod oracle;
 
 use proptest::prelude::*;
 
-use pcb_heap::{Addr, Extent, Heap, ObjectId, Size, SpaceMap, Substrate};
+use pcb_heap::{Addr, Extent, Heap, HeapError, ObjectId, Size, SpaceMap};
+
+use oracle::ReferenceSpace;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -44,22 +48,33 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn pair() -> (SpaceMap, SpaceMap) {
-    (
-        SpaceMap::with_substrate(Substrate::Bitmap),
-        SpaceMap::with_substrate(Substrate::Reference),
-    )
+/// The full-state comparison run after every operation: aggregates,
+/// iteration order and gap structure.
+fn assert_same_state(bit: &SpaceMap, oracle: &ReferenceSpace) -> Result<(), TestCaseError> {
+    prop_assert_eq!(bit.len(), oracle.len());
+    prop_assert_eq!(bit.is_empty(), oracle.is_empty());
+    prop_assert_eq!(bit.occupied_words(), oracle.occupied_words());
+    prop_assert_eq!(bit.frontier(), oracle.frontier());
+    prop_assert_eq!(bit.lowest(), oracle.lowest());
+    let bit_iter: Vec<_> = bit.iter().collect();
+    let oracle_iter: Vec<_> = oracle.iter().collect();
+    prop_assert_eq!(bit_iter, oracle_iter);
+    let bit_gaps: Vec<_> = bit.gaps().collect();
+    let oracle_gaps: Vec<_> = oracle.gaps().collect();
+    prop_assert_eq!(bit_gaps, oracle_gaps);
+    Ok(())
 }
 
 // Every mutation result, every aggregate, and every window query must be
-// identical between substrates after every single operation.
+// identical between the referee and the oracle after every single
+// operation.
 proptest! {
     #[test]
     fn space_maps_answer_identically(
         ops in proptest::collection::vec(op_strategy(), 1..150),
         probes in proptest::collection::vec((0u64..13_000, 0u64..600), 1..10),
     ) {
-        let (mut bit, mut oracle) = pair();
+        let (mut bit, mut oracle) = (SpaceMap::new(), ReferenceSpace::default());
         let mut live_starts: Vec<u64> = Vec::new();
         let mut next_id = 0u64;
         for op in ops {
@@ -94,19 +109,7 @@ proptest! {
                     }
                 }
             }
-            // Aggregate state.
-            prop_assert_eq!(bit.len(), oracle.len());
-            prop_assert_eq!(bit.is_empty(), oracle.is_empty());
-            prop_assert_eq!(bit.occupied_words(), oracle.occupied_words());
-            prop_assert_eq!(bit.frontier(), oracle.frontier());
-            prop_assert_eq!(bit.lowest(), oracle.lowest());
-            // Full iteration and gap structure.
-            let bit_iter: Vec<_> = bit.iter().collect();
-            let oracle_iter: Vec<_> = oracle.iter().collect();
-            prop_assert_eq!(bit_iter, oracle_iter);
-            let bit_gaps: Vec<_> = bit.gaps().collect();
-            let oracle_gaps: Vec<_> = oracle.gaps().collect();
-            prop_assert_eq!(bit_gaps, oracle_gaps);
+            assert_same_state(&bit, &oracle)?;
             // Window queries, including zero-sized windows.
             for &(start, len) in &probes {
                 let w = Extent::from_raw(start, len);
@@ -136,62 +139,75 @@ proptest! {
         }
     }
 
-    // Heap-level lockstep: place/free/relocate through full `Heap`s on
-    // each substrate, agreeing on every result, error, and accounting
-    // figure (budget included).
+    // Heap-level lockstep: place/free/relocate through a full `Heap`
+    // while the oracle replays the occupy/release calls each one implies
+    // (relocation is release-then-occupy with rollback); the heap's
+    // referee must answer every call, error and query like the oracle.
     #[test]
-    fn heaps_answer_identically(
+    fn heap_referee_matches_the_oracle(
         ops in proptest::collection::vec(
             (0u64..2_000, 0u64..48, any::<bool>(), 0u64..2_000),
             1..120,
         ),
     ) {
-        let mut bit = Heap::new(4).with_substrate(Substrate::Bitmap);
-        let mut oracle = Heap::new(4).with_substrate(Substrate::Reference);
+        let mut heap = Heap::new(4);
+        let mut oracle = ReferenceSpace::default();
         let mut live: Vec<ObjectId> = Vec::new();
         for (start, len, relocate, dest) in ops {
-            // fresh_id draws must stay in lockstep too.
-            let id = bit.fresh_id();
-            prop_assert_eq!(id, oracle.fresh_id());
-            let got = bit.place(id, Addr::new(start), Size::new(len));
-            let want = oracle.place(id, Addr::new(start), Size::new(len));
-            prop_assert_eq!(&got, &want, "place {} diverged", id);
+            let id = heap.fresh_id();
+            let (at, size) = (Addr::new(start), Size::new(len));
+            let got = heap.place(id, at, size);
+            if len == 0 {
+                prop_assert!(matches!(got, Err(HeapError::InvalidSize { .. })));
+            } else {
+                let want = oracle.occupy(id, Extent::new(at, size)).map_err(HeapError::from);
+                prop_assert_eq!(&got, &want, "place {} diverged", id);
+            }
             if got.is_ok() {
                 live.push(id);
             }
             if relocate && !live.is_empty() {
                 let target = live[(start as usize) % live.len()];
-                let got = bit.relocate(target, Addr::new(dest));
-                let want = oracle.relocate(target, Addr::new(dest));
-                prop_assert_eq!(&got, &want, "relocate {} diverged", target);
+                let rec = *heap.record(target).expect("live");
+                let got = heap.relocate(target, Addr::new(dest));
+                match &got {
+                    Ok(_) if rec.addr() == Addr::new(dest) => {}
+                    Err(HeapError::BudgetExceeded { .. }) => {}
+                    _ => {
+                        oracle.release(rec.addr()).expect("oracle holds the object");
+                        let moved = oracle.occupy(target, Extent::new(Addr::new(dest), rec.size()));
+                        if let Err(e) = &moved {
+                            prop_assert_eq!(&got, &Err(HeapError::Space(e.clone())));
+                            oracle.occupy(target, rec.extent()).expect("rollback");
+                        } else {
+                            prop_assert_eq!(&got, &Ok(rec.addr()), "relocate {} diverged", target);
+                        }
+                    }
+                }
             }
             if len % 3 == 0 && !live.is_empty() {
                 let victim = live.remove((dest as usize) % live.len());
-                let got = bit.free(victim);
-                let want = oracle.free(victim);
-                prop_assert_eq!(&got, &want, "free {} diverged", victim);
+                let (addr, size) = heap.free(victim).expect("victim is live");
+                let want = oracle.release(addr).expect("oracle holds the victim");
+                prop_assert_eq!(want, (Extent::new(addr, size), victim));
             }
-            prop_assert_eq!(bit.live_words(), oracle.live_words());
-            prop_assert_eq!(bit.live_count(), oracle.live_count());
-            prop_assert_eq!(bit.peak_live(), oracle.peak_live());
-            prop_assert_eq!(bit.heap_size(), oracle.heap_size());
-            prop_assert_eq!(
-                bit.budget().allocated_total(),
-                oracle.budget().allocated_total()
-            );
-            prop_assert_eq!(bit.budget().moved_total(), oracle.budget().moved_total());
+            assert_same_state(heap.space(), &oracle)?;
+            prop_assert_eq!(heap.live_words(), oracle.occupied_words());
+            prop_assert_eq!(heap.live_count(), oracle.len());
             for probe in [start, dest, start + len] {
                 prop_assert_eq!(
-                    bit.space().object_at(Addr::new(probe)),
-                    oracle.space().object_at(Addr::new(probe))
+                    heap.space().object_at(Addr::new(probe)),
+                    oracle.object_at(Addr::new(probe))
                 );
             }
         }
-        // Final object records agree (address order).
-        let mut bit_objs: Vec<_> = bit.live_objects().copied().collect();
-        let mut oracle_objs: Vec<_> = oracle.live_objects().copied().collect();
-        bit_objs.sort_by_key(|r| r.addr());
-        oracle_objs.sort_by_key(|r| r.addr());
-        prop_assert_eq!(bit_objs, oracle_objs);
+        // Final object records agree with the oracle's intervals.
+        let mut objs: Vec<_> = heap
+            .live_objects()
+            .map(|r| (r.extent(), r.id()))
+            .collect();
+        objs.sort_by_key(|&(e, _)| e.start());
+        let oracle_objs: Vec<_> = oracle.iter().collect();
+        prop_assert_eq!(objs, oracle_objs);
     }
 }

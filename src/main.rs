@@ -23,10 +23,6 @@
 //! --stats                                      print manager counters
 //! --trace-out <file.json>                      engine span trace (Perfetto)
 //! --profile                                    print the span profile table
-//! --substrate bitmap|reference                 occupancy substrate (cross-
-//!                                              check against the oracle)
-//! --mirror indexed|reference                   manager-mirror impl (cross-
-//!                                              check against the seed)
 //! --progress[=secs]                            heartbeat on stderr
 //! --progress-out <file.jsonl>                  heartbeat JSONL stream
 //! --metrics                                    collect the metric plane
@@ -51,7 +47,7 @@ use partial_compaction::workload::{tenant_by_kind, MixWeights, TenantShape};
 use partial_compaction::{
     benchdiff, bounds, figures, fleet, metrics, telemetry, ManagerKind, Params, PfConfig, PfProgram,
 };
-use partial_compaction::{Observers, RunConfig, Substrate, TimeSeries, TraceWriter};
+use partial_compaction::{Observers, RunConfig, TimeSeries, TraceWriter};
 use partial_compaction::{PfVariant, RobsonProgram};
 use pcb_json::Json;
 
@@ -107,7 +103,6 @@ usage:
                [--manager <name>] [--m <words>] [--log-n <k>] [--c <c>]
                [--rounds <k>] [--allocs <k>] [--map] [--validate]
                [--series <file>] [--every <k>] [--stats]
-               [--substrate bitmap|reference] [--mirror indexed|reference]
                [--chaos <spec>] [--paranoia <k>]
                [--progress[=secs]] [--progress-out <file.jsonl>]
                [--metrics] [--metrics-out <file>]
@@ -117,8 +112,7 @@ usage:
             [--seed <s>] [--m-min <words>] [--m-max <words>]
             [--theta <zipf>] [--rounds <k>] [--allocs <k>]
             [--mix churn,ramp,replay,adversary] [--c <c>]
-            [--threads <n>] [--substrate bitmap|reference]
-            [--mirror indexed|reference] [--json]
+            [--threads <n>] [--json]
             [--chaos <spec>] [--paranoia <k>]
             [--checkpoint <file>] [--checkpoint-every <shards>]
             [--resume] [--stop-after <shards>]
@@ -299,8 +293,6 @@ struct SimOpts {
     stats: bool,
     trace_out: Option<String>,
     profile: bool,
-    substrate: Option<Substrate>,
-    mirror: Option<partial_compaction::MirrorImpl>,
     rounds: Option<u32>,
     allocs: Option<usize>,
     chaos: Option<partial_compaction::FaultPlan>,
@@ -324,8 +316,6 @@ fn parse_opts(args: &[String]) -> Result<SimOpts, String> {
         stats: false,
         trace_out: None,
         profile: false,
-        substrate: None,
-        mirror: None,
         rounds: None,
         allocs: None,
         chaos: None,
@@ -371,18 +361,6 @@ fn parse_opts(args: &[String]) -> Result<SimOpts, String> {
             "--stats" => opts.stats = true,
             "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
             "--profile" => opts.profile = true,
-            "--substrate" => {
-                opts.substrate =
-                    Some(value("--substrate")?.parse().map_err(
-                        |e: partial_compaction::heap::ParseSubstrateError| e.to_string(),
-                    )?)
-            }
-            "--mirror" => {
-                opts.mirror =
-                    Some(value("--mirror")?.parse().map_err(
-                        |e: partial_compaction::alloc::ParseMirrorImplError| e.to_string(),
-                    )?)
-            }
             "--rounds" => {
                 opts.rounds = Some(
                     value("--rounds")?
@@ -448,15 +426,9 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
     let opts = parse_opts(args)?;
     let params = Params::new(opts.m, opts.log_n, opts.c).map_err(|e| e.to_string())?;
     // The run configuration is resolved once, here at the boundary: the
-    // environment (`PCB_SUBSTRATE`, `PCB_THREADS`) is the fallback, flags
-    // override it, and everything downstream receives plain data.
+    // environment (`PCB_THREADS`) is the fallback, flags override it, and
+    // everything downstream receives plain data.
     let mut run = RunConfig::from_env().with_telemetry(opts.trace_out.is_some() || opts.profile);
-    if let Some(substrate) = opts.substrate {
-        run = run.with_substrate(substrate);
-    }
-    if let Some(mirror) = opts.mirror {
-        run = run.with_mirror(mirror);
-    }
     if let Some(chaos) = opts.chaos {
         run = run.with_chaos(chaos);
     }
@@ -472,8 +444,7 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
         Heap::new(opts.c)
     } else {
         Heap::non_moving()
-    }
-    .with_substrate(run.substrate);
+    };
     let budget_c = if opts.manager.is_unbounded() {
         0
     } else if opts.manager.is_compacting() || opts.program.starts_with("pf") {
@@ -483,10 +454,7 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
     };
     // try_build: a parameter combination the manager cannot serve is a
     // clean CLI error, not a panic.
-    let manager = opts
-        .manager
-        .try_build_with(&params, run.mirror)
-        .map_err(|e| e.to_string())?;
+    let manager = opts.manager.try_build(&params).map_err(|e| e.to_string())?;
 
     let program: Box<dyn Program> = match opts.program.as_str() {
         "pf" | "pf-baseline" => {
@@ -740,18 +708,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
                         .parse()
                         .map_err(|e| format!("--threads: {e}"))?,
                 )
-            }
-            "--substrate" => {
-                run =
-                    run.with_substrate(value("--substrate")?.parse().map_err(
-                        |e: partial_compaction::heap::ParseSubstrateError| e.to_string(),
-                    )?)
-            }
-            "--mirror" => {
-                run =
-                    run.with_mirror(value("--mirror")?.parse().map_err(
-                        |e: partial_compaction::alloc::ParseMirrorImplError| e.to_string(),
-                    )?)
             }
             "--chaos" => {
                 run =

@@ -78,6 +78,21 @@ fn simulate_rejects_unknown_manager() {
 }
 
 #[test]
+fn retired_oracle_flags_are_unknown() {
+    // The occupancy substrate and the manager mirror have one
+    // implementation each; their seed oracles live in the lockstep tests,
+    // so neither subcommand accepts a flag to select them.
+    for args in [
+        ["simulate", "--substrate", "reference"],
+        ["fleet", "--mirror", "reference"],
+    ] {
+        let (_, stderr, ok) = pcb(&args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn record_then_replay_round_trips() {
     let dir = std::env::temp_dir().join("pcb-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
