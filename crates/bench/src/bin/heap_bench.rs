@@ -22,13 +22,12 @@
 //! `BENCH_heap.json` unless `--out` overrides it. Smoke and full mode
 //! run the *same number* of cells so `pcb bench diff` can
 //! structure-check a smoke artifact against the checked-in full
-//! baseline. `--trace-out` records spans and the referee's high-water
-//! counters in Chrome trace-event format.
+//! baseline. `--trace-out` records spans in Chrome trace-event format.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use pcb_telemetry as telemetry;
+use partial_compaction::metrics::{self, spans};
 
 use partial_compaction::heap::{Addr, Event, Extent, ObjectId, Recorder, Size, SpaceMap};
 use partial_compaction::{parallel, sim, ManagerKind, Params};
@@ -183,7 +182,7 @@ fn main() {
     let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_heap.json".into());
     let trace_out = flag_value(&args, "--trace-out");
     if trace_out.is_some() {
-        telemetry::enable();
+        spans::enable();
     }
     let iters: u32 = if smoke { 1 } else { 3 };
     let sweep_rounds: u32 = if smoke { 4 } else { 16 };
@@ -210,18 +209,11 @@ fn main() {
             .expect("observed run matches the timed runs");
         let ops = distill(&recorder);
         let (replay_s, final_space) = {
-            let _span = telemetry::span!("bench.bitmap_replay");
+            let _span = metrics::span!("bench.bitmap_replay");
             timed(iters, || replay(&ops))
         };
         // Window-query surface on the final replayed state.
         let (window, _) = timed(iters, || window_sweep(&final_space, sweep_rounds));
-        if telemetry::enabled() {
-            let c = final_space.counters();
-            telemetry::record_max("space.words_scanned", c.words_scanned);
-            telemetry::record_max("space.summary_skips", c.summary_skips);
-            telemetry::record_max("space.slot_high_water", c.slot_high_water);
-            telemetry::record_max("space.slots_reused", c.slots_reused);
-        }
 
         let op_count = ops.len() as u64;
         eprintln!(
@@ -268,14 +260,10 @@ fn main() {
          e2e {total_e2e:.4}s -> {out_path}"
     );
     if let Some(path) = trace_out {
-        telemetry::disable();
-        let trace = telemetry::take_trace();
+        spans::disable();
+        let trace = spans::take_trace();
         let doc = trace.to_chrome_trace();
         std::fs::write(&path, format!("{doc}\n")).expect("write trace");
-        eprintln!(
-            "trace: {} spans, {} high-water counters -> {path}",
-            trace.len(),
-            trace.counters.len()
-        );
+        eprintln!("trace: {} spans -> {path}", trace.len());
     }
 }

@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use pcb_telemetry as telemetry;
+use partial_compaction::metrics;
 
 use partial_compaction::{
     sim, Execution, Heap, ManagerKind, Params, PfConfig, PfProgram, TraceWriter,
@@ -144,11 +144,11 @@ fn main() {
     let mut events = 0u64;
     for _ in 0..iters {
         let (raw_s, raw_fp) = {
-            let _span = telemetry::span!("bench.raw");
+            let _span = metrics::span!("bench.raw");
             timed(|| run_raw(&cells))
         };
         let (detached_s, detached_fp) = {
-            let _span = telemetry::span!("bench.detached");
+            let _span = metrics::span!("bench.detached");
             timed(|| run_detached(&cells))
         };
         assert_eq!(
@@ -156,7 +156,7 @@ fn main() {
             "the detached builder must reproduce the raw engine exactly"
         );
         let (attached_s, (attached_fp, iter_events)) = {
-            let _span = telemetry::span!("bench.attached");
+            let _span = metrics::span!("bench.attached");
             timed(|| run_attached(&cells))
         };
         assert_eq!(

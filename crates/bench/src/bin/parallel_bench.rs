@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use pcb_telemetry as telemetry;
+use partial_compaction::metrics::{self, spans};
 
 use partial_compaction::exhaustive::{worst_case, SearchPolicy};
 use partial_compaction::sweep::{over_c, Bound};
@@ -146,7 +146,7 @@ fn main() {
     let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_parallel.json".into());
     let trace_out = flag_value(&args, "--trace-out");
     if trace_out.is_some() {
-        telemetry::enable();
+        spans::enable();
     }
     let iters: u32 = if smoke { 1 } else { 3 };
 
@@ -177,12 +177,12 @@ fn main() {
     for workload in &workloads {
         std::env::set_var("PCB_THREADS", "1");
         let (seq_seconds, seq_fingerprint) = {
-            let _span = telemetry::span!("bench.sequential");
+            let _span = metrics::span!("bench.sequential");
             timed(iters, &workload.run)
         };
         restore();
         let (par_seconds, par_fingerprint) = {
-            let _span = telemetry::span!("bench.parallel");
+            let _span = metrics::span!("bench.parallel");
             timed(iters, &workload.run)
         };
         assert_eq!(
@@ -246,8 +246,8 @@ fn main() {
         );
     }
     if let Some(path) = trace_out {
-        telemetry::disable();
-        let trace = telemetry::take_trace();
+        spans::disable();
+        let trace = spans::take_trace();
         let doc = trace.to_chrome_trace();
         std::fs::write(&path, format!("{doc}\n")).expect("write trace");
         eprintln!(

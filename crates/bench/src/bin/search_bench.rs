@@ -1,12 +1,11 @@
-//! Before/after benchmark of the exhaustive worst-case search.
+//! Benchmark of the exhaustive worst-case search.
 //!
-//! Runs a pinned grid of `(M, log₂ n, policy)` cells twice per cell —
-//! once through the retained seed implementation
-//! (`exhaustive::reference`: `Vec` states, `HashSet` dedup, clone per
-//! successor) and once through the packed/interned pipeline behind
-//! `exhaustive::try_worst_case` — verifies both certify byte-identical
-//! `WorstCase` results, and emits a machine-readable JSON artifact with
-//! states/second, seen-set resident bytes, and bytes/state for each side.
+//! Runs a pinned grid of `(M, log₂ n, policy)` cells through the
+//! packed/interned pipeline behind `exhaustive::try_worst_case` and
+//! emits a machine-readable JSON artifact with the certified worst case,
+//! states/second and seen-set bytes/state for each cell. Equivalence with
+//! the seed search is tested, not benchmarked: the seed lives on as a
+//! test oracle (`crates/core/tests/oracle/`).
 //!
 //! ```text
 //! cargo run --release -p pcb-bench --bin search_bench \
@@ -18,18 +17,17 @@
 //! unless `--out` overrides it. Smoke and full mode run the *same
 //! number* of cells so `pcb bench diff` can structure-check a smoke
 //! artifact against the checked-in full baseline. `--trace-out` records
-//! the packed search's spans and high-water counters in Chrome
-//! trace-event format.
+//! the search's spans in Chrome trace-event format.
 
 use std::time::Instant;
 
-use pcb_telemetry as telemetry;
+use partial_compaction::metrics::{self, spans};
 
-use partial_compaction::exhaustive::{reference, try_worst_case, SearchPolicy};
+use partial_compaction::exhaustive::{try_worst_case, SearchPolicy};
 use partial_compaction::{parallel, Params};
 use pcb_json::Json;
 
-/// One grid cell of the before/after comparison.
+/// One grid cell.
 struct Cell {
     m: u64,
     log_n: u32,
@@ -47,10 +45,9 @@ impl Cell {
 }
 
 /// The pinned grid. Smoke cells are tiny (hundreds to thousands of
-/// states) so CI finishes in seconds; full cells are the largest the
-/// deliberately slow reference implementation can still traverse in a
-/// best-of-three loop. Both modes have the same cell count on purpose:
-/// `pcb bench diff` enforces array lengths even across hosts.
+/// states) so CI finishes in seconds; full cells reach half a million
+/// states. Both modes have the same cell count on purpose: `pcb bench
+/// diff` enforces array lengths even across hosts.
 fn grid(smoke: bool) -> Vec<Cell> {
     if smoke {
         vec![
@@ -99,7 +96,7 @@ fn main() {
     let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_search.json".into());
     let trace_out = flag_value(&args, "--trace-out");
     if trace_out.is_some() {
-        telemetry::enable();
+        spans::enable();
     }
     let iters: u32 = if smoke { 1 } else { 3 };
     let threads = parallel::thread_count();
@@ -108,69 +105,37 @@ fn main() {
         .unwrap_or(1);
 
     let mut rows: Vec<Json> = Vec::new();
-    let (mut total_seed, mut total_packed) = (0.0f64, 0.0f64);
-    let mut min_bytes_ratio = f64::INFINITY;
+    let mut total = 0.0f64;
     for cell in grid(smoke) {
         let params = Params::new(cell.m, cell.log_n, 10).expect("grid cell is a valid Params");
-        let (seed_seconds, seed) = timed(iters, || {
-            reference::worst_case(params, cell.policy, MAX_STATES).expect("grid cell is toy-scale")
-        });
-        let (packed_seconds, packed) = {
-            let _span = telemetry::span!("bench.packed_search");
+        let (seconds, report) = {
+            let _span = metrics::span!("bench.packed_search");
             timed(iters, || {
                 try_worst_case(params, cell.policy, MAX_STATES).expect("grid cell is toy-scale")
             })
         };
-        assert_eq!(
-            packed.worst,
-            seed.worst,
-            "{}: packed search diverged from the seed implementation",
-            cell.label()
-        );
-        let states = packed.worst.states as f64;
-        let seed_bytes_per_state = seed.resident_bytes as f64 / states;
-        let packed_bytes_per_state = packed.stats.resident_bytes as f64 / states;
-        let bytes_ratio = seed_bytes_per_state / packed_bytes_per_state;
-        min_bytes_ratio = min_bytes_ratio.min(bytes_ratio);
-        let speedup = seed_seconds / packed_seconds;
+        let states = report.worst.states as f64;
+        let bytes_per_state = report.stats.resident_bytes as f64 / states;
         eprintln!(
-            "{:24} {:9} states  seed {:7.3}s  packed {:7.3}s  speedup {:4.2}x  \
-             {:5.1} -> {:4.1} bytes/state ({:.2}x)",
+            "{:24} {:9} states  {:7.3}s  {:4.1} bytes/state",
             cell.label(),
-            packed.worst.states,
-            seed_seconds,
-            packed_seconds,
-            speedup,
-            seed_bytes_per_state,
-            packed_bytes_per_state,
-            bytes_ratio,
+            report.worst.states,
+            seconds,
+            bytes_per_state,
         );
-        total_seed += seed_seconds;
-        total_packed += packed_seconds;
+        total += seconds;
         rows.push(Json::object([
             ("name", Json::from(cell.label().as_str())),
-            ("heap_size", Json::from(packed.worst.heap_size)),
-            ("states", Json::from(packed.worst.states as u64)),
-            ("levels", Json::from(packed.stats.levels as u64)),
+            ("heap_size", Json::from(report.worst.heap_size)),
+            ("states", Json::from(report.worst.states as u64)),
+            ("levels", Json::from(report.stats.levels as u64)),
             (
                 "peak_frontier",
-                Json::from(packed.stats.peak_frontier as u64),
+                Json::from(report.stats.peak_frontier as u64),
             ),
-            ("seed_seconds", Json::from(seed_seconds)),
-            ("packed_seconds", Json::from(packed_seconds)),
-            ("speedup", Json::from(speedup)),
-            (
-                "packed_throughput_states_per_sec",
-                Json::from(states / packed_seconds),
-            ),
-            (
-                "seed_throughput_states_per_sec",
-                Json::from(states / seed_seconds),
-            ),
-            ("seed_bytes_per_state", Json::from(seed_bytes_per_state)),
-            ("packed_bytes_per_state", Json::from(packed_bytes_per_state)),
-            ("bytes_ratio", Json::from(bytes_ratio)),
-            ("identical", Json::from(true)),
+            ("seconds", Json::from(seconds)),
+            ("throughput_states_per_sec", Json::from(states / seconds)),
+            ("bytes_per_state", Json::from(bytes_per_state)),
         ]));
     }
 
@@ -181,26 +146,15 @@ fn main() {
         ("iters_per_cell", Json::from(iters)),
         ("max_states", Json::from(MAX_STATES as u64)),
         ("cells", Json::Array(rows)),
-        ("total_seed_seconds", Json::from(total_seed)),
-        ("total_packed_seconds", Json::from(total_packed)),
-        ("overall_speedup", Json::from(total_seed / total_packed)),
-        ("min_bytes_ratio", Json::from(min_bytes_ratio)),
+        ("total_seconds", Json::from(total)),
     ]);
     std::fs::write(&out_path, format!("{report}\n")).expect("write artifact");
-    eprintln!(
-        "overall speedup {:.2}x, worst bytes ratio {:.2}x -> {out_path}",
-        total_seed / total_packed,
-        min_bytes_ratio
-    );
+    eprintln!("total {total:.3}s -> {out_path}");
     if let Some(path) = trace_out {
-        telemetry::disable();
-        let trace = telemetry::take_trace();
+        spans::disable();
+        let trace = spans::take_trace();
         let doc = trace.to_chrome_trace();
         std::fs::write(&path, format!("{doc}\n")).expect("write trace");
-        eprintln!(
-            "trace: {} spans, {} high-water counters -> {path}",
-            trace.len(),
-            trace.counters.len()
-        );
+        eprintln!("trace: {} spans -> {path}", trace.len());
     }
 }

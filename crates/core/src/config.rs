@@ -19,8 +19,8 @@ use core::fmt;
 
 use pcb_chaos::FaultPlan;
 
-/// The resolved knobs of one run: worker threads, telemetry and metrics
-/// collection, and the chaos/paranoia settings.
+/// The resolved knobs of one run: worker threads, metrics collection,
+/// and the chaos/paranoia settings.
 ///
 /// Construct with [`RunConfig::from_env`] at the process boundary, then
 /// override fields from CLI flags; every field is plain data, so the
@@ -30,8 +30,6 @@ pub struct RunConfig {
     /// Worker threads for [`par_map_threads`](crate::parallel::par_map_threads)
     /// fan-outs (≥ 1).
     pub threads: usize,
-    /// Whether telemetry span collection is on.
-    pub telemetry: bool,
     /// Deterministic fault schedule threaded into every execution the
     /// run creates; empty (the default) injects nothing at zero cost.
     pub chaos: FaultPlan,
@@ -47,11 +45,10 @@ pub struct RunConfig {
 impl RunConfig {
     /// Resolves the configuration from the environment: `PCB_THREADS`
     /// (falling back to the machine's available parallelism) and the
-    /// current telemetry and metrics state.
+    /// current metrics state.
     pub fn from_env() -> Self {
         RunConfig {
             threads: crate::parallel::thread_count(),
-            telemetry: pcb_telemetry::enabled(),
             chaos: FaultPlan::empty(),
             paranoia: 0,
             metrics: pcb_metrics::enabled(),
@@ -61,12 +58,6 @@ impl RunConfig {
     /// Overrides the thread count (values < 1 are clamped to 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Overrides the telemetry toggle.
-    pub fn with_telemetry(mut self, telemetry: bool) -> Self {
-        self.telemetry = telemetry;
         self
     }
 
@@ -89,15 +80,9 @@ impl RunConfig {
     }
 
     /// Applies the process-global side of the configuration (the
-    /// telemetry and metrics registries are process singletons; the
-    /// other fields are threaded explicitly and need no global
-    /// application).
+    /// metrics registry is a process singleton; the other fields are
+    /// threaded explicitly and need no global application).
     pub fn apply(&self) {
-        if self.telemetry {
-            pcb_telemetry::enable();
-        } else {
-            pcb_telemetry::disable();
-        }
         if self.metrics {
             pcb_metrics::enable();
         } else {
@@ -107,12 +92,11 @@ impl RunConfig {
 }
 
 impl Default for RunConfig {
-    /// Single-threaded, telemetry off — the fully deterministic baseline
+    /// Single-threaded, metrics off — the fully deterministic baseline
     /// used by tests and oracles.
     fn default() -> Self {
         RunConfig {
             threads: 1,
-            telemetry: false,
             chaos: FaultPlan::empty(),
             paranoia: 0,
             metrics: false,
@@ -122,12 +106,7 @@ impl Default for RunConfig {
 
 impl fmt::Display for RunConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "threads={} telemetry={}",
-            self.threads,
-            if self.telemetry { "on" } else { "off" }
-        )?;
+        write!(f, "threads={}", self.threads)?;
         // The chaos, paranoia and metrics knobs print only when set, so
         // the common display stays compact.
         if !self.chaos.is_empty() {
@@ -151,14 +130,14 @@ mod tests {
     fn default_is_the_deterministic_baseline() {
         let cfg = RunConfig::default();
         assert_eq!(cfg.threads, 1);
-        assert!(!cfg.telemetry);
+        assert!(!cfg.metrics);
     }
 
     #[test]
     fn builders_override_fields() {
-        let cfg = RunConfig::default().with_threads(4).with_telemetry(true);
+        let cfg = RunConfig::default().with_threads(4).with_metrics(true);
         assert_eq!(cfg.threads, 4);
-        assert!(cfg.telemetry);
+        assert!(cfg.metrics);
         assert_eq!(RunConfig::default().with_threads(0).threads, 1);
     }
 
@@ -172,13 +151,13 @@ mod tests {
     #[test]
     fn display_is_compact() {
         let cfg = RunConfig::default();
-        assert_eq!(cfg.to_string(), "threads=1 telemetry=off");
+        assert_eq!(cfg.to_string(), "threads=1");
     }
 
     #[test]
     fn display_names_the_metrics_knob_only_when_on() {
         let cfg = RunConfig::default().with_metrics(true);
-        assert_eq!(cfg.to_string(), "threads=1 telemetry=off metrics=on");
+        assert_eq!(cfg.to_string(), "threads=1 metrics=on");
     }
 
     #[test]
@@ -189,7 +168,7 @@ mod tests {
             .with_paranoia(8);
         assert_eq!(
             cfg.to_string(),
-            "threads=1 telemetry=off chaos=seed=7,tenant-panic=50 paranoia=8"
+            "threads=1 chaos=seed=7,tenant-panic=50 paranoia=8"
         );
     }
 }

@@ -44,13 +44,13 @@
 //!   through per-worker scratch buffers — no intermediate interval
 //!   vector, no per-child clone.
 //!
-//! The seed implementation survives as [`mod@reference`], the oracle that
-//! the packed pipeline is tested byte-identical against.
+//! The seed implementation survives as a test oracle
+//! (`tests/oracle/`) that the packed pipeline is tested byte-identical
+//! against.
 
 pub mod checkpoint;
 pub mod intern;
 pub mod packed;
-pub mod reference;
 
 use std::cell::RefCell;
 
@@ -98,7 +98,7 @@ impl SearchPolicy {
     /// Places a `size`-word object into the configuration (sorted,
     /// disjoint intervals) and returns the address. `rover` is ignored by
     /// the stateless policies.
-    fn place(self, occ: &[(u64, u64)], rover: u64, size: u64) -> u64 {
+    pub fn place(self, occ: &[(u64, u64)], rover: u64, size: u64) -> u64 {
         // Gaps between intervals (and before the first).
         let mut best: Option<(u64, u64)> = None; // (len, start)
         let mut wrapped: Option<u64> = None; // next-fit pass 2 candidate
@@ -257,8 +257,8 @@ thread_local! {
 /// The address range is capped at `4·M·log₂(n+2)` words as a safety net;
 /// reaching it means the cap was too small to certify a maximum. The
 /// `WorstCase` inside the report is byte-identical across thread counts
-/// (`PCB_THREADS=1` forces the sequential path) and to the
-/// [`mod@reference`] implementation.
+/// (`PCB_THREADS=1` forces the sequential path) and to the seed
+/// implementation kept as a test oracle.
 ///
 /// # Errors
 ///
@@ -286,7 +286,7 @@ pub fn try_worst_case_with(
     max_states: usize,
     run: &crate::RunConfig,
 ) -> Result<SearchReport, SearchError> {
-    let _span = pcb_telemetry::span!("exhaustive.worst_case");
+    let _span = pcb_metrics::span!("exhaustive.worst_case");
     let mut search = Search::new(params, policy, max_states, run)?;
     while !search.is_done() {
         search.step()?;
@@ -322,7 +322,7 @@ pub fn try_worst_case_observed(
     run: &crate::RunConfig,
     mut on_level: impl FnMut(LevelPulse),
 ) -> Result<SearchReport, SearchError> {
-    let _span = pcb_telemetry::span!("exhaustive.worst_case");
+    let _span = pcb_metrics::span!("exhaustive.worst_case");
     let mut search = Search::new(params, policy, max_states, run)?;
     while !search.is_done() {
         search.step()?;
@@ -399,7 +399,7 @@ pub fn try_worst_case_resumable(
     run: &crate::RunConfig,
     opts: &CheckpointOptions,
 ) -> Result<SearchOutcome, ResumeError> {
-    let _span = pcb_telemetry::span!("exhaustive.worst_case");
+    let _span = pcb_metrics::span!("exhaustive.worst_case");
     let mut search = Search::new(params, policy, max_states, run).map_err(ResumeError::Search)?;
     if opts.resume {
         checkpoint::restore(&mut search, params, policy, opts)?;
@@ -570,12 +570,11 @@ impl Search {
     fn step(&mut self) -> Result<(), SearchError> {
         // One span per BFS level: a trace of the search shows the level
         // widths growing and the dedup fan-out taking over.
-        let _level_span = pcb_telemetry::span!("exhaustive.level");
+        let _level_span = pcb_metrics::span!("exhaustive.level");
         self.stats.levels += 1;
         self.stats.peak_frontier = self.stats.peak_frontier.max(self.frontier.len());
-        pcb_telemetry::record_max("exhaustive.frontier_states", self.frontier.len() as u64);
-        // The same high-water marks on the metric plane (one relaxed
-        // load each when metrics are off).
+        // High-water marks on the metric plane (one relaxed load each
+        // when metrics are off).
         static FRONTIER_GAUGE: pcb_metrics::Gauge =
             pcb_metrics::Gauge::new("exhaustive.frontier_states");
         static LEVELS_GAUGE: pcb_metrics::Gauge = pcb_metrics::Gauge::new("exhaustive.levels");
@@ -602,7 +601,7 @@ impl Search {
         }
 
         let total_succ: usize = by_shard.iter().map(Vec::len).sum();
-        let _dedup_span = pcb_telemetry::span!("exhaustive.dedup");
+        let _dedup_span = pcb_metrics::span!("exhaustive.dedup");
         self.frontier = if self.shards > 1 && total_succ >= PAR_LEVEL {
             let mut fresh_by_shard: Vec<Vec<PackedState>> = Vec::with_capacity(self.shards);
             std::thread::scope(|scope| {
@@ -643,11 +642,6 @@ impl Search {
         };
 
         let states: usize = self.seen.iter().map(Interner::len).sum();
-        pcb_telemetry::record_max("exhaustive.interned_states", states as u64);
-        pcb_telemetry::record_max(
-            "exhaustive.resident_bytes",
-            self.seen.iter().map(Interner::resident_bytes).sum(),
-        );
         static SEEN_GAUGE: pcb_metrics::Gauge =
             pcb_metrics::Gauge::new("exhaustive.interned_states");
         static RESIDENT_GAUGE: pcb_metrics::Gauge =

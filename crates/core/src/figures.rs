@@ -31,7 +31,7 @@ pub struct Fig1Row {
 /// Figure 1: lower bound on the waste factor for `M = 256 MB`,
 /// `n = 1 MB` (words: `2^28`, `2^20`), `c = 10..=100`.
 pub fn figure1() -> Vec<Fig1Row> {
-    let _span = pcb_telemetry::span!("figures.figure1");
+    let _span = pcb_metrics::span!("figures.figure1");
     let cs: Vec<u64> = (10..=100).collect();
     parallel::par_map(&cs, |&c| {
         let p = Params::paper_example(c);
@@ -72,7 +72,7 @@ pub struct Fig2Row {
 /// Figure 2: lower bound on the waste factor as a function of `n`
 /// (`c = 100`, `M = 256·n`, `n = 2^10 ..= 2^30`).
 pub fn figure2() -> Vec<Fig2Row> {
-    let _span = pcb_telemetry::span!("figures.figure2");
+    let _span = pcb_metrics::span!("figures.figure2");
     let log_ns: Vec<u32> = (10..=30).collect();
     parallel::par_map(&log_ns, |&log_n| {
         let p = Params::new(256u64 << log_n, log_n, 100).expect("valid sweep point");
@@ -115,7 +115,7 @@ pub struct Fig3Row {
 /// Figure 3: upper bound on the waste factor for the Figure-1 parameters,
 /// `c = 10..=100`.
 pub fn figure3() -> Vec<Fig3Row> {
-    let _span = pcb_telemetry::span!("figures.figure3");
+    let _span = pcb_metrics::span!("figures.figure3");
     let cs: Vec<u64> = (10..=100).collect();
     parallel::par_map(&cs, |&c| {
         let p = Params::paper_example(c);

@@ -880,7 +880,7 @@ fn drive(
     ckpt: Option<&CheckpointOptions>,
     progress: Option<&ProgressOptions>,
 ) -> Result<FleetOutcome, FleetError> {
-    let _span = pcb_telemetry::span!("fleet.run");
+    let _span = pcb_metrics::span!("fleet.run");
     if cfg.tenants == 0 {
         return Err(FleetError::Config("tenants must be >= 1".into()));
     }
@@ -966,7 +966,7 @@ fn drive(
         let end = (done + every).min(target);
         let shard_results: Vec<Result<FleetAccumulator, FleetError>> =
             parallel::par_map_threads(run.threads, &ranges[done..end], |&(lo, hi)| {
-                let _span = pcb_telemetry::span!("fleet.shard");
+                let _span = pcb_metrics::span!("fleet.shard");
                 let mut acc = FleetAccumulator::new(kinds.len(), size_buckets);
                 for index in lo..hi {
                     let (spec, outcome) =

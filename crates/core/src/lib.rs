@@ -88,7 +88,6 @@ pub use pcb_alloc as alloc;
 pub use pcb_chaos as chaos;
 pub use pcb_heap as heap;
 pub use pcb_metrics as metrics;
-pub use pcb_telemetry as telemetry;
 pub use pcb_workload as workload;
 
 // The most-used types, flattened for convenience.

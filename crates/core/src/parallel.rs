@@ -71,7 +71,7 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let _span = pcb_telemetry::span!("parallel.par_map");
+    let _span = pcb_metrics::span!("parallel.par_map");
     let threads = threads.max(1).min(items.len());
     if threads <= 1 {
         return items.iter().map(f).collect();
@@ -86,7 +86,7 @@ where
                     // One span per shard lifetime: in a trace each worker
                     // renders as its own track, so load imbalance between
                     // shards is visible as ragged lane ends.
-                    let _span = pcb_telemetry::span!("parallel.worker");
+                    let _span = pcb_metrics::span!("parallel.worker");
                     let mut produced = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);

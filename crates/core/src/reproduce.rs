@@ -51,7 +51,7 @@ impl Check {
 /// Runs every check. Analytic checks use the paper's exact parameters;
 /// executable checks run at `M = 2^14..2^15` words.
 pub fn all_checks() -> Vec<Check> {
-    let _span = pcb_telemetry::span!("reproduce.all_checks");
+    let _span = pcb_metrics::span!("reproduce.all_checks");
     let mut checks = Vec::new();
 
     // ---- E1/E4: Theorem 1 at the paper's parameters. ----

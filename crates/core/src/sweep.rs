@@ -47,7 +47,7 @@ impl Series {
     where
         F: Fn(X) -> (f64, Option<f64>) + Sync,
     {
-        let _span = pcb_telemetry::span!("sweep.collect");
+        let _span = pcb_metrics::span!("sweep.collect");
         Series {
             label: label.to_owned(),
             points: parallel::par_map(&xs, |&x| eval(x))

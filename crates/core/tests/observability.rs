@@ -1,13 +1,14 @@
 //! Observers must be invisible in the physics: attaching any combination
-//! of event recorders, per-round series, and manager stats to a run must
-//! leave every `Report` field identical to the unobserved run — under the
-//! sequential code path and under parallel workers alike.
+//! of event recorders, per-round series, and manager stats to a run, or
+//! switching on span collection and the metrics plane, must leave every
+//! `Report` field identical to the plain run — under the sequential code
+//! path and under parallel workers alike.
 //!
 //! This file holds a single `#[test]` on purpose: it mutates the
 //! process-wide `PCB_THREADS` variable, and cargo runs test binaries one
 //! at a time, so a lone test is the race-free way to flip the knob.
 
-use partial_compaction::{sim, ManagerKind, Params, Recorder};
+use partial_compaction::{metrics, sim, ManagerKind, Params, Recorder};
 
 fn with_threads<T>(threads: &str, run: impl FnOnce() -> T) -> T {
     let saved = std::env::var("PCB_THREADS").ok();
@@ -24,7 +25,9 @@ fn fingerprint(report: &partial_compaction::Report) -> String {
     format!("{report:?}")
 }
 
-fn run_pair(kind: ManagerKind) -> (String, String) {
+/// The plain, the observed, and the instrumented (spans and metrics on)
+/// report of one run.
+fn run_arms(kind: ManagerKind) -> [String; 3] {
     let params = Params::new(1 << 13, 9, 20).expect("valid");
     let plain = sim::Sim::new(params)
         .manager(kind)
@@ -48,10 +51,32 @@ fn run_pair(kind: ManagerKind) -> (String, String) {
         "{}: no series collected",
         kind.name()
     );
-    (
+
+    metrics::spans::enable();
+    metrics::enable();
+    let instrumented = sim::Sim::new(params)
+        .manager(kind)
+        .run()
+        .expect("instrumented run");
+    metrics::spans::disable();
+    metrics::disable();
+    let trace = metrics::spans::take_trace();
+    assert!(
+        trace.spans.iter().any(|s| s.name == "engine.run"),
+        "{}: no engine span collected",
+        kind.name()
+    );
+    assert!(
+        metrics::snapshot().counter("engine.rounds") > 0,
+        "{}: no engine metrics collected",
+        kind.name()
+    );
+    metrics::reset();
+    [
         fingerprint(&plain.execution),
         fingerprint(&watched.execution),
-    )
+        fingerprint(&instrumented.execution),
+    ]
 }
 
 #[test]
@@ -59,11 +84,17 @@ fn observers_never_change_the_report() {
     for threads in ["1", "4"] {
         with_threads(threads, || {
             for kind in ManagerKind::ALL {
-                let (plain, watched) = run_pair(kind);
+                let [plain, watched, instrumented] = run_arms(kind);
                 assert_eq!(
                     plain,
                     watched,
                     "{} diverged under observation (PCB_THREADS={threads})",
+                    kind.name()
+                );
+                assert_eq!(
+                    plain,
+                    instrumented,
+                    "{} diverged with spans and metrics on (PCB_THREADS={threads})",
                     kind.name()
                 );
             }

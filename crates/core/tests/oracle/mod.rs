@@ -1,36 +1,21 @@
-//! The seed search, kept as a reference oracle.
+//! The seed exhaustive search, kept as the oracle for
+//! `search_equivalence`.
 //!
 //! This is the pre-packing implementation: states are `Vec<(u64, u64)>`
 //! interval lists (plus a rover word for stateful policies), cloned for
 //! every successor and deduplicated through a SipHash `HashSet`. It is
 //! deliberately unoptimized and sequential — its job is to be obviously
-//! faithful to the original algorithm so that
-//! [`try_worst_case`](super::try_worst_case) can be checked byte-for-byte
-//! against it (see `tests/search_equivalence.rs`) and so `search_bench`
-//! can measure the packed pipeline's space and throughput win against the
-//! honest "before".
+//! faithful to the original algorithm so that the packed
+//! `exhaustive::try_worst_case` can be checked byte-for-byte against it.
 
 use std::collections::HashSet;
 
-use super::{SearchError, SearchPolicy, WorstCase};
-use crate::params::Params;
+use partial_compaction::exhaustive::{SearchError, SearchPolicy, WorstCase};
+use partial_compaction::Params;
 
 /// Interval list plus rover: the rover stays 0 for stateless policies so
 /// their state space is identical to the seed's.
 type RefState = (Vec<(u64, u64)>, u64);
-
-/// The reference result: the worst case plus a resident-memory estimate
-/// of the seen-set, for the bench's bytes-per-state comparison.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReferenceReport {
-    /// The search result (identical to the packed pipeline's).
-    pub worst: WorstCase,
-    /// Estimated resident bytes of the seen-set: per-entry heap payload
-    /// (`16·k` bytes per `k`-interval state) plus the hash-table capacity
-    /// times the slot footprint (the 32-byte `(Vec, u64)` key plus one
-    /// control byte).
-    pub resident_bytes: u64,
-}
 
 /// The seed algorithm, verbatim modulo the typed error return and the
 /// rover generalization: sequential BFS over `Vec`-encoded states.
@@ -38,8 +23,7 @@ pub fn worst_case(
     params: Params,
     policy: SearchPolicy,
     max_states: usize,
-) -> Result<ReferenceReport, SearchError> {
-    let _span = pcb_telemetry::span!("exhaustive.reference");
+) -> Result<WorstCase, SearchError> {
     let m = params.m();
     let limit = 4 * m * (params.log_n() as u64 + 2);
     let sizes: Vec<u64> = (0..=params.log_n()).map(|k| 1u64 << k).collect();
@@ -100,14 +84,8 @@ pub fn worst_case(
         }
     }
 
-    let payload: u64 = seen.iter().map(|(s, _)| 16 * s.len() as u64).sum();
-    let slot = std::mem::size_of::<RefState>() as u64 + 1;
-    let resident_bytes = payload + seen.capacity() as u64 * slot;
-    Ok(ReferenceReport {
-        worst: WorstCase {
-            heap_size: worst,
-            states: seen.len(),
-        },
-        resident_bytes,
+    Ok(WorstCase {
+        heap_size: worst,
+        states: seen.len(),
     })
 }

@@ -6,7 +6,9 @@
 //! process-wide `PCB_THREADS` variable, and cargo runs test binaries one
 //! at a time, so a lone test is the race-free way to flip the knob.
 
-use partial_compaction::exhaustive::{reference, try_worst_case, SearchPolicy};
+mod oracle;
+
+use partial_compaction::exhaustive::{try_worst_case, SearchPolicy};
 use partial_compaction::{parallel, Params};
 
 fn with_threads<T>(threads: &str, run: impl FnOnce() -> T) -> T {
@@ -23,15 +25,13 @@ fn with_threads<T>(threads: &str, run: impl FnOnce() -> T) -> T {
 #[test]
 fn packed_search_is_byte_identical_to_the_seed_implementation() {
     // The pinned grid: every cell small enough to run the deliberately
-    // slow reference implementation, large enough to exercise spills
+    // slow oracle, large enough to exercise spills
     // (states beyond 4 intervals) and multi-size allocation.
     let grid: [(u64, u32); 4] = [(6, 1), (8, 1), (6, 2), (8, 2)];
     for (m, log_n) in grid {
         let params = Params::new(m, log_n, 10).expect("toy parameters");
         for policy in SearchPolicy::ALL {
-            let seed = reference::worst_case(params, policy, 3_000_000)
-                .expect("grid is toy-scale")
-                .worst;
+            let seed = oracle::worst_case(params, policy, 3_000_000).expect("grid is toy-scale");
             let sequential = with_threads("1", || {
                 assert_eq!(parallel::thread_count(), 1);
                 try_worst_case(params, policy, 3_000_000)
@@ -60,10 +60,10 @@ fn packed_search_is_byte_identical_to_the_seed_implementation() {
         }
     }
 
-    // Typed errors agree with the reference too: the same cap trips both.
+    // Typed errors agree with the oracle too: the same cap trips both.
     let params = Params::new(8, 2, 10).expect("toy");
     let packed_err = try_worst_case(params, SearchPolicy::FirstFit, 100).unwrap_err();
-    let seed_err = reference::worst_case(params, SearchPolicy::FirstFit, 100).unwrap_err();
+    let seed_err = oracle::worst_case(params, SearchPolicy::FirstFit, 100).unwrap_err();
     assert!(matches!(
         packed_err,
         partial_compaction::exhaustive::SearchError::StateSpaceExceeded { .. }

@@ -346,20 +346,19 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
     /// observer is attached at all on this path: events are neither
     /// constructed nor dispatched, so the per-tick cost is zero.
     ///
-    /// The run is wrapped in an `engine.run` telemetry span (with
-    /// per-round phase spans inside); when telemetry is disabled — the
-    /// default — each span is a single relaxed atomic load.
+    /// The run is wrapped in an `engine.run` span (with per-round phase
+    /// spans inside); when span collection is disabled — the default —
+    /// each span is a single relaxed atomic load.
     ///
     /// # Errors
     ///
     /// Propagates the first [`ExecutionError`]; the execution state remains
     /// inspectable afterwards.
     pub fn run(&mut self) -> Result<Report, ExecutionError> {
-        let _span = pcb_telemetry::span!("engine.run");
+        let _span = pcb_metrics::span!("engine.run");
         while !self.program.finished() && self.round < self.max_rounds {
             self.step_round_inner(None)?;
         }
-        self.publish_space_counters();
         self.publish_metrics();
         Ok(self.report())
     }
@@ -376,11 +375,10 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
     ///
     /// Propagates the first [`ExecutionError`], like [`run`](Self::run).
     pub fn run_summary(&mut self) -> Result<HeapSummary, ExecutionError> {
-        let _span = pcb_telemetry::span!("engine.run");
+        let _span = pcb_metrics::span!("engine.run");
         while !self.program.finished() && self.round < self.max_rounds {
             self.step_round_inner(None)?;
         }
-        self.publish_space_counters();
         self.publish_metrics();
         Ok(self.summary())
     }
@@ -392,32 +390,12 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
     ///
     /// Propagates the first [`ExecutionError`].
     pub fn run_observed(&mut self, observer: &mut dyn Observer) -> Result<Report, ExecutionError> {
-        let _span = pcb_telemetry::span!("engine.run");
+        let _span = pcb_metrics::span!("engine.run");
         while !self.program.finished() && self.round < self.max_rounds {
             self.step_round_inner(Some(observer))?;
         }
-        self.publish_space_counters();
         self.publish_metrics();
         Ok(self.report())
-    }
-
-    /// Publishes the referee's telemetry counters (bitmap words scanned,
-    /// summary-level skips, SoA slot reuse) as high-water marks; a no-op
-    /// while telemetry is disabled.
-    fn publish_space_counters(&self) {
-        if !pcb_telemetry::enabled() {
-            return;
-        }
-        let c = self.heap.space().counters();
-        pcb_telemetry::record_max("space.words_scanned", c.words_scanned);
-        pcb_telemetry::record_max("space.summary_skips", c.summary_skips);
-        pcb_telemetry::record_max("space.slot_high_water", c.slot_high_water);
-        pcb_telemetry::record_max("space.slots_reused", c.slots_reused);
-        if self.chaos_counters != ChaosCounters::default() {
-            pcb_telemetry::record_max("chaos.alloc_refusals", self.chaos_counters.alloc_refusals);
-            pcb_telemetry::record_max("chaos.budget_cuts", self.chaos_counters.budget_cuts);
-            pcb_telemetry::record_max("chaos.mirror_faults", self.chaos_counters.mirror_faults);
-        }
     }
 
     /// Publishes the run's totals into the `pcb-metrics` registry: engine
@@ -536,7 +514,7 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
 
         // Phase 1: de-allocation. The span covers the program's free
         // decisions as well as the heap bookkeeping they trigger.
-        let free_span = pcb_telemetry::span!("engine.free");
+        let free_span = pcb_metrics::span!("engine.free");
         for id in self.program.frees() {
             let (addr, size) = self
                 .heap
@@ -555,7 +533,7 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         // request, through budget-enforcing `HeapOps`. Relocations open
         // nested `engine.compact` spans, so the allocate span's self-time
         // is pure placement work.
-        let alloc_span = pcb_telemetry::span!("engine.alloc");
+        let alloc_span = pcb_metrics::span!("engine.alloc");
         for size in self.program.allocs() {
             // Chaos: a spurious refusal drops the request before the
             // manager sees it — the program simply never receives a
@@ -620,15 +598,14 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         // Paranoia: cross-check the manager's mirror against the
         // ground truth every `paranoia` rounds. An injected corruption
         // is therefore detected within `paranoia` rounds of being
-        // planted; the observed latency is published as telemetry.
+        // planted; the observed latency is published as a gauge.
         if self.paranoia != 0 && (self.round + 1).is_multiple_of(self.paranoia) {
-            let _span = pcb_telemetry::span!("engine.paranoia");
+            let _span = pcb_metrics::span!("engine.paranoia");
             if let MirrorCheck::Divergent(detail) = self.manager.mirror_check(self.heap.space()) {
                 if let Some(injected) = self.mirror_fault_round {
-                    pcb_telemetry::record_max(
-                        "chaos.detection_latency_rounds",
-                        u64::from(self.round - injected),
-                    );
+                    static LATENCY: pcb_metrics::Gauge =
+                        pcb_metrics::Gauge::new("chaos.detection_latency_rounds");
+                    LATENCY.record_max(u64::from(self.round - injected));
                 }
                 return Err(ExecutionError::MirrorDivergence {
                     round: self.round,
@@ -645,7 +622,7 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         // heap itself, not just the event stream. Ticks are unaffected, so
         // observed and unobserved runs still number events identically.
         if let Some(obs) = observer {
-            let _span = pcb_telemetry::span!("engine.observe");
+            let _span = pcb_metrics::span!("engine.observe");
             obs.on_round_end(self.round, &self.heap);
         }
         self.program.round_done();

@@ -109,7 +109,7 @@ impl HeapOps<'_, '_> {
     /// Fails (leaving the heap unchanged) if the object is not live, the
     /// destination is not free, or the move exceeds the allowance.
     pub fn relocate(&mut self, id: ObjectId, to: Addr) -> Result<MoveOutcome, HeapError> {
-        let _span = pcb_telemetry::span!("engine.compact");
+        let _span = pcb_metrics::span!("engine.compact");
         let size = self
             .heap
             .record(id)

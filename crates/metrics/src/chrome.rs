@@ -10,7 +10,7 @@
 //! Everything lives under a top-level `traceEvents` array, with the
 //! retention-cap drop counter under `otherData` for honesty.
 
-use crate::registry::Trace;
+use crate::spans::Trace;
 use pcb_json::Json;
 
 /// Microseconds (Chrome's unit) from nanoseconds, keeping sub-microsecond
@@ -54,16 +54,12 @@ impl Trace {
                 ("dur", us(span.dur_ns)),
             ]));
         }
-        let counters = Json::object(self.counters.iter().map(|c| (c.name, Json::from(c.value))));
         Json::object([
             ("traceEvents", Json::Array(events)),
             ("displayTimeUnit", Json::from("ms")),
             (
                 "otherData",
-                Json::object([
-                    ("dropped_spans", Json::from(self.dropped)),
-                    ("counters", counters),
-                ]),
+                Json::object([("dropped_spans", Json::from(self.dropped))]),
             ),
         ])
     }
@@ -78,7 +74,7 @@ impl pcb_json::ToJson for Trace {
 
 #[cfg(test)]
 mod tests {
-    use crate::registry::{SpanRecord, Trace, TrackInfo};
+    use crate::spans::{SpanRecord, Trace, TrackInfo};
     use pcb_json::Json;
 
     fn sample() -> Trace {
@@ -105,10 +101,6 @@ mod tests {
                 id: 0,
                 name: "main".into(),
             }],
-            counters: vec![crate::registry::CounterRecord {
-                name: "search.resident_bytes",
-                value: 4096,
-            }],
             dropped: 0,
         }
     }
@@ -133,14 +125,11 @@ mod tests {
                 assert!(event.get(key).is_some(), "X event missing {key}");
             }
         }
-        let counters = parsed
+        let dropped = parsed
             .get("otherData")
-            .and_then(|d| d.get("counters"))
-            .expect("counters object");
-        assert_eq!(
-            counters.get("search.resident_bytes").and_then(Json::as_f64),
-            Some(4096.0)
-        );
+            .and_then(|d| d.get("dropped_spans"))
+            .and_then(Json::as_u64);
+        assert_eq!(dropped, Some(0));
     }
 
     #[test]

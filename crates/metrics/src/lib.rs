@@ -1,9 +1,17 @@
-//! # pcb-metrics — sharded, deterministic metric registry
+//! # pcb-metrics — the workspace's one observability plane
 //!
-//! One metrics substrate for the whole workspace: counters, gauges, and
-//! power-of-two histograms, recorded through a process-global registry
-//! that costs a single relaxed atomic load when disabled (the default),
-//! exactly like `pcb-telemetry`'s span registry.
+//! Two instrument kinds share one crate and one per-thread index:
+//!
+//! * **metrics** — counters, gauges, and power-of-two histograms,
+//!   recorded through a process-global registry that costs a single
+//!   relaxed atomic load when disabled (the default);
+//! * **spans** — [`span!`] guards timing engine phases on per-thread
+//!   tracks, drained by [`spans::take_trace`] into a Chrome trace or a
+//!   [`spans::Profile`] (see [`mod@spans`]).
+//!
+//! Each has its own switch ([`enable`], [`spans::enable`]): span
+//! collection retains every finished span until it is drained, a memory
+//! cost a metrics-only run should not pay.
 //!
 //! ## Shard/merge model
 //!
@@ -51,10 +59,13 @@
 //! through `HeapOps` — lives here too, as a thin adapter whose
 //! [`StatSink::publish`] folds into the same registry.
 
+mod chrome;
 mod hist;
+mod profile;
 mod registry;
 mod sink;
 mod snapshot;
+pub mod spans;
 
 pub use hist::{Histogram, HIST_BUCKETS};
 pub use registry::{
@@ -63,3 +74,16 @@ pub use registry::{
 };
 pub use sink::StatSink;
 pub use snapshot::MetricsSnapshot;
+
+/// Opens a span covering the rest of the enclosing scope; bind the result
+/// or it closes immediately.
+///
+/// ```
+/// let _span = pcb_metrics::span!("phase");
+/// ```
+#[macro_export]
+macro_rules! span {
+    ($name:expr) => {
+        $crate::spans::SpanGuard::enter($name)
+    };
+}

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::registry::Trace;
+use crate::spans::Trace;
 use pcb_json::Json;
 
 /// Aggregate statistics for one span name.
@@ -121,7 +121,7 @@ fn fmt_ns(ns: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{SpanRecord, TrackInfo};
+    use crate::spans::{SpanRecord, TrackInfo};
 
     fn span(name: &'static str, start: u64, dur: u64, child: u64) -> SpanRecord {
         SpanRecord {
@@ -146,7 +146,6 @@ mod tests {
                 id: 0,
                 name: "main".into(),
             }],
-            counters: Vec::new(),
             dropped: 0,
         };
         let profile = Profile::from_trace(&trace);
@@ -166,7 +165,6 @@ mod tests {
         let trace = Trace {
             spans: vec![span("engine.run", 0, 2_500_000, 0)],
             tracks: Vec::new(),
-            counters: Vec::new(),
             dropped: 0,
         };
         let table = Profile::from_trace(&trace).render_table();

@@ -8,17 +8,18 @@
 //! - **histograms** — power-of-two sample distributions (per-bucket
 //!   `fetch_add`).
 //!
-//! Each metric owns [`SHARDS`] cache-line-padded slots; a thread picks a
-//! slot once (round-robin at first use) and then updates it with relaxed
-//! atomics, so concurrent writers almost never contend. A snapshot folds
-//! the slots together — and because every fold is a commutative,
+//! Each metric owns [`SHARDS`] cache-line-padded slots; a thread's slot
+//! is its thread index (assigned at first use, and also its span track)
+//! modulo [`SHARDS`], and it updates that slot with relaxed atomics, so
+//! concurrent writers almost never contend. A snapshot folds the slots
+//! together — and because every fold is a commutative,
 //! associative integer operation, the folded value is independent of how
 //! work was spread across threads: `PCB_THREADS=1` and `=8` produce
 //! byte-identical snapshots for the same work.
 //!
 //! When the registry is disabled (the default) every recording call is
-//! one relaxed atomic load and a branch, mirroring `pcb-telemetry`'s
-//! zero-cost-when-off contract.
+//! one relaxed atomic load and a branch, the same zero-cost-when-off
+//! contract as span collection.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -215,15 +216,21 @@ fn intern_hist(name: &'static str) -> &'static HistCell {
         .or_insert_with(|| Box::leak(Box::new(HistCell::new())))
 }
 
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
+static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    static SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
+    static THREAD_INDEX: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
+}
+
+/// The calling thread's index, assigned once at first use: the thread's
+/// span track and, modulo [`SHARDS`], its metric shard.
+pub(crate) fn thread_index() -> usize {
+    THREAD_INDEX.with(|i| *i)
 }
 
 #[inline]
 fn shard() -> usize {
-    SHARD.with(|s| *s)
+    thread_index() % SHARDS
 }
 
 /// A counter handle for one call site: `static N: Counter =

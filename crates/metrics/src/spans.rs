@@ -1,26 +1,49 @@
-//! The span registry: a process-global, thread-aware collector of timed
-//! spans.
+//! Span collection: a process-global, thread-aware collector of timed
+//! spans — where the wall clock goes inside the engine (`Execution::run`
+//! phases, `par_map` shard lifetimes, exhaustive-search BFS levels).
 //!
 //! Design goals, in order:
 //!
 //! 1. **Disabled means free.** Instrumentation stays compiled into release
 //!    binaries, so the disabled path must cost nothing measurable: one
 //!    relaxed atomic load and a branch per [`SpanGuard::enter`], no clock
-//!    read, no allocation, no locking. This matches the zero-cost
-//!    discipline of the engine's detached observer path.
+//!    read, no allocation, no locking.
 //! 2. **Enabled means cheap.** Open spans live on a thread-local stack;
 //!    finished spans append to a thread-local buffer that flushes to the
 //!    global sink in large batches, so worker threads never contend on a
 //!    lock in their hot loop.
-//! 3. **Threads are tracks.** Every thread that records a span is assigned
-//!    a small stable track id, which becomes the `tid` lane in the Chrome
-//!    trace export — `par_map` shard lifetimes render as parallel lanes.
+//! 3. **Threads are tracks.** A thread's track is its thread index — the
+//!    same index that picks its metric shard — and becomes the `tid` lane
+//!    in the Chrome trace export, so `par_map` shard lifetimes render as
+//!    parallel lanes.
+//!
+//! ```
+//! use pcb_metrics::spans;
+//!
+//! spans::enable();
+//! {
+//!     let _outer = pcb_metrics::span!("outer");
+//!     let _inner = pcb_metrics::span!("inner");
+//! } // guards drop here, recording both spans
+//! let trace = spans::take_trace();
+//! assert_eq!(trace.len(), 2);
+//!
+//! // Chrome trace-event JSON, ready for Perfetto:
+//! let doc = pcb_json::ToJson::to_json(&trace).to_string();
+//! assert!(doc.contains("traceEvents"));
+//!
+//! // Aggregate view:
+//! let profile = spans::Profile::from_trace(&trace);
+//! assert_eq!(profile.rows[0].count, 1);
+//! # spans::reset();
+//! ```
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+pub use crate::profile::{Profile, ProfileRow};
 
 /// Spans held in a thread's local buffer before a batched flush.
 const FLUSH_THRESHOLD: usize = 16 * 1024;
@@ -31,7 +54,6 @@ const FLUSH_THRESHOLD: usize = 16 * 1024;
 const MAX_RETAINED: usize = 4_000_000;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static NEXT_TRACK: AtomicU32 = AtomicU32::new(0);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 
 struct Global {
@@ -43,12 +65,6 @@ static GLOBAL: Mutex<Global> = Mutex::new(Global {
     spans: Vec::new(),
     tracks: Vec::new(),
 });
-
-/// High-water counters: named gauges that only ratchet upward, for
-/// memory-shaped quantities (resident bytes, peak frontier width) that
-/// spans cannot express. Updated at coarse cadence (per BFS level, per
-/// phase), so one mutex is fine — this is nowhere near a hot path.
-static COUNTERS: Mutex<BTreeMap<&'static str, u64>> = Mutex::new(BTreeMap::new());
 
 /// All timestamps are nanoseconds since the first clock read in the
 /// process, so every track shares one time base.
@@ -80,27 +96,6 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Ratchets the high-water counter `name` up to at least `value`. A
-/// no-op (one relaxed load and a branch) while the registry is disabled,
-/// like [`SpanGuard::enter`].
-pub fn record_max(name: &'static str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut counters = COUNTERS.lock().expect("counter lock");
-    let entry = counters.entry(name).or_insert(0);
-    *entry = (*entry).max(value);
-}
-
-/// One high-water counter at trace collection time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterRecord {
-    /// The counter's name as given to [`record_max`].
-    pub name: &'static str,
-    /// The largest value recorded.
-    pub value: u64,
-}
-
 /// One finished span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
@@ -129,22 +124,20 @@ impl SpanRecord {
 /// A track is one thread that recorded spans.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrackInfo {
-    /// Stable small id; becomes `tid` in the Chrome export.
+    /// The thread's index; becomes `tid` in the Chrome export.
     pub id: u32,
     /// The thread's name, or `thread-<id>` when unnamed.
     pub name: String,
 }
 
-/// Everything the registry collected: finished spans, the tracks they ran
-/// on, and how many spans the retention cap discarded.
+/// Everything the collector gathered: finished spans, the tracks they
+/// ran on, and how many spans the retention cap discarded.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Finished spans, sorted by `(track, start_ns)`.
     pub spans: Vec<SpanRecord>,
     /// Tracks in id order.
     pub tracks: Vec<TrackInfo>,
-    /// High-water counters recorded via [`record_max`], in name order.
-    pub counters: Vec<CounterRecord>,
     /// Spans discarded by the retention cap (0 in any sane run).
     pub dropped: u64,
 }
@@ -175,12 +168,12 @@ struct LocalBuf {
 
 impl LocalBuf {
     fn new() -> LocalBuf {
-        let track = NEXT_TRACK.fetch_add(1, Ordering::Relaxed);
+        let track = crate::registry::thread_index() as u32;
         let name = std::thread::current()
             .name()
             .map(str::to_owned)
             .unwrap_or_else(|| format!("thread-{track}"));
-        let mut global = GLOBAL.lock().expect("registry lock");
+        let mut global = GLOBAL.lock().expect("span sink lock");
         global.tracks.push(TrackInfo { id: track, name });
         LocalBuf {
             track,
@@ -193,7 +186,7 @@ impl LocalBuf {
         if self.done.is_empty() {
             return;
         }
-        let mut global = GLOBAL.lock().expect("registry lock");
+        let mut global = GLOBAL.lock().expect("span sink lock");
         let room = MAX_RETAINED.saturating_sub(global.spans.len());
         if self.done.len() > room {
             DROPPED.fetch_add((self.done.len() - room) as u64, Ordering::Relaxed);
@@ -219,7 +212,7 @@ thread_local! {
 /// [`span!`](crate::span) macro, recorded when dropped.
 ///
 /// Guards are strictly scoped (construction to drop), so spans on a track
-/// nest like a call stack and the registry can compute parent-relative
+/// nest like a call stack and the collector can compute parent-relative
 /// self-time without reconstructing intervals.
 #[derive(Debug)]
 #[must_use = "a span measures the scope holding the guard; dropping it immediately records nothing useful"]
@@ -228,8 +221,8 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Opens a span named `name` on the current thread's track. When the
-    /// registry is disabled this is one relaxed load and a branch: no
+    /// Opens a span named `name` on the current thread's track. When
+    /// collection is disabled this is one relaxed load and a branch: no
     /// clock read, no allocation, nothing to drop.
     #[inline]
     pub fn enter(name: &'static str) -> SpanGuard {
@@ -296,25 +289,20 @@ pub fn take_trace() -> Trace {
             buf.flush();
         }
     });
-    let mut global = GLOBAL.lock().expect("registry lock");
+    let mut global = GLOBAL.lock().expect("span sink lock");
     let mut spans = std::mem::take(&mut global.spans);
     let mut tracks = global.tracks.clone();
     drop(global);
-    let counters = std::mem::take(&mut *COUNTERS.lock().expect("counter lock"))
-        .into_iter()
-        .map(|(name, value)| CounterRecord { name, value })
-        .collect();
     spans.sort_by_key(|s| (s.track, s.start_ns, std::cmp::Reverse(s.dur_ns)));
     tracks.sort_by_key(|t| t.id);
     Trace {
         spans,
         tracks,
-        counters,
         dropped: DROPPED.swap(0, Ordering::Relaxed),
     }
 }
 
-/// Disables collection and discards everything collected so far (open
+/// Disables collection and discards every span collected so far (open
 /// spans on live threads still unwind harmlessly).
 pub fn reset() {
     disable();

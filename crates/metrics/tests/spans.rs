@@ -1,20 +1,20 @@
-//! Integration tests for the span registry. The registry is process
+//! Integration tests for span collection. The span sink is process
 //! global, so every test serializes on one mutex and drains the sink
 //! before asserting.
 
 use std::sync::Mutex;
 
 use pcb_json::{Json, ToJson};
-use pcb_telemetry as telemetry;
+use pcb_metrics::{span, spans};
 
 static REGISTRY: Mutex<()> = Mutex::new(());
 
 /// Runs `body` with exclusive ownership of the (clean) global registry.
 fn exclusive<T>(body: impl FnOnce() -> T) -> T {
     let _guard = REGISTRY.lock().expect("no test panics while holding");
-    telemetry::reset();
+    spans::reset();
     let value = body();
-    telemetry::reset();
+    spans::reset();
     value
 }
 
@@ -22,34 +22,34 @@ fn exclusive<T>(body: impl FnOnce() -> T) -> T {
 fn disabled_spans_record_nothing() {
     exclusive(|| {
         {
-            let _span = telemetry::span!("invisible");
+            let _span = span!("invisible");
         }
-        assert!(telemetry::take_trace().is_empty());
+        assert!(spans::take_trace().is_empty());
     });
 }
 
 #[test]
 fn guards_entered_while_disabled_stay_inert() {
     exclusive(|| {
-        let early = telemetry::span!("before-enable");
-        telemetry::enable();
+        let early = span!("before-enable");
+        spans::enable();
         drop(early);
-        assert!(telemetry::take_trace().is_empty());
+        assert!(spans::take_trace().is_empty());
     });
 }
 
 #[test]
 fn nested_spans_attribute_self_time_to_the_parent() {
     exclusive(|| {
-        telemetry::enable();
+        spans::enable();
         {
-            let _outer = telemetry::span!("outer");
+            let _outer = span!("outer");
             std::thread::sleep(std::time::Duration::from_millis(2));
-            let _inner = telemetry::span!("inner");
+            let _inner = span!("inner");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        telemetry::disable();
-        let trace = telemetry::take_trace();
+        spans::disable();
+        let trace = spans::take_trace();
         assert_eq!(trace.len(), 2);
         let outer = trace.spans.iter().find(|s| s.name == "outer").unwrap();
         let inner = trace.spans.iter().find(|s| s.name == "inner").unwrap();
@@ -68,22 +68,22 @@ fn nested_spans_attribute_self_time_to_the_parent() {
 #[test]
 fn threads_get_distinct_named_tracks() {
     exclusive(|| {
-        telemetry::enable();
+        spans::enable();
         let main_track = {
-            let _span = telemetry::span!("on-main");
+            let _span = span!("on-main");
             0 // placeholder; the real id comes from the trace below
         };
         let _ = main_track;
         std::thread::Builder::new()
             .name("worker-a".into())
             .spawn(|| {
-                let _span = telemetry::span!("on-worker");
+                let _span = span!("on-worker");
             })
             .unwrap()
             .join()
             .unwrap();
-        telemetry::disable();
-        let trace = telemetry::take_trace();
+        spans::disable();
+        let trace = spans::take_trace();
         assert_eq!(trace.len(), 2);
         let main_span = trace.spans.iter().find(|s| s.name == "on-main").unwrap();
         let worker_span = trace.spans.iter().find(|s| s.name == "on-worker").unwrap();
@@ -100,13 +100,13 @@ fn threads_get_distinct_named_tracks() {
 #[test]
 fn chrome_export_round_trips_through_pcb_json() {
     exclusive(|| {
-        telemetry::enable();
+        spans::enable();
         {
-            let _a = telemetry::span!("phase-a");
-            let _b = telemetry::span!("phase-b");
+            let _a = span!("phase-a");
+            let _b = span!("phase-b");
         }
-        telemetry::disable();
-        let trace = telemetry::take_trace();
+        spans::disable();
+        let trace = spans::take_trace();
         let document = trace.to_json().to_string();
 
         // The emitted document must be valid Chrome trace-event JSON:
@@ -145,58 +145,29 @@ fn chrome_export_round_trips_through_pcb_json() {
 #[test]
 fn take_trace_drains_the_sink() {
     exclusive(|| {
-        telemetry::enable();
+        spans::enable();
         {
-            let _span = telemetry::span!("once");
+            let _span = span!("once");
         }
-        telemetry::disable();
-        assert_eq!(telemetry::take_trace().len(), 1);
-        assert!(telemetry::take_trace().is_empty(), "second take is empty");
+        spans::disable();
+        assert_eq!(spans::take_trace().len(), 1);
+        assert!(spans::take_trace().is_empty(), "second take is empty");
     });
 }
 
 #[test]
 fn profile_rows_match_span_volume() {
     exclusive(|| {
-        telemetry::enable();
+        spans::enable();
         for _ in 0..10 {
-            let _span = telemetry::span!("repeated");
+            let _span = span!("repeated");
         }
-        telemetry::disable();
-        let trace = telemetry::take_trace();
-        let profile = telemetry::Profile::from_trace(&trace);
+        spans::disable();
+        let trace = spans::take_trace();
+        let profile = spans::Profile::from_trace(&trace);
         assert_eq!(profile.rows.len(), 1);
         assert_eq!(profile.rows[0].name, "repeated");
         assert_eq!(profile.rows[0].count, 10);
         assert!(profile.render_table().contains("repeated"));
-    });
-}
-
-#[test]
-fn counters_ratchet_upward_and_drain_with_the_trace() {
-    exclusive(|| {
-        telemetry::record_max("hwm.disabled", 99);
-        telemetry::enable();
-        telemetry::record_max("hwm.bytes", 10);
-        telemetry::record_max("hwm.bytes", 500);
-        telemetry::record_max("hwm.bytes", 30); // lower: no effect
-        telemetry::record_max("hwm.frontier", 7);
-        telemetry::disable();
-        let trace = telemetry::take_trace();
-        assert_eq!(trace.counters.len(), 2, "disabled counter not recorded");
-        assert_eq!(trace.counters[0].name, "hwm.bytes");
-        assert_eq!(trace.counters[0].value, 500);
-        assert_eq!(trace.counters[1].name, "hwm.frontier");
-        assert_eq!(trace.counters[1].value, 7);
-        // Drained: a second take has no counters.
-        assert!(telemetry::take_trace().counters.is_empty());
-        // And they surface in the Chrome export under otherData.
-        let doc = trace.to_json();
-        let exported = doc
-            .get("otherData")
-            .and_then(|d| d.get("counters"))
-            .and_then(|c| c.get("hwm.bytes"))
-            .and_then(Json::as_f64);
-        assert_eq!(exported, Some(500.0));
     });
 }

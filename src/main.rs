@@ -42,10 +42,11 @@
 use std::process::ExitCode;
 
 use partial_compaction::heap::{heat_map_rows, Execution, Heap, Program, TraceRecorder};
+use partial_compaction::metrics::spans;
 use partial_compaction::progress::{Heartbeat, ProgressMode, ProgressOptions};
 use partial_compaction::workload::{tenant_by_kind, MixWeights, TenantShape};
 use partial_compaction::{
-    benchdiff, bounds, figures, fleet, metrics, telemetry, ManagerKind, Params, PfConfig, PfProgram,
+    benchdiff, bounds, figures, fleet, metrics, ManagerKind, Params, PfConfig, PfProgram,
 };
 use partial_compaction::{Observers, RunConfig, TimeSeries, TraceWriter};
 use partial_compaction::{PfVariant, RobsonProgram};
@@ -428,7 +429,7 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
     // The run configuration is resolved once, here at the boundary: the
     // environment (`PCB_THREADS`) is the fallback, flags override it, and
     // everything downstream receives plain data.
-    let mut run = RunConfig::from_env().with_telemetry(opts.trace_out.is_some() || opts.profile);
+    let mut run = RunConfig::from_env();
     if let Some(chaos) = opts.chaos {
         run = run.with_chaos(chaos);
     }
@@ -437,6 +438,9 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
         run = run.with_metrics(true);
     }
     run.apply();
+    if opts.trace_out.is_some() || opts.profile {
+        spans::enable();
+    }
 
     let heap = if opts.manager.is_unbounded() {
         Heap::unlimited_compaction()
@@ -601,8 +605,8 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
         println!("{}", heat_map_rows(exec.heap(), 72, 4));
     }
     if opts.trace_out.is_some() || opts.profile {
-        telemetry::disable();
-        let trace = telemetry::take_trace();
+        spans::disable();
+        let trace = spans::take_trace();
         if let Some(path) = &opts.trace_out {
             let doc = trace.to_chrome_trace();
             std::fs::write(path, format!("{doc}\n")).map_err(|e| e.to_string())?;
@@ -613,7 +617,7 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
             );
         }
         if opts.profile {
-            print!("{}", telemetry::Profile::from_trace(&trace).render_table());
+            print!("{}", spans::Profile::from_trace(&trace).render_table());
         }
     }
     Ok(())
