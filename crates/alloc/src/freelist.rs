@@ -3,18 +3,25 @@
 //! [`FreeSpace`] tracks the gaps of a manager's heap view and answers
 //! the classic fit policies without scanning every hole — essential
 //! because the paper's adversaries deliberately shatter the heap into
-//! hundreds of thousands of holes. It answers every query from flat
-//! structures instead of ordered trees:
+//! hundreds of thousands of holes. It keeps only what its callers read,
+//! in flat structures instead of ordered trees:
 //!
-//! * an [`AddrMap`] — an open-addressed `u64 -> u64` hash — from gap
-//!   start to length, so coalescing is O(1) lookups;
-//! * a [`StartBits`] hierarchical bitmap over gap starts giving
-//!   predecessor/successor/iteration in a handful of word operations;
-//! * exact size classes `1..=SMALL_MAX` — per-class lazily-cleaned
-//!   min-heaps of starts plus a nonempty bitmap, so first/best/worst fit
-//!   are popcount scans; gaps larger than `SMALL_MAX` go to a small
-//!   overflow `BTreeSet<(len, start)>` (adversarial workloads produce
-//!   very few distinct large sizes).
+//! * two [`StartBits`] hierarchical bitmaps, one bit per gap start and
+//!   one per gap's last word: a gap's length is the distance to the next
+//!   end bit, a coalesce lookup is one bit test plus a predecessor probe,
+//!   and ordered iteration is a handful of word operations;
+//! * [`LenBounds`], lazy upper bounds on gap length over the start
+//!   bitmap's blocks (64, 4 096 and 262 144 addresses): first-fit is one
+//!   descent to the lowest start whose gap fits, which tightens every
+//!   stale block it searches in vain;
+//! * exact size-class counts `1..=SMALL_MAX` with a nonempty bitmap, so a
+//!   request no gap can serve is answered without touching a gap; gaps
+//!   larger than `SMALL_MAX` go to a small overflow
+//!   `BTreeSet<(len, start)>` (adversarial workloads produce very few
+//!   distinct large sizes);
+//! * per-class lazily-cleaned min-heaps of starts for best- and
+//!   worst-fit, built from the gaps on the first such query and
+//!   maintained only from then on.
 //!
 //! The seed `BTreeMap<u64, u64>` address mirror plus `BTreeSet<(len,
 //! start)>` size index survives only as a test oracle
@@ -31,7 +38,7 @@ use std::collections::{BTreeSet, BinaryHeap};
 
 use pcb_heap::{Addr, Extent, Size};
 
-use crate::indexed::{AddrMap, StartBits};
+use crate::indexed::{LenBounds, StartBits};
 
 /// Largest gap length tracked by an exact size class; longer gaps go to
 /// the overflow tree.
@@ -103,14 +110,18 @@ pub struct TakeStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FreeSpace {
-    /// start -> length, gaps strictly below the frontier.
-    by_start: AddrMap,
     /// One bit per gap start, for ordered iteration and pred/succ.
-    bits: StartBits,
-    /// Lazily-cleaned min-heaps of starts, indexed by exact length.
+    starts: StartBits,
+    /// One bit per gap's last word: a gap runs from its start bit to the
+    /// next end bit.
+    ends: StartBits,
+    /// Upper bounds on gap length per `starts` block, for first-fit.
+    bounds: LenBounds,
+    /// Lazily-cleaned min-heaps of starts, indexed by exact length;
+    /// empty until the first best- or worst-fit pick builds them.
     classes: Vec<BinaryHeap<Reverse<u64>>>,
     /// Live gaps per exact class (heaps may hold stale extras).
-    counts: Vec<u32>,
+    counts: [u32; SMALL_MAX as usize + 1],
     /// Bit `len - 1` set iff `counts[len] > 0`.
     nonempty: [u64; CLASS_WORDS],
     /// `(len, start)` for gaps longer than [`SMALL_MAX`].
@@ -126,10 +137,11 @@ pub struct FreeSpace {
 impl Default for FreeSpace {
     fn default() -> Self {
         Self {
-            by_start: AddrMap::default(),
-            bits: StartBits::default(),
-            classes: (0..=SMALL_MAX).map(|_| BinaryHeap::new()).collect(),
-            counts: vec![0; SMALL_MAX as usize + 1],
+            starts: StartBits::default(),
+            ends: StartBits::default(),
+            bounds: LenBounds::default(),
+            classes: Vec::new(),
+            counts: [0; SMALL_MAX as usize + 1],
             nonempty: [0; CLASS_WORDS],
             overflow: BTreeSet::new(),
             n_gaps: 0,
@@ -164,7 +176,7 @@ impl FreeSpace {
     pub fn gaps(&self) -> impl Iterator<Item = Extent> + '_ {
         Gaps {
             fs: self,
-            next: self.bits.succ(0),
+            next: self.starts.succ(0),
         }
     }
 
@@ -182,20 +194,30 @@ impl FreeSpace {
         Some(Extent::from_raw(start, addr.get() - start))
     }
 
-    /// The start of the gap ending exactly at `end`, if any: the
-    /// predecessor start below `end` plus a length check. Replaces a
-    /// dedicated end-keyed hash map — the bitmap predecessor probe is
-    /// comparable on lookup and free on every insert/remove.
+    /// The start of the gap ending exactly at `end`, if any: one end-bit
+    /// test, then the predecessor start is the gap's.
     fn gap_end_lookup(&self, end: u64) -> Option<u64> {
-        let start = self.bits.pred(end)?;
-        let len = self.by_start.get(start).expect("bit set implies gap");
-        (start + len == end).then_some(start)
+        if end == 0 || !self.ends.contains(end - 1) {
+            return None;
+        }
+        self.starts.pred(end)
+    }
+
+    /// The length of the gap starting at `start`, which must be a gap
+    /// start: the distance to the next end bit.
+    #[inline]
+    fn len_at(&self, start: u64) -> u64 {
+        gap_len(&self.ends, start)
+    }
+
+    /// The length of the gap starting exactly at `start`, if any.
+    fn len_if_start(&self, start: u64) -> Option<u64> {
+        self.starts.contains(start).then(|| self.len_at(start))
     }
 
     /// The gap starting exactly at `addr`, if any.
     pub fn gap_starting_at(&self, addr: Addr) -> Option<Extent> {
-        self.by_start
-            .get(addr.get())
+        self.len_if_start(addr.get())
             .map(|l| Extent::from_raw(addr.get(), l))
     }
 
@@ -207,21 +229,38 @@ impl FreeSpace {
 
     /// The gap with the highest start at or below `at`, if any.
     fn gap_at_or_before(&self, at: u64) -> Option<(u64, u64)> {
-        let start = self.bits.pred(at.saturating_add(1))?;
-        let len = self.by_start.get(start).expect("bit set implies gap");
-        Some((start, len))
+        let start = self.starts.pred(at.saturating_add(1))?;
+        Some((start, self.len_at(start)))
     }
 
     fn gap_insert(&mut self, start: u64, len: u64) {
+        self.starts.set(start);
+        self.ends.set(start + len - 1);
+        self.size_insert(start, len);
+    }
+
+    fn gap_remove(&mut self, start: u64) -> u64 {
+        debug_assert!(self.starts.contains(start), "gap exists when removed");
+        let len = self.len_at(start);
+        self.starts.clear(start);
+        self.ends.clear(start + len - 1);
+        self.size_remove(start, len);
+        len
+    }
+
+    /// Counts the gap `[start, start + len)` in the size indexes and the
+    /// length bounds; its boundary bits are the caller's.
+    fn size_insert(&mut self, start: u64, len: u64) {
         debug_assert!(len > 0);
         debug_assert!(start + len <= self.frontier);
-        self.by_start.insert(start, len);
-        self.bits.set(start);
+        self.bounds.raise(start, len);
         if len <= SMALL_MAX {
             let idx = len as usize;
             self.counts[idx] += 1;
             self.nonempty[(idx - 1) / 64] |= 1 << ((idx - 1) % 64);
-            self.classes[idx].push(Reverse(start));
+            if let Some(heap) = self.classes.get_mut(idx) {
+                heap.push(Reverse(start));
+            }
         } else {
             self.overflow.insert((len, start));
         }
@@ -229,12 +268,9 @@ impl FreeSpace {
         self.total_words += len;
     }
 
-    fn gap_remove(&mut self, start: u64) -> u64 {
-        let len = self
-            .by_start
-            .remove(start)
-            .expect("gap exists when removed");
-        self.bits.clear(start);
+    /// Uncounts the gap `[start, start + len)` from the size indexes
+    /// (the length bounds stay, as looser upper bounds).
+    fn size_remove(&mut self, start: u64, len: u64) {
         if len <= SMALL_MAX {
             let idx = len as usize;
             self.counts[idx] -= 1;
@@ -244,38 +280,51 @@ impl FreeSpace {
             self.maybe_compact_class(idx);
         } else {
             let present = self.overflow.remove(&(len, start));
-            debug_assert!(present, "size index and address map agree");
+            debug_assert!(present, "size index and gap bitmaps agree");
         }
         self.n_gaps -= 1;
         self.total_words -= len;
-        len
+    }
+
+    /// Builds the per-class heaps from the gaps on first use; from then
+    /// on every insert maintains them.
+    fn build_classes(&mut self) {
+        if !self.classes.is_empty() {
+            return;
+        }
+        let mut starts: Vec<Vec<Reverse<u64>>> = vec![Vec::new(); SMALL_MAX as usize + 1];
+        for gap in self.gaps() {
+            if let Some(class) = starts.get_mut(gap.size().get() as usize) {
+                class.push(Reverse(gap.start().get()));
+            }
+        }
+        self.classes = starts.into_iter().map(BinaryHeap::from).collect();
     }
 
     /// Rebuilds a class heap once stale (lazily deleted) entries
     /// outnumber live ones 4:1, bounding memory without touching the
     /// hot path.
     fn maybe_compact_class(&mut self, idx: usize) {
-        let heap_len = self.classes[idx].len();
+        let heap_len = self.classes.get(idx).map_or(0, BinaryHeap::len);
         if heap_len < 64 || heap_len as u64 <= 4 * u64::from(self.counts[idx]) {
             return;
         }
         let mut starts = std::mem::take(&mut self.classes[idx]).into_vec();
         starts.sort_unstable_by_key(|&Reverse(s)| s);
         starts.dedup();
-        starts.retain(|&Reverse(s)| self.by_start.get(s) == Some(idx as u64));
+        starts.retain(|&Reverse(s)| self.len_if_start(s) == Some(idx as u64));
         self.classes[idx] = BinaryHeap::from(starts);
     }
 
-    /// Lowest live start in exact class `len`; pops stale heap entries
-    /// on the way (an entry is live iff the gap at its start still has
-    /// exactly this length).
+    /// Lowest live start in exact class `len` (the heaps must be built);
+    /// pops stale heap entries on the way (an entry is live iff the gap
+    /// at its start still has exactly this length).
     fn class_min(&mut self, len: u64) -> Option<u64> {
-        let heap = &mut self.classes[len as usize];
-        while let Some(&Reverse(start)) = heap.peek() {
-            if self.by_start.get(start) == Some(len) {
+        while let Some(&Reverse(start)) = self.classes[len as usize].peek() {
+            if self.len_if_start(start) == Some(len) {
                 return Some(start);
             }
-            heap.pop();
+            self.classes[len as usize].pop();
         }
         None
     }
@@ -323,81 +372,48 @@ impl FreeSpace {
         }
     }
 
-    /// Min start over every fitting size class: exact classes come from
-    /// the nonempty bitmap, large classes hop the overflow tree.
+    /// The lowest-address gap of length `>= s`.
     ///
-    /// Fast path first: the answer is the lowest-address fitting gap, and
-    /// for small requests the lowest-address gap usually fits outright,
-    /// so a bounded address-order probe beats merging every fitting size
-    /// class. Degenerate populations (a long run of too-small gaps at the
-    /// bottom) fall back to the class merge, so the worst case only adds
-    /// a constant.
+    /// No-fit requests (common under fragmentation: every hole is smaller
+    /// than the ask, the object goes to the frontier) are answered by the
+    /// class bitmap without touching a single gap; every other request is
+    /// one descent of the length bounds.
     fn pick_first(&mut self, s: u64) -> Option<u64> {
-        // No-fit requests (common under fragmentation: every hole is
-        // smaller than the ask, the object goes to the frontier) are
-        // answered by the class bitmap without touching a single gap.
         if !self.any_fits(s) {
             return None;
         }
-        const SCAN_CAP: u32 = 16;
-        let mut cur = self.bits.succ(0);
-        for _ in 0..SCAN_CAP {
-            let Some(start) = cur else {
-                return None; // no gap left can fit
-            };
-            let len = self.by_start.get(start).expect("bit set implies gap");
-            if len >= s {
-                return Some(start);
-            }
-            cur = self.bits.succ(start + 1);
-        }
-        let (best, _) = self.pick_first_inner(s);
-        best
+        let ends = &self.ends;
+        self.bounds
+            .first_at_least(&self.starts, s, |start| gap_len(ends, start))
     }
 
-    /// `pick_first` plus its probe count: one per distinct fitting size
-    /// class present, plus the final empty probe.
-    fn pick_first_traced(&mut self, s: u64) -> (Option<u64>, u64) {
-        self.pick_first_inner(s)
-    }
-
-    fn pick_first_inner(&mut self, s: u64) -> (Option<u64>, u64) {
-        let mut best: Option<u64> = None;
-        let mut probes = 0u64;
+    /// The traced first-fit probe count, as a merge over every fitting
+    /// size class would count it: one probe per nonempty exact class
+    /// `>= s`, one per distinct overflow length `>= s`, plus the final
+    /// empty probe.
+    fn first_fit_probes(&self, s: u64) -> u64 {
+        let mut probes = 1;
         if s <= SMALL_MAX {
             let start_bit = (s - 1) as usize;
-            let mut w = start_bit / 64;
-            let mut mask = self.nonempty[w] & (!0u64 << (start_bit % 64));
-            loop {
-                while mask != 0 {
-                    let len = (w * 64 + mask.trailing_zeros() as usize + 1) as u64;
-                    mask &= mask - 1;
-                    let m = self.class_min(len).expect("nonempty class has a member");
-                    best = Some(best.map_or(m, |b| b.min(m)));
-                    probes += 1;
-                }
-                w += 1;
-                if w >= CLASS_WORDS {
-                    break;
-                }
-                mask = self.nonempty[w];
-            }
+            let w = start_bit / 64;
+            probes += u64::from((self.nonempty[w] & (!0u64 << (start_bit % 64))).count_ones());
+            probes += self.nonempty[w + 1..]
+                .iter()
+                .map(|m| u64::from(m.count_ones()))
+                .sum::<u64>();
         }
         let mut from = s;
-        while let Some(&(len, start)) = self.overflow.range((from, 0)..).next() {
-            best = Some(best.map_or(start, |b| b.min(start)));
+        while let Some(&(len, _)) = self.overflow.range((from, 0)..).next() {
             probes += 1;
-            match len.checked_add(1) {
-                Some(next) => from = next,
-                None => return (best, probes), // no size class can follow
-            }
+            from = len + 1;
         }
-        (best, probes + 1)
+        probes
     }
 
     fn pick_best(&mut self, s: u64) -> Option<u64> {
         if s <= SMALL_MAX {
             if let Some(len) = self.first_class_at_least(s) {
+                self.build_classes();
                 return self.class_min(len);
             }
         }
@@ -422,6 +438,7 @@ impl FreeSpace {
         if max_len < s {
             return None;
         }
+        self.build_classes();
         self.class_min(max_len)
     }
 
@@ -435,15 +452,25 @@ impl FreeSpace {
         self.carve_at(start, start, size)
     }
 
+    /// Carves `[at, at + size)` out of the gap starting at `start`. The
+    /// remainders keep the gap's outer boundary bits; only the cut edges
+    /// move.
     fn carve_at(&mut self, start: u64, at: u64, size: u64) -> Addr {
-        let len = self.gap_remove(start);
+        let len = self.len_at(start);
         debug_assert!(start <= at && at + size <= start + len);
+        self.size_remove(start, len);
         if at > start {
-            self.gap_insert(start, at - start);
+            self.ends.set(at - 1);
+            self.size_insert(start, at - start);
+        } else {
+            self.starts.clear(start);
         }
         let tail = (start + len) - (at + size);
         if tail > 0 {
-            self.gap_insert(at + size, tail);
+            self.starts.set(at + size);
+            self.size_insert(at + size, tail);
+        } else {
+            self.ends.clear(start + len - 1);
         }
         Addr::new(at)
     }
@@ -482,13 +509,15 @@ impl FreeSpace {
         assert!(!size.is_zero(), "cannot take zero words");
         let s = size.get();
         let (pick, probes) = match policy {
-            FitPolicy::FirstFit | FitPolicy::NextFit => self.pick_first_traced(s),
+            FitPolicy::FirstFit | FitPolicy::NextFit => {
+                (self.pick_first(s), self.first_fit_probes(s))
+            }
             FitPolicy::BestFit => (self.pick_best(s), 1),
             FitPolicy::WorstFit => (self.pick_worst(s), 2),
         };
         match pick {
             Some(start) => {
-                let gap_len = self.by_start.get(start);
+                let gap_len = Some(self.len_at(start));
                 (self.carve(start, s), TakeStats { probes, gap_len })
             }
             None => (
@@ -526,18 +555,18 @@ impl FreeSpace {
     /// First fitting gap at or after `from`, wrapping once; `probes`
     /// counts gaps examined when tracing.
     fn scan_next_fit(&self, from: u64, s: u64, mut probes: Option<&mut u64>) -> Option<u64> {
-        let mut cur = self.bits.succ(from);
+        let mut cur = self.starts.succ(from);
         while let Some(start) = cur {
             if let Some(p) = probes.as_deref_mut() {
                 *p += 1;
             }
-            let len = self.by_start.get(start).expect("bit set implies gap");
+            let len = self.len_at(start);
             if len >= s {
                 return Some(start);
             }
-            cur = self.bits.succ(start + 1);
+            cur = self.starts.succ(start + len);
         }
-        let mut cur = self.bits.succ(0);
+        let mut cur = self.starts.succ(0);
         while let Some(start) = cur {
             if start >= from {
                 break;
@@ -545,11 +574,11 @@ impl FreeSpace {
             if let Some(p) = probes.as_deref_mut() {
                 *p += 1;
             }
-            let len = self.by_start.get(start).expect("bit set implies gap");
+            let len = self.len_at(start);
             if len >= s {
                 return Some(start);
             }
-            cur = self.bits.succ(start + 1);
+            cur = self.starts.succ(start + len);
         }
         None
     }
@@ -596,7 +625,7 @@ impl FreeSpace {
         };
         let (addr, gap_len) = match found {
             Some(start) => {
-                let gap_len = self.by_start.get(start);
+                let gap_len = Some(self.len_at(start));
                 (self.carve(start, s), gap_len)
             }
             None => (self.take_frontier(s), None),
@@ -619,17 +648,17 @@ impl FreeSpace {
         // A gap shorter than `s` cannot serve any alignment (aligning up
         // only shrinks the usable span), so the address-order scan can
         // start at the lowest gap of length >= s instead of gap zero —
-        // the size index answers that in O(classes).
+        // the first-fit descent answers that.
         let mut found = None;
         let mut cur = self.pick_first(s);
         while let Some(start) = cur {
-            let len = self.by_start.get(start).expect("bit set implies gap");
+            let len = self.len_at(start);
             let a = Addr::new(start).align_up(align).get();
             if a + s <= start + len {
                 found = Some((start, a));
                 break;
             }
-            cur = self.bits.succ(start + 1);
+            cur = self.starts.succ(start + len);
         }
         match found {
             Some((start, at)) => self.carve_at(start, at, s),
@@ -709,28 +738,51 @@ impl FreeSpace {
             at + len,
             self.frontier
         );
-        // Resolve both neighbor merges before touching the size index:
-        // the merged gap is written once, instead of being inserted,
-        // removed and re-inserted per absorbed neighbor.
+        let end = at + len;
+        debug_assert!(
+            self.gap_at_or_before(end - 1)
+                .is_none_or(|(s, l)| s + l <= at),
+            "released range [{at}, {end}) is already free"
+        );
+        let prev = self.gap_end_lookup(at);
+        if end == self.frontier {
+            // The freed range touches the frontier (so no gap follows
+            // it): retreat over it and its predecessor gap instead of
+            // recording a gap.
+            self.frontier = match prev {
+                Some(pstart) => {
+                    self.gap_remove(pstart);
+                    pstart
+                }
+                None => at,
+            };
+            Self::note_coalesce_merges(u64::from(prev.is_some()));
+            return;
+        }
+        // A merge only moves the boundary bits on the freed range's
+        // edges: the absorbed neighbours' outer bits become the merged
+        // gap's, and the merged gap is counted once.
         let mut merges = 0u64;
         let mut gap_start = at;
-        let mut gap_len = len;
-        if let Some(pstart) = self.gap_end_lookup(at) {
-            gap_len += self.gap_remove(pstart);
+        if let Some(pstart) = prev {
+            self.size_remove(pstart, at - pstart);
+            self.ends.clear(at - 1);
             gap_start = pstart;
             merges += 1;
-        }
-        if self.by_start.get(at + len).is_some() {
-            gap_len += self.gap_remove(at + len);
-            merges += 1;
-        }
-        if gap_start + gap_len == self.frontier {
-            // The freed range touches the frontier: retreat over it
-            // instead of recording a gap.
-            self.frontier = gap_start;
         } else {
-            self.gap_insert(gap_start, gap_len);
+            self.starts.set(at);
         }
+        let mut gap_end = end;
+        if self.starts.contains(end) {
+            let nlen = self.len_at(end);
+            self.size_remove(end, nlen);
+            self.starts.clear(end);
+            gap_end += nlen;
+            merges += 1;
+        } else {
+            self.ends.set(end - 1);
+        }
+        self.size_insert(gap_start, gap_end - gap_start);
         Self::note_coalesce_merges(merges);
     }
 
@@ -745,8 +797,8 @@ impl FreeSpace {
     fn coalesce_around(&mut self, at: u64) {
         let mut merges = 0u64;
         let mut start = at;
-        let mut len = self.by_start.get(at).expect("gap just inserted");
-        // Merge with the predecessor: O(1) via the end index.
+        let mut len = self.len_at(at);
+        // Merge with the predecessor: one end-bit test.
         if let Some(pstart) = self.gap_end_lookup(start) {
             let plen = self.gap_remove(pstart);
             self.gap_remove(start);
@@ -755,8 +807,8 @@ impl FreeSpace {
             self.gap_insert(start, len);
             merges += 1;
         }
-        // Merge with the successor: O(1) via the start index.
-        if self.by_start.get(start + len).is_some() {
+        // Merge with the successor: one start-bit test.
+        if self.starts.contains(start + len) {
             self.gap_remove(start);
             let nlen = self.gap_remove(start + len);
             len += nlen;
@@ -774,12 +826,13 @@ impl FreeSpace {
     /// Forgets everything, making the whole space free again (used by
     /// managers that rebuild their view after a full compaction).
     pub fn clear(&mut self) {
-        self.by_start.clear();
-        self.bits.clear_all();
+        self.starts.clear_all();
+        self.ends.clear_all();
+        self.bounds.clear_all();
         for heap in &mut self.classes {
             heap.clear();
         }
-        self.counts.fill(0);
+        self.counts = [0; SMALL_MAX as usize + 1];
         self.nonempty = [0; CLASS_WORDS];
         self.overflow.clear();
         self.n_gaps = 0;
@@ -801,25 +854,32 @@ impl FreeSpace {
     }
 
     /// Internal-consistency check for tests: the indexes agree, gaps are
-    /// disjoint, coalesced, non-empty, and below the frontier.
+    /// disjoint, coalesced, non-empty, and below the frontier; the length
+    /// bounds cover every gap from above, and the class heaps, once
+    /// built, hold every small gap.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut prev_end: Option<u64> = None;
         let mut n = 0usize;
         let mut words = 0u64;
-        let mut counts = vec![0u32; SMALL_MAX as usize + 1];
+        let mut counts = [0u32; SMALL_MAX as usize + 1];
         let mut big = 0usize;
-        let mut cur = self.bits.succ(0);
+        let mut heaped: Vec<(u64, u64)> = (self.classes.iter().enumerate())
+            .flat_map(|(len, heap)| heap.iter().map(move |&Reverse(s)| (len as u64, s)))
+            .collect();
+        heaped.sort_unstable();
+        let mut cur = self.starts.succ(0);
         while let Some(start) = cur {
-            let Some(len) = self.by_start.get(start) else {
-                return Err(format!("start bit set at {start} without a gap"));
+            let Some(last) = self.ends.succ(start) else {
+                return Err(format!("gap at {start} has no end bit"));
             };
-            if len == 0 {
-                return Err(format!("empty gap at {start}"));
+            let len = last + 1 - start;
+            let next = self.starts.succ(start + 1);
+            if next.is_some_and(|next| next <= last) {
+                return Err(format!(
+                    "gap at {start} has no end bit before the next start"
+                ));
             }
             if let Some(pe) = prev_end {
-                if start < pe {
-                    return Err(format!("overlapping gaps at {start}"));
-                }
                 if start == pe {
                     return Err(format!("uncoalesced gaps at {start}"));
                 }
@@ -833,8 +893,16 @@ impl FreeSpace {
             if self.gap_end_lookup(start + len) != Some(start) {
                 return Err(format!("gap [{start},{len}] not found by end lookup"));
             }
+            if let Some(bound) = self.bounds.covering(start).iter().find(|&&b| b < len) {
+                return Err(format!(
+                    "gap [{start},{len}] exceeds its length bound {bound}"
+                ));
+            }
             if len <= SMALL_MAX {
                 counts[len as usize] += 1;
+                if !self.classes.is_empty() && heaped.binary_search(&(len, start)).is_err() {
+                    return Err(format!("gap [{start},{len}] missing from its class heap"));
+                }
             } else {
                 if !self.overflow.contains(&(len, start)) {
                     return Err(format!("gap [{start},{len}] missing from size index"));
@@ -844,7 +912,7 @@ impl FreeSpace {
             n += 1;
             words += len;
             prev_end = Some(start + len);
-            cur = self.bits.succ(start + 1);
+            cur = next;
         }
         if n != self.n_gaps {
             return Err(format!("gap count mismatch: {n} != {}", self.n_gaps));
@@ -855,11 +923,14 @@ impl FreeSpace {
                 self.total_words
             ));
         }
-        if self.by_start.len() != n {
-            return Err(format!(
-                "address map has {} entries for {n} gaps",
-                self.by_start.len()
-            ));
+        let mut end_bits = 0usize;
+        let mut cur = self.ends.succ(0);
+        while let Some(last) = cur {
+            end_bits += 1;
+            cur = self.ends.succ(last + 1);
+        }
+        if end_bits != n {
+            return Err(format!("{end_bits} end bits for {n} gaps"));
         }
         if self.overflow.len() != big {
             return Err(format!(
@@ -894,10 +965,17 @@ impl Iterator for Gaps<'_> {
 
     fn next(&mut self) -> Option<Extent> {
         let start = self.next?;
-        let len = self.fs.by_start.get(start).expect("bit set implies gap");
-        self.next = self.fs.bits.succ(start + 1);
+        let len = self.fs.len_at(start);
+        self.next = self.fs.starts.succ(start + len);
         Some(Extent::from_raw(start, len))
     }
+}
+
+/// The length of the gap starting at `start`: the distance to the next
+/// end bit (gaps are disjoint, so that bit is this gap's last word).
+#[inline]
+fn gap_len(ends: &StartBits, start: u64) -> u64 {
+    ends.succ(start).expect("every gap start has an end") + 1 - start
 }
 
 #[cfg(test)]
@@ -1066,6 +1144,40 @@ mod tests {
         let (addr, t) = fs.take_traced(Size::new(11), FitPolicy::FirstFit);
         assert_eq!(addr, Addr::new(40), "frontier serve");
         assert_eq!(t.gap_len, None);
+    }
+
+    #[test]
+    fn first_fit_probes_count_distinct_fitting_lengths() {
+        // Gaps of many lengths, some repeated, on both sides of the exact
+        // class limit: every other block of a run of growing blocks is
+        // freed, then a few equal-length copies are punched in.
+        let mut fs = FreeSpace::new();
+        let mut at = 0;
+        let mut blocks = Vec::new();
+        for len in (1..=40u64)
+            .map(|i| i * i)
+            .chain([300, 300, 700, 5, 5, 256, 257])
+        {
+            fs.take(Size::new(len), FitPolicy::FirstFit);
+            fs.take(Size::new(1), FitPolicy::FirstFit);
+            blocks.push((at, len));
+            at += len + 1;
+        }
+        for &(start, len) in blocks.iter().step_by(2).chain(blocks.iter().rev().take(6)) {
+            if fs.is_free(Addr::new(start), Size::new(len)) {
+                continue;
+            }
+            fs.release(Addr::new(start), Size::new(len));
+        }
+        fs.check_invariants().unwrap();
+        let lens: BTreeSet<u64> = fs.gaps().map(|g| g.size().get()).collect();
+        assert!(lens.iter().any(|&l| l > SMALL_MAX) && lens.len() > 20);
+        for s in (1..=1_700).step_by(7).chain([256, 257, 300, 301, 700, 701]) {
+            let mut probe = fs.clone();
+            let want = lens.range(s..).count() as u64 + 1;
+            let (_, stats) = probe.take_traced(Size::new(s), FitPolicy::FirstFit);
+            assert_eq!(stats.probes, want, "ask {s}");
+        }
     }
 
     #[test]

@@ -3,13 +3,16 @@
 //! [`PageManager`](crate::PageManager):
 //!
 //! * [`AddrMap`] — an open-addressed `u64 -> u64` hash (fibonacci
-//!   hashing, linear probing, backward-shift deletion);
+//!   hashing, linear probing, backward-shift deletion), for the buddy
+//!   allocator;
 //! * [`StartBits`] — a three-level hierarchical bitmap giving
 //!   predecessor/successor/iteration in a handful of word operations
-//!   (the same trick the heap's bitmap referee uses).
+//!   (the same trick the heap's bitmap referee uses);
+//! * [`LenBounds`] — lazily tightened upper bounds on gap length per
+//!   [`StartBits`] block, for the first-fit descent.
 
-/// Sentinel for an empty [`AddrMap`] slot. Gap starts and ends are
-/// strictly below the frontier, so `u64::MAX` is never a real key.
+/// Sentinel for an empty [`AddrMap`] slot. Block addresses are strictly
+/// below the buddy arena's end, so `u64::MAX` is never a real key.
 const EMPTY: u64 = u64::MAX;
 
 /// Open-addressed `u64 -> u64` map: fibonacci hashing, linear probing,
@@ -29,11 +32,6 @@ impl AddrMap {
     #[inline]
     pub(crate) fn home(&self, key: u64) -> usize {
         (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.len
     }
 
     #[inline]
@@ -134,11 +132,6 @@ impl AddrMap {
             }
         }
     }
-
-    pub(crate) fn clear(&mut self) {
-        self.keys.fill(EMPTY);
-        self.len = 0;
-    }
 }
 
 /// Three-level hierarchical bitmap over `u64` indices (gap start
@@ -159,18 +152,17 @@ impl StartBits {
         let w0 = i / 64;
         if w0 >= self.l0.len() {
             self.l0.resize(w0 + 1, 0);
+            self.l1.resize(w0 / 64 + 1, 0);
+            self.l2.resize(w0 / 4096 + 1, 0);
         }
-        self.l0[w0] |= 1 << (i % 64);
+        let was = self.l0[w0];
+        self.l0[w0] = was | 1 << (i % 64);
+        if was != 0 {
+            return; // the upper levels already mark this word
+        }
         let w1 = w0 / 64;
-        if w1 >= self.l1.len() {
-            self.l1.resize(w1 + 1, 0);
-        }
         self.l1[w1] |= 1 << (w0 % 64);
-        let w2 = w1 / 64;
-        if w2 >= self.l2.len() {
-            self.l2.resize(w2 + 1, 0);
-        }
-        self.l2[w2] |= 1 << (w1 % 64);
+        self.l2[w1 / 64] |= 1 << (w1 % 64);
     }
 
     pub(crate) fn clear(&mut self, i: u64) {
@@ -191,6 +183,15 @@ impl StartBits {
         self.l0.clear();
         self.l1.clear();
         self.l2.clear();
+    }
+
+    /// Whether bit `i` is set.
+    #[inline]
+    pub(crate) fn contains(&self, i: u64) -> bool {
+        usize::try_from(i)
+            .ok()
+            .and_then(|i| self.l0.get(i / 64))
+            .is_some_and(|w| (w >> (i % 64)) & 1 == 1)
     }
 
     /// Lowest set bit at or above `from`.
@@ -290,6 +291,107 @@ impl StartBits {
     }
 }
 
+/// Upper bounds on the length of the gaps that start in each block of a
+/// [`StartBits`]: one `u64` per level-0 word (64 addresses), per level-1
+/// word (4 096) and per level-2 word (262 144).
+///
+/// The bounds are lazy. [`raise`](Self::raise) lifts them when a gap is
+/// inserted; a removal leaves them stale (still upper bounds, only
+/// looser). [`first_at_least`](Self::first_at_least) skips every block
+/// whose bound is below the ask and, in each block it searches without
+/// success, tightens the bound to the exact maximum found. A stale block
+/// is therefore searched at most once before it is exact again.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LenBounds {
+    b0: Vec<u64>,
+    b1: Vec<u64>,
+    b2: Vec<u64>,
+}
+
+impl LenBounds {
+    /// Records a gap of `len` words starting at `start`.
+    #[inline]
+    pub(crate) fn raise(&mut self, start: u64, len: u64) {
+        let w0 = usize::try_from(start / 64).expect("address fits in usize");
+        if w0 >= self.b0.len() {
+            self.b0.resize(w0 + 1, 0);
+            self.b1.resize(w0 / 64 + 1, 0);
+            self.b2.resize(w0 / 4096 + 1, 0);
+        }
+        let (w1, w2) = (w0 / 64, w0 / 4096);
+        self.b0[w0] = self.b0[w0].max(len);
+        self.b1[w1] = self.b1[w1].max(len);
+        self.b2[w2] = self.b2[w2].max(len);
+    }
+
+    pub(crate) fn clear_all(&mut self) {
+        self.b0.clear();
+        self.b1.clear();
+        self.b2.clear();
+    }
+
+    /// The three bounds that cover `start`, finest first (zero where
+    /// nothing was ever raised).
+    pub(crate) fn covering(&self, start: u64) -> [u64; 3] {
+        let w0 = start as usize / 64;
+        let at = |v: &[u64], i: usize| v.get(i).copied().unwrap_or(0);
+        [
+            at(&self.b0, w0),
+            at(&self.b1, w0 / 64),
+            at(&self.b2, w0 / 4096),
+        ]
+    }
+
+    /// Lowest set bit `i` of `starts` with `len(i) >= s`, descending only
+    /// into blocks whose bound admits `s`. Every block searched in full
+    /// has its bound tightened to the largest length it holds.
+    pub(crate) fn first_at_least(
+        &mut self,
+        starts: &StartBits,
+        s: u64,
+        len: impl Fn(u64) -> u64,
+    ) -> Option<u64> {
+        for (w2, &m) in starts.l2.iter().enumerate() {
+            if m == 0 || self.b2[w2] < s {
+                continue;
+            }
+            let mut tight2 = 0;
+            let mut m2 = m;
+            while m2 != 0 {
+                let w1 = w2 * 64 + m2.trailing_zeros() as usize;
+                m2 &= m2 - 1;
+                if self.b1[w1] >= s {
+                    let mut tight1 = 0;
+                    let mut m1 = starts.l1[w1];
+                    while m1 != 0 {
+                        let w0 = w1 * 64 + m1.trailing_zeros() as usize;
+                        m1 &= m1 - 1;
+                        if self.b0[w0] >= s {
+                            let mut tight0 = 0;
+                            let mut m0 = starts.l0[w0];
+                            while m0 != 0 {
+                                let i = (w0 * 64) as u64 + u64::from(m0.trailing_zeros());
+                                m0 &= m0 - 1;
+                                let l = len(i);
+                                if l >= s {
+                                    return Some(i);
+                                }
+                                tight0 = tight0.max(l);
+                            }
+                            self.b0[w0] = tight0;
+                        }
+                        tight1 = tight1.max(self.b0[w0]);
+                    }
+                    self.b1[w1] = tight1;
+                }
+                tight2 = tight2.max(self.b1[w1]);
+            }
+            self.b2[w2] = tight2;
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,7 +403,6 @@ mod tests {
         for i in 0..1000u64 {
             m.insert(i * 7, i);
         }
-        assert_eq!(m.len(), 1000);
         for i in 0..1000u64 {
             assert_eq!(m.get(i * 7), Some(i));
         }
@@ -309,7 +410,6 @@ mod tests {
         for i in (0..1000u64).step_by(2) {
             assert_eq!(m.remove(i * 7), Some(i));
         }
-        assert_eq!(m.len(), 500);
         for i in 0..1000u64 {
             let want = (i % 2 == 1).then_some(i);
             assert_eq!(m.get(i * 7), want, "key {}", i * 7);
@@ -317,9 +417,6 @@ mod tests {
         assert_eq!(m.remove(2), None);
         m.insert(0, 42);
         assert_eq!(m.get(0), Some(42));
-        m.clear();
-        assert_eq!(m.len(), 0);
-        assert_eq!(m.get(0), None);
     }
 
     #[test]
@@ -327,8 +424,9 @@ mod tests {
         let mut m = AddrMap::default();
         m.insert(5, 1);
         m.insert(5, 2);
-        assert_eq!(m.len(), 1);
         assert_eq!(m.get(5), Some(2));
+        assert_eq!(m.remove(5), Some(2));
+        assert_eq!(m.get(5), None);
     }
 
     #[test]

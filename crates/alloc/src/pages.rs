@@ -496,7 +496,6 @@ impl PageManager {
     #[cfg(test)]
     fn check_consistency(&self) {
         let geom = self.geom;
-        let member = |set: &StartBits, page: u64| set.succ(page) == Some(page);
         for (k, class) in self.classes.iter().enumerate() {
             let mut free = 0;
             let mut live_total = 0;
@@ -505,12 +504,12 @@ impl PageManager {
                 free += geom.slots() - live;
                 live_total += live;
                 assert_eq!(
-                    member(&class.open, page),
+                    class.open.contains(page),
                     live < geom.slots(),
                     "class {k} page {page} open"
                 );
                 assert_eq!(
-                    member(&class.sparse, page),
+                    class.sparse.contains(page),
                     live <= geom.sparse_live,
                     "class {k} page {page} sparse"
                 );

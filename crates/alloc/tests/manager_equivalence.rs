@@ -379,6 +379,113 @@ proptest! {
     }
 }
 
+/// Words covered by one top-level entry of the first-fit length bounds.
+const LEVEL2_SPAN: u64 = 1 << 18;
+
+/// Free-space operations over a heap spread across several top-level
+/// blocks of the first-fit length bounds.
+#[derive(Debug, Clone)]
+enum WideOp {
+    /// Claim `[block * LEVEL2_SPAN + offset, + size)` exactly (skipping
+    /// the frontier past it when it lies above).
+    Claim { block: u64, offset: u64, size: u64 },
+    /// Traced take under first-, best- or worst-fit.
+    Take { size: u64, policy: usize },
+    /// Release the `pick`-th claimed extent.
+    Release { pick: usize },
+    /// Claim the lowest of the largest gaps whole, then ask first-fit for
+    /// its length: the claimed gap's block keeps a stale bound that the
+    /// descent must tighten on its way to the next fitting gap.
+    ConsumeLargest,
+}
+
+fn wide_op_strategy() -> impl Strategy<Value = WideOp> {
+    let size = || prop_oneof![1u64..48, 1u64..48, 200u64..3_000];
+    prop_oneof![
+        (0u64..4, 0u64..LEVEL2_SPAN, 1u64..600).prop_map(|(block, offset, size)| WideOp::Claim {
+            block,
+            offset,
+            size
+        }),
+        (0u64..4, 0u64..LEVEL2_SPAN, 1u64..600).prop_map(|(block, offset, size)| WideOp::Claim {
+            block,
+            offset,
+            size
+        }),
+        (size(), 0usize..3).prop_map(|(size, policy)| WideOp::Take { size, policy }),
+        (size(), 0usize..3).prop_map(|(size, policy)| WideOp::Take { size, policy }),
+        (0usize..64).prop_map(|pick| WideOp::Release { pick }),
+        (0usize..64).prop_map(|pick| WideOp::Release { pick }),
+        (0u8..1).prop_map(|_| WideOp::ConsumeLargest),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Lockstep across level-2 blocks: gaps live in at least three
+    // top-level blocks of the length bounds, so the first-fit descent
+    // really skips and tightens blocks at every level. Every address and
+    // traced probe count matches the seed oracle.
+    #[test]
+    fn free_space_matches_the_oracle_across_summary_blocks(
+        ops in proptest::collection::vec(wide_op_strategy(), 1..150),
+    ) {
+        let mut fs = FreeSpace::new();
+        let mut oracle = ReferenceFreeSpace::new();
+        let mut taken: Vec<(Addr, Size)> = Vec::new();
+        // Three islands in three different level-2 blocks.
+        for block in [1u64, 2, 3] {
+            let at = Addr::new(block * LEVEL2_SPAN + 1_000);
+            prop_assert!(fs.take_exact(at, Size::new(10)));
+            prop_assert!(oracle.take_exact(at, Size::new(10)));
+            taken.push((at, Size::new(10)));
+        }
+        let blocks: std::collections::BTreeSet<u64> =
+            fs.gaps().map(|g| g.start().get() / LEVEL2_SPAN).collect();
+        prop_assert_eq!(blocks.len(), 3);
+        for op in ops {
+            match op {
+                WideOp::Claim { block, offset, size } => {
+                    let (start, size) = (Addr::new(block * LEVEL2_SPAN + offset), Size::new(size));
+                    let got = fs.take_exact(start, size);
+                    prop_assert_eq!(got, oracle.take_exact(start, size), "claim {} +{}", start, size);
+                    if got {
+                        taken.push((start, size));
+                    }
+                }
+                WideOp::Take { size, policy } => {
+                    let (size, policy) = (Size::new(size), FitPolicy::ALL[policy]);
+                    let got = fs.take_traced(size, policy);
+                    prop_assert_eq!(got, oracle.take_traced(size, policy), "take {} {:?}", size, policy);
+                    taken.push((got.0, size));
+                }
+                WideOp::Release { pick } => {
+                    if taken.is_empty() {
+                        continue;
+                    }
+                    let (addr, size) = taken.remove(pick % taken.len());
+                    fs.release(addr, size);
+                    oracle.release(addr, size);
+                }
+                WideOp::ConsumeLargest => {
+                    let largest = fs.largest_gap();
+                    let Some(gap) = fs.gaps().find(|g| g.size() == largest) else {
+                        continue;
+                    };
+                    prop_assert!(fs.take_exact(gap.start(), gap.size()));
+                    prop_assert!(oracle.take_exact(gap.start(), gap.size()));
+                    taken.push((gap.start(), gap.size()));
+                    let got = fs.take_traced(largest, FitPolicy::FirstFit);
+                    prop_assert_eq!(got, oracle.take_traced(largest, FitPolicy::FirstFit), "ask {}", largest);
+                    taken.push((got.0, largest));
+                }
+            }
+            assert_same_state(&fs, &oracle)?;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
