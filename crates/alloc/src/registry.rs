@@ -122,6 +122,22 @@ impl ManagerKind {
         matches!(self, ManagerKind::FullCompaction)
     }
 
+    /// The compaction bound of the heap a run under this kind gets, in
+    /// the encoding of [`Heap::with_c`](pcb_heap::Heap::with_c): `0`
+    /// (unlimited) for a manager the paper's bounds do not apply to,
+    /// `c` when the kind compacts or the program needs a c-partial heap
+    /// (`P_F` relies on one), and `u64::MAX` (non-moving) otherwise.
+    /// This is the one place that choice is made.
+    pub fn heap_c(self, program_needs_budget: bool, c: u64) -> u64 {
+        if self.is_unbounded() {
+            0
+        } else if program_needs_budget || self.is_compacting() {
+            c
+        } else {
+            u64::MAX
+        }
+    }
+
     /// Instantiates the manager for the experiment parameters `(M, n, c)`.
     ///
     /// # Panics

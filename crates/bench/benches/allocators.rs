@@ -28,11 +28,7 @@ fn churn_script(rounds: usize) -> ScriptedProgram {
 fn main() {
     for kind in ManagerKind::ALL {
         bench(&format!("churn/{}", kind.name()), 10, || {
-            let heap = if kind.is_compacting() {
-                Heap::new(10)
-            } else {
-                Heap::non_moving()
-            };
+            let heap = Heap::with_c(kind.heap_c(false, 10));
             let mut exec = Execution::new(
                 heap,
                 churn_script(24),

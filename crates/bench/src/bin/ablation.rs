@@ -13,13 +13,15 @@
 //! cargo run --release -p pcb-bench --bin ablation
 //! ```
 
+use partial_compaction::figures::to_csv;
+
 fn main() {
     println!("# E7: P_F variant ablation (M = 2^16 words, n = 2^10 words)");
     let rows = pcb_bench::run_ablation();
-    pcb_bench::print_csv(&rows);
+    print!("{}", to_csv(&rows));
     println!();
     println!("# E7b: page-geometry ablation of the Theorem-2-style manager");
     println!("# (objects per page; the paper's Section 4 analysis uses factor 4)");
     let rows = pcb_bench::run_geometry_ablation();
-    pcb_bench::print_csv(&rows);
+    print!("{}", to_csv(&rows));
 }

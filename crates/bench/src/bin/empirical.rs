@@ -13,6 +13,8 @@
 //! cargo run --release -p pcb-bench --bin empirical [-- --robson] [-- --validate]
 //! ```
 
+use partial_compaction::figures::to_csv;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let robson = args.iter().any(|a| a == "--robson");
@@ -22,7 +24,7 @@ fn main() {
         println!("# E6: Robson's P_R vs non-moving managers");
         println!("# h column = Robson bound factor (M(log n/2 + 1) - n + 1)/M; ratio = waste/h");
         let rows = pcb_bench::run_robson_empirical();
-        pcb_bench::print_csv(&rows);
+        print!("{}", to_csv(&rows));
         let below: Vec<_> = rows.iter().filter(|r| r.ratio < 1.0).collect();
         eprintln!(
             "{} runs, {} below the bound (must be 0): {:?}",
@@ -34,7 +36,7 @@ fn main() {
         println!("# E5: P_F vs the manager suite");
         println!("# h = Theorem 1 bound; ratio = waste/h (>= 1 certifies the bound)");
         let rows = pcb_bench::run_empirical(validate);
-        pcb_bench::print_csv(&rows);
+        print!("{}", to_csv(&rows));
         let worst = rows
             .iter()
             .min_by(|a, b| a.ratio.total_cmp(&b.ratio))

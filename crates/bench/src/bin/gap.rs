@@ -11,6 +11,7 @@
 //! cargo run --release -p pcb-bench --bin gap
 //! ```
 
+use partial_compaction::figures::to_csv;
 use partial_compaction::workload::{ChurnConfig, ChurnWorkload, RampConfig, RampWorkload};
 use partial_compaction::{bounds, sim, Execution, Heap, ManagerKind, Params};
 
@@ -52,13 +53,7 @@ fn main() {
     ];
 
     for kind in managers {
-        let heap = || {
-            if kind.is_compacting() {
-                Heap::new(c)
-            } else {
-                Heap::non_moving()
-            }
-        };
+        let heap = || Heap::with_c(kind.heap_c(false, c));
 
         let churn = {
             let cfg = ChurnConfig::typical(m, log_n);
@@ -109,7 +104,7 @@ fn main() {
         });
     }
 
-    pcb_bench::print_csv(&rows);
+    print!("{}", to_csv(&rows));
 
     let typical_max = rows
         .iter()

@@ -56,11 +56,7 @@ fn run_raw(cells: &[(Params, ManagerKind)]) -> String {
     let mut out = Vec::new();
     for &(params, kind) in cells {
         let cfg = PfConfig::new(params.m(), params.log_n(), params.c()).expect("feasible");
-        let heap = if kind.is_unbounded() {
-            Heap::unlimited_compaction()
-        } else {
-            Heap::new(params.c())
-        };
+        let heap = Heap::with_c(kind.heap_c(true, params.c()));
         let mut exec = Execution::new(heap, PfProgram::new(cfg), kind.build(&params));
         let report = exec.run().expect("cell runs");
         out.push(format!("{report:?}"));

@@ -1,6 +1,6 @@
-//! Shared plumbing for the benchmark harness: experiment configurations
-//! and tabular output helpers used by the `fig*`, `empirical`, and
-//! `ablation` binaries.
+//! Shared plumbing for the benchmark harness: the experiment
+//! configurations behind the `empirical`, `ablation` and `gap` binaries
+//! (which print them through [`figures::to_csv`](partial_compaction::figures::to_csv)).
 
 use partial_compaction::{parallel, sim, ManagerKind, Params, PfVariant};
 use pcb_json::{Json, ToJson};
@@ -271,40 +271,6 @@ pub mod harness {
         let mean = start.elapsed() / iters;
         println!("{name}: {mean:?}/iter over {iters} iters");
     }
-}
-
-/// Renders rows as a CSV table (header from the first row's field names,
-/// alphabetical — [`Json`] objects keep their keys sorted).
-pub fn to_csv<T: ToJson>(rows: &[T]) -> String {
-    let mut out = String::new();
-    let mut header_done = false;
-    for row in rows {
-        let value = row.to_json();
-        let Json::Object(obj) = &value else {
-            panic!("rows serialize to objects");
-        };
-        if !header_done {
-            out.push_str(&obj.keys().map(String::as_str).collect::<Vec<_>>().join(","));
-            out.push('\n');
-            header_done = true;
-        }
-        let line: Vec<String> = obj
-            .values()
-            .map(|v| match v {
-                Json::Str(s) => s.clone(),
-                Json::Null => String::new(),
-                other => other.to_string(),
-            })
-            .collect();
-        out.push_str(&line.join(","));
-        out.push('\n');
-    }
-    out
-}
-
-/// Prints rows as CSV to stdout.
-pub fn print_csv<T: ToJson>(rows: &[T]) {
-    print!("{}", to_csv(rows));
 }
 
 #[cfg(test)]

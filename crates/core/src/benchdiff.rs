@@ -1,4 +1,4 @@
-//! Structural comparison of benchmark artifacts (`BENCH_parallel.json`,
+//! Structural comparison of benchmark artifacts (`BENCH_search.json`,
 //! `BENCH_obs.json`, and future bench files): the regression gate behind
 //! `pcb bench diff`.
 //!

@@ -3,8 +3,8 @@
 //! The paper's figures are analytic (they plot the bound formulas, not
 //! measurements); these functions regenerate the exact series at the
 //! paper's parameters, fanning the grid points across threads via
-//! [`parallel::par_map`] (results stay in sweep order). The `pcb-bench`
-//! crate prints them as CSV and times them in its benches.
+//! [`parallel::par_map`] (results stay in sweep order). `pcb figure N`
+//! prints them as CSV through [`to_csv`].
 
 use pcb_json::{Json, ToJson};
 
@@ -14,6 +14,37 @@ use crate::params::Params;
 use crate::sim::{Adversary, Sim, SimError};
 use pcb_alloc::ManagerKind;
 use pcb_heap::TimeSeries;
+
+/// Renders rows as a CSV table: the header is the first row's field
+/// names, alphabetical ([`Json`] objects keep their keys sorted); strings
+/// print bare and nulls as empty cells.
+///
+/// # Panics
+///
+/// Panics if a row does not serialize to a JSON object.
+pub fn to_csv<T: ToJson>(rows: &[T]) -> String {
+    let mut out = String::new();
+    for (i, row) in rows.iter().enumerate() {
+        let Json::Object(obj) = row.to_json() else {
+            panic!("rows serialize to objects");
+        };
+        if i == 0 {
+            out.push_str(&obj.keys().map(String::as_str).collect::<Vec<_>>().join(","));
+            out.push('\n');
+        }
+        let cells: Vec<String> = obj
+            .values()
+            .map(|v| match v {
+                Json::Str(s) => s.clone(),
+                Json::Null => String::new(),
+                other => other.to_string(),
+            })
+            .collect();
+        out.push_str(&cells.join(","));
+        out.push('\n');
+    }
+    out
+}
 
 /// One point of Figure 1: the lower-bound waste factor vs. `c`.
 #[derive(Debug, Clone, PartialEq)]

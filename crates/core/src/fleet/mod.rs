@@ -770,13 +770,7 @@ fn run_tenant(
     let built = manager
         .try_build(&params)
         .map_err(|e| FleetError::Config(format!("tenant {index}: {e}")))?;
-    let heap = if manager.is_unbounded() {
-        Heap::unlimited_compaction()
-    } else if family.needs_budget() || manager.is_compacting() {
-        Heap::new(shape.c)
-    } else {
-        Heap::non_moving()
-    };
+    let heap = Heap::with_c(manager.heap_c(family.needs_budget(), shape.c));
     let program: Box<dyn Program> = if run.chaos.should_fire(FaultSite::TenantPanic, index) {
         let rounds = u64::from(mixer.config().rounds.max(1));
         let panic_round = (run.chaos.roll(FaultSite::TenantPanic, index) % rounds) as u32;

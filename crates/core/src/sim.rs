@@ -1,25 +1,27 @@
-//! High-level simulation harness: pit an adversary against a manager and
-//! get a report comparing the measured heap against the paper's bounds.
+//! High-level simulation harness: run one program against one manager
+//! on one heap and get a report comparing the measured heap against the
+//! paper's bounds.
 //!
-//! The entry point is the [`Sim`] builder, which also carries the
-//! observability hooks: an external [`Observer`], a per-round
-//! [`TimeSeries`], and manager-side [`StatSink`] counters can all be
-//! attached to the same run.
+//! The entry point is the [`Sim`] builder, the one code path that builds
+//! and drives a single-heap run (`pcb simulate` and `pcb record` are thin
+//! shells over it). It also carries the observability hooks: an external
+//! [`Observer`], a per-round [`TimeSeries`], and manager-side
+//! [`StatSink`] counters can all be attached to the same run.
 
 use core::fmt;
 
 use pcb_adversary::{PfConfig, PfProgram, PfVariant, RobsonProgram};
-use pcb_alloc::ManagerKind;
+use pcb_alloc::{BuildError, ManagerKind};
 use pcb_chaos::FaultPlan;
 use pcb_heap::{
     Execution, ExecutionError, Heap, MemoryManager, Observer, Observers, Program, StatSink,
     TimeSeries,
 };
+use pcb_workload::{tenant_by_kind, TenantProgram, TenantShape};
 
-use crate::bounds::thm1;
 use crate::params::Params;
 
-/// Which adversary to run.
+/// Which program to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Adversary {
     /// The paper's `P_F` (Algorithm 1) with the given variant.
@@ -27,11 +29,65 @@ pub enum Adversary {
     /// Robson's `P_R` (Algorithm 2); meaningful against non-moving
     /// managers.
     Robson,
+    /// A built-in workload family instead of an adversary. `rounds` and
+    /// `allocs` (allocations per round) default to the family's
+    /// single-heap profile when `None`.
+    Workload {
+        /// The family.
+        family: Workload,
+        /// Rounds to run.
+        rounds: Option<u32>,
+        /// Allocation attempts per round.
+        allocs: Option<usize>,
+    },
 }
 
 impl Adversary {
     /// The paper's full `P_F`.
     pub const PF: Adversary = Adversary::Pf(PfVariant::FULL);
+
+    /// Whether the program relies on a c-partial heap even against a
+    /// non-moving manager (`P_F` does; see [`ManagerKind::heap_c`]).
+    fn needs_budget(self) -> bool {
+        match self {
+            Adversary::Pf(_) => true,
+            Adversary::Robson => false,
+            Adversary::Workload { family, .. } => family.tenant().needs_budget(),
+        }
+    }
+}
+
+/// The workload families a [`Sim`] runs: the fleet's benign tenant
+/// kinds, instantiated through the same [`tenant_by_kind`] factories.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    /// Steady-state churn (`churn`).
+    Churn,
+    /// Phased grow/release (`ramp`).
+    Ramp,
+    /// A synthesized allocation trace (`replay`).
+    Replay,
+}
+
+impl Workload {
+    fn tenant(self) -> &'static dyn TenantProgram {
+        let kind = match self {
+            Workload::Churn => "churn",
+            Workload::Ramp => "ramp",
+            Workload::Replay => "replay",
+        };
+        tenant_by_kind(kind).expect("built-in family")
+    }
+
+    /// The single-heap profile `(rounds, allocations per round)`:
+    /// churn's `typical` 200x64, ramp's 12 phases, replay's 24x32.
+    fn defaults(self) -> (u32, usize) {
+        match self {
+            Workload::Churn => (200, 64),
+            Workload::Ramp => (12, 64),
+            Workload::Replay => (24, 32),
+        }
+    }
 }
 
 /// Outcome of one adversary-vs-manager simulation.
@@ -42,17 +98,18 @@ pub struct SimReport {
     /// The bound the run is compared against, clamped to at least the
     /// trivial factor 1 (a heap can never use less than the live space).
     pub h: f64,
-    /// The raw Theorem-1 factor before clamping. Values below 1 mean the
-    /// parameters are too weak for a non-trivial bound — information the
-    /// clamped `h` erases.
+    /// The raw bound before clamping: Theorem 1's factor for `P_F`,
+    /// Robson's for `P_R`, and the trivial 1 for a workload. Values below
+    /// 1 mean the parameters are too weak for a non-trivial bound —
+    /// information the clamped `h` erases.
     pub h_raw: f64,
-    /// The density exponent `ρ` used (0 for Robson runs).
+    /// The density exponent `ρ` used (0 unless the program is `P_F`).
     pub rho: u32,
     /// Measured waste divided by the clamped bound `h` (≥ 1 certifies the
     /// lower bound empirically for this manager).
     pub waste_over_bound: f64,
-    /// `s₁, s₂, q₁, q₂` (allocated / compacted words per stage; zeros for
-    /// Robson runs).
+    /// `s₁, s₂, q₁, q₂` (allocated / compacted words per stage; zeros
+    /// unless the program is `P_F`).
     pub stage_words: [u64; 4],
     /// The final potential `u(t_finish)` in words, when tracked.
     pub final_potential: Option<i128>,
@@ -121,7 +178,7 @@ impl fmt::Display for SimReport {
     }
 }
 
-/// A configurable adversary-vs-manager simulation.
+/// A configurable program-vs-manager simulation.
 ///
 /// Replaces the old positional `run(params, adversary, manager, validate)`
 /// call with named steps, and is the only way to attach observability:
@@ -187,7 +244,7 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Selects the adversary.
+    /// Selects the program.
     pub fn adversary(mut self, adversary: Adversary) -> Self {
         self.adversary = adversary;
         self
@@ -248,37 +305,22 @@ impl<'a> Sim<'a> {
         self.chaos(run.chaos).paranoia(run.paranoia)
     }
 
-    /// Drives an execution to completion, attaching the configured
-    /// collectors. With nothing attached this is the engine's zero-cost
-    /// unobserved path.
-    fn drive<P: Program, M: MemoryManager>(
-        observer: Option<&mut dyn Observer>,
-        series_every: Option<u32>,
-        exec: &mut Execution<P, M>,
-    ) -> Result<(pcb_heap::Report, Option<TimeSeries>), ExecutionError> {
-        if observer.is_none() && series_every.is_none() {
-            return Ok((exec.run()?, None));
-        }
-        let mut series = series_every.map(|k| TimeSeries::new().every(k));
-        let mut bus = Observers::new();
-        if let Some(s) = series.as_mut() {
-            bus.attach(s);
-        }
-        if let Some(o) = observer {
-            bus.attach(o);
-        }
-        let report = exec.run_observed(&mut bus)?;
-        drop(bus);
-        Ok((report, series))
+    /// The compaction bound of the heap this run gets, in the encoding
+    /// of [`Heap::with_c`] (what a trace header records).
+    pub fn heap_c(&self) -> u64 {
+        self.manager
+            .heap_c(self.adversary.needs_budget(), self.params.c())
     }
 
     /// Runs the simulation.
     ///
     /// # Errors
     ///
-    /// Propagates [`ExecutionError`]s (e.g. a manager that cannot serve a
-    /// request) and rejects infeasible `P_F` parameter combinations.
+    /// Reports a manager that cannot serve the parameters, infeasible
+    /// `P_F` parameters, and [`ExecutionError`]s (e.g. a manager that
+    /// cannot serve a request).
     pub fn run(self) -> Result<SimReport, SimError> {
+        let heap = Heap::with_c(self.heap_c());
         let Sim {
             params,
             adversary,
@@ -290,9 +332,14 @@ impl<'a> Sim<'a> {
             chaos,
             paranoia,
         } = self;
-        let build = |manager: ManagerKind| match manager.try_build(&params) {
-            Ok(built) => built,
-            Err(e) => panic!("{e}"),
+        let run = Setup {
+            heap,
+            manager: manager.try_build(&params).map_err(SimError::Manager)?,
+            chaos,
+            paranoia,
+            stats,
+            observer,
+            series_every,
         };
         match adversary {
             Adversary::Pf(variant) => {
@@ -302,94 +349,108 @@ impl<'a> Sim<'a> {
                 if validate {
                     cfg = cfg.with_validation();
                 }
-                let rho = cfg.rho;
-                let h_raw = cfg.h;
-                let heap = if manager.is_unbounded() {
-                    Heap::unlimited_compaction()
-                } else {
-                    Heap::new(params.c())
-                };
-                let mut exec = Execution::new(heap, PfProgram::new(cfg), build(manager))
-                    .with_chaos(chaos)
-                    .with_paranoia(paranoia);
-                if stats {
-                    exec = exec.with_stats();
-                }
-                let (execution, series) =
-                    Self::drive(observer, series_every, &mut exec).map_err(SimError::Execution)?;
-                let program = exec.program();
-                // The trivial factor 1 is always attainable, so the bound
-                // the measurement is held to is the clamped value; the raw
-                // h is preserved separately.
-                let h = h_raw.max(1.0);
-                let waste_over_bound = execution.waste_factor / h;
-                let stage_words = [
+                let (rho, h_raw) = (cfg.rho, cfg.h);
+                let (mut report, program) = run.drive(PfProgram::new(cfg), h_raw)?;
+                report.rho = rho;
+                report.stage_words = [
                     program.s1_words(),
                     program.s2_words(),
                     program.q1_words(),
                     program.q2_words(),
                 ];
-                let final_potential = program.potential();
-                let violations = program.violations().to_vec();
-                Ok(SimReport {
-                    h,
-                    h_raw,
-                    rho,
-                    waste_over_bound,
-                    stage_words,
-                    final_potential,
-                    violations,
-                    execution,
-                    series,
-                    stats: exec.take_stats(),
-                })
+                report.final_potential = program.potential();
+                report.violations = program.violations().to_vec();
+                Ok(report)
             }
             Adversary::Robson => {
-                let program = RobsonProgram::new(params.m(), params.log_n());
-                let heap = if manager.is_unbounded() {
-                    Heap::unlimited_compaction()
-                } else if manager.is_compacting() {
-                    Heap::new(params.c())
-                } else {
-                    Heap::non_moving()
-                };
-                let mut exec = Execution::new(heap, program, build(manager))
-                    .with_chaos(chaos)
-                    .with_paranoia(paranoia);
-                if stats {
-                    exec = exec.with_stats();
-                }
-                let (execution, series) =
-                    Self::drive(observer, series_every, &mut exec).map_err(SimError::Execution)?;
                 let bound = RobsonProgram::robson_lower_bound(params.m(), params.log_n())
                     / params.m() as f64;
-                let h = bound.max(1.0);
-                let waste_over_bound = execution.waste_factor / h;
-                Ok(SimReport {
-                    h,
-                    h_raw: bound,
-                    rho: 0,
-                    waste_over_bound,
-                    stage_words: [0; 4],
-                    final_potential: None,
-                    violations: Vec::new(),
-                    execution,
-                    series,
-                    stats: exec.take_stats(),
-                })
+                let program = RobsonProgram::new(params.m(), params.log_n());
+                Ok(run.drive(program, bound)?.0)
+            }
+            Adversary::Workload {
+                family,
+                rounds,
+                allocs,
+            } => {
+                let (default_rounds, default_allocs) = family.defaults();
+                let program = family.tenant().instantiate(&TenantShape {
+                    m: params.m(),
+                    log_n: params.log_n(),
+                    c: params.c(),
+                    seed: 0x5EED,
+                    rounds: rounds.unwrap_or(default_rounds),
+                    allocs_per_round: allocs.unwrap_or(default_allocs),
+                });
+                Ok(run.drive(program, 1.0)?.0)
             }
         }
     }
 }
 
-/// Theorem 1's bound for quick reference alongside a simulation.
-pub fn theoretical_bound(params: Params) -> f64 {
-    thm1::factor(params)
+/// Everything a run needs besides its program.
+struct Setup<'a> {
+    heap: Heap,
+    manager: Box<dyn MemoryManager>,
+    chaos: FaultPlan,
+    paranoia: u32,
+    stats: bool,
+    observer: Option<&'a mut dyn Observer>,
+    series_every: Option<u32>,
+}
+
+impl Setup<'_> {
+    /// Drives `program` to completion with the configured collectors and
+    /// reports it against the bound `h_raw`; returns the program for its
+    /// own readings. With nothing attached this is the engine's
+    /// zero-cost unobserved path.
+    fn drive<P: Program>(self, program: P, h_raw: f64) -> Result<(SimReport, P), SimError> {
+        let mut exec = Execution::new(self.heap, program, self.manager)
+            .with_chaos(self.chaos)
+            .with_paranoia(self.paranoia);
+        if self.stats {
+            exec = exec.with_stats();
+        }
+        let mut series = self.series_every.map(|k| TimeSeries::new().every(k));
+        let execution = if self.observer.is_none() && series.is_none() {
+            exec.run()
+        } else {
+            let mut bus = Observers::new();
+            if let Some(s) = series.as_mut() {
+                bus.attach(s);
+            }
+            if let Some(o) = self.observer {
+                bus.attach(o);
+            }
+            exec.run_observed(&mut bus)
+        }
+        .map_err(SimError::Execution)?;
+        let stats = exec.take_stats();
+        // The trivial factor 1 is always attainable, so the bound the
+        // measurement is held to is the clamped value; the raw h is
+        // preserved separately.
+        let h = h_raw.max(1.0);
+        let report = SimReport {
+            h,
+            h_raw,
+            rho: 0,
+            waste_over_bound: execution.waste_factor / h,
+            stage_words: [0; 4],
+            final_potential: None,
+            violations: Vec::new(),
+            execution,
+            series,
+            stats,
+        };
+        Ok((report, exec.into_parts().1))
+    }
 }
 
 /// Errors from the simulation harness.
 #[derive(Debug)]
 pub enum SimError {
+    /// The manager cannot serve the run's parameters.
+    Manager(BuildError),
     /// The `P_F` parameters admit no feasible `ρ`.
     Infeasible(String),
     /// The underlying execution failed.
@@ -399,6 +460,7 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SimError::Manager(e) => write!(f, "{e}"),
             SimError::Infeasible(msg) => write!(f, "infeasible parameters: {msg}"),
             SimError::Execution(e) => write!(f, "execution failed: {e}"),
         }
@@ -408,6 +470,7 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            SimError::Manager(e) => Some(e),
             SimError::Execution(e) => Some(e),
             SimError::Infeasible(_) => None,
         }
@@ -460,6 +523,45 @@ mod tests {
         // c = 2 admits no rho (needs 2^rho <= 3c/4 = 1.5 with rho >= 1).
         let p = Params::new(1 << 14, 10, 2).unwrap();
         assert!(matches!(Sim::new(p).run(), Err(SimError::Infeasible(_))));
+    }
+
+    #[test]
+    fn unbuildable_managers_are_errors_not_panics() {
+        // The page manager's size-class table caps log n; the run must
+        // say so through `SimError`, whichever program was asked for.
+        let p = Params::new((1 << 46) + 1, 46, 10).unwrap();
+        for adversary in [Adversary::PF, Adversary::Robson] {
+            let err = Sim::new(p)
+                .adversary(adversary)
+                .manager(ManagerKind::PagesThm2)
+                .run()
+                .unwrap_err();
+            assert!(
+                err.to_string()
+                    .starts_with("cannot build manager `pages-thm2`: max_order 46"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn workload_families_run_on_the_heap_their_manager_gets() {
+        let churn = Adversary::Workload {
+            family: Workload::Churn,
+            rounds: Some(20),
+            allocs: None,
+        };
+        let non_moving = sim(ManagerKind::FirstFit).adversary(churn);
+        assert_eq!(non_moving.heap_c(), u64::MAX);
+        let report = non_moving.run().unwrap();
+        assert_eq!(report.execution.program, "churn");
+        assert_eq!(report.execution.rounds, 20);
+        assert_eq!(report.execution.objects_moved, 0);
+        assert_eq!((report.h, report.rho), (1.0, 0));
+        // P_F needs the c-partial heap even against a non-moving manager.
+        assert_eq!(sim(ManagerKind::FirstFit).heap_c(), 20);
+        assert_eq!(sim(ManagerKind::FullCompaction).heap_c(), 0);
+        assert_eq!(sim(ManagerKind::PagesThm2).adversary(churn).heap_c(), 20);
     }
 
     #[test]

@@ -124,13 +124,7 @@ fn run_tenant_independently(cfg: &FleetConfig, index: u64) -> (usize, HeapSummar
     let shape = mixer.shape(&spec);
     let family = mixer.family(&spec);
     let params = Params::new(shape.m, shape.log_n, shape.c).expect("valid tenant params");
-    let heap = if cfg.manager.is_unbounded() {
-        Heap::unlimited_compaction()
-    } else if family.needs_budget() || cfg.manager.is_compacting() {
-        Heap::new(shape.c)
-    } else {
-        Heap::non_moving()
-    };
+    let heap = Heap::with_c(cfg.manager.heap_c(family.needs_budget(), shape.c));
     let mut exec = Execution::new(heap, family.instantiate(&shape), cfg.manager.build(&params));
     (spec.kind, exec.run_summary().expect("tenant runs"))
 }

@@ -187,6 +187,21 @@ impl Heap {
         Self::with_budget(CompactionBudget::unlimited())
     }
 
+    /// Creates a heap from a compaction bound in the encoding traces and
+    /// [`CompactionBudget::c`] use: `0` is unlimited compaction,
+    /// `u64::MAX` a non-moving heap, anything else a c-partial heap.
+    ///
+    /// # Panics
+    ///
+    /// Panics for `c == 1` (see [`CompactionBudget::new`]).
+    pub fn with_c(c: u64) -> Self {
+        match c {
+            0 => Self::unlimited_compaction(),
+            u64::MAX => Self::non_moving(),
+            c => Self::new(c),
+        }
+    }
+
     /// Creates a heap with an explicit budget ledger.
     pub fn with_budget(budget: CompactionBudget) -> Self {
         Heap {

@@ -215,11 +215,7 @@ impl Trace {
     /// Returns the first [`HeapError`] (overlap, budget violation, unknown
     /// object), along with the index of the offending event.
     pub fn replay(&self) -> Result<Heap, (usize, HeapError)> {
-        let mut heap = match self.c {
-            0 => Heap::unlimited_compaction(),
-            u64::MAX => Heap::non_moving(),
-            c => Heap::new(c),
-        };
+        let mut heap = Heap::with_c(self.c);
         for (i, event) in self.events.iter().enumerate() {
             match *event {
                 TraceEvent::RoundStart { round } => heap.set_round(round),

@@ -30,11 +30,8 @@ fn main() {
     );
     println!();
 
-    let heap = if manager.is_unbounded() {
-        Heap::unlimited_compaction()
-    } else {
-        Heap::new(c)
-    };
+    // P_F needs a c-partial heap whatever the manager.
+    let heap = Heap::with_c(manager.heap_c(true, c));
     let params = Params::new(m, log_n, c).expect("valid");
     let mut exec = Execution::new(heap, PfProgram::new(cfg), manager.build(&params));
     let mut obs = NullObserver;

@@ -10,25 +10,13 @@
 //! pcb fleet [options]                       simulate a fleet of tenant heaps
 //! ```
 //!
-//! `simulate`/`record` options:
+//! `pcb` with no arguments prints every option ([`USAGE`]).
 //!
-//! ```text
-//! --program pf|pf-baseline|robson|churn|ramp   (default pf)
-//! --manager <name>                             (default first-fit)
-//! --m <words>  --log-n <k>  --c <c>            (default 65536, 10, 20)
-//! --map                                        print a heap heat map
-//! --validate                                   run the Claim 4.16 checks
-//! --series <file.csv|file.json>                per-round metrics to a file
-//! --every <k>                                  sample cadence (default 1)
-//! --stats                                      print manager counters
-//! --trace-out <file.json>                      engine span trace (Perfetto)
-//! --profile                                    print the span profile table
-//! --progress[=secs]                            heartbeat on stderr
-//! --progress-out <file.jsonl>                  heartbeat JSONL stream
-//! --metrics                                    collect the metric plane
-//! --metrics-out <file>                         write it (Prometheus text,
-//!                                              or pcb-json for .json)
-//! ```
+//! A `simulate`/`record` run is one [`Sim`] (`--program` picks `P_F`,
+//! `P_R` or a workload family): this file only attaches the trace
+//! recorder, heartbeat and heat map as observers and prints the report.
+//! The flags `simulate`, `fleet` and `worst-case` share are parsed once,
+//! from the [`SHARED`] table.
 //!
 //! `bench diff` compares a fresh benchmark artifact against a checked-in
 //! baseline: structure and identity fields strictly, timing fields within
@@ -39,18 +27,19 @@
 //! trace (one event per line, constant memory) when the target ends in
 //! `.jsonl`; `replay` accepts both.
 
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Duration;
 
-use partial_compaction::heap::{heat_map_rows, Execution, Heap, Program, TraceRecorder};
+use partial_compaction::heap::{heat_map_rows, Event, Heap, Observer, Tick, TraceRecorder};
 use partial_compaction::metrics::spans;
 use partial_compaction::progress::{Heartbeat, ProgressMode, ProgressOptions};
-use partial_compaction::workload::{tenant_by_kind, MixWeights, TenantShape};
-use partial_compaction::{
-    benchdiff, bounds, figures, fleet, metrics, ManagerKind, Params, PfConfig, PfProgram,
-};
-use partial_compaction::{Observers, RunConfig, TimeSeries, TraceWriter};
-use partial_compaction::{PfVariant, RobsonProgram};
-use pcb_json::Json;
+use partial_compaction::sim::{Adversary, Sim, SimError, Workload};
+use partial_compaction::workload::MixWeights;
+use partial_compaction::{benchdiff, bounds, figures, fleet, metrics, ManagerKind, Params};
+use partial_compaction::{Observers, PfVariant, RunConfig, TraceWriter};
+use pcb_json::{Json, ToJson};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -143,27 +132,184 @@ usage:
              bp11-upper bp11-lower)
 ";
 
-/// Parses one flag of the shared `--progress` family into `opts`.
-/// Returns `Ok(true)` when the flag was consumed, `Ok(false)` when it
-/// belongs to someone else.
-fn parse_progress_flag(
-    flag: &str,
-    value: &mut dyn FnMut(&str) -> Result<String, String>,
-    opts: &mut ProgressOptions,
-) -> Result<bool, String> {
-    match flag {
-        "--progress" => opts.mode = ProgressMode::Every(2.0),
-        "--no-progress" => opts.mode = ProgressMode::Off,
-        "--progress-out" => opts.stream = Some(value("--progress-out")?.into()),
-        f if f.starts_with("--progress=") => {
-            let secs: f64 = f["--progress=".len()..]
-                .parse()
-                .map_err(|e| format!("--progress: {e}"))?;
-            opts.mode = ProgressMode::Every(secs);
-        }
-        _ => return Ok(false),
+/// Parses `s`, naming `what` in the error.
+fn num<T: FromStr>(s: &str, what: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    s.parse().map_err(|e| format!("{what}: {e}"))
+}
+
+/// The argument cursor a subcommand's flags read their values from.
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl Args<'_> {
+    /// The value following `flag`.
+    fn value(&mut self, flag: &str) -> Result<String, String> {
+        self.0
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("{flag} needs a value"))
     }
-    Ok(true)
+
+    /// The value following `flag`, parsed.
+    fn parse<T: FromStr>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        num(&self.value(flag)?, flag)
+    }
+}
+
+/// The subcommands that read the [`SHARED`] flags (`record` is
+/// `simulate`).
+#[derive(Clone, Copy, PartialEq)]
+enum Cmd {
+    Simulate,
+    Fleet,
+    WorstCase,
+}
+
+/// The flag table: every flag more than one subcommand reads, and the
+/// subcommands that take it. Any other flag goes to the subcommand's own
+/// parser, which rejects what it does not know.
+const SHARED: &[(&str, &[Cmd])] = {
+    use Cmd::{Fleet as F, Simulate as S, WorstCase as W};
+    &[
+        ("--manager", &[S, F]),
+        ("--c", &[S, F]),
+        ("--rounds", &[S, F]),
+        ("--allocs", &[S, F]),
+        ("--chaos", &[S, F]),
+        ("--paranoia", &[S, F]),
+        ("--threads", &[F, W]),
+        ("--checkpoint", &[F, W]),
+        ("--checkpoint-every", &[F, W]),
+        ("--resume", &[F, W]),
+        ("--stop-after", &[F, W]),
+        ("--metrics", &[S, F, W]),
+        ("--metrics-out", &[S, F, W]),
+        ("--progress", &[S, F, W]),
+        ("--no-progress", &[S, F, W]),
+        ("--progress-out", &[S, F, W]),
+    ]
+};
+
+/// The [`SHARED`] flags, resolved once at the boundary: the environment
+/// (`PCB_THREADS`) is the fallback, flags override it, and everything
+/// downstream receives plain data. `None` keeps the subcommand's default.
+struct Flags {
+    run: RunConfig,
+    progress: ProgressOptions,
+    metrics_out: Option<String>,
+    checkpoint: Option<fleet::CheckpointOptions>,
+    manager: Option<ManagerKind>,
+    c: Option<u64>,
+    rounds: Option<u32>,
+    allocs: Option<usize>,
+}
+
+impl Flags {
+    /// Walks `args` once: [`SHARED`] flags that `cmd` takes land in the
+    /// result, and every other argument goes to `local`, which returns
+    /// `Ok(false)` for one it does not know.
+    fn parse(
+        cmd: Cmd,
+        args: &[String],
+        mut local: impl FnMut(&str, &mut Args) -> Result<bool, String>,
+    ) -> Result<Flags, String> {
+        let mut flags = Flags {
+            run: RunConfig::from_env(),
+            // A single run is usually over within one heartbeat cadence,
+            // so `simulate` is silent unless `--progress` opts in. Auto
+            // elsewhere: on when stderr is a terminal, off when piped;
+            // the report bytes are identical either way.
+            progress: ProgressOptions {
+                mode: if cmd == Cmd::Simulate {
+                    ProgressMode::Off
+                } else {
+                    ProgressMode::Auto
+                },
+                stream: None,
+            },
+            metrics_out: None,
+            checkpoint: None,
+            manager: None,
+            c: None,
+            rounds: None,
+            allocs: None,
+        };
+        // Fleet checkpoints every 16 shards, worst-case every BFS level.
+        let mut every = if cmd == Cmd::Fleet { 16 } else { 1 };
+        let (mut path, mut resume, mut stop_after) = (None::<String>, false, None);
+        let mut args = Args(args.iter());
+        while let Some(flag) = args.0.next() {
+            let name = match flag.strip_prefix("--progress=") {
+                Some(_) => "--progress",
+                None => flag.as_str(),
+            };
+            if !SHARED
+                .iter()
+                .any(|(n, cmds)| *n == name && cmds.contains(&cmd))
+            {
+                if local(flag, &mut args)? {
+                    continue;
+                }
+                return Err(format!("unknown flag {flag}"));
+            }
+            let run = &mut flags.run;
+            match name {
+                "--manager" => flags.manager = Some(args.parse(name)?),
+                "--c" => flags.c = Some(args.parse(name)?),
+                "--rounds" => flags.rounds = Some(args.parse(name)?),
+                "--allocs" => flags.allocs = Some(args.parse(name)?),
+                "--chaos" => *run = run.with_chaos(args.parse(name)?),
+                "--paranoia" => *run = run.with_paranoia(args.parse(name)?),
+                "--threads" => *run = run.with_threads(args.parse(name)?),
+                "--checkpoint" => path = Some(args.value(name)?),
+                "--checkpoint-every" => every = args.parse(name)?,
+                "--resume" => resume = true,
+                "--stop-after" => stop_after = Some(args.parse(name)?),
+                "--metrics" => *run = run.with_metrics(true),
+                "--metrics-out" => {
+                    flags.metrics_out = Some(args.value(name)?);
+                    // Asking for the artifact implies collecting it.
+                    *run = run.with_metrics(true);
+                }
+                "--progress" => {
+                    let secs = match flag.strip_prefix("--progress=") {
+                        Some(secs) => cadence(secs)?,
+                        None => 2.0,
+                    };
+                    flags.progress.mode = ProgressMode::Every(secs);
+                }
+                "--no-progress" => flags.progress.mode = ProgressMode::Off,
+                "--progress-out" => flags.progress.stream = Some(args.value(name)?.into()),
+                _ => unreachable!("{name} has a row in SHARED but no arm here"),
+            }
+        }
+        if resume && path.is_none() {
+            return Err("--resume needs --checkpoint <file>".into());
+        }
+        flags.checkpoint = path.map(|path| {
+            let mut opts = fleet::CheckpointOptions::new(path)
+                .every(every)
+                .resume(resume);
+            opts.stop_after = stop_after;
+            opts
+        });
+        Ok(flags)
+    }
+}
+
+/// A `--progress=<secs>` cadence. Negative values mean "every tick";
+/// infinite, NaN and out-of-range ones have no `Duration` and are refused.
+fn cadence(secs: &str) -> Result<f64, String> {
+    let secs: f64 = num(secs, "--progress")?;
+    match Duration::try_from_secs_f64(secs.max(0.0)) {
+        Ok(_) if secs.is_finite() => Ok(secs),
+        _ => Err(format!("--progress: {secs} is not a cadence in seconds")),
+    }
 }
 
 /// Writes a metrics snapshot to `path`: pcb-json when the path ends in
@@ -171,7 +317,7 @@ fn parse_progress_flag(
 /// line goes to stderr so stdout stays report-only.
 fn write_metrics(path: &str, snap: &metrics::MetricsSnapshot) -> Result<(), String> {
     let out = if path.ends_with(".json") {
-        format!("{}\n", pcb_json::ToJson::to_json(snap))
+        format!("{}\n", snap.to_json())
     } else {
         snap.to_prometheus()
     };
@@ -185,16 +331,16 @@ fn write_metrics(path: &str, snap: &metrics::MetricsSnapshot) -> Result<(), Stri
     Ok(())
 }
 
+/// `(M, log n, c)` from positional arguments.
+fn params(m: &str, log_n: &str, c: &str) -> Result<Params, String> {
+    Params::new(num(m, "M")?, num(log_n, "log_n")?, num(c, "c")?).map_err(|e| e.to_string())
+}
+
 fn cmd_bounds(args: &[String]) -> Result<(), String> {
     let [m, log_n, c] = args else {
         return Err("bounds needs <M_words> <log2_n> <c>".into());
     };
-    let params = Params::new(
-        m.parse().map_err(|e| format!("M: {e}"))?,
-        log_n.parse().map_err(|e| format!("log_n: {e}"))?,
-        c.parse().map_err(|e| format!("c: {e}"))?,
-    )
-    .map_err(|e| e.to_string())?;
+    let params = params(m, log_n, c)?;
     println!("{params}");
     match bounds::thm1::optimal(params) {
         Some((rho, h)) => println!("thm1 lower bound    {h:.4} x M  (rho = {rho})"),
@@ -243,176 +389,55 @@ fn cmd_figure(args: &[String]) -> Result<(), String> {
         print!("{}", partial_compaction::plot::render(&series, 72, 20));
         return Ok(());
     }
-    match args.first().map(String::as_str) {
-        Some("1") => print_csv(&figures::figure1()),
-        Some("2") => print_csv(&figures::figure2()),
-        Some("3") => print_csv(&figures::figure3()),
+    let csv = match args.first().map(String::as_str) {
+        Some("1") => figures::to_csv(&figures::figure1()),
+        Some("2") => figures::to_csv(&figures::figure2()),
+        Some("3") => figures::to_csv(&figures::figure3()),
         _ => return Err("figure needs 1, 2, or 3".into()),
-    }
+    };
+    print!("{csv}");
     Ok(())
 }
 
-fn print_csv<T: pcb_json::ToJson>(rows: &[T]) {
-    let mut header_done = false;
-    for row in rows {
-        let value = row.to_json();
-        let pcb_json::Json::Object(obj) = &value else {
-            panic!("rows serialize to objects");
-        };
-        if !header_done {
-            println!(
-                "{}",
-                obj.keys().map(String::as_str).collect::<Vec<_>>().join(",")
-            );
-            header_done = true;
-        }
-        println!(
-            "{}",
-            obj.values()
-                .map(|v| match v {
-                    pcb_json::Json::Str(s) => s.clone(),
-                    pcb_json::Json::Null => String::new(),
-                    other => other.to_string(),
-                })
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-    }
-}
-
-#[derive(Debug)]
-struct SimOpts {
-    program: String,
-    manager: ManagerKind,
-    m: u64,
-    log_n: u32,
-    c: u64,
-    map: bool,
-    validate: bool,
-    series: Option<String>,
-    every: u32,
-    stats: bool,
-    trace_out: Option<String>,
-    profile: bool,
-    rounds: Option<u32>,
-    allocs: Option<usize>,
-    chaos: Option<partial_compaction::FaultPlan>,
-    paranoia: u32,
-    metrics: bool,
-    metrics_out: Option<String>,
-    progress: ProgressOptions,
-}
-
-fn parse_opts(args: &[String]) -> Result<SimOpts, String> {
-    let mut opts = SimOpts {
-        program: "pf".into(),
-        manager: ManagerKind::FirstFit,
-        m: 1 << 16,
-        log_n: 10,
-        c: 20,
-        map: false,
-        validate: false,
-        series: None,
-        every: 1,
-        stats: false,
-        trace_out: None,
-        profile: false,
-        rounds: None,
-        allocs: None,
-        chaos: None,
-        paranoia: 0,
-        metrics: false,
-        metrics_out: None,
-        // Off (not Auto) for single runs: a simulate is usually over in
-        // well under one heartbeat cadence; `--progress` opts in.
-        progress: ProgressOptions {
-            mode: ProgressMode::Off,
-            stream: None,
-        },
+/// `--program`'s names for the programs a [`Sim`] runs; `rounds` and
+/// `allocs` shape the workload families.
+fn program(name: &str, rounds: Option<u32>, allocs: Option<usize>) -> Result<Adversary, String> {
+    let family = match name {
+        "pf" => return Ok(Adversary::PF),
+        "pf-baseline" => return Ok(Adversary::Pf(PfVariant::BASELINE)),
+        "robson" => return Ok(Adversary::Robson),
+        "churn" => Workload::Churn,
+        "ramp" => Workload::Ramp,
+        "replay" => Workload::Replay,
+        other => return Err(format!("--program: unknown program {other}")),
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--program" => opts.program = value("--program")?,
-            "--manager" => {
-                opts.manager = value("--manager")?
-                    .parse()
-                    .map_err(|e: partial_compaction::alloc::ParseManagerKindError| e.to_string())?
-            }
-            "--m" => opts.m = value("--m")?.parse().map_err(|e| format!("--m: {e}"))?,
-            "--log-n" => {
-                opts.log_n = value("--log-n")?
-                    .parse()
-                    .map_err(|e| format!("--log-n: {e}"))?
-            }
-            "--c" => opts.c = value("--c")?.parse().map_err(|e| format!("--c: {e}"))?,
-            "--map" => opts.map = true,
-            "--validate" => opts.validate = true,
-            "--series" => opts.series = Some(value("--series")?),
-            "--every" => {
-                opts.every = value("--every")?
-                    .parse()
-                    .map_err(|e| format!("--every: {e}"))?
-            }
-            "--stats" => opts.stats = true,
-            "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
-            "--profile" => opts.profile = true,
-            "--rounds" => {
-                opts.rounds = Some(
-                    value("--rounds")?
-                        .parse()
-                        .map_err(|e| format!("--rounds: {e}"))?,
-                )
-            }
-            "--allocs" => {
-                opts.allocs = Some(
-                    value("--allocs")?
-                        .parse()
-                        .map_err(|e| format!("--allocs: {e}"))?,
-                )
-            }
-            "--chaos" => {
-                opts.chaos =
-                    Some(value("--chaos")?.parse().map_err(
-                        |e: partial_compaction::chaos::ParseFaultPlanError| e.to_string(),
-                    )?)
-            }
-            "--paranoia" => {
-                opts.paranoia = value("--paranoia")?
-                    .parse()
-                    .map_err(|e| format!("--paranoia: {e}"))?
-            }
-            "--metrics" => opts.metrics = true,
-            "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")?),
-            flag if parse_progress_flag(flag, &mut value, &mut opts.progress)? => {}
-            other => return Err(format!("unknown flag {other}")),
-        }
+    Ok(Adversary::Workload {
+        family,
+        rounds,
+        allocs,
+    })
+}
+
+/// A failed run's message: the underlying error, without [`SimError`]'s
+/// context prefix.
+fn sim_error(e: SimError) -> String {
+    match e {
+        SimError::Manager(e) => e.to_string(),
+        SimError::Infeasible(msg) => msg,
+        SimError::Execution(e) => e.to_string(),
     }
-    Ok(opts)
 }
 
 /// Per-round heartbeat adapter: rides the observer bus and ticks the
 /// [`Heartbeat`] at round boundaries. Pure side channel — it reads the
 /// heap, never touches it.
-struct ProgressObserver {
-    heartbeat: Heartbeat,
-}
+struct ProgressObserver(Heartbeat);
 
-impl partial_compaction::heap::Observer for ProgressObserver {
-    fn on_event(
-        &mut self,
-        _tick: partial_compaction::heap::Tick,
-        _event: &partial_compaction::heap::Event,
-    ) {
-    }
+impl Observer for ProgressObserver {
+    fn on_event(&mut self, _tick: Tick, _event: &Event) {}
 
     fn on_round_end(&mut self, round: u32, heap: &Heap) {
-        self.heartbeat.tick(
+        self.0.tick(
             u64::from(round) + 1,
             0,
             &[
@@ -423,91 +448,58 @@ impl partial_compaction::heap::Observer for ProgressObserver {
     }
 }
 
+/// `--map`: the heat map of the heap as of the latest round end, which
+/// after the run is the final heap.
+#[derive(Default)]
+struct HeatMap(String);
+
+impl Observer for HeatMap {
+    fn on_event(&mut self, _tick: Tick, _event: &Event) {}
+
+    fn on_round_end(&mut self, _round: u32, heap: &Heap) {
+        self.0 = heat_map_rows(heap, 72, 4);
+    }
+}
+
 fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String> {
-    let opts = parse_opts(args)?;
-    let params = Params::new(opts.m, opts.log_n, opts.c).map_err(|e| e.to_string())?;
-    // The run configuration is resolved once, here at the boundary: the
-    // environment (`PCB_THREADS`) is the fallback, flags override it, and
-    // everything downstream receives plain data.
-    let mut run = RunConfig::from_env();
-    if let Some(chaos) = opts.chaos {
-        run = run.with_chaos(chaos);
-    }
-    run = run.with_paranoia(opts.paranoia);
-    if opts.metrics || opts.metrics_out.is_some() {
-        run = run.with_metrics(true);
-    }
+    let (mut name, mut m, mut log_n, mut every) = ("pf".to_string(), 1u64 << 16, 10u32, 1u32);
+    let (mut map, mut validate, mut stats, mut profile) = (false, false, false, false);
+    let (mut series_to, mut trace_out) = (None, None);
+    let flags = Flags::parse(Cmd::Simulate, args, |flag, args| {
+        match flag {
+            "--program" => name = args.value(flag)?,
+            "--m" => m = args.parse(flag)?,
+            "--log-n" => log_n = args.parse(flag)?,
+            "--map" => map = true,
+            "--validate" => validate = true,
+            "--series" => series_to = Some(args.value(flag)?),
+            "--every" => every = args.parse(flag)?,
+            "--stats" => stats = true,
+            "--trace-out" => trace_out = Some(args.value(flag)?),
+            "--profile" => profile = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    let params = Params::new(m, log_n, flags.c.unwrap_or(20)).map_err(|e| e.to_string())?;
+    let adversary = program(&name, flags.rounds, flags.allocs)?;
+    let run = &flags.run;
     run.apply();
-    if opts.trace_out.is_some() || opts.profile {
+    let spans_on = trace_out.is_some() || profile;
+    if spans_on {
         spans::enable();
     }
-
-    let heap = if opts.manager.is_unbounded() {
-        Heap::unlimited_compaction()
-    } else if opts.manager.is_compacting() || opts.program.starts_with("pf") {
-        Heap::new(opts.c)
-    } else {
-        Heap::non_moving()
-    };
-    let budget_c = if opts.manager.is_unbounded() {
-        0
-    } else if opts.manager.is_compacting() || opts.program.starts_with("pf") {
-        opts.c
-    } else {
-        u64::MAX
-    };
-    // try_build: a parameter combination the manager cannot serve is a
-    // clean CLI error, not a panic.
-    let manager = opts.manager.try_build(&params).map_err(|e| e.to_string())?;
-
-    let program: Box<dyn Program> = match opts.program.as_str() {
-        "pf" | "pf-baseline" => {
-            let mut cfg = PfConfig::new(opts.m, opts.log_n, opts.c).map_err(|e| e.to_string())?;
-            if opts.program == "pf-baseline" {
-                cfg = cfg.with_variant(PfVariant::BASELINE);
-            }
-            if opts.validate {
-                cfg = cfg.with_validation();
-            }
-            Box::new(PfProgram::new(cfg))
-        }
-        "robson" => Box::new(RobsonProgram::new(opts.m, opts.log_n)),
-        // The workload families share the fleet's dispatch path: one
-        // object-safe factory per family, instantiated for this shape.
-        name @ ("churn" | "ramp" | "replay") => {
-            let family = tenant_by_kind(name).expect("built-in family");
-            // Family defaults match the historical single-heap profiles
-            // (churn's `typical` 200x64; ramp's 12 benign phases).
-            let (rounds, allocs) = match name {
-                "churn" => (200, 64),
-                "ramp" => (12, 64),
-                _ => (24, 32),
-            };
-            family.instantiate(&TenantShape {
-                m: opts.m,
-                log_n: opts.log_n,
-                c: opts.c,
-                seed: 0x5EED,
-                rounds: opts.rounds.unwrap_or(rounds),
-                allocs_per_round: opts.allocs.unwrap_or(allocs),
-            })
-        }
-        other => return Err(format!("unknown program {other}")),
-    };
-
-    let mut exec = Execution::new(heap, program, manager)
-        .with_chaos(run.chaos)
-        .with_paranoia(run.paranoia);
-    if opts.stats {
-        exec = exec.with_stats();
+    let mut sim = Sim::new(params)
+        .adversary(adversary)
+        .manager(flags.manager.unwrap_or(ManagerKind::FirstFit))
+        .validate(validate)
+        .stats(stats)
+        .config(run);
+    if series_to.is_some() {
+        sim = sim.series(every);
     }
 
-    let mut series = opts
-        .series
-        .as_ref()
-        .map(|_| TimeSeries::new().every(opts.every));
-    let mut recorder = None;
-    let mut writer = None;
+    let (mut recorder, mut writer) = (None, None);
     if let Some(path) = &record_to {
         if path.ends_with(".jsonl") {
             // Streaming mode: events go straight to disk, one JSON object
@@ -516,46 +508,44 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
             writer = Some(
                 TraceWriter::new(std::io::BufWriter::new(file))
                     .chaos(run.chaos)
-                    .begin(budget_c),
+                    .begin(sim.heap_c()),
             );
         } else {
-            recorder = Some(TraceRecorder::new(budget_c));
+            recorder = Some(TraceRecorder::new(sim.heap_c()));
         }
     }
-
-    let mut progress_observer = match opts.progress.cadence() {
-        Some(_) => Some(ProgressObserver {
-            heartbeat: Heartbeat::new("simulate", &opts.progress)
+    let mut progress = match flags.progress.cadence() {
+        Some(_) => Some(ProgressObserver(
+            Heartbeat::new("simulate", &flags.progress)
                 .map_err(|e| format!("progress stream: {e}"))?,
-        }),
+        )),
         None => None,
     };
-
-    let report = if series.is_some()
-        || recorder.is_some()
-        || writer.is_some()
-        || progress_observer.is_some()
-    {
-        let mut bus = Observers::new();
-        if let Some(s) = series.as_mut() {
-            bus.attach(s);
-        }
-        if let Some(r) = recorder.as_mut() {
-            bus.attach(r);
-        }
-        if let Some(w) = writer.as_mut() {
-            bus.attach(w);
-        }
-        if let Some(p) = progress_observer.as_mut() {
-            bus.attach(p);
-        }
-        exec.run_observed(&mut bus).map_err(|e| e.to_string())?
+    let mut heat_map = map.then(HeatMap::default);
+    let mut bus = Observers::new();
+    if let Some(r) = recorder.as_mut() {
+        bus.attach(r);
+    }
+    if let Some(w) = writer.as_mut() {
+        bus.attach(w);
+    }
+    if let Some(p) = progress.as_mut() {
+        bus.attach(p);
+    }
+    if let Some(h) = heat_map.as_mut() {
+        bus.attach(h);
+    }
+    // With nothing attached the run takes the engine's unobserved path.
+    let report = if bus.is_empty() {
+        sim
     } else {
-        exec.run().map_err(|e| e.to_string())?
-    };
-    if let Some(observer) = progress_observer {
-        observer
-            .heartbeat
+        sim.observe(&mut bus)
+    }
+    .run()
+    .map_err(sim_error)?;
+    drop(bus);
+    if let Some(ProgressObserver(heartbeat)) = progress {
+        heartbeat
             .finish()
             .map_err(|e| format!("progress stream: {e}"))?;
     }
@@ -570,9 +560,9 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
         writer.finish().map_err(|e| e.to_string())?;
         println!("trace: {events} events streamed -> {path}");
     }
-    if let (Some(path), Some(series)) = (&opts.series, series) {
+    if let (Some(path), Some(series)) = (&series_to, &report.series) {
         let out = if path.ends_with(".json") {
-            pcb_json::ToJson::to_json(&series).to_string()
+            series.to_json().to_string()
         } else {
             series.to_csv()
         };
@@ -580,34 +570,31 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
         println!("series: {} samples -> {path}", series.len());
     }
 
+    let exec = &report.execution;
     println!(
         "{} vs {}: HS = {} words, HS/M = {:.3}, moved = {:.4}",
-        report.program,
-        report.manager,
-        report.heap_size,
-        report.waste_factor,
-        report.moved_fraction
+        exec.program, exec.manager, exec.heap_size, exec.waste_factor, exec.moved_fraction
     );
-    if opts.program == "pf" {
+    if adversary == Adversary::PF {
         let h = bounds::thm1::factor(params);
         println!(
             "theorem 1 bound h = {h:.3}; measured/bound = {:.3}",
-            report.waste_factor / h
+            exec.waste_factor / h
         );
     }
-    if let Some(stats) = exec.take_stats() {
-        println!("stats: {}", pcb_json::ToJson::to_json(&stats));
+    if let Some(stats) = &report.stats {
+        println!("stats: {}", stats.to_json());
     }
-    if let Some(path) = &opts.metrics_out {
+    if let Some(path) = &flags.metrics_out {
         write_metrics(path, &metrics::snapshot())?;
     }
-    if opts.map {
-        println!("{}", heat_map_rows(exec.heap(), 72, 4));
+    if let Some(HeatMap(rows)) = heat_map {
+        println!("{rows}");
     }
-    if opts.trace_out.is_some() || opts.profile {
+    if spans_on {
         spans::disable();
         let trace = spans::take_trace();
-        if let Some(path) = &opts.trace_out {
+        if let Some(path) = &trace_out {
             let doc = trace.to_chrome_trace();
             std::fs::write(path, format!("{doc}\n")).map_err(|e| e.to_string())?;
             println!(
@@ -616,153 +603,58 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
                 trace.tracks.len()
             );
         }
-        if opts.profile {
+        if profile {
             print!("{}", spans::Profile::from_trace(&trace).render_table());
         }
     }
     Ok(())
 }
 
+/// `--mix churn,ramp,replay,adversary`.
+fn mix(raw: &str) -> Result<MixWeights, String> {
+    let parts: Vec<u32> = raw
+        .split(',')
+        .map(|p| num(p.trim(), "--mix"))
+        .collect::<Result<_, _>>()?;
+    let [churn, ramp, replay, adversary] = parts[..] else {
+        return Err("--mix needs four weights: churn,ramp,replay,adversary".into());
+    };
+    Ok(MixWeights {
+        churn,
+        ramp,
+        replay,
+        adversary,
+    })
+}
+
 fn cmd_fleet(args: &[String]) -> Result<(), String> {
     let mut cfg = fleet::FleetConfig::default();
-    let mut run = RunConfig::from_env();
     let mut json = false;
-    let mut checkpoint: Option<String> = None;
-    let mut checkpoint_every = 16usize;
-    let mut resume = false;
-    let mut stop_after: Option<usize> = None;
-    // Default `Auto`: heartbeat on when stderr is a terminal (a human is
-    // watching the run), off when piped — either way the report bytes
-    // are identical.
-    let mut progress = ProgressOptions::default();
-    let mut metrics_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--tenants" => {
-                cfg.tenants = value("--tenants")?
-                    .parse()
-                    .map_err(|e| format!("--tenants: {e}"))?
-            }
-            "--shards" => {
-                cfg.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?
-            }
-            "--manager" => {
-                cfg.manager = value("--manager")?
-                    .parse()
-                    .map_err(|e: partial_compaction::alloc::ParseManagerKindError| e.to_string())?
-            }
-            "--seed" => {
-                cfg.mixer.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--m-min" => {
-                cfg.mixer.m_min = value("--m-min")?
-                    .parse()
-                    .map_err(|e| format!("--m-min: {e}"))?
-            }
-            "--m-max" => {
-                cfg.mixer.m_max = value("--m-max")?
-                    .parse()
-                    .map_err(|e| format!("--m-max: {e}"))?
-            }
-            "--theta" => {
-                cfg.mixer.zipf_theta = value("--theta")?
-                    .parse()
-                    .map_err(|e| format!("--theta: {e}"))?
-            }
-            "--rounds" => {
-                cfg.mixer.rounds = value("--rounds")?
-                    .parse()
-                    .map_err(|e| format!("--rounds: {e}"))?
-            }
-            "--allocs" => {
-                cfg.mixer.allocs_per_round = value("--allocs")?
-                    .parse()
-                    .map_err(|e| format!("--allocs: {e}"))?
-            }
-            "--c" => cfg.mixer.c = value("--c")?.parse().map_err(|e| format!("--c: {e}"))?,
-            "--mix" => {
-                let raw = value("--mix")?;
-                let parts: Vec<u32> = raw
-                    .split(',')
-                    .map(|p| p.trim().parse().map_err(|e| format!("--mix: {e}")))
-                    .collect::<Result<_, _>>()?;
-                let [churn, ramp, replay, adversary] = parts[..] else {
-                    return Err("--mix needs four weights: churn,ramp,replay,adversary".into());
-                };
-                cfg.mixer.weights = MixWeights {
-                    churn,
-                    ramp,
-                    replay,
-                    adversary,
-                };
-            }
-            "--threads" => {
-                run = run.with_threads(
-                    value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--chaos" => {
-                run =
-                    run.with_chaos(value("--chaos")?.parse().map_err(
-                        |e: partial_compaction::chaos::ParseFaultPlanError| e.to_string(),
-                    )?)
-            }
-            "--paranoia" => {
-                run = run.with_paranoia(
-                    value("--paranoia")?
-                        .parse()
-                        .map_err(|e| format!("--paranoia: {e}"))?,
-                )
-            }
-            "--checkpoint" => checkpoint = Some(value("--checkpoint")?),
-            "--checkpoint-every" => {
-                checkpoint_every = value("--checkpoint-every")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-every: {e}"))?
-            }
-            "--resume" => resume = true,
-            "--stop-after" => {
-                stop_after = Some(
-                    value("--stop-after")?
-                        .parse()
-                        .map_err(|e| format!("--stop-after: {e}"))?,
-                )
-            }
+    let flags = Flags::parse(Cmd::Fleet, args, |flag, args| {
+        let mixer = &mut cfg.mixer;
+        match flag {
+            "--tenants" => cfg.tenants = args.parse(flag)?,
+            "--shards" => cfg.shards = args.parse(flag)?,
+            "--seed" => mixer.seed = args.parse(flag)?,
+            "--m-min" => mixer.m_min = args.parse(flag)?,
+            "--m-max" => mixer.m_max = args.parse(flag)?,
+            "--theta" => mixer.zipf_theta = args.parse(flag)?,
+            "--mix" => mixer.weights = mix(&args.value(flag)?)?,
             "--json" => json = true,
-            "--metrics" => run = run.with_metrics(true),
-            "--metrics-out" => {
-                metrics_out = Some(value("--metrics-out")?);
-                // Asking for the artifact implies collecting it.
-                run = run.with_metrics(true);
-            }
-            flag if parse_progress_flag(flag, &mut value, &mut progress)? => {}
-            other => return Err(format!("unknown flag {other}")),
+            _ => return Ok(false),
         }
-    }
-    if resume && checkpoint.is_none() {
-        return Err("--resume needs --checkpoint <file>".into());
-    }
+        Ok(true)
+    })?;
+    cfg.manager = flags.manager.unwrap_or(cfg.manager);
+    cfg.mixer.c = flags.c.unwrap_or(cfg.mixer.c);
+    cfg.mixer.rounds = flags.rounds.unwrap_or(cfg.mixer.rounds);
+    cfg.mixer.allocs_per_round = flags.allocs.unwrap_or(cfg.mixer.allocs_per_round);
+    let run = &flags.run;
     run.apply();
     let start = std::time::Instant::now();
-    let report = match &checkpoint {
-        Some(path) => {
-            let mut opts = fleet::CheckpointOptions::new(path)
-                .every(checkpoint_every)
-                .resume(resume);
-            opts.stop_after = stop_after;
-            match fleet::run_checkpointed_with_progress(&cfg, &run, &opts, &progress)
+    let report = match &flags.checkpoint {
+        Some(opts) => {
+            match fleet::run_checkpointed_with_progress(&cfg, run, opts, &flags.progress)
                 .map_err(|e| e.to_string())?
             {
                 fleet::FleetOutcome::Complete(report) => report,
@@ -772,21 +664,22 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
                 } => {
                     eprintln!(
                         "paused after {shards_done}/{shards_total} shards; \
-                         checkpoint -> {path} (continue with --resume)"
+                         checkpoint -> {} (continue with --resume)",
+                        opts.path.display()
                     );
                     return Ok(());
                 }
             }
         }
-        None => fleet::run_with_progress(&cfg, &run, &progress).map_err(|e| e.to_string())?,
+        None => fleet::run_with_progress(&cfg, run, &flags.progress).map_err(|e| e.to_string())?,
     };
     let elapsed = start.elapsed().as_secs_f64();
     if json {
-        println!("{}", pcb_json::ToJson::to_json(&report));
+        println!("{}", report.to_json());
     } else {
         print!("{report}");
     }
-    if let Some(path) = &metrics_out {
+    if let Some(path) = &flags.metrics_out {
         write_metrics(path, &report.accumulator.metrics)?;
     }
     // Wall-clock goes to stderr only: the report itself (stdout and JSON)
@@ -812,23 +705,11 @@ fn cmd_bench_diff(args: &[String]) -> Result<ExitCode, String> {
     let mut new_path = None;
     let mut baseline = None;
     let mut tolerance = 10.0f64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    let mut args = Args(args.iter());
+    while let Some(arg) = args.0.next() {
         match arg.as_str() {
-            "--against" => {
-                baseline = Some(
-                    it.next()
-                        .ok_or_else(|| "--against needs a path".to_string())?
-                        .clone(),
-                )
-            }
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .ok_or_else(|| "--tolerance needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--tolerance: {e}"))?
-            }
+            "--against" => baseline = Some(args.0.next().ok_or("--against needs a path")?.clone()),
+            "--tolerance" => tolerance = args.parse("--tolerance")?,
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             path if new_path.is_none() => new_path = Some(path.to_owned()),
             extra => return Err(format!("unexpected argument {extra}")),
@@ -859,31 +740,21 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             let bound = parse_bound(b)?;
             sweep::over_c(
                 bound,
-                m.parse().map_err(|e| format!("M: {e}"))?,
-                log_n.parse().map_err(|e| format!("log_n: {e}"))?,
-                from.parse::<u64>().map_err(|e| format!("from: {e}"))?
-                    ..=to.parse::<u64>().map_err(|e| format!("to: {e}"))?,
+                num(m, "M")?,
+                num(log_n, "log_n")?,
+                num(from, "from")?..=num(to, "to")?,
             )
         }
         [b, axis, ratio, c, from, to] if axis == "n" => {
             let bound = parse_bound(b)?;
             sweep::over_n(
                 bound,
-                ratio.parse().map_err(|e| format!("M/n: {e}"))?,
-                c.parse().map_err(|e| format!("c: {e}"))?,
-                from.parse::<u32>().map_err(|e| format!("from: {e}"))?
-                    ..=to.parse::<u32>().map_err(|e| format!("to: {e}"))?,
+                num(ratio, "M/n")?,
+                num(c, "c")?,
+                num(from, "from")?..=num(to, "to")?,
             )
         }
-        [rho, m, log_n, c] if rho == "rho" => {
-            let params = Params::new(
-                m.parse().map_err(|e| format!("M: {e}"))?,
-                log_n.parse().map_err(|e| format!("log_n: {e}"))?,
-                c.parse().map_err(|e| format!("c: {e}"))?,
-            )
-            .map_err(|e| e.to_string())?;
-            sweep::over_rho(params, 1..=16)
-        }
+        [rho, m, log_n, c] if rho == "rho" => sweep::over_rho(params(m, log_n, c)?, 1..=16),
         _ => return Err("see usage for sweep forms".into()),
     };
     println!("# {}", series.label);
@@ -898,62 +769,16 @@ fn cmd_worst_case(args: &[String]) -> Result<(), String> {
     use partial_compaction::exhaustive::{
         try_worst_case_observed, try_worst_case_resumable, SearchOutcome, SearchPolicy,
     };
-    let mut positional: Vec<&String> = Vec::new();
+    let mut positional: Vec<String> = Vec::new();
     let mut max_states = 50_000_000usize;
-    let mut run = RunConfig::from_env();
-    let mut checkpoint: Option<String> = None;
-    let mut checkpoint_every = 1usize;
-    let mut resume = false;
-    let mut stop_after: Option<usize> = None;
-    let mut progress = ProgressOptions::default();
-    let mut metrics_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--max-states" => {
-                max_states = value("--max-states")?
-                    .parse()
-                    .map_err(|e| format!("--max-states: {e}"))?
-            }
-            "--threads" => {
-                run = run.with_threads(
-                    value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--checkpoint" => checkpoint = Some(value("--checkpoint")?),
-            "--checkpoint-every" => {
-                checkpoint_every = value("--checkpoint-every")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-every: {e}"))?
-            }
-            "--resume" => resume = true,
-            "--stop-after" => {
-                stop_after = Some(
-                    value("--stop-after")?
-                        .parse()
-                        .map_err(|e| format!("--stop-after: {e}"))?,
-                )
-            }
-            "--metrics" => run = run.with_metrics(true),
-            "--metrics-out" => {
-                metrics_out = Some(value("--metrics-out")?);
-                run = run.with_metrics(true);
-            }
-            flag if parse_progress_flag(flag, &mut value, &mut progress)? => {}
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
-            _ => positional.push(arg),
+    let flags = Flags::parse(Cmd::WorstCase, args, |arg, args| {
+        match arg {
+            "--max-states" => max_states = args.parse(arg)?,
+            flag if flag.starts_with("--") => return Ok(false),
+            _ => positional.push(arg.to_owned()),
         }
-    }
-    if resume && checkpoint.is_none() {
-        return Err("--resume needs --checkpoint <file>".into());
-    }
+        Ok(true)
+    })?;
     let (m, log_n, policy) = match positional.as_slice() {
         [m, log_n] => (m, log_n, SearchPolicy::FirstFit),
         [m, log_n, p] => {
@@ -971,43 +796,36 @@ fn cmd_worst_case(args: &[String]) -> Result<(), String> {
             )
         }
     };
-    let params = Params::new(
-        m.parse().map_err(|e| format!("M: {e}"))?,
-        log_n.parse().map_err(|e| format!("log_n: {e}"))?,
-        10,
-    )
-    .map_err(|e| e.to_string())?;
+    let params = params(m, log_n, "10")?;
     if params.m() > 16 || params.log_n() > 3 {
         return Err(format!(
             "exhaustive search is toy-scale only (M <= 16, log n <= 3); got {params}"
         ));
     }
+    let run = &flags.run;
     run.apply();
-    let report = match &checkpoint {
-        Some(path) => {
-            let mut opts = fleet::CheckpointOptions::new(path)
-                .every(checkpoint_every)
-                .resume(resume);
-            opts.stop_after = stop_after;
-            match try_worst_case_resumable(params, policy, max_states, &run, &opts)
+    let report = match &flags.checkpoint {
+        Some(opts) => {
+            match try_worst_case_resumable(params, policy, max_states, run, opts)
                 .map_err(|e| e.to_string())?
             {
                 SearchOutcome::Complete(report) => report,
                 SearchOutcome::Paused { levels_done } => {
                     eprintln!(
                         "paused after {levels_done} BFS levels; \
-                         checkpoint -> {path} (continue with --resume)"
+                         checkpoint -> {} (continue with --resume)",
+                        opts.path.display()
                     );
                     return Ok(());
                 }
             }
         }
         None => {
-            let mut heartbeat = Heartbeat::new("worst-case", &progress)
+            let mut heartbeat = Heartbeat::new("worst-case", &flags.progress)
                 .map_err(|e| format!("progress stream: {e}"))?;
             // Total is unknown ahead of time (that is what the search
             // computes), so `done` counts interned states with no ETA.
-            let report = try_worst_case_observed(params, policy, max_states, &run, |pulse| {
+            let report = try_worst_case_observed(params, policy, max_states, run, |pulse| {
                 heartbeat.tick(
                     pulse.seen_states as u64,
                     0,
@@ -1025,7 +843,7 @@ fn cmd_worst_case(args: &[String]) -> Result<(), String> {
             report
         }
     };
-    if let Some(path) = &metrics_out {
+    if let Some(path) = &flags.metrics_out {
         write_metrics(path, &metrics::snapshot())?;
     }
     println!(

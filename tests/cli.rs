@@ -609,3 +609,116 @@ fn worst_case_progress_reports_frontier_levels() {
     assert!(stderr.contains("[pcb worst-case]"), "{stderr}");
     assert!(stderr.contains("frontier_states"), "{stderr}");
 }
+
+/// Runs the binary and returns its exit code and stderr.
+fn pcb_status(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_pcb"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A heartbeat cadence with no `Duration` (infinite, NaN, too large) is
+/// a flag error on every subcommand that takes `--progress`, not a panic.
+#[test]
+fn progress_cadences_without_a_duration_are_flag_errors() {
+    for sub in [
+        &["simulate"][..],
+        &["fleet", "--tenants", "10"],
+        &["worst-case", "6", "1"],
+    ] {
+        for cadence in ["--progress=inf", "--progress=1e300", "--progress=NaN"] {
+            let args: Vec<&str> = sub.iter().copied().chain([cadence]).collect();
+            let (code, stderr) = pcb_status(&args);
+            assert_eq!(code, Some(1), "{args:?}: {stderr}");
+            assert!(
+                stderr.starts_with("error: --progress: "),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+}
+
+/// The CLI slice of the untrusted-input contract: every value-taking flag
+/// of `simulate`, `fleet` and `worst-case`, given no value or a value it
+/// cannot parse, exits 1 with an error naming the flag. Path-valued flags
+/// (`None`) accept any string, so only the missing value applies.
+#[test]
+fn every_value_flag_rejects_missing_and_unparsable_values() {
+    type Flags = &'static [(&'static str, Option<&'static str>)];
+    let table: &[(&[&str], Flags)] = &[
+        (
+            &["simulate"],
+            &[
+                ("--program", Some("nope")),
+                ("--manager", Some("nope")),
+                ("--m", Some("x")),
+                ("--log-n", Some("x")),
+                ("--c", Some("x")),
+                ("--rounds", Some("x")),
+                ("--allocs", Some("x")),
+                ("--every", Some("x")),
+                ("--chaos", Some("nope")),
+                ("--paranoia", Some("x")),
+                ("--series", None),
+                ("--trace-out", None),
+                ("--metrics-out", None),
+                ("--progress-out", None),
+            ],
+        ),
+        (
+            &["fleet"],
+            &[
+                ("--tenants", Some("x")),
+                ("--shards", Some("x")),
+                ("--manager", Some("nope")),
+                ("--seed", Some("x")),
+                ("--m-min", Some("x")),
+                ("--m-max", Some("x")),
+                ("--theta", Some("x")),
+                ("--rounds", Some("x")),
+                ("--allocs", Some("x")),
+                ("--mix", Some("1,x,1,1")),
+                ("--c", Some("x")),
+                ("--threads", Some("x")),
+                ("--chaos", Some("nope")),
+                ("--paranoia", Some("x")),
+                ("--checkpoint-every", Some("x")),
+                ("--stop-after", Some("x")),
+                ("--checkpoint", None),
+                ("--metrics-out", None),
+                ("--progress-out", None),
+            ],
+        ),
+        (
+            &["worst-case", "6", "1"],
+            &[
+                ("--max-states", Some("x")),
+                ("--threads", Some("x")),
+                ("--checkpoint-every", Some("x")),
+                ("--stop-after", Some("x")),
+                ("--checkpoint", None),
+                ("--metrics-out", None),
+                ("--progress-out", None),
+            ],
+        ),
+    ];
+    for (sub, flags) in table {
+        for &(flag, bad) in *flags {
+            // The flag last with nothing after it, then with a bad value.
+            for value in std::iter::once(None).chain(bad.map(Some)) {
+                let args: Vec<&str> = sub.iter().copied().chain([flag]).chain(value).collect();
+                let (code, stderr) = pcb_status(&args);
+                assert_eq!(code, Some(1), "{args:?}: {stderr}");
+                assert!(
+                    stderr.starts_with(&format!("error: {flag}")),
+                    "{args:?}: {stderr}"
+                );
+            }
+        }
+    }
+}

@@ -38,13 +38,7 @@ fn long_churn_against_every_manager() {
     cfg.rounds = 2000;
     cfg.allocs_per_round = 128;
     for kind in ManagerKind::WITH_BASELINE {
-        let heap = if kind.is_unbounded() {
-            Heap::unlimited_compaction()
-        } else if kind.is_compacting() {
-            Heap::new(10)
-        } else {
-            Heap::non_moving()
-        };
+        let heap = Heap::with_c(kind.heap_c(false, 10));
         let mut exec = Execution::new(
             heap,
             ChurnWorkload::new(cfg),
