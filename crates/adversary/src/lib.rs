@@ -51,7 +51,7 @@ mod robson_program;
 pub use association::{Association, Entry};
 pub use math::{
     optimal_rho, optimal_rho_memo, rho_feasible, stage1_alloc_fraction, stage2_alloc_fraction,
-    waste_factor,
+    waste_factor, SCALED_SLACK,
 };
 pub use occupancy::{
     choose_offset, first_occupying_word, is_f_occupying, offset_contribution, offset_score,

@@ -73,6 +73,21 @@ pub fn waste_factor(m: u64, log_n: u32, c: u64, rho: u32) -> Option<f64> {
     Some(num / den)
 }
 
+/// The fraction of Theorem 1's `h` a measured `P_F` run must reach to
+/// count as meeting the bound: a run passes when `HS / M ≥ SCALED_SLACK · h`.
+/// `pcb reproduce` and the tests that hold `P_F` runs to `h` all use it.
+///
+/// `h` is derived for real-valued allocation fractions, while a run
+/// allocates whole objects in a heap scaled down from the paper's
+/// `M = 2^28` words (to `M = 2^13..2^18` in the tests and experiments), so
+/// integer rounding can leave a run a few percent short of `h`. Measured
+/// margins: across experiment 5's grid (120 runs, every manager) the
+/// worst `waste / h` is 1.018 (`pages-thm2`, `c = 20`, `M = 2^16`), so
+/// those runs clear `h` itself. Off the grid, `pages-thm2` at `c = 15`,
+/// `M = 2^16` measures 0.949 (EXPERIMENTS.md, E5 fidelity note), just
+/// under this slack, so the slack holds at the pinned points only.
+pub const SCALED_SLACK: f64 = 0.95;
+
 /// The best feasible `(ρ, h)` for the given parameters: Theorem 1's bound
 /// is `max` over feasible `ρ`, and only a handful of integer values are
 /// ever feasible, so exhaustive search is exact.

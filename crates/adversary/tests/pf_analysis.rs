@@ -1,7 +1,7 @@
 //! Integration tests: the paper's analysis (Section 4) as executable
 //! checks over full `P_F` runs against the entire manager suite.
 
-use pcb_adversary::{optimal_rho, PfConfig, PfProgram, PfVariant, RobsonProgram};
+use pcb_adversary::{optimal_rho, PfConfig, PfProgram, PfVariant, RobsonProgram, SCALED_SLACK};
 use pcb_alloc::ManagerKind;
 use pcb_heap::{Execution, Heap, Params, Program, Report};
 
@@ -33,7 +33,7 @@ fn theorem_1_holds_for_every_manager_in_the_suite() {
         for kind in ManagerKind::ALL {
             let (report, program) = run_pf(kind, c, PfVariant::FULL);
             assert!(
-                report.waste_factor >= h * 0.95,
+                report.waste_factor >= h * SCALED_SLACK,
                 "c={c} {kind}: waste {} < h {h}",
                 report.waste_factor
             );

@@ -8,7 +8,7 @@
 
 use crate::params::Params;
 
-pub use pcb_adversary::{rho_feasible, stage1_alloc_fraction, stage2_alloc_fraction};
+pub use pcb_adversary::{rho_feasible, stage1_alloc_fraction, stage2_alloc_fraction, SCALED_SLACK};
 
 /// The waste factor `h(ρ; M, n, c)` for a specific density exponent `ρ`;
 /// `None` when `ρ` is infeasible.

@@ -49,7 +49,7 @@
 //! the doc test is quick):
 //!
 //! ```
-//! use partial_compaction::{sim, ManagerKind, Params};
+//! use partial_compaction::{bounds, sim, ManagerKind, Params};
 //!
 //! let params = Params::new(1 << 14, 10, 20)?;
 //! let report = sim::Sim::new(params)
@@ -58,7 +58,7 @@
 //!     .run()
 //!     .expect("simulation runs");
 //! // The measured waste certifies the lower bound for this manager.
-//! assert!(report.waste_over_bound >= 0.95);
+//! assert!(report.waste_over_bound >= bounds::thm1::SCALED_SLACK);
 //! # Ok::<(), partial_compaction::ParamsError>(())
 //! ```
 

@@ -2,9 +2,9 @@
 //! work items across OS threads.
 //!
 //! Every experiment surface in this repository — bound sweeps
-//! ([`sweep`](crate::sweep)), figure series ([`figures`](crate::figures)),
-//! the reproduction checklist ([`reproduce`](crate::reproduce)), the
-//! empirical program×manager grid in `pcb-bench`, and the exhaustive
+//! ([`sweep`](crate::sweep)), figure series and the experiments'
+//! program×manager grids ([`figures`](crate::figures)), the reproduction
+//! checklist ([`reproduce`](crate::reproduce)), and the exhaustive
 //! worst-case search ([`exhaustive`](crate::exhaustive)) — is a map over
 //! independent, pure work items. [`par_map`] fans such maps across
 //! threads and collects results **in input order**, so parallel runs are

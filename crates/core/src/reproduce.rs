@@ -5,9 +5,11 @@
 //! check is small enough to run in seconds (the analytic claims are
 //! instant; the executable ones run at laptop scale).
 
+use core::fmt;
+
 use crate::bounds::{bp11, robson, thm1, thm2};
 use crate::exhaustive::{self, SearchPolicy};
-use crate::parallel;
+use crate::figures;
 use crate::params::Params;
 use crate::sim;
 use pcb_alloc::ManagerKind;
@@ -44,6 +46,15 @@ impl Check {
             claim: claim.to_owned(),
             measured,
             pass,
+        }
+    }
+
+    /// A check from an experiment's outcome: what it measured and whether
+    /// that supports the claim, or the error that stopped it (a failure).
+    fn ran(id: &str, claim: &str, outcome: Result<(String, bool), impl fmt::Display>) -> Self {
+        match outcome {
+            Ok((measured, pass)) => Check::new(id, claim, measured, pass),
+            Err(e) => Check::new(id, claim, format!("error: {e}"), false),
         }
     }
 }
@@ -88,7 +99,7 @@ pub fn all_checks() -> Vec<Check> {
 
     // ---- E2: Figure 2 monotone growth. ----
     {
-        let rows = crate::figures::figure2();
+        let rows = figures::figure2();
         let monotone = rows.windows(2).all(|w| w[1].h >= w[0].h - 1e-9);
         checks.push(Check::new(
             "fig2",
@@ -129,58 +140,27 @@ pub fn all_checks() -> Vec<Check> {
     }
 
     // ---- E5: the executable lower bound, all managers. ----
-    {
-        let params = Params::new(1 << 14, 10, 20).expect("valid");
-        let h = thm1::factor(params);
-        // The per-manager runs are independent; fan them across threads
-        // and reduce in manager order so the summary is deterministic.
-        let reports = parallel::par_map(&ManagerKind::ALL, |&kind| {
-            sim::Sim::new(params)
-                .adversary(sim::Adversary::PF)
-                .manager(kind)
-                .validate(true)
-                .run()
-                .expect("managers serve P_F")
-        });
-        let mut worst: (f64, &str) = (f64::INFINITY, "");
-        let mut all_ok = true;
-        for (kind, report) in ManagerKind::ALL.iter().zip(&reports) {
-            let ratio = report.execution.waste_factor / h;
-            if ratio < worst.0 {
-                worst = (ratio, kind.name());
-            }
-            all_ok &= ratio >= 0.95 && report.violations.is_empty();
-        }
-        checks.push(Check::new(
-            "E5",
-            "P_F forces HS ≥ M·h on every c-partial manager (10 managers, c = 20)",
-            format!("worst ratio {:.3} ({})", worst.0, worst.1),
-            all_ok,
-        ));
-    }
+    checks.push(Check::ran(
+        "E5",
+        "P_F forces HS ≥ M·h on every c-partial manager (10 managers, c = 20)",
+        figures::empirical(&[Params::new(1 << 14, 10, 20).expect("valid")]).map(|rows| {
+            let worst = rows.iter().min_by(|a, b| a.ratio.total_cmp(&b.ratio));
+            let worst = worst.expect("one row per manager");
+            let measured = format!("worst ratio {:.3} ({})", worst.ratio, worst.manager);
+            (measured, worst.ratio >= thm1::SCALED_SLACK)
+        }),
+    ));
 
     // ---- E6: Robson's adversary vs non-moving managers. ----
-    {
-        let params = Params::new(1 << 12, 6, 10).expect("valid");
-        let mut all_ok = true;
-        let mut worst = f64::INFINITY;
-        for report in parallel::par_map(&ManagerKind::NON_MOVING, |&kind| {
-            sim::Sim::new(params)
-                .adversary(sim::Adversary::Robson)
-                .manager(kind)
-                .run()
-                .expect("P_R runs")
-        }) {
-            worst = worst.min(report.waste_over_bound);
-            all_ok &= report.waste_over_bound >= 1.0;
-        }
-        checks.push(Check::new(
-            "E6",
-            "P_R forces HS ≥ M(log n/2 + 1) − n + 1 on every non-moving manager",
-            format!("worst ratio {worst:.3}"),
-            all_ok,
-        ));
-    }
+    let robson = figures::robson_empirical(&[Params::new(1 << 12, 6, 10).expect("valid")]);
+    checks.push(Check::ran(
+        "E6",
+        "P_R forces HS ≥ M(log n/2 + 1) − n + 1 on every non-moving manager",
+        robson.as_ref().map(|rows| {
+            let worst = rows.iter().map(|r| r.ratio).fold(f64::INFINITY, f64::min);
+            (format!("worst ratio {worst:.3}"), worst >= 1.0)
+        }),
+    ));
 
     // ---- E10: full compaction achieves factor ~1. ----
     {
@@ -216,50 +196,33 @@ pub fn all_checks() -> Vec<Check> {
     }
 
     // ---- E6 exactness: the free-list policies attain Robson's bound. ----
-    {
-        let params = Params::new(1 << 12, 6, 10).expect("valid");
-        let report = sim::Sim::new(params)
-            .adversary(sim::Adversary::Robson)
-            .manager(ManagerKind::FirstFit)
-            .run()
-            .expect("P_R runs");
-        let exact = (report.waste_over_bound - 1.0).abs() < 1e-9;
-        checks.push(Check::new(
-            "E6/exact",
-            "Robson's bound is tight: first-fit attains it exactly",
-            format!("ratio {:.6}", report.waste_over_bound),
-            exact,
-        ));
-    }
+    checks.push(Check::ran(
+        "E6/exact",
+        "Robson's bound is tight: first-fit attains it exactly",
+        robson.as_ref().map(|rows| {
+            let first_fit = rows.iter().find(|r| r.manager == ManagerKind::FirstFit);
+            let ratio = first_fit.expect("first-fit is non-moving").ratio;
+            (format!("ratio {ratio:.6}"), (ratio - 1.0).abs() < 1e-9)
+        }),
+    ));
 
     // ---- E9: benchmarks sit well below the worst case. ----
-    {
-        use pcb_heap::{Execution, Heap};
-        use pcb_workload::{ChurnConfig, ChurnWorkload};
-        let (m, log_n, c) = (1u64 << 14, 8u32, 20u64);
-        let params = Params::new(m, log_n, c).expect("valid");
-        let h = thm1::factor(params);
-        let cfg = ChurnConfig::typical(m, log_n);
-        let mut exec = Execution::new(
-            Heap::non_moving(),
-            ChurnWorkload::new(cfg),
-            ManagerKind::FirstFit.build(&params),
-        );
-        let churn = exec.run().expect("churn runs").waste_factor;
-        let pf = sim::Sim::new(params)
-            .manager(ManagerKind::FirstFit)
-            .run()
-            .expect("P_F runs")
-            .execution
-            .waste_factor;
-        let ok = churn < 0.75 * h && pf >= h;
-        checks.push(Check::new(
-            "E9",
-            "the bounds are worst-case: benchmarks do much better than P_F",
-            format!("churn {churn:.2} < h {h:.2} <= P_F {pf:.2}"),
-            ok,
-        ));
-    }
+    checks.push(Check::ran(
+        "E9",
+        "the bounds are worst-case: benchmarks do much better than P_F",
+        figures::gap(
+            Params::new(1 << 14, 8, 20).expect("valid"),
+            &[ManagerKind::FirstFit],
+        )
+        .map(|rows| {
+            let waste = |program| rows.iter().find(|r| r.workload == program).map(|r| r.waste);
+            let churn = waste("churn-typical").expect("churn runs");
+            let pf = waste("adversary-pf").expect("P_F runs");
+            let h = rows[0].worst_case_h;
+            let measured = format!("churn {churn:.2} < h {h:.2} <= P_F {pf:.2}");
+            (measured, churn < 0.75 * h && pf >= h)
+        }),
+    ));
 
     // ---- E12: observability is free of observer effects. ----
     {

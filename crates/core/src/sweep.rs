@@ -9,8 +9,6 @@
 use crate::bounds::{bp11, robson, thm1, thm2};
 use crate::parallel;
 use crate::params::Params;
-use crate::sim::{Adversary, Sim};
-use pcb_alloc::ManagerKind;
 
 /// A labelled series of `(x, y)` points.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,42 +169,6 @@ pub fn over_rho(params: Params, rhos: impl Iterator<Item = u32>) -> Series {
     })
 }
 
-/// Sweeps the *measured* waste factor over `c`: runs the chosen adversary
-/// against a manager at every grid point (in parallel) and returns `HS/M`
-/// per `c`. The empirical counterpart of [`over_c`]: plot the two series
-/// together to see a manager hugging (or beating) its bound. Infeasible
-/// grid points are omitted, matching the analytic sweeps.
-///
-/// ```
-/// use partial_compaction::sweep::{measured_over_c, over_c, Bound};
-/// use partial_compaction::{sim::Adversary, ManagerKind};
-/// let bound = over_c(Bound::Thm1Lower, 1 << 13, 9, [10, 20].into_iter());
-/// let run = measured_over_c(Adversary::PF, ManagerKind::FirstFit, 1 << 13, 9, [10, 20].into_iter());
-/// assert_eq!(run.points.len(), 2);
-/// for &(c, hs_over_m) in &run.points {
-///     assert!(hs_over_m >= 0.95 * bound.at(c).unwrap());
-/// }
-/// ```
-pub fn measured_over_c(
-    adversary: Adversary,
-    manager: ManagerKind,
-    m: u64,
-    log_n: u32,
-    cs: impl Iterator<Item = u64>,
-) -> Series {
-    Series::collect_par(manager.name(), cs.collect(), |c| {
-        let y = Params::new(m, log_n, c).ok().and_then(|p| {
-            Sim::new(p)
-                .adversary(adversary)
-                .manager(manager)
-                .run()
-                .ok()
-                .map(|r| r.execution.waste_factor)
-        });
-        (c as f64, y)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,23 +237,6 @@ mod tests {
         for bound in Bound::ALL {
             let f = bound.factor(p).expect("all bounds apply at c=50");
             assert!(f >= 1.0, "{}: {f}", bound.label());
-        }
-    }
-
-    #[test]
-    fn measured_sweep_tracks_the_lower_bound() {
-        let bound = over_c(Bound::Thm1Lower, 1 << 12, 8, [10, 20].into_iter());
-        let run = measured_over_c(
-            Adversary::PF,
-            ManagerKind::FirstFit,
-            1 << 12,
-            8,
-            [2, 10, 20].into_iter(),
-        );
-        // c = 2 is infeasible for P_F and must be omitted, not NaN'd.
-        assert_eq!(run.points.len(), 2);
-        for &(c, measured) in &run.points {
-            assert!(measured >= 0.95 * bound.at(c).unwrap(), "c = {c}");
         }
     }
 

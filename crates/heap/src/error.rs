@@ -73,6 +73,16 @@ pub enum HeapError {
         /// The configured maximum object size, if any.
         max: Option<Size>,
     },
+    /// A replayed trace names an object id the dense object table cannot
+    /// index (ids stay below `2^32 − 1`).
+    IdOutOfRange(u64),
+    /// A replayed trace puts an object past the `2^32`-word address space.
+    ExtentOutOfRange {
+        /// The object's start address in words.
+        addr: u64,
+        /// Its size in words.
+        size: u64,
+    },
 }
 
 impl fmt::Display for HeapError {
@@ -92,6 +102,16 @@ impl fmt::Display for HeapError {
                 Some(max) => write!(f, "invalid object size {size} (max {max})"),
                 None => write!(f, "invalid object size {size}"),
             },
+            HeapError::IdOutOfRange(id) => {
+                write!(
+                    f,
+                    "object id {id} is out of range (ids stay below 2^32 - 1)"
+                )
+            }
+            HeapError::ExtentOutOfRange { addr, size } => write!(
+                f,
+                "{size} words at address {addr} end past the 2^32-word address space"
+            ),
         }
     }
 }

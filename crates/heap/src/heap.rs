@@ -16,6 +16,9 @@ use crate::space::SpaceMap;
 /// Sentinel for "not live" in [`ObjectTable::id_to_slot`].
 const NO_SLOT: u32 = u32::MAX;
 
+/// Object ids index the dense table and must stay below this.
+pub(crate) const ID_LIMIT: u64 = NO_SLOT as u64;
+
 /// Dense object table: object ids are allocation sequence numbers, so a
 /// flat id→slot vector plus a recycled record arena replaces the hash map
 /// on the place/free/relocate hot path (no hashing, no probing).
@@ -55,7 +58,7 @@ impl ObjectTable {
     fn insert(&mut self, rec: ObjectRecord) {
         let raw = rec.id().get();
         assert!(
-            raw < u64::from(NO_SLOT),
+            raw < ID_LIMIT,
             "object ids index the dense table and must stay below 2^32 - 1"
         );
         let idx = raw as usize;
@@ -230,6 +233,12 @@ impl Heap {
     /// Returns a fresh object id (allocation sequence number).
     pub fn fresh_id(&mut self) -> ObjectId {
         self.id_gen.fresh()
+    }
+
+    /// Moves the id generator past `id`, so no later [`fresh_id`](Self::fresh_id)
+    /// returns it (for ids chosen outside the heap, as in a replayed trace).
+    pub fn skip_id(&mut self, id: ObjectId) {
+        self.id_gen.skip(id);
     }
 
     /// Advances the round (step) counter; new objects record their round.

@@ -75,7 +75,7 @@ pub use event::{Event, Observer, Observers, Recorder, Tick};
 pub use heap::{Heap, HeapStats};
 pub use heatmap::{heat_map, heat_map_rows};
 pub use manager::{AllocRequest, HeapOps, MemoryManager, MirrorCheck, MoveOutcome, PlacementError};
-pub use metrics::{FragmentationSnapshot, MetricsCollector};
+pub use metrics::FragmentationSnapshot;
 pub use object::{ObjectId, ObjectIdGen, ObjectRecord};
 pub use params::{Params, ParamsError};
 pub use program::{MoveResponse, Program, ScriptRound, ScriptedProgram};

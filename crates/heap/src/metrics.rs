@@ -1,9 +1,6 @@
 //! Fragmentation and utilization metrics derived from executions.
 
-use std::collections::BTreeMap;
-
 use crate::addr::Size;
-use crate::event::{Event, Observer, Tick};
 use crate::heap::Heap;
 
 /// A snapshot of heap-shape statistics at a point in time.
@@ -78,72 +75,10 @@ impl FragmentationSnapshot {
     }
 }
 
-/// Observer computing a per-round time series of live words and a histogram
-/// of allocated sizes.
-#[derive(Debug, Default)]
-pub struct MetricsCollector {
-    live: i64,
-    per_round_live: Vec<u64>,
-    size_histogram: BTreeMap<u64, u64>,
-    moves_per_round: Vec<u64>,
-    current_moves: u64,
-}
-
-impl MetricsCollector {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Live words at the end of each completed round.
-    pub fn per_round_live(&self) -> &[u64] {
-        &self.per_round_live
-    }
-
-    /// Moves performed in each completed round.
-    pub fn moves_per_round(&self) -> &[u64] {
-        &self.moves_per_round
-    }
-
-    /// Histogram of allocated object sizes (size -> count).
-    pub fn size_histogram(&self) -> &BTreeMap<u64, u64> {
-        &self.size_histogram
-    }
-
-    /// Total number of distinct sizes allocated.
-    pub fn distinct_sizes(&self) -> usize {
-        self.size_histogram.len()
-    }
-}
-
-impl Observer for MetricsCollector {
-    fn on_event(&mut self, _tick: Tick, event: &Event) {
-        match *event {
-            Event::Placed { size, .. } => {
-                self.live += size.get() as i64;
-                *self.size_histogram.entry(size.get()).or_default() += 1;
-            }
-            Event::Freed { size, .. } => {
-                self.live -= size.get() as i64;
-            }
-            Event::Moved { .. } => {
-                self.current_moves += 1;
-            }
-            Event::RoundEnd { .. } => {
-                self.per_round_live.push(self.live.max(0) as u64);
-                self.moves_per_round.push(self.current_moves);
-                self.current_moves = 0;
-            }
-            Event::RoundStart { .. } => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::Addr;
-    use crate::object::ObjectId;
 
     #[test]
     fn snapshot_measures_holes() {
@@ -171,44 +106,5 @@ mod tests {
         let s = FragmentationSnapshot::capture(&h);
         assert_eq!(s.current_span, 0);
         assert_eq!(s.external_fragmentation, 0.0);
-    }
-
-    #[test]
-    fn collector_builds_series() {
-        let mut c = MetricsCollector::new();
-        let id = ObjectId::from_raw(0);
-        c.on_event(0, &Event::RoundStart { round: 0 });
-        c.on_event(
-            1,
-            &Event::Placed {
-                id,
-                addr: Addr::new(0),
-                size: Size::new(4),
-            },
-        );
-        c.on_event(
-            2,
-            &Event::Moved {
-                id,
-                from: Addr::new(0),
-                to: Addr::new(8),
-                size: Size::new(4),
-            },
-        );
-        c.on_event(3, &Event::RoundEnd { round: 0 });
-        c.on_event(4, &Event::RoundStart { round: 1 });
-        c.on_event(
-            5,
-            &Event::Freed {
-                id,
-                addr: Addr::new(8),
-                size: Size::new(4),
-            },
-        );
-        c.on_event(6, &Event::RoundEnd { round: 1 });
-        assert_eq!(c.per_round_live(), &[4, 0]);
-        assert_eq!(c.moves_per_round(), &[1, 0]);
-        assert_eq!(c.size_histogram().get(&4), Some(&1));
-        assert_eq!(c.distinct_sizes(), 1);
     }
 }

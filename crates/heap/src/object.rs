@@ -52,6 +52,11 @@ impl ObjectIdGen {
         id
     }
 
+    /// Moves past `id`: every later [`fresh`](Self::fresh) id is above it.
+    pub fn skip(&mut self, id: ObjectId) {
+        self.next = self.next.max(id.0.saturating_add(1));
+    }
+
     /// Number of identifiers handed out so far.
     pub fn issued(&self) -> u64 {
         self.next

@@ -55,7 +55,7 @@ const NO_SLOT: u32 = u32::MAX;
 /// Hard cap on mapped addresses (in words). The bitmap backs the whole
 /// address range below the frontier with real memory, so a manager placing
 /// at astronomically sparse addresses would OOM the simulator.
-const MAX_ADDR: u64 = 1 << 32;
+pub(crate) const MAX_ADDR: u64 = 1 << 32;
 
 /// Occupancy map keyed by interval start address: an occupancy bitmap with
 /// a 64-word-stride summary and SoA slot metadata.

@@ -17,8 +17,9 @@ use pcb_json::Json;
 use crate::addr::{Addr, Size};
 use crate::error::HeapError;
 use crate::event::{Event, Observer, Tick};
-use crate::heap::Heap;
+use crate::heap::{Heap, ID_LIMIT};
 use crate::object::ObjectId;
+use crate::space::MAX_ADDR;
 
 /// One serialized event. The JSON form is internally tagged as
 /// `{"kind": "<snake_case variant>", ...fields}`.
@@ -213,7 +214,8 @@ impl Trace {
     /// # Errors
     ///
     /// Returns the first [`HeapError`] (overlap, budget violation, unknown
-    /// object), along with the index of the offending event.
+    /// object, an id or extent out of the heap's range), along with the
+    /// index of the offending event.
     pub fn replay(&self) -> Result<Heap, (usize, HeapError)> {
         let mut heap = Heap::with_c(self.c);
         for (i, event) in self.events.iter().enumerate() {
@@ -221,18 +223,28 @@ impl Trace {
                 TraceEvent::RoundStart { round } => heap.set_round(round),
                 TraceEvent::RoundEnd { .. } => {}
                 TraceEvent::Placed { id, addr, size } => {
-                    // Keep the id generator in sync so fresh ids never
-                    // collide if the heap is used further after replay.
-                    while heap.fresh_id().get() < id {}
-                    heap.place(ObjectId::from_raw(id), Addr::new(addr), Size::new(size))
+                    // The heap trusts its engine to keep ids and extents
+                    // in range; a trace is untrusted input.
+                    if id >= ID_LIMIT {
+                        return Err((i, HeapError::IdOutOfRange(id)));
+                    }
+                    in_address_space(addr, size).map_err(|e| (i, e))?;
+                    let id = ObjectId::from_raw(id);
+                    // Fresh ids must never collide if the heap is used
+                    // further after replay.
+                    heap.skip_id(id);
+                    heap.place(id, Addr::new(addr), Size::new(size))
                         .map_err(|e| (i, e))?;
                 }
                 TraceEvent::Freed { id } => {
                     heap.free(ObjectId::from_raw(id)).map_err(|e| (i, e))?;
                 }
                 TraceEvent::Moved { id, to } => {
-                    heap.relocate(ObjectId::from_raw(id), Addr::new(to))
-                        .map_err(|e| (i, e))?;
+                    let id = ObjectId::from_raw(id);
+                    if let Some(record) = heap.record(id) {
+                        in_address_space(to, record.size().get()).map_err(|e| (i, e))?;
+                    }
+                    heap.relocate(id, Addr::new(to)).map_err(|e| (i, e))?;
                 }
             }
         }
@@ -296,6 +308,14 @@ impl Trace {
             .map(TraceEvent::from_json)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Trace { c, events })
+    }
+}
+
+/// Rejects an extent that ends past the address space the heap maps.
+fn in_address_space(addr: u64, size: u64) -> Result<(), HeapError> {
+    match addr.checked_add(size) {
+        Some(end) if end <= MAX_ADDR => Ok(()),
+        _ => Err(HeapError::ExtentOutOfRange { addr, size }),
     }
 }
 
@@ -638,6 +658,46 @@ mod tests {
         assert!(Trace::from_jsonl("{\"not_c\":1}\n").is_err());
         assert!(Trace::from_jsonl("{\"c\":10}\nnot json\n").is_err());
         assert!(Trace::from_jsonl("{\"c\":10}\n{\"kind\":\"mystery\"}\n").is_err());
+    }
+
+    #[test]
+    fn out_of_range_ids_and_extents_fail_replay_without_panicking() {
+        let placed = |id, addr, size| TraceEvent::Placed { id, addr, size };
+        let fails = |events: Vec<TraceEvent>| {
+            let trace = Trace { c: 0, events };
+            let (at, err) = trace.replay().unwrap_err();
+            assert_eq!(at, trace.len() - 1, "{err}");
+            err
+        };
+        assert_eq!(
+            fails(vec![placed(100_000_000_000_000, 0, 1)]),
+            HeapError::IdOutOfRange(100_000_000_000_000)
+        );
+        assert!(matches!(
+            fails(vec![placed(0, (1 << 32) - 1, 2)]),
+            HeapError::ExtentOutOfRange { .. }
+        ));
+        assert!(matches!(
+            fails(vec![placed(0, u64::MAX, 1)]),
+            HeapError::ExtentOutOfRange { .. }
+        ));
+        assert!(matches!(
+            fails(vec![
+                placed(0, 0, 4),
+                TraceEvent::Moved {
+                    id: 0,
+                    to: (1 << 32) - 2
+                }
+            ]),
+            HeapError::ExtentOutOfRange { .. }
+        ));
+        // Later fresh ids skip the replayed ones.
+        let trace = Trace {
+            c: 0,
+            events: vec![placed(7, 0, 4)],
+        };
+        let mut heap = trace.replay().unwrap();
+        assert_eq!(heap.fresh_id().get(), 8);
     }
 
     #[test]

@@ -100,14 +100,11 @@ impl Json {
 
     /// Parses a JSON document. Strict: trailing garbage is an error.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(value)
@@ -238,7 +235,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -251,7 +248,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -270,7 +267,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -374,7 +371,7 @@ impl<'a> Parser<'a> {
                             // Surrogate pairs: accept and combine; lone
                             // surrogates are rejected.
                             if (0xD800..0xDC00).contains(&cp) {
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                                if !self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
                                     return Err(self.err("lone high surrogate"));
                                 }
                                 self.pos += 2;
@@ -398,11 +395,14 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // at char boundaries is safe via char_indices logic).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = rest.chars().next().unwrap();
+                    // Consume one UTF-8 scalar: `str::get` checks only that
+                    // `pos` is a char boundary, so decoding is O(1) however
+                    // much of the document follows.
+                    let ch = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     if (ch as u32) < 0x20 {
                         return Err(self.err("control character in string"));
                     }
@@ -415,11 +415,13 @@ impl<'a> Parser<'a> {
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.text.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
+        let hex = self
+            .text
+            .get(self.pos..end)
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos = end;
         Ok(cp)
@@ -451,8 +453,10 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| self.err("invalid number"))?;
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)
@@ -504,6 +508,22 @@ mod tests {
     fn object_keys_sort_alphabetically() {
         let j = Json::object([("zeta", Json::from(1u64)), ("alpha", Json::from(2u64))]);
         assert_eq!(j.to_string(), r#"{"alpha":2,"zeta":1}"#);
+    }
+
+    #[test]
+    fn long_string_arrays_parse_in_linear_time() {
+        // ~6 MB of short strings, like a `.json` trace's event kinds. A
+        // parser that re-validates the rest of the document per character
+        // takes minutes here.
+        let doc = format!("[{}\"end\"]", "\"placed\",".repeat(600_000));
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        assert_eq!(parsed.as_array().map(<[Json]>::len), Some(600_001));
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(10),
+            "took {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

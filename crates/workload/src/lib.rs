@@ -15,8 +15,8 @@
 //!   interface over every family (churn/ramp/replay/adversary) plus the
 //!   deterministic per-tenant assignment used by `pcb fleet`.
 //!
-//! Experiment E9 (`cargo run -p pcb-bench --bin gap`) uses these to
-//! measure how far typical behaviour sits below the worst-case `h`.
+//! Experiment E9 (`pcb figure 9`) uses these to measure how far typical
+//! behaviour sits below the worst-case `h`.
 //!
 //! ```
 //! use pcb_workload::{ChurnConfig, ChurnWorkload};

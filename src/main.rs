@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! pcb bounds <M_words> <log2_n> <c>         evaluate every bound
-//! pcb figure <1|2|3>                        print a figure's CSV series
+//! pcb figure <1|2|3|5|6|7|9>                print a figure's or experiment's CSV
 //! pcb simulate [options]                    run an adversary or workload
 //! pcb record <file.json> [options]          record a run as a trace
 //! pcb replay <file.json>                    re-validate a recorded trace
@@ -88,7 +88,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "\
 usage:
   pcb bounds <M_words> <log2_n> <c>
-  pcb figure <1|2|3> [--plot]
+  pcb figure <1|2|3|5|6|7|9> [--plot]
   pcb simulate [--program pf|pf-baseline|robson|churn|ramp|replay]
                [--manager <name>] [--m <words>] [--log-n <k>] [--c <c>]
                [--rounds <k>] [--allocs <k>] [--map] [--validate]
@@ -371,31 +371,29 @@ fn cmd_bounds(args: &[String]) -> Result<(), String> {
 
 fn cmd_figure(args: &[String]) -> Result<(), String> {
     use partial_compaction::sweep::{over_c, over_n, Bound};
-    let plot = args.iter().any(|a| a == "--plot");
+    let (id, plot) = match args {
+        [id] => (id.as_str(), false),
+        [id, flag] if flag == "--plot" => (id.as_str(), true),
+        _ => return Err("figure needs one id: 1, 2, 3, 5, 6, 7 or 9 (--plot: 1-3)".into()),
+    };
     if plot {
-        let series = match args.first().map(String::as_str) {
-            Some("1") => vec![
+        let series = match id {
+            "1" => vec![
                 over_c(Bound::Thm1Lower, 1 << 28, 20, 10..=100),
                 over_c(Bound::Bp11Lower, 1 << 28, 20, 10..=100),
             ],
-            Some("2") => vec![over_n(Bound::Thm1Lower, 256, 100, 10..=30)],
-            Some("3") => vec![
+            "2" => vec![over_n(Bound::Thm1Lower, 256, 100, 10..=30)],
+            "3" => vec![
                 over_c(Bound::Thm2Upper, 1 << 28, 20, 10..=100),
                 over_c(Bound::Bp11Upper, 1 << 28, 20, 10..=100),
                 over_c(Bound::RobsonDoubled, 1 << 28, 20, 10..=100),
             ],
-            _ => return Err("figure needs 1, 2, or 3".into()),
+            _ => return Err("--plot draws figures 1, 2 and 3 only".into()),
         };
         print!("{}", partial_compaction::plot::render(&series, 72, 20));
         return Ok(());
     }
-    let csv = match args.first().map(String::as_str) {
-        Some("1") => figures::to_csv(&figures::figure1()),
-        Some("2") => figures::to_csv(&figures::figure2()),
-        Some("3") => figures::to_csv(&figures::figure3()),
-        _ => return Err("figure needs 1, 2, or 3".into()),
-    };
-    print!("{csv}");
+    print!("{}", figures::render(id).map_err(|e| e.to_string())?);
     Ok(())
 }
 

@@ -39,15 +39,46 @@ fn bounds_rejects_bad_parameters() {
 
 #[test]
 fn figure_emits_csv_and_plot() {
-    let (csv, _, ok) = pcb(&["figure", "1"]);
-    assert!(ok);
-    assert!(csv.lines().count() > 90);
-    assert!(csv.contains("bp11,c,h,rho") || csv.contains("c,"), "{csv}");
+    // Experiments 5 and 7 take seconds even in release builds; CI runs
+    // them through `pcb figure` in its "Reproduce the paper" step.
+    for (id, header, rows) in [
+        ("1", "bp11,c,h,rho", 91),
+        ("2", "h,log_n,m,rho", 21),
+        ("3", "bp11_upper,c,prior_best,robson_doubled,thm2", 91),
+        ("6", "c,h,log_n,m,manager,moved,ratio,waste", 16),
+        (
+            "9",
+            "fraction_of_worst,manager,waste,workload,worst_case_h",
+            20,
+        ),
+    ] {
+        let (csv, stderr, ok) = pcb(&["figure", id]);
+        assert!(ok, "figure {id}: {stderr}");
+        assert_eq!(csv.lines().next(), Some(header), "figure {id}");
+        assert_eq!(csv.lines().count(), rows + 1, "figure {id}");
+    }
 
     let (plot, _, ok) = pcb(&["figure", "1", "--plot"]);
     assert!(ok);
     assert!(plot.contains("= thm1-lower"));
     assert!(plot.contains('*'));
+
+    // Unknown ids, `--plot` on an executable experiment, and stray flags
+    // are errors, checked before anything runs.
+    for args in [
+        &["figure", "4"][..],
+        &["figure", "8"],
+        &["figure"],
+        &["figure", "5", "--plot"],
+        &["figure", "6", "--plot"],
+        &["figure", "7", "--plot"],
+        &["figure", "9", "--plot"],
+        &["figure", "5", "--robson"],
+    ] {
+        let (code, stderr) = pcb_status(args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -121,9 +152,36 @@ fn replay_rejects_garbage() {
     let dir = std::env::temp_dir().join("pcb-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("garbage.json");
-    std::fs::write(&path, "not a trace").unwrap();
-    let (_, _, ok) = pcb(&["replay", path.to_str().unwrap()]);
-    assert!(!ok);
+    let trace = |event: &str| format!(r#"{{"c":0,"events":[{event}]}}"#);
+    for (doc, why) in [
+        ("not a trace".to_owned(), "expected"),
+        (
+            trace(r#"{"kind":"placed","id":100000000000000,"addr":0,"size":1}"#),
+            "trace invalid at event 0: object id 100000000000000 is out of range",
+        ),
+        (
+            trace(r#"{"kind":"placed","id":0,"addr":4294967295,"size":2}"#),
+            "trace invalid at event 0: 2 words at address 4294967295 end past",
+        ),
+        (
+            trace(r#"{"kind":"placed","id":0,"addr":0,"size":18446744073709551615}"#),
+            "trace invalid at event 0: ",
+        ),
+        (
+            trace(
+                r#"{"kind":"placed","id":0,"addr":0,"size":4},
+                   {"kind":"moved","id":0,"to":4294967295}"#,
+            ),
+            "trace invalid at event 1: 4 words at address 4294967295 end past",
+        ),
+    ] {
+        std::fs::write(&path, &doc).unwrap();
+        // Exit code 1 is a clean error; a panic would exit 101.
+        let (code, stderr) = pcb_status(&["replay", path.to_str().unwrap()]);
+        assert_eq!(code, Some(1), "{doc}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{doc}: {stderr}");
+        assert!(stderr.contains(why), "{doc}: {stderr}");
+    }
     std::fs::remove_file(path).ok();
 }
 

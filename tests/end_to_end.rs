@@ -1,6 +1,7 @@
 //! End-to-end integration: the full pipeline (params → adversary →
 //! manager → heap → report) across crates, at scales small enough for CI.
 
+use partial_compaction::bounds::thm1::SCALED_SLACK;
 use partial_compaction::{bounds, sim, ManagerKind, Params, PfVariant};
 
 #[test]
@@ -15,7 +16,7 @@ fn pf_certifies_theorem_1_for_the_whole_suite() {
             .run()
             .expect("runs");
         assert!(
-            report.execution.waste_factor >= h * 0.95,
+            report.execution.waste_factor >= h * SCALED_SLACK,
             "{kind}: {} < {h}",
             report.execution.waste_factor
         );
@@ -36,7 +37,7 @@ fn compacting_managers_stay_legal_and_both_bounds_sandwich_them() {
         let report = sim::Sim::new(params).manager(kind).run().expect("runs");
         assert!(report.execution.moved_fraction <= 0.05 + 1e-12, "{kind}");
         assert!(
-            report.execution.waste_factor >= lower * 0.95,
+            report.execution.waste_factor >= lower * SCALED_SLACK,
             "{kind} below the lower bound"
         );
         // Managers need not meet Theorem 2's bound (they are heuristics,
@@ -106,7 +107,7 @@ fn theory_scales_with_m_but_simulation_ratio_stays_stable() {
             .run()
             .expect("runs");
         assert!(
-            report.waste_over_bound >= 0.95,
+            report.waste_over_bound >= SCALED_SLACK,
             "M=2^{m_shift}: {}",
             report.waste_over_bound
         );
