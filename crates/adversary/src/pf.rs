@@ -142,36 +142,56 @@ impl PfConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LiveObj {
     addr: Addr,
     size: Size,
 }
 
+impl LiveObj {
+    /// An empty [`IdMap`] slot: no object has size zero.
+    const VACANT: LiveObj = LiveObj {
+        addr: Addr::ZERO,
+        size: Size::ZERO,
+    };
+
+    fn is_vacant(self) -> bool {
+        self.size.is_zero()
+    }
+}
+
 /// Id-indexed object table. Engine ids are small sequential integers, so
 /// a slot vector beats hashing on every placement/free, and iteration
 /// comes out in id order — which is the order every consumer sorts into
-/// anyway.
+/// anyway. A slot of size zero is vacant, which keeps a slot at 16 bytes
+/// (an `Option<LiveObj>` takes 24): the table grows with every id ever
+/// issued.
 #[derive(Debug, Default)]
 struct IdMap {
-    slots: Vec<Option<LiveObj>>,
+    slots: Vec<LiveObj>,
 }
 
 impl IdMap {
     fn insert(&mut self, id: ObjectId, obj: LiveObj) {
+        debug_assert!(!obj.is_vacant(), "objects are never empty");
         let i = id.get() as usize;
         if i >= self.slots.len() {
-            self.slots.resize(i + 1, None);
+            self.slots.resize(i + 1, LiveObj::VACANT);
         }
-        self.slots[i] = Some(obj);
+        self.slots[i] = obj;
     }
 
     fn get(&self, id: ObjectId) -> Option<LiveObj> {
-        self.slots.get(id.get() as usize).copied().flatten()
+        self.slots
+            .get(id.get() as usize)
+            .copied()
+            .filter(|o| !o.is_vacant())
     }
 
     fn remove(&mut self, id: ObjectId) -> Option<LiveObj> {
-        self.slots.get_mut(id.get() as usize)?.take()
+        let slot = self.slots.get_mut(id.get() as usize)?;
+        let obj = std::mem::replace(slot, LiveObj::VACANT);
+        (!obj.is_vacant()).then_some(obj)
     }
 
     fn clear(&mut self) {
@@ -183,11 +203,12 @@ impl IdMap {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, o)| o.map(|o| (ObjectId::from_raw(i as u64), o)))
+            .filter(|(_, o)| !o.is_vacant())
+            .map(|(i, &o)| (ObjectId::from_raw(i as u64), o))
     }
 
     fn values(&self) -> impl Iterator<Item = LiveObj> + '_ {
-        self.slots.iter().filter_map(|o| *o)
+        self.slots.iter().copied().filter(|o| !o.is_vacant())
     }
 }
 
@@ -552,5 +573,35 @@ impl Program for PfProgram {
 
     fn finished(&self) -> bool {
         matches!(self.phase(), Phase::Done)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn id_map_slots_stay_16_bytes() {
+        assert_eq!(std::mem::size_of::<LiveObj>(), 16);
+    }
+
+    #[test]
+    fn id_map_treats_size_zero_as_vacant() {
+        let mut map = IdMap::default();
+        let obj = LiveObj {
+            addr: Addr::new(0),
+            size: Size::new(2),
+        };
+        map.insert(ObjectId::from_raw(3), obj);
+        assert_eq!(map.get(ObjectId::from_raw(3)), Some(obj));
+        assert_eq!(map.get(ObjectId::from_raw(1)), None);
+        assert_eq!(map.get(ObjectId::from_raw(9)), None);
+        assert_eq!(
+            map.iter().collect::<Vec<_>>(),
+            vec![(ObjectId::from_raw(3), obj)]
+        );
+        assert_eq!(map.remove(ObjectId::from_raw(3)), Some(obj));
+        assert_eq!(map.remove(ObjectId::from_raw(3)), None);
+        assert_eq!(map.values().count(), 0);
     }
 }

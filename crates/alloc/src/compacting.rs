@@ -72,12 +72,12 @@ impl CompactingManager {
     /// truth.
     fn compact(&mut self, ops: &mut HeapOps<'_, '_>) -> Result<(), PlacementError> {
         self.compactions += 1;
-        let mut live: Vec<(ObjectId, Addr, Size)> = ops
+        // `live_objects` yields address order.
+        let live: Vec<(ObjectId, Addr, Size)> = ops
             .heap()
             .live_objects()
             .map(|r| (r.id(), r.addr(), r.size()))
             .collect();
-        live.sort_by_key(|&(_, addr, _)| addr);
 
         let mut dest = Addr::ZERO;
         for (id, addr, size) in live {
@@ -102,12 +102,11 @@ impl CompactingManager {
 
         // Rebuild the manager's view from the ground truth.
         self.space.clear();
-        let mut records: Vec<(Addr, Size)> = ops
+        let records: Vec<(Addr, Size)> = ops
             .heap()
             .live_objects()
             .map(|r| (r.addr(), r.size()))
             .collect();
-        records.sort_by_key(|&(addr, _)| addr);
         for (addr, size) in records {
             let ok = self.space.take_exact(addr, size);
             debug_assert!(ok, "ground truth is collision-free");

@@ -45,12 +45,12 @@ impl FullCompactor {
 
     fn compact(&mut self, ops: &mut HeapOps<'_, '_>) -> Result<(), PlacementError> {
         self.compactions += 1;
-        let mut live: Vec<(ObjectId, Addr, Size)> = ops
+        // `live_objects` yields address order.
+        let live: Vec<(ObjectId, Addr, Size)> = ops
             .heap()
             .live_objects()
             .map(|r| (r.id(), r.addr(), r.size()))
             .collect();
-        live.sort_by_key(|&(_, addr, _)| addr);
         let mut dest = Addr::ZERO;
         for (id, addr, size) in live {
             if addr == dest {

@@ -56,6 +56,8 @@ pub enum HeapError {
     Space(SpaceError),
     /// The object id is not live in the heap.
     UnknownObject(ObjectId),
+    /// A placement names an object id that is already live.
+    AlreadyLive(ObjectId),
     /// A relocation was requested that exceeds the remaining compaction
     /// allowance of a budget-enforcing heap.
     BudgetExceeded {
@@ -90,6 +92,7 @@ impl fmt::Display for HeapError {
         match self {
             HeapError::Space(e) => write!(f, "space conflict: {e}"),
             HeapError::UnknownObject(id) => write!(f, "object {id} is not live"),
+            HeapError::AlreadyLive(id) => write!(f, "object {id} is already live"),
             HeapError::BudgetExceeded {
                 id,
                 size,

@@ -20,43 +20,29 @@ const NO_SLOT: u32 = u32::MAX;
 pub(crate) const ID_LIMIT: u64 = NO_SLOT as u64;
 
 /// Dense object table: object ids are allocation sequence numbers, so a
-/// flat id→slot vector plus a recycled record arena replaces the hash map
-/// on the place/free/relocate hot path (no hashing, no probing).
+/// flat id→slot vector replaces a hash map on the place/free/relocate hot
+/// path. The slot indexes the [`SpaceMap`]'s slot table, which holds the
+/// object's interval and owner: the referee's record is the heap's only
+/// per-object record.
 #[derive(Debug, Default, Clone)]
 struct ObjectTable {
-    /// id raw -> record slot; `NO_SLOT` while not live. Grows with the
+    /// id raw -> space-map slot; `NO_SLOT` while not live. Grows with the
     /// highest id ever inserted.
     id_to_slot: Vec<u32>,
-    /// Record arena indexed by slot; freed slots hold stale records.
-    records: Vec<ObjectRecord>,
-    /// Whether the slot currently holds a live record.
-    live_mask: Vec<bool>,
-    /// Recycled slots.
-    free: Vec<u32>,
-    live: usize,
 }
 
 impl ObjectTable {
     #[inline]
-    fn slot_of(&self, id: ObjectId) -> Option<usize> {
+    fn slot_of(&self, id: ObjectId) -> Option<u32> {
         match self.id_to_slot.get(id.get() as usize) {
-            Some(&s) if s != NO_SLOT => Some(s as usize),
+            Some(&s) if s != NO_SLOT => Some(s),
             _ => None,
         }
     }
 
-    #[inline]
-    fn get(&self, id: ObjectId) -> Option<&ObjectRecord> {
-        self.slot_of(id).map(|s| &self.records[s])
-    }
-
-    #[inline]
-    fn get_mut(&mut self, id: ObjectId) -> Option<&mut ObjectRecord> {
-        self.slot_of(id).map(|s| &mut self.records[s])
-    }
-
-    fn insert(&mut self, rec: ObjectRecord) {
-        let raw = rec.id().get();
+    /// Points `id` at `slot`.
+    fn set(&mut self, id: ObjectId, slot: u32) {
+        let raw = id.get();
         assert!(
             raw < ID_LIMIT,
             "object ids index the dense table and must stay below 2^32 - 1"
@@ -65,52 +51,13 @@ impl ObjectTable {
         if idx >= self.id_to_slot.len() {
             self.id_to_slot.resize(idx + 1, NO_SLOT);
         }
-        if let Some(&slot) = self.id_to_slot.get(idx).filter(|&&s| s != NO_SLOT) {
-            // Same id placed again: overwrite in place (map semantics).
-            self.records[slot as usize] = rec;
-            return;
-        }
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.records[s as usize] = rec;
-                self.live_mask[s as usize] = true;
-                s
-            }
-            None => {
-                self.records.push(rec);
-                self.live_mask.push(true);
-                (self.records.len() - 1) as u32
-            }
-        };
         self.id_to_slot[idx] = slot;
-        self.live += 1;
     }
 
-    fn remove(&mut self, id: ObjectId) -> Option<ObjectRecord> {
+    fn remove(&mut self, id: ObjectId) -> Option<u32> {
         let slot = self.slot_of(id)?;
         self.id_to_slot[id.get() as usize] = NO_SLOT;
-        self.live_mask[slot] = false;
-        self.free.push(slot as u32);
-        self.live -= 1;
-        Some(self.records[slot])
-    }
-
-    #[inline]
-    fn contains(&self, id: ObjectId) -> bool {
-        self.slot_of(id).is_some()
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Live records in slot order (an arbitrary but deterministic order).
-    fn iter(&self) -> impl Iterator<Item = &ObjectRecord> {
-        self.records
-            .iter()
-            .zip(&self.live_mask)
-            .filter_map(|(rec, &live)| live.then_some(rec))
+        Some(slot)
     }
 }
 
@@ -241,7 +188,7 @@ impl Heap {
         self.id_gen.skip(id);
     }
 
-    /// Advances the round (step) counter; new objects record their round.
+    /// Advances the round (step) counter.
     pub fn set_round(&mut self, round: u32) {
         self.round = round;
     }
@@ -258,7 +205,8 @@ impl Heap {
     ///
     /// # Errors
     ///
-    /// Fails if the extent is not free or the size is invalid.
+    /// Fails if `id` is already live, the extent is not free or the size
+    /// is invalid; the heap is unchanged on error.
     pub fn place(&mut self, id: ObjectId, addr: Addr, size: Size) -> Result<(), HeapError> {
         if size.is_zero() || self.max_object.is_some_and(|n| size > n) {
             return Err(HeapError::InvalidSize {
@@ -266,10 +214,12 @@ impl Heap {
                 max: self.max_object,
             });
         }
+        if self.is_live(id) {
+            return Err(HeapError::AlreadyLive(id));
+        }
         let extent = Extent::new(addr, size);
-        self.space.occupy(id, extent)?;
-        self.objects
-            .insert(ObjectRecord::new(id, addr, size, self.round));
+        let slot = self.space.occupy_slot(id, extent)?;
+        self.objects.set(id, slot);
         self.budget.on_allocated(size);
         self.live_words += size;
         self.peak_live = self.peak_live.max(self.live_words);
@@ -285,17 +235,15 @@ impl Heap {
     ///
     /// Fails if `id` is not live.
     pub fn free(&mut self, id: ObjectId) -> Result<(Addr, Size), HeapError> {
-        let rec = self
+        let slot = self
             .objects
             .remove(id)
             .ok_or(HeapError::UnknownObject(id))?;
-        self.space
-            .release(rec.addr())
-            .expect("object table and space map agree");
-        self.live_words = self.live_words - rec.size();
+        let (extent, _) = self.space.release_slot(slot);
+        self.live_words = self.live_words - extent.size();
         self.stats.objects_freed += 1;
-        self.stats.words_freed += rec.size().get();
-        Ok((rec.addr(), rec.size()))
+        self.stats.words_freed += extent.size().get();
+        Ok((extent.start(), extent.size()))
     }
 
     /// Relocates object `id` to `new_addr`, spending compaction budget equal
@@ -307,44 +255,45 @@ impl Heap {
     /// Fails if `id` is not live, the destination is not free, or the move
     /// would exceed the c-partial allowance; the heap is unchanged on error.
     pub fn relocate(&mut self, id: ObjectId, new_addr: Addr) -> Result<Addr, HeapError> {
-        let rec = *self.objects.get(id).ok_or(HeapError::UnknownObject(id))?;
-        let old_addr = rec.addr();
+        let slot = self
+            .objects
+            .slot_of(id)
+            .ok_or(HeapError::UnknownObject(id))?;
+        let (old, _) = self.space.slot(slot);
+        let (old_addr, size) = (old.start(), old.size());
         if new_addr == old_addr {
             // Moving zero distance moves no data: a no-op, free of budget.
             return Ok(old_addr);
         }
-        if !self.budget.can_move(rec.size()) {
+        if !self.budget.can_move(size) {
             return Err(HeapError::BudgetExceeded {
                 id,
-                size: rec.size(),
+                size,
                 remaining: self.budget.allowance(),
             });
         }
         // Release-then-occupy so sliding moves that overlap the old
-        // footprint succeed; roll back on failure.
-        self.space
-            .release(old_addr)
-            .expect("object table and space map agree");
-        let new_extent = Extent::new(new_addr, rec.size());
-        match self.space.occupy(id, new_extent) {
-            Ok(()) => {}
+        // footprint succeed; roll back on failure. Either way the LIFO
+        // slot free list hands the released slot straight back.
+        self.space.release_slot(slot);
+        let new_extent = Extent::new(new_addr, size);
+        match self.space.occupy_slot(id, new_extent) {
+            Ok(slot) => self.objects.set(id, slot),
             Err(e) => {
-                self.space
-                    .occupy(id, rec.extent())
+                let slot = self
+                    .space
+                    .occupy_slot(id, old)
                     .expect("rollback to the original placement cannot collide");
+                self.objects.set(id, slot);
                 return Err(e.into());
             }
         }
         self.budget
-            .on_moved(rec.size())
+            .on_moved(size)
             .expect("can_move was checked above");
-        self.objects
-            .get_mut(id)
-            .expect("object is live")
-            .relocate(new_addr);
         self.note_used(new_extent);
         self.stats.objects_moved += 1;
-        self.stats.words_moved += rec.size().get();
+        self.stats.words_moved += size.get();
         Ok(old_addr)
     }
 
@@ -372,23 +321,27 @@ impl Heap {
     }
 
     /// The record of a live object.
-    pub fn record(&self, id: ObjectId) -> Option<&ObjectRecord> {
-        self.objects.get(id)
+    pub fn record(&self, id: ObjectId) -> Option<ObjectRecord> {
+        let (extent, _) = self.space.slot(self.objects.slot_of(id)?);
+        Some(ObjectRecord::new(id, extent.start(), extent.size()))
     }
 
     /// Whether `id` is live.
     pub fn is_live(&self, id: ObjectId) -> bool {
-        self.objects.contains(id)
+        self.objects.slot_of(id).is_some()
     }
 
-    /// Iterates over live objects in unspecified order.
-    pub fn live_objects(&self) -> impl Iterator<Item = &ObjectRecord> {
-        self.objects.iter()
+    /// Iterates over live objects in ascending address order (the
+    /// referee's interval order), so callers need not sort.
+    pub fn live_objects(&self) -> impl Iterator<Item = ObjectRecord> + '_ {
+        self.space
+            .iter()
+            .map(|(extent, owner)| ObjectRecord::new(owner, extent.start(), extent.size()))
     }
 
     /// Number of live objects.
     pub fn live_count(&self) -> usize {
-        self.objects.len()
+        self.space.len()
     }
 
     /// Total live words.
@@ -522,7 +475,6 @@ mod tests {
         let old = h.relocate(a, Addr::new(100)).unwrap();
         assert_eq!(old, Addr::new(0));
         assert_eq!(h.record(a).unwrap().addr(), Addr::new(100));
-        assert_eq!(h.record(a).unwrap().birth_addr(), Addr::new(0));
     }
 
     #[test]
@@ -586,15 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn rounds_stamp_births() {
-        let mut h = Heap::new(10);
-        h.set_round(3);
-        let a = h.fresh_id();
-        h.place(a, Addr::new(0), Size::new(1)).unwrap();
-        assert_eq!(h.record(a).unwrap().birth_round(), 3);
-    }
-
-    #[test]
     fn object_table_recycles_slots() {
         let mut h = Heap::new(10);
         let ids: Vec<_> = (0..8).map(|_| h.fresh_id()).collect();
@@ -620,6 +563,41 @@ mod tests {
         let mut want: Vec<_> = ids[4..].iter().chain(&more).copied().collect();
         want.sort();
         assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn live_objects_come_in_address_order() {
+        let mut h = Heap::new(10);
+        for addr in [40, 0, 100, 8] {
+            let id = h.fresh_id();
+            h.place(id, Addr::new(addr), Size::new(4)).unwrap();
+        }
+        let addrs: Vec<_> = h.live_objects().map(|r| r.addr().get()).collect();
+        assert_eq!(addrs, vec![0, 8, 40, 100]);
+    }
+
+    #[test]
+    fn placing_a_live_id_again_fails_and_changes_nothing() {
+        let mut h = Heap::new(10);
+        let a = h.fresh_id();
+        h.place(a, Addr::new(0), Size::new(4)).unwrap();
+        let err = h.place(a, Addr::new(8), Size::new(4)).unwrap_err();
+        assert_eq!(err, HeapError::AlreadyLive(a));
+        assert_eq!(err.to_string(), "object o0 is already live");
+        assert_eq!(
+            h.record(a),
+            Some(ObjectRecord::new(a, Addr::ZERO, Size::new(4)))
+        );
+        assert_eq!(h.live_count(), 1);
+        assert_eq!(h.space().len(), 1);
+        assert!(h.space().is_free(Extent::from_raw(4, 100)));
+        assert_eq!(h.stats().objects_placed, 1);
+        assert_eq!(h.heap_size(), Size::new(4));
+        // Freeing releases the one interval; the id can then be reused.
+        h.free(a).unwrap();
+        assert!(h.space().is_empty());
+        h.place(a, Addr::new(8), Size::new(4)).unwrap();
+        assert_eq!(h.record(a).unwrap().addr(), Addr::new(8));
     }
 
     #[test]

@@ -63,32 +63,19 @@ impl ObjectIdGen {
     }
 }
 
-/// The live record of an object currently resident in the heap.
+/// The live record of an object currently resident in the heap: its id
+/// and current footprint, read from the referee's slot table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectRecord {
     id: ObjectId,
     addr: Addr,
     size: Size,
-    /// Address at which the object was originally allocated (differs from
-    /// `addr` once the manager has compacted it).
-    birth_addr: Addr,
-    /// Round (step) index at which the object was allocated.
-    birth_round: u32,
-    /// How many times the manager has moved this object.
-    moves: u32,
 }
 
 impl ObjectRecord {
-    /// Creates a record for a newly placed object.
-    pub fn new(id: ObjectId, addr: Addr, size: Size, birth_round: u32) -> Self {
-        ObjectRecord {
-            id,
-            addr,
-            size,
-            birth_addr: addr,
-            birth_round,
-            moves: 0,
-        }
+    /// Creates a record of object `id` occupying `[addr, addr + size)`.
+    pub fn new(id: ObjectId, addr: Addr, size: Size) -> Self {
+        ObjectRecord { id, addr, size }
     }
 
     /// The object's identifier.
@@ -114,29 +101,6 @@ impl ObjectRecord {
     pub fn extent(&self) -> Extent {
         Extent::new(self.addr, self.size)
     }
-
-    /// Where the object was first placed.
-    #[inline]
-    pub fn birth_addr(&self) -> Addr {
-        self.birth_addr
-    }
-
-    /// The round in which the object was allocated.
-    #[inline]
-    pub fn birth_round(&self) -> u32 {
-        self.birth_round
-    }
-
-    /// How many times the manager has relocated the object.
-    #[inline]
-    pub fn moves(&self) -> u32 {
-        self.moves
-    }
-
-    pub(crate) fn relocate(&mut self, new_addr: Addr) {
-        self.addr = new_addr;
-        self.moves += 1;
-    }
 }
 
 #[cfg(test)]
@@ -152,23 +116,6 @@ mod tests {
         assert!(a < b && b < c);
         assert_eq!(c.get() - a.get(), 2);
         assert_eq!(gen.issued(), 3);
-    }
-
-    #[test]
-    fn record_tracks_moves_and_birth() {
-        let mut rec = ObjectRecord::new(ObjectId::from_raw(7), Addr::new(100), Size::new(8), 3);
-        assert_eq!(rec.birth_addr(), Addr::new(100));
-        assert_eq!(rec.moves(), 0);
-        rec.relocate(Addr::new(200));
-        assert_eq!(rec.addr(), Addr::new(200));
-        assert_eq!(
-            rec.birth_addr(),
-            Addr::new(100),
-            "birth address is immutable"
-        );
-        assert_eq!(rec.moves(), 1);
-        assert_eq!(rec.birth_round(), 3);
-        assert_eq!(rec.extent(), Extent::from_raw(200, 8));
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //! directory written only at interval start addresses. Directory entries are
 //! never cleared on release: an entry is meaningful only while the matching
 //! `starts` bit is set, so stale slots are unreachable by construction.
+//! The slot table is also the [`Heap`](crate::Heap)'s only per-object
+//! record: the heap keeps just an id→slot vector and reaches an object's
+//! interval through its slot, with no directory lookup.
 //!
 //! Correctness leans on three small invariants, each local to one word
 //! update in `occupy`/`release`:
@@ -325,20 +328,16 @@ impl SpaceMap {
             scanned += 1;
         };
         self.note_scan(scanned, 0);
-        let slot = self.slot_at(start);
-        (
-            Extent::from_raw(start, self.slot_size[slot]),
-            self.slot_owner[slot],
-        )
+        self.slot(self.slot_at(start))
     }
 
     /// Directory lookup; `start` must carry a set `starts` bit.
     #[inline]
-    fn slot_at(&self, start: u64) -> usize {
+    fn slot_at(&self, start: u64) -> u32 {
         let page = self.dir[start as usize / DIR_PAGE]
             .as_deref()
             .expect("interval start has a directory page");
-        page[start as usize % DIR_PAGE] as usize
+        page[start as usize % DIR_PAGE]
     }
 
     /// Clears `occ` bits over `[lo, hi)`, maintaining the summary invariant.
@@ -441,6 +440,17 @@ impl SpaceMap {
     /// Returns [`SpaceError::Overlap`] if any word of `extent` is already
     /// occupied, and [`SpaceError::EmptyExtent`] for zero-sized extents.
     pub fn occupy(&mut self, owner: ObjectId, extent: Extent) -> Result<(), SpaceError> {
+        self.occupy_slot(owner, extent).map(drop)
+    }
+
+    /// [`occupy`](Self::occupy), returning the slot that now holds the
+    /// interval. Slots are recycled last-in first-out, so occupying right
+    /// after [`release_slot`](Self::release_slot) gets the same slot back.
+    pub(crate) fn occupy_slot(
+        &mut self,
+        owner: ObjectId,
+        extent: Extent,
+    ) -> Result<u32, SpaceError> {
         if extent.size().is_zero() {
             return Err(SpaceError::EmptyExtent { owner });
         }
@@ -525,7 +535,7 @@ impl SpaceMap {
         if hi > self.frontier {
             self.frontier = hi;
         }
-        Ok(())
+        Ok(slot as u32)
     }
 
     /// Releases the interval starting exactly at `start`.
@@ -539,18 +549,38 @@ impl SpaceMap {
         if w >= self.starts.len() || self.starts[w] & (1u64 << (a % 64)) == 0 {
             return Err(SpaceError::NotOccupied { addr: start });
         }
-        let slot = self.slot_at(a);
-        let size = self.slot_size[slot];
-        let owner = self.slot_owner[slot];
+        Ok(self.release_slot(self.slot_at(a)))
+    }
+
+    /// Releases the interval held by `slot`, which must be live (returned
+    /// by [`occupy_slot`](Self::occupy_slot) and not released since).
+    pub(crate) fn release_slot(&mut self, slot: u32) -> (Extent, ObjectId) {
+        let (extent, owner) = self.slot(slot);
+        let (a, size) = (extent.start().get(), extent.size().get());
+        let w = (a / 64) as usize;
+        debug_assert!(
+            self.starts[w] & (1u64 << (a % 64)) != 0,
+            "slot {slot} is not live"
+        );
         self.starts[w] &= !(1u64 << (a % 64));
         self.clear_range(a, a + size);
-        self.free_slots.push(slot as u32);
+        self.free_slots.push(slot);
         self.live -= 1;
         self.occupied -= size;
         if a + size == self.frontier {
             self.frontier = self.last_set_below(self.frontier).map_or(0, |b| b + 1);
         }
-        Ok((Extent::new(start, Size::new(size)), owner))
+        (extent, owner)
+    }
+
+    /// The interval and owner in `slot` (meaningful only while it is live).
+    #[inline]
+    pub(crate) fn slot(&self, slot: u32) -> (Extent, ObjectId) {
+        let s = slot as usize;
+        (
+            Extent::from_raw(self.slot_start[s], self.slot_size[s]),
+            self.slot_owner[s],
+        )
     }
 
     /// The object whose interval contains `addr`, if any.

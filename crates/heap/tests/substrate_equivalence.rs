@@ -10,7 +10,7 @@ mod oracle;
 
 use proptest::prelude::*;
 
-use pcb_heap::{Addr, Extent, Heap, HeapError, ObjectId, Size, SpaceMap};
+use pcb_heap::{Addr, Extent, Heap, HeapError, ObjectId, ObjectRecord, Size, SpaceMap};
 
 use oracle::ReferenceSpace;
 
@@ -142,7 +142,11 @@ proptest! {
     // Heap-level lockstep: place/free/relocate through a full `Heap`
     // while the oracle replays the occupy/release calls each one implies
     // (relocation is release-then-occupy with rollback); the heap's
-    // referee must answer every call, error and query like the oracle.
+    // referee must answer every call, error and query like the oracle,
+    // and the heap's object records (read through the shared slot table)
+    // must match the oracle's intervals after every step. Relocations
+    // fail both ways — target overlap and exhausted budget — and roll
+    // back; a re-placement of a live id must fail and change nothing.
     #[test]
     fn heap_referee_matches_the_oracle(
         ops in proptest::collection::vec(
@@ -166,9 +170,14 @@ proptest! {
             if got.is_ok() {
                 live.push(id);
             }
+            if len % 5 == 1 && !live.is_empty() {
+                let again = live[(dest as usize) % live.len()];
+                let got = heap.place(again, Addr::new(dest), Size::new(1));
+                prop_assert_eq!(got, Err(HeapError::AlreadyLive(again)));
+            }
             if relocate && !live.is_empty() {
                 let target = live[(start as usize) % live.len()];
-                let rec = *heap.record(target).expect("live");
+                let rec = heap.record(target).expect("live");
                 let got = heap.relocate(target, Addr::new(dest));
                 match &got {
                     Ok(_) if rec.addr() == Addr::new(dest) => {}
@@ -192,8 +201,8 @@ proptest! {
                 prop_assert_eq!(want, (Extent::new(addr, size), victim));
             }
             assert_same_state(heap.space(), &oracle)?;
+            assert_same_records(&heap, &oracle, &live)?;
             prop_assert_eq!(heap.live_words(), oracle.occupied_words());
-            prop_assert_eq!(heap.live_count(), oracle.len());
             for probe in [start, dest, start + len] {
                 prop_assert_eq!(
                     heap.space().object_at(Addr::new(probe)),
@@ -201,13 +210,84 @@ proptest! {
                 );
             }
         }
-        // Final object records agree with the oracle's intervals.
-        let mut objs: Vec<_> = heap
-            .live_objects()
-            .map(|r| (r.extent(), r.id()))
-            .collect();
-        objs.sort_by_key(|&(e, _)| e.start());
-        let oracle_objs: Vec<_> = oracle.iter().collect();
-        prop_assert_eq!(objs, oracle_objs);
     }
+}
+
+/// The heap's object view against the oracle: `record(id)` of every live
+/// id is the oracle's interval for that owner, the live count is the
+/// referee's interval count, and `live_objects` lists exactly the
+/// oracle's intervals in strictly ascending address order.
+fn assert_same_records(
+    heap: &Heap,
+    oracle: &ReferenceSpace,
+    live: &[ObjectId],
+) -> Result<(), TestCaseError> {
+    let intervals: Vec<(Extent, ObjectId)> = oracle.iter().collect();
+    prop_assert_eq!(heap.live_count(), heap.space().len());
+    prop_assert_eq!(heap.live_count(), intervals.len());
+    prop_assert_eq!(live.len(), intervals.len());
+    for &id in live {
+        let want = intervals
+            .iter()
+            .find(|&&(_, owner)| owner == id)
+            .map(|&(e, owner)| ObjectRecord::new(owner, e.start(), e.size()));
+        prop_assert!(want.is_some(), "{} is live but the oracle lacks it", id);
+        prop_assert_eq!(heap.record(id), want, "record {} diverged", id);
+    }
+    let objs: Vec<_> = heap.live_objects().map(|r| (r.extent(), r.id())).collect();
+    prop_assert!(
+        objs.windows(2).all(|w| w[0].0.start() < w[1].0.start()),
+        "live_objects is not strictly ascending"
+    );
+    prop_assert_eq!(objs, intervals);
+    Ok(())
+}
+
+/// Both relocation failures roll back through the shared slot table: the
+/// object keeps its record, the referee its interval, and the slot
+/// gauges read what they did before the failed move.
+#[test]
+fn failed_relocations_roll_back_records_and_slots() {
+    let mut heap = Heap::new(2);
+    let mut oracle = ReferenceSpace::default();
+    let place = |heap: &mut Heap, oracle: &mut ReferenceSpace, start, len| {
+        let id = heap.fresh_id();
+        let extent = Extent::from_raw(start, len);
+        heap.place(id, extent.start(), extent.size()).unwrap();
+        oracle.occupy(id, extent).unwrap();
+        id
+    };
+    let a = place(&mut heap, &mut oracle, 0, 4);
+    let b = place(&mut heap, &mut oracle, 10, 4);
+    let c = place(&mut heap, &mut oracle, 20, 64);
+    let live = [a, b, c];
+    let check = |heap: &Heap, oracle: &ReferenceSpace| {
+        assert_same_state(heap.space(), oracle).unwrap();
+        assert_same_records(heap, oracle, &live).unwrap();
+    };
+    check(&heap, &oracle);
+    let slots = |heap: &Heap| {
+        let c = heap.space().counters();
+        (c.slot_high_water, c.slots_reused)
+    };
+    let (high_water, reused) = slots(&heap);
+
+    // Target overlap: `a` onto `b`'s footprint. The rollback takes the
+    // released slot back off the free list: one reuse, no new slot.
+    let err = heap.relocate(a, Addr::new(12)).unwrap_err();
+    assert!(matches!(err, HeapError::Space(_)));
+    check(&heap, &oracle);
+    assert_eq!(slots(&heap), (high_water, reused + 1));
+
+    // Exhausted budget: allowance 72 / 2 = 36 words < 64; no slot moves.
+    let err = heap.relocate(c, Addr::new(200)).unwrap_err();
+    assert!(matches!(err, HeapError::BudgetExceeded { .. }));
+    check(&heap, &oracle);
+    assert_eq!(slots(&heap), (high_water, reused + 1));
+
+    // A successful slide still lands where the oracle says.
+    heap.relocate(b, Addr::new(4)).unwrap();
+    oracle.release(Addr::new(10)).unwrap();
+    oracle.occupy(b, Extent::from_raw(4, 4)).unwrap();
+    check(&heap, &oracle);
 }

@@ -174,6 +174,14 @@ fn replay_rejects_garbage() {
             ),
             "trace invalid at event 1: 4 words at address 4294967295 end past",
         ),
+        (
+            trace(
+                r#"{"kind":"placed","id":0,"addr":0,"size":4},
+                   {"kind":"placed","id":0,"addr":8,"size":4},
+                   {"kind":"freed","id":0}"#,
+            ),
+            "trace invalid at event 1: object o0 is already live",
+        ),
     ] {
         std::fs::write(&path, &doc).unwrap();
         // Exit code 1 is a clean error; a panic would exit 101.
