@@ -214,18 +214,18 @@ fn claim_4_8_stage_one_mirrors_robsons_program_without_compaction() {
     // Robson's P_R must make the *identical* allocation sequence round by
     // round (Claim 4.8's one-to-one mapping, specialized to the
     // compaction-free execution).
-    use pcb_heap::{Event, Recorder};
+    use pcb_heap::{TraceEvent, TraceRecorder};
     let c = 50u64;
     let cfg = PfConfig::new(M, LOG_N, c).unwrap();
     let rho = cfg.rho;
 
-    fn placements_per_round(rec: &Recorder) -> Vec<Vec<u64>> {
+    fn placements_per_round(rec: TraceRecorder) -> Vec<Vec<u64>> {
         let mut rounds: Vec<Vec<u64>> = Vec::new();
-        for (_, e) in rec.events() {
+        for e in rec.into_trace().events {
             match e {
-                Event::RoundStart { .. } => rounds.push(Vec::new()),
-                Event::Placed { size, .. } => {
-                    rounds.last_mut().unwrap().push(size.get());
+                TraceEvent::RoundStart { .. } => rounds.push(Vec::new()),
+                TraceEvent::Placed { size, .. } => {
+                    rounds.last_mut().unwrap().push(size);
                 }
                 _ => {}
             }
@@ -233,7 +233,7 @@ fn claim_4_8_stage_one_mirrors_robsons_program_without_compaction() {
         rounds
     }
 
-    let mut rec_pf = Recorder::new();
+    let mut rec_pf = TraceRecorder::new(c);
     let mut exec = Execution::new(
         Heap::non_moving(),
         PfProgram::new(cfg),
@@ -244,7 +244,7 @@ fn claim_4_8_stage_one_mirrors_robsons_program_without_compaction() {
         exec.step_round(&mut rec_pf).unwrap();
     }
 
-    let mut rec_pr = Recorder::new();
+    let mut rec_pr = TraceRecorder::new(c);
     let mut exec_pr = Execution::new(
         Heap::non_moving(),
         RobsonProgram::new(M, LOG_N),
@@ -254,8 +254,8 @@ fn claim_4_8_stage_one_mirrors_robsons_program_without_compaction() {
         exec_pr.step_round(&mut rec_pr).unwrap();
     }
 
-    let pf_rounds = placements_per_round(&rec_pf);
-    let pr_rounds = placements_per_round(&rec_pr);
+    let pf_rounds = placements_per_round(rec_pf);
+    let pr_rounds = placements_per_round(rec_pr);
     assert_eq!(
         pf_rounds, pr_rounds,
         "stage I must replicate Robson's allocation sequence"

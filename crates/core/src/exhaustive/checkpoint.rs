@@ -15,12 +15,10 @@
 //! under 8 threads resumes under 1) and `max_states` (so a search that
 //! tripped the cap can be resumed with a larger one).
 
-use std::fs;
-
 use pcb_json::Json;
 
 use super::{packed::PackedState, ResumeError, Search, SearchPolicy};
-use crate::fleet::checkpoint::{hash_desc, write_atomic};
+use crate::checkpoint::{self as envelope, hash_desc, write_atomic, Envelope};
 use crate::fleet::CheckpointOptions;
 use crate::params::Params;
 
@@ -109,25 +107,14 @@ pub(super) fn restore(
 ) -> Result<(), ResumeError> {
     let path = &opts.path;
     let fail = |msg: String| ResumeError::Checkpoint(format!("{}: {msg}", path.display()));
-    let text = fs::read_to_string(path).map_err(|e| fail(format!("cannot read: {e}")))?;
-    let json = Json::parse(&text).map_err(|e| fail(format!("invalid JSON: {e}")))?;
-
-    let version = json.get("format_version").and_then(Json::as_u64);
-    if version != Some(FORMAT_VERSION) {
-        return Err(fail(format!(
-            "format version {version:?} (this build reads {FORMAT_VERSION})"
-        )));
-    }
-    if json.get("kind").and_then(Json::as_str) != Some("worst-case") {
-        return Err(fail("not a worst-case search checkpoint".into()));
-    }
-    if json.get("fingerprint").and_then(Json::as_u64) != Some(fingerprint(params, policy)) {
-        return Err(fail(
-            "fingerprint mismatch: checkpoint belongs to a different search \
-             (M/log n/policy)"
-                .into(),
-        ));
-    }
+    let expect = Envelope {
+        kind: "worst-case",
+        version: FORMAT_VERSION,
+        fingerprint: fingerprint(params, policy),
+        noun: "worst-case search",
+        scope: "search (M/log n/policy)",
+    };
+    let json = envelope::open(path, &expect).map_err(fail)?;
     let u64_field = |key: &str| -> Result<u64, ResumeError> {
         json.get(key)
             .and_then(Json::as_u64)

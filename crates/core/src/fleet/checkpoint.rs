@@ -17,8 +17,7 @@
 //! Writes are atomic (temp file + rename), so a run killed mid-save
 //! leaves the previous checkpoint intact.
 
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use pcb_json::{Json, ToJson};
 
@@ -26,6 +25,8 @@ use super::{
     FailureCause, FleetAccumulator, FleetConfig, FleetError, FleetReport, TenantFailure, HEAT_COLS,
     MAX_FAILURE_RECORDS, WASTE_BUCKETS,
 };
+pub(crate) use crate::checkpoint::hash_desc;
+use crate::checkpoint::{self as envelope, write_atomic, Envelope};
 use crate::config::RunConfig;
 
 /// Version stamp embedded in every checkpoint; bumped whenever the
@@ -102,20 +103,6 @@ pub(crate) struct ResumeState {
     pub accumulator: FleetAccumulator,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Hashes a checkpoint's configuration description string (shared with
-/// the exhaustive search's checkpoint).
-pub(crate) fn hash_desc(desc: &str) -> u64 {
-    desc.bytes()
-        .fold(0x5bf0_3635_06e6_cedf, |h, b| splitmix64(h ^ u64::from(b)))
-}
-
 /// Hash of every input that shapes the fleet result. The thread count
 /// is deliberately excluded (see the module docs).
 pub(crate) fn fingerprint(cfg: &FleetConfig, run: &RunConfig) -> u64 {
@@ -157,19 +144,6 @@ pub(crate) fn save(
         .map_err(|e| FleetError::Checkpoint(format!("writing {}: {e}", opts.path.display())))
 }
 
-/// Writes via a sibling temp file and rename, so an interrupted save
-/// never corrupts the previous checkpoint.
-pub(crate) fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_else(|| "checkpoint".into());
-    name.push(".tmp");
-    let tmp = path.with_file_name(name);
-    fs::write(&tmp, contents)?;
-    fs::rename(&tmp, path)
-}
-
 /// Reads and validates a checkpoint for this exact `(cfg, run)` pair.
 pub(crate) fn load(
     cfg: &FleetConfig,
@@ -181,26 +155,14 @@ pub(crate) fn load(
 ) -> Result<ResumeState, FleetError> {
     let path = &opts.path;
     let fail = |msg: String| FleetError::Checkpoint(format!("{}: {msg}", path.display()));
-    let text = fs::read_to_string(path).map_err(|e| fail(format!("cannot read: {e}")))?;
-    let json = Json::parse(&text).map_err(|e| fail(format!("invalid JSON: {e}")))?;
-
-    let version = json.get("format_version").and_then(Json::as_u64);
-    if version != Some(FORMAT_VERSION) {
-        return Err(fail(format!(
-            "format version {version:?} (this build reads {FORMAT_VERSION})"
-        )));
-    }
-    if json.get("kind").and_then(Json::as_str) != Some("fleet") {
-        return Err(fail("not a fleet checkpoint".into()));
-    }
-    let stamped = json.get("fingerprint").and_then(Json::as_u64);
-    if stamped != Some(fingerprint(cfg, run)) {
-        return Err(fail(
-            "fingerprint mismatch: checkpoint belongs to a different \
-             fleet configuration (tenants/shards/manager/mixer/chaos/paranoia/metrics)"
-                .into(),
-        ));
-    }
+    let expect = Envelope {
+        kind: "fleet",
+        version: FORMAT_VERSION,
+        fingerprint: fingerprint(cfg, run),
+        noun: "fleet",
+        scope: "fleet configuration (tenants/shards/manager/mixer/chaos/paranoia/metrics)",
+    };
+    let json = envelope::open(path, &expect).map_err(fail)?;
     let shards_done = json
         .get("shards_done")
         .and_then(Json::as_u64)
@@ -222,11 +184,50 @@ pub(crate) fn load(
         .get("accumulator")
         .ok_or_else(|| fail("missing accumulator".into()))?;
     let accumulator = accumulator_from_json(acc, kinds, size_buckets).map_err(fail)?;
+    check_counts(&accumulator, cfg, shards_total, shards_done).map_err(fail)?;
     Ok(ResumeState {
         shards_done,
         resident,
         accumulator,
     })
+}
+
+/// Checks the restored counts against the shards the checkpoint claims
+/// to have folded: a checkpoint edited (or corrupted) into impossible
+/// counts would otherwise resume into a report with wrong totals.
+fn check_counts(
+    acc: &FleetAccumulator,
+    cfg: &FleetConfig,
+    shards_total: usize,
+    shards_done: usize,
+) -> Result<(), String> {
+    let sum = |v: &[u64]| v.iter().try_fold(0u64, |a, &b| a.checked_add(b));
+    let expected = super::shard_start(cfg.tenants, shards_total, shards_done);
+    if acc.tenants.checked_add(acc.failed_tenants) != Some(expected) {
+        return Err(format!(
+            "accumulator holds {} recorded + {} quarantined tenants, but \
+             {shards_done} shards hold {expected}",
+            acc.tenants, acc.failed_tenants
+        ));
+    }
+    for (key, counts) in [
+        ("kind_counts", &acc.kind_counts),
+        ("bucket_tenants", &acc.bucket_tenants),
+    ] {
+        if sum(counts) != Some(acc.tenants) {
+            return Err(format!(
+                "`{key}` does not sum to the {} recorded tenants",
+                acc.tenants
+            ));
+        }
+    }
+    if acc.max_tenant >= cfg.tenants {
+        return Err(format!(
+            "max_tenant {} is outside the fleet's {} tenants",
+            acc.max_tenant, cfg.tenants
+        ));
+    }
+    Ok(())
 }
 
 fn accumulator_to_json(acc: &FleetAccumulator) -> Json {

@@ -866,6 +866,14 @@ pub fn run_checkpointed_with_progress(
     drive(cfg, run, Some(opts), Some(progress))
 }
 
+/// The first tenant index of shard `s` when `tenants` are cut into
+/// `shards` contiguous, balanced ranges (the first `tenants % shards`
+/// ranges hold one tenant more). `s == shards` gives `tenants`.
+fn shard_start(tenants: u64, shards: usize, s: usize) -> u64 {
+    let (per, extra) = (tenants / shards as u64, tenants % shards as u64);
+    s as u64 * per + (s as u64).min(extra)
+}
+
 /// The single driver behind [`run`] and [`run_checkpointed`]: processes
 /// shards in chunks, checkpointing after each chunk when asked to.
 fn drive(
@@ -906,8 +914,7 @@ fn drive(
         .iter()
         .map(|p| p.as_ref().map(|&p| bounds::thm1::factor(p)).unwrap_or(0.0))
         .collect();
-    // Heartbeat reference: the bound at the largest bucket, the same
-    // normalization `pcb bench` uses for its fleet cells.
+    // Heartbeat reference: the bound at the largest bucket.
     let thm1_ref = bucket_thm1.last().copied().unwrap_or(0.0);
 
     let mut heartbeat = match progress {
@@ -920,13 +927,12 @@ fn drive(
     let shards = cfg
         .shards
         .clamp(1, cfg.tenants.min(usize::MAX as u64) as usize);
-    let per = cfg.tenants / shards as u64;
-    let extra = cfg.tenants % shards as u64;
-    let ranges: Vec<(u64, u64)> = (0..shards as u64)
+    let ranges: Vec<(u64, u64)> = (0..shards)
         .map(|s| {
-            let lo = s * per + s.min(extra);
-            let hi = lo + per + u64::from(s < extra);
-            (lo, hi)
+            (
+                shard_start(cfg.tenants, shards, s),
+                shard_start(cfg.tenants, shards, s + 1),
+            )
         })
         .collect();
 
@@ -1301,6 +1307,50 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, FleetError::Checkpoint(_)), "{err}");
         assert!(err.to_string().contains("fingerprint mismatch"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn checkpoints_with_impossible_counts_are_rejected() {
+        // 64 tenants in 8 shards: the 4 folded shards hold tenants 0..32,
+        // so each edit below leaves counts no real run can produce.
+        let cfg = tiny();
+        let run_cfg = RunConfig::default();
+        let path = temp_checkpoint("impossible-counts");
+        let opts = CheckpointOptions::new(&path).every(4).stop_after(4);
+        assert!(matches!(
+            run_checkpointed(&cfg, &run_cfg, &opts).unwrap(),
+            FleetOutcome::Paused { .. }
+        ));
+        let saved = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let resume =
+            || run_checkpointed(&cfg, &run_cfg, &CheckpointOptions::new(&path).resume(true));
+        for (key, index, value) in [
+            ("tenants", None, u64::MAX),
+            ("failed_tenants", None, 1),
+            ("kind_counts", Some(0), u64::MAX),
+            ("bucket_tenants", Some(0), 33),
+            ("max_tenant", None, 64),
+        ] {
+            let mut doc = saved.clone();
+            let Json::Object(top) = &mut doc else {
+                panic!("checkpoint is an object")
+            };
+            let Some(Json::Object(acc)) = top.get_mut("accumulator") else {
+                panic!("checkpoint has an accumulator")
+            };
+            let field = acc.get_mut(key).expect("field present");
+            match (index, field) {
+                (Some(i), Json::Array(items)) => items[i] = Json::from(value),
+                (None, field) => *field = Json::from(value),
+                (Some(_), other) => panic!("`{key}` is not an array: {other}"),
+            }
+            std::fs::write(&path, format!("{doc}\n")).unwrap();
+            let err = resume().unwrap_err();
+            assert!(matches!(err, FleetError::Checkpoint(_)), "{key}: {err}");
+        }
+        std::fs::write(&path, format!("{saved}\n")).unwrap();
+        assert!(matches!(resume().unwrap(), FleetOutcome::Complete(_)));
         std::fs::remove_file(&path).ok();
     }
 

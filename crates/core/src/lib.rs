@@ -65,8 +65,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod benchdiff;
 pub mod bounds;
+mod checkpoint;
 pub mod config;
 pub mod exhaustive;
 pub mod figures;
@@ -95,5 +95,5 @@ pub use pcb_adversary::{PfConfig, PfProgram, PfVariant, RobsonProgram};
 pub use pcb_alloc::ManagerKind;
 pub use pcb_chaos::{FaultPlan, FaultSite};
 pub use pcb_heap::{
-    Execution, Heap, Observer, Observers, Recorder, Report, Size, StatSink, TimeSeries, TraceWriter,
+    Execution, Heap, Observer, Observers, Report, Size, StatSink, TimeSeries, TraceWriter,
 };

@@ -5,8 +5,7 @@
 //! byte-for-byte across thread counts and heartbeat on/off,
 //! so everything wall-clock-flavoured (rates, ETAs, elapsed seconds)
 //! lives here — written to stderr and to the `--progress-out` JSONL
-//! stream, never to stdout and never into a report. This is the same
-//! timing/identity split `pcb bench diff` enforces on bench artifacts.
+//! stream, never to stdout and never into a report.
 //!
 //! Default policy (the `pcb fleet` "silent for 26 seconds" fix): with no
 //! explicit flag the heartbeat turns on only when stderr is a terminal —

@@ -480,7 +480,7 @@ impl std::error::Error for SimError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcb_heap::Recorder;
+    use pcb_heap::TraceRecorder;
 
     fn small() -> Params {
         Params::new(1 << 14, 10, 20).unwrap()
@@ -616,7 +616,7 @@ mod tests {
     #[test]
     fn observers_series_and_stats_attach_without_changing_results() {
         let baseline = sim(ManagerKind::FirstFit).run().unwrap();
-        let mut recorder = Recorder::new();
+        let mut recorder = TraceRecorder::new(small().c());
         let observed = Sim::new(small())
             .manager(ManagerKind::FirstFit)
             .observe(&mut recorder)
@@ -629,7 +629,7 @@ mod tests {
             baseline.execution.words_placed,
             observed.execution.words_placed
         );
-        assert!(!recorder.is_empty());
+        assert!(!recorder.into_trace().is_empty());
         let series = observed.series.expect("series collected");
         assert_eq!(series.len(), observed.execution.rounds as usize);
         // HS is the peak of the span column.

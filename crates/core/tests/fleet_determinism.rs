@@ -7,7 +7,7 @@ use partial_compaction::fleet::{self, FleetConfig};
 use partial_compaction::heap::HeapSummary;
 use partial_compaction::workload::MixerConfig;
 use partial_compaction::{Execution, Heap, ManagerKind, Params, RunConfig};
-use pcb_json::ToJson;
+use pcb_json::{Json, ToJson};
 
 fn small_fleet() -> FleetConfig {
     FleetConfig {
@@ -69,6 +69,25 @@ fn metrics_plane_identical_across_threads() {
         off.accumulator.words_placed, baseline_report.accumulator.words_placed,
         "collection does not perturb the simulation"
     );
+}
+
+/// The metric plane is invisible in the report it rides: the same fleet
+/// with metrics on and off serializes identically once the `metrics`
+/// key is removed, and prints the same text.
+#[test]
+fn metrics_plane_is_invisible_in_the_report() {
+    let cfg = small_fleet();
+    let off = fleet::run(&cfg, &RunConfig::default()).expect("fleet runs");
+    let on = fleet::run(&cfg, &RunConfig::default().with_metrics(true)).expect("fleet runs");
+    let Json::Object(mut fields) = on.to_json() else {
+        panic!("the fleet report is a JSON object")
+    };
+    assert!(
+        fields.remove("metrics").is_some(),
+        "metrics-on run embeds the plane"
+    );
+    assert_eq!(Json::Object(fields).to_string(), off.to_json().to_string());
+    assert_eq!(on.to_string(), off.to_string());
 }
 
 /// The metric plane agrees with the accumulator it rode in on, and the

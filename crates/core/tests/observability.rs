@@ -8,7 +8,8 @@
 //! process-wide `PCB_THREADS` variable, and cargo runs test binaries one
 //! at a time, so a lone test is the race-free way to flip the knob.
 
-use partial_compaction::{metrics, sim, ManagerKind, Params, Recorder};
+use partial_compaction::heap::TraceRecorder;
+use partial_compaction::{metrics, sim, ManagerKind, Params};
 
 fn with_threads<T>(threads: &str, run: impl FnOnce() -> T) -> T {
     let saved = std::env::var("PCB_THREADS").ok();
@@ -33,7 +34,7 @@ fn run_arms(kind: ManagerKind) -> [String; 3] {
         .manager(kind)
         .run()
         .expect("plain run");
-    let mut recorder = Recorder::new();
+    let mut recorder = TraceRecorder::new(params.c());
     let watched = sim::Sim::new(params)
         .manager(kind)
         .observe(&mut recorder)
@@ -42,7 +43,7 @@ fn run_arms(kind: ManagerKind) -> [String; 3] {
         .run()
         .expect("observed run");
     assert!(
-        !recorder.is_empty(),
+        !recorder.into_trace().is_empty(),
         "{}: the recorder saw no events",
         kind.name()
     );

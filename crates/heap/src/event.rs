@@ -97,19 +97,19 @@ impl<O: Observer + ?Sized> Observer for &mut O {
 }
 
 /// A composite observer: fans every event out to each attached observer
-/// in attachment order, so one execution can feed a recorder, a metrics
-/// collector, and a trace writer at once.
+/// in attachment order, so one execution can feed a trace recorder, a
+/// metrics collector, and a trace writer at once.
 ///
 /// ```
-/// use pcb_heap::{Observers, Recorder, Trace, TraceRecorder};
+/// use pcb_heap::{Observers, Trace, TraceRecorder, TraceWriter};
 ///
-/// let mut recorder = Recorder::new();
 /// let mut tracer = TraceRecorder::new(10);
+/// let mut writer = TraceWriter::new(std::io::sink()).begin(10);
 /// let mut bus = Observers::new();
-/// bus.attach(&mut recorder).attach(&mut tracer);
+/// bus.attach(&mut tracer).attach(&mut writer);
 /// // … run an `Execution` with `run_observed(&mut bus)` …
 /// # drop(bus);
-/// # let _: (Recorder, Trace) = (recorder, tracer.into_trace());
+/// # let _: Trace = tracer.into_trace();
 /// ```
 #[derive(Default)]
 pub struct Observers<'a> {
@@ -161,12 +161,14 @@ impl Observer for Observers<'_> {
     }
 }
 
-/// An observer that records all events (useful in tests and for replay).
+/// An observer that records all events, for this crate's tests.
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct Recorder {
+pub(crate) struct Recorder {
     events: Vec<(Tick, Event)>,
 }
 
+#[cfg(test)]
 impl Recorder {
     /// Creates an empty recorder.
     pub fn new() -> Self {
@@ -194,6 +196,7 @@ impl Recorder {
     }
 }
 
+#[cfg(test)]
 impl Observer for Recorder {
     fn on_event(&mut self, tick: Tick, event: &Event) {
         self.events.push((tick, *event));

@@ -71,7 +71,7 @@ pub use addr::{Addr, Extent, Size};
 pub use budget::CompactionBudget;
 pub use engine::{ChaosCounters, Execution, HeapSummary, NullObserver, Report};
 pub use error::{ExecutionError, HeapError, SpaceError};
-pub use event::{Event, Observer, Observers, Recorder, Tick};
+pub use event::{Event, Observer, Observers, Tick};
 pub use heap::{Heap, HeapStats};
 pub use heatmap::{heat_map, heat_map_rows};
 pub use manager::{AllocRequest, HeapOps, MemoryManager, MirrorCheck, MoveOutcome, PlacementError};

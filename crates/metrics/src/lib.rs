@@ -29,9 +29,8 @@
 //! Snapshots deliberately carry no wall-clock values: everything in a
 //! [`MetricsSnapshot`] is an exact integer derived from the simulated
 //! run, so snapshots can be embedded in reports that are compared
-//! byte-for-byte. Timing lives elsewhere — the heartbeat's stderr/JSONL
-//! stream and the `BENCH_*.json` timing keys — mirroring the
-//! timing/identity key split `pcb bench diff` enforces.
+//! byte-for-byte. Timing lives elsewhere: the heartbeat's stderr/JSONL
+//! stream, the spans, and the benchmark (`perfbench`).
 //!
 //! ## Recording
 //!

@@ -18,11 +18,6 @@
 //! The flags `simulate`, `fleet` and `worst-case` share are parsed once,
 //! from the [`SHARED`] table.
 //!
-//! `bench diff` compares a fresh benchmark artifact against a checked-in
-//! baseline: structure and identity fields strictly, timing fields within
-//! `--tolerance` percent, and host metadata (`smoke`/`threads`/
-//! `host_cores`) gating whether timing is compared at all.
-//!
 //! `record` writes the paper's JSON trace format, or a streaming JSONL
 //! trace (one event per line, constant memory) when the target ends in
 //! `.jsonl`; `replay` accepts both.
@@ -37,7 +32,7 @@ use partial_compaction::metrics::spans;
 use partial_compaction::progress::{Heartbeat, ProgressMode, ProgressOptions};
 use partial_compaction::sim::{Adversary, Sim, SimError, Workload};
 use partial_compaction::workload::MixWeights;
-use partial_compaction::{benchdiff, bounds, figures, fleet, metrics, ManagerKind, Params};
+use partial_compaction::{bounds, figures, fleet, metrics, ManagerKind, Params};
 use partial_compaction::{Observers, PfVariant, RunConfig, TraceWriter};
 use pcb_json::{Json, ToJson};
 
@@ -55,10 +50,6 @@ fn main() -> ExitCode {
             }
         }
         Some("replay") => cmd_replay(&args[1..]),
-        Some("bench") => match cmd_bench(&args[1..]) {
-            Ok(code) => return code,
-            Err(e) => Err(e),
-        },
         Some("fleet") => cmd_fleet(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("worst-case") => cmd_worst_case(&args[1..]),
@@ -71,9 +62,13 @@ fn main() -> ExitCode {
                 Err("some reproduction checks failed".into())
             }
         }
-        _ => {
+        None => {
             eprint!("{}", USAGE);
             return ExitCode::from(2);
+        }
+        Some(other) => {
+            eprint!("{}", USAGE);
+            Err(format!("unknown command `{other}`"))
         }
     };
     match result {
@@ -109,7 +104,6 @@ usage:
             [--progress[=secs]] [--no-progress]
             [--progress-out <file.jsonl>]
             [--metrics] [--metrics-out <file>]
-  pcb bench diff <new.json> --against <baseline.json> [--tolerance <pct>]
   pcb sweep <bound> c <M_words> <log2_n> <c_from> <c_to>
   pcb sweep <bound> n <M_over_n> <c> <logn_from> <logn_to>
   pcb sweep rho <M_words> <log2_n> <c>
@@ -688,41 +682,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
         report.tenants as f64 / elapsed.max(1e-9)
     );
     Ok(())
-}
-
-fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
-    match args.first().map(String::as_str) {
-        Some("diff") => cmd_bench_diff(&args[1..]),
-        _ => Err(
-            "bench supports: diff <new.json> --against <baseline.json> [--tolerance <pct>]".into(),
-        ),
-    }
-}
-
-fn cmd_bench_diff(args: &[String]) -> Result<ExitCode, String> {
-    let mut new_path = None;
-    let mut baseline = None;
-    let mut tolerance = 10.0f64;
-    let mut args = Args(args.iter());
-    while let Some(arg) = args.0.next() {
-        match arg.as_str() {
-            "--against" => baseline = Some(args.0.next().ok_or("--against needs a path")?.clone()),
-            "--tolerance" => tolerance = args.parse("--tolerance")?,
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
-            path if new_path.is_none() => new_path = Some(path.to_owned()),
-            extra => return Err(format!("unexpected argument {extra}")),
-        }
-    }
-    let new_path = new_path.ok_or("bench diff needs the new artifact path")?;
-    let baseline = baseline.ok_or("bench diff needs --against <baseline.json>")?;
-    let report = benchdiff::compare_files(&new_path, &baseline, tolerance)?;
-    println!("comparing {new_path} against {baseline} (tolerance {tolerance}%)");
-    print!("{}", report.render());
-    Ok(if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
