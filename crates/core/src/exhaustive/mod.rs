@@ -270,31 +270,16 @@ pub fn try_worst_case(
     policy: SearchPolicy,
     max_states: usize,
 ) -> Result<SearchReport, SearchError> {
-    try_worst_case_with(params, policy, max_states, &crate::RunConfig::from_env())
+    try_worst_case_observed(
+        params,
+        policy,
+        max_states,
+        &crate::RunConfig::from_env(),
+        |_| {},
+    )
 }
 
-/// [`try_worst_case`] with an explicit, already-resolved [`RunConfig`](crate::RunConfig)
-/// (`run.threads` replaces the `PCB_THREADS` lookup; the report is
-/// byte-identical for any value).
-///
-/// # Errors
-///
-/// Same as [`try_worst_case`].
-pub fn try_worst_case_with(
-    params: Params,
-    policy: SearchPolicy,
-    max_states: usize,
-    run: &crate::RunConfig,
-) -> Result<SearchReport, SearchError> {
-    let _span = pcb_metrics::span!("exhaustive.worst_case");
-    let mut search = Search::new(params, policy, max_states, run)?;
-    while !search.is_done() {
-        search.step()?;
-    }
-    Ok(search.into_report())
-}
-
-/// One per-level progress pulse from [`try_worst_case_observed`].
+/// One per-level progress pulse from [`try_worst_case_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct LevelPulse {
     /// BFS levels expanded so far.
@@ -307,10 +292,10 @@ pub struct LevelPulse {
     pub resident_bytes: u64,
 }
 
-/// [`try_worst_case_with`] with a per-level observer: `on_level` fires
-/// after every expanded BFS level with a [`LevelPulse`], so a CLI can
-/// heartbeat a long search without touching the result. The returned
-/// report is byte-identical to [`try_worst_case_with`]'s.
+/// [`try_worst_case`] with an explicit, already-resolved
+/// [`RunConfig`](crate::RunConfig) (`run.threads` replaces the
+/// `PCB_THREADS` lookup; the report is byte-identical for any value) and
+/// a per-level observer, as [`try_worst_case_with`] without a checkpoint.
 ///
 /// # Errors
 ///
@@ -320,20 +305,15 @@ pub fn try_worst_case_observed(
     policy: SearchPolicy,
     max_states: usize,
     run: &crate::RunConfig,
-    mut on_level: impl FnMut(LevelPulse),
+    on_level: impl FnMut(LevelPulse),
 ) -> Result<SearchReport, SearchError> {
-    let _span = pcb_metrics::span!("exhaustive.worst_case");
-    let mut search = Search::new(params, policy, max_states, run)?;
-    while !search.is_done() {
-        search.step()?;
-        on_level(LevelPulse {
-            levels: search.stats.levels,
-            frontier_states: search.frontier.len(),
-            seen_states: search.seen.iter().map(Interner::len).sum(),
-            resident_bytes: search.seen.iter().map(Interner::resident_bytes).sum(),
-        });
+    match try_worst_case_with(params, policy, max_states, run, None, on_level) {
+        Ok(SearchOutcome::Complete(report)) => Ok(report),
+        Err(ResumeError::Search(e)) => Err(e),
+        Ok(SearchOutcome::Paused { .. }) | Err(ResumeError::Checkpoint(_)) => {
+            unreachable!("a search without a checkpoint neither pauses nor saves")
+        }
     }
-    Ok(search.into_report())
 }
 
 /// The result of a checkpointed search.
@@ -378,20 +358,11 @@ impl std::error::Error for ResumeError {
     }
 }
 
-/// [`try_worst_case_with`] with level-granularity checkpoint/resume: the
-/// seen-set, frontier, and running maximum are saved to `opts.path`
-/// every `opts.every` BFS levels, and — when `opts.resume` is set — the
-/// search continues from the saved level instead of the root.
-///
-/// The [`WorstCase`] of a resumed search is identical to an
-/// uninterrupted one (the reachable set does not depend on where the
-/// fold was cut); of the stats only `resident_bytes` may differ, since
-/// it reflects allocator capacity history rather than the result.
+/// [`try_worst_case_with`] with a checkpoint and no observer.
 ///
 /// # Errors
 ///
-/// [`ResumeError::Search`] as for [`try_worst_case_with`];
-/// [`ResumeError::Checkpoint`] for unreadable or mismatched checkpoints.
+/// Same as [`try_worst_case_with`].
 pub fn try_worst_case_resumable(
     params: Params,
     policy: SearchPolicy,
@@ -399,16 +370,46 @@ pub fn try_worst_case_resumable(
     run: &crate::RunConfig,
     opts: &CheckpointOptions,
 ) -> Result<SearchOutcome, ResumeError> {
+    try_worst_case_with(params, policy, max_states, run, Some(opts), |_| {})
+}
+
+/// The search loop every entry point runs. `on_level` fires after every
+/// expanded BFS level with a [`LevelPulse`], so a CLI can heartbeat a
+/// long search without touching the result.
+///
+/// With `checkpoint_opts`, the seen-set, frontier, and running maximum
+/// are saved to its path every `every` BFS levels; with `resume` set the
+/// search continues from the saved level instead of the root, and with
+/// `stop_after` it pauses there. The [`WorstCase`] of a resumed search is
+/// identical to an uninterrupted one (the reachable set does not depend
+/// on where the fold was cut); of the stats only `resident_bytes` may
+/// differ, since it reflects allocator capacity history rather than the
+/// result. Without a checkpoint the search always runs to completion.
+///
+/// # Errors
+///
+/// [`ResumeError::Search`] as for [`try_worst_case`];
+/// [`ResumeError::Checkpoint`] for unreadable or mismatched checkpoints.
+pub fn try_worst_case_with(
+    params: Params,
+    policy: SearchPolicy,
+    max_states: usize,
+    run: &crate::RunConfig,
+    checkpoint_opts: Option<&CheckpointOptions>,
+    mut on_level: impl FnMut(LevelPulse),
+) -> Result<SearchOutcome, ResumeError> {
     let _span = pcb_metrics::span!("exhaustive.worst_case");
     let mut search = Search::new(params, policy, max_states, run).map_err(ResumeError::Search)?;
-    if opts.resume {
+    if let Some(opts) = checkpoint_opts.filter(|opts| opts.resume) {
         checkpoint::restore(&mut search, params, policy, opts)?;
     }
-    let every = opts.every.max(1);
     let mut since_save = 0usize;
     while !search.is_done() {
-        if let Some(stop) = opts.stop_after {
-            if search.stats.levels >= stop {
+        if let Some(opts) = checkpoint_opts {
+            if opts
+                .stop_after
+                .is_some_and(|stop| search.stats.levels >= stop)
+            {
                 checkpoint::save(&search, params, policy, opts)?;
                 return Ok(SearchOutcome::Paused {
                     levels_done: search.stats.levels,
@@ -416,20 +417,30 @@ pub fn try_worst_case_resumable(
             }
         }
         search.step().map_err(ResumeError::Search)?;
-        since_save += 1;
-        if since_save >= every {
-            checkpoint::save(&search, params, policy, opts)?;
-            since_save = 0;
+        on_level(LevelPulse {
+            levels: search.stats.levels,
+            frontier_states: search.frontier.len(),
+            seen_states: search.seen.iter().map(Interner::len).sum(),
+            resident_bytes: search.seen.iter().map(Interner::resident_bytes).sum(),
+        });
+        if let Some(opts) = checkpoint_opts {
+            since_save += 1;
+            if since_save >= opts.every.max(1) {
+                checkpoint::save(&search, params, policy, opts)?;
+                since_save = 0;
+            }
         }
     }
     // A final save so that resuming a finished search re-emits its
     // report without re-expanding anything.
-    checkpoint::save(&search, params, policy, opts)?;
+    if let Some(opts) = checkpoint_opts {
+        checkpoint::save(&search, params, policy, opts)?;
+    }
     Ok(SearchOutcome::Complete(search.into_report()))
 }
 
 /// The level-synchronous BFS, reified so it can be stepped, paused, and
-/// serialized: everything [`try_worst_case_with`] used to hold in local
+/// serialized: everything the search loop used to hold in local
 /// variables.
 #[derive(Debug)]
 struct Search {
@@ -797,8 +808,9 @@ mod tests {
             .worst;
         for threads in [1, 2, 4] {
             let run = crate::RunConfig::default().with_threads(threads);
-            let report = try_worst_case_with(toy(8, 2), SearchPolicy::FirstFit, 3_000_000, &run)
-                .expect("toy");
+            let report =
+                try_worst_case_observed(toy(8, 2), SearchPolicy::FirstFit, 3_000_000, &run, |_| {})
+                    .expect("toy");
             assert_eq!(report.worst, baseline, "threads={threads}");
         }
     }

@@ -93,16 +93,30 @@ fn disabled_metric_plane_costs_at_most_1_pct() {
     assert!(pct <= 1.0, "disabled metric plane at {pct:.5} %, over 1 %");
 }
 
+/// The plane costs a few percent of a fleet run of about 0.1 s, less
+/// than one run's wall-clock noise on a shared host. So the case times
+/// many interleaved pairs and takes the median of the per-pair ratios:
+/// ten runs on a 2-vCPU host spread over 1.7 points (+2.2 % to +3.9 %),
+/// where the median of five runs per mode spread over 20.
 #[test]
 #[ignore = "wall-clock budget; run in release"]
 fn attached_metric_plane_costs_at_most_5_pct() {
-    let (mut off, mut on) = (Vec::new(), Vec::new());
-    for _ in 0..ITERS {
-        off.push(fleet_seconds(false));
-        on.push(fleet_seconds(true));
+    const PAIRS: usize = 151;
+    let (mut off, mut on, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..PAIRS {
+        // Alternate which mode goes first, so neither always runs warm.
+        let (plain, metered) = if pair % 2 == 0 {
+            (fleet_seconds(false), fleet_seconds(true))
+        } else {
+            let metered = fleet_seconds(true);
+            (fleet_seconds(false), metered)
+        };
+        off.push(plain);
+        on.push(metered);
+        ratios.push(metered / plain);
     }
     let (off, on) = (median(off), median(on));
-    let pct = (on / off - 1.0) * 100.0;
+    let pct = (median(ratios) - 1.0) * 100.0;
     println!("attached metric plane: off {off:.3} s, on {on:.3} s -> {pct:+.2} % (budget 5 %)");
     assert!(pct <= 5.0, "attached metric plane at {pct:+.2} %, over 5 %");
 }
@@ -134,7 +148,7 @@ fn attached_observers_cost_at_most_25_pct() {
     };
     let attached = || {
         for &(params, kind) in &cells {
-            let mut writer = TraceWriter::new(std::io::sink()).begin(params.c());
+            let mut writer = TraceWriter::new(std::io::sink(), params.c(), FaultPlan::empty());
             sim::Sim::new(params)
                 .manager(kind)
                 .observe(&mut writer)

@@ -650,10 +650,10 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
 mod tests {
     use super::*;
     use crate::addr::{Addr, Extent, Size};
-    use crate::event::Recorder;
     use crate::manager::PlacementError;
     use crate::object::ObjectId;
     use crate::program::ScriptedProgram;
+    use crate::trace::{TraceEvent, TraceRecorder};
 
     /// A minimal bump allocator used only to test the engine itself.
     #[derive(Debug, Default)]
@@ -701,7 +701,7 @@ mod tests {
             .round([], [4, 4])
             .round([0], [8]);
         let mut exec = Execution::new(Heap::non_moving(), program, Bump::default());
-        let mut rec = Recorder::new();
+        let mut rec = TraceRecorder::new(u64::MAX);
         let report = exec.run_observed(&mut rec).unwrap();
         assert_eq!(report.rounds, 2);
         assert_eq!(report.objects_placed, 3);
@@ -709,8 +709,10 @@ mod tests {
         assert_eq!(report.heap_size, 16, "bump never reuses space");
         assert_eq!(report.peak_live, 12);
         assert!((report.waste_factor - 0.16).abs() < 1e-12);
-        assert_eq!(rec.count(|e| matches!(e, Event::Placed { .. })), 3);
-        assert_eq!(rec.count(|e| matches!(e, Event::RoundStart { .. })), 2);
+        let events = rec.into_trace().events;
+        let count = |pred: fn(&TraceEvent) -> bool| events.iter().filter(|e| pred(e)).count();
+        assert_eq!(count(|e| matches!(e, TraceEvent::Placed { .. })), 3);
+        assert_eq!(count(|e| matches!(e, TraceEvent::RoundStart { .. })), 2);
     }
 
     #[test]

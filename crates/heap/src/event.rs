@@ -101,10 +101,10 @@ impl<O: Observer + ?Sized> Observer for &mut O {
 /// metrics collector, and a trace writer at once.
 ///
 /// ```
-/// use pcb_heap::{Observers, Trace, TraceRecorder, TraceWriter};
+/// use pcb_heap::{FaultPlan, Observers, Trace, TraceRecorder, TraceWriter};
 ///
 /// let mut tracer = TraceRecorder::new(10);
-/// let mut writer = TraceWriter::new(std::io::sink()).begin(10);
+/// let mut writer = TraceWriter::new(std::io::sink(), 10, FaultPlan::empty());
 /// let mut bus = Observers::new();
 /// bus.attach(&mut tracer).attach(&mut writer);
 /// // … run an `Execution` with `run_observed(&mut bus)` …
@@ -161,55 +161,14 @@ impl Observer for Observers<'_> {
     }
 }
 
-/// An observer that records all events, for this crate's tests.
-#[cfg(test)]
-#[derive(Debug, Default)]
-pub(crate) struct Recorder {
-    events: Vec<(Tick, Event)>,
-}
-
-#[cfg(test)]
-impl Recorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The recorded events in order.
-    pub fn events(&self) -> &[(Tick, Event)] {
-        &self.events
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Count of events matching a predicate.
-    pub fn count(&self, mut pred: impl FnMut(&Event) -> bool) -> usize {
-        self.events.iter().filter(|(_, e)| pred(e)).count()
-    }
-}
-
-#[cfg(test)]
-impl Observer for Recorder {
-    fn on_event(&mut self, tick: Tick, event: &Event) {
-        self.events.push((tick, *event));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{TraceEvent, TraceRecorder};
 
     #[test]
     fn recorder_preserves_order_and_counts() {
-        let mut r = Recorder::new();
+        let mut r = TraceRecorder::new(0);
         let id = ObjectId::from_raw(1);
         r.on_event(0, &Event::RoundStart { round: 0 });
         r.on_event(
@@ -228,10 +187,18 @@ mod tests {
                 size: Size::new(4),
             },
         );
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.count(|e| matches!(e, Event::Placed { .. })), 1);
-        assert_eq!(r.events()[0].0, 0);
-        assert!(!r.is_empty());
+        assert_eq!(
+            r.into_trace().events,
+            [
+                TraceEvent::RoundStart { round: 0 },
+                TraceEvent::Placed {
+                    id: 1,
+                    addr: 0,
+                    size: 4
+                },
+                TraceEvent::Freed { id: 1 },
+            ]
+        );
     }
 
     #[test]

@@ -82,4 +82,4 @@ pub use program::{MoveResponse, Program, ScriptRound, ScriptedProgram};
 pub use series::TimeSeries;
 pub use space::{SpaceCounters, SpaceMap};
 pub use stats::{Histogram, StatSink};
-pub use trace::{Trace, TraceEvent, TraceRecorder, TraceWriter, TraceWriterBuilder};
+pub use trace::{Trace, TraceError, TraceEvent, TraceReader, TraceRecorder, TraceWriter};

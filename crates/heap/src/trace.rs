@@ -1,16 +1,23 @@
 //! Execution traces: record a run, save it, replay it.
 //!
-//! A [`Trace`] is the serialized event log of an execution. Replaying a
-//! trace against the *ground-truth rules* re-validates it (no overlap, no
-//! budget violation, frees of live objects only) without the original
-//! program or manager — which makes traces portable regression artifacts:
-//! the repository can pin an adversary's exact behaviour as a golden
-//! file, and a refactor that changes any placement shows up as a trace
-//! mismatch.
+//! A trace is the event log of an execution as JSON Lines: a header
+//! `{"c": N}` naming the compaction bound, then one event object per
+//! line. Replaying it against the *ground-truth rules* re-validates it
+//! (no overlap, no budget violation, frees of live objects only) without
+//! the original program or manager — which makes traces portable
+//! regression artifacts: the repository can pin an adversary's exact
+//! behaviour as a golden file, and a refactor that changes any placement
+//! shows up as a trace mismatch.
+//!
+//! Both directions stream. [`TraceWriter`] writes each event as it
+//! happens and [`TraceReader`] reads one line at a time, so neither holds
+//! a run in memory. Every reader goes through one line parser,
+//! [`TraceEvent::parse`], and every replay through one step,
+//! [`TraceEvent::apply`]: [`Trace::from_jsonl`] and [`Trace::replay`] are
+//! folds over them, and `pcb replay` streams a file through the same two.
 
 use core::fmt;
-use std::collections::VecDeque;
-use std::io::{self, Write};
+use std::io::{self, BufRead, Write};
 
 use pcb_json::Json;
 
@@ -21,7 +28,12 @@ use crate::heap::{Heap, ID_LIMIT};
 use crate::object::ObjectId;
 use crate::space::MAX_ADDR;
 
-/// One serialized event. The JSON form is internally tagged as
+/// The longest line a trace may hold, in bytes. An event line is at most
+/// about 100 bytes; the cap bounds a reader's memory whatever the input
+/// (a whole-document JSON trace, say, is one line of the whole run).
+const MAX_LINE: usize = 4096;
+
+/// One trace event. Its line is the JSON object
 /// `{"kind": "<snake_case variant>", ...fields}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
@@ -78,36 +90,8 @@ impl From<&Event> for TraceEvent {
 }
 
 impl TraceEvent {
-    fn to_json(self) -> Json {
-        match self {
-            TraceEvent::RoundStart { round } => Json::object([
-                ("kind", Json::from("round_start")),
-                ("round", Json::from(round)),
-            ]),
-            TraceEvent::RoundEnd { round } => Json::object([
-                ("kind", Json::from("round_end")),
-                ("round", Json::from(round)),
-            ]),
-            TraceEvent::Placed { id, addr, size } => Json::object([
-                ("kind", Json::from("placed")),
-                ("id", Json::from(id)),
-                ("addr", Json::from(addr)),
-                ("size", Json::from(size)),
-            ]),
-            TraceEvent::Freed { id } => {
-                Json::object([("kind", Json::from("freed")), ("id", Json::from(id))])
-            }
-            TraceEvent::Moved { id, to } => Json::object([
-                ("kind", Json::from("moved")),
-                ("id", Json::from(id)),
-                ("to", Json::from(to)),
-            ]),
-        }
-    }
-
-    /// Writes the event as one compact JSON line, byte-identical to
-    /// `to_json().to_string()` (keys in sorted order) but without building
-    /// the intermediate `Json` tree — this is the per-event hot path of
+    /// Writes the event as one compact JSON line, keys in sorted order,
+    /// by direct formatting: this is the per-event hot path of
     /// [`TraceWriter`], which sees every placement of a run.
     fn write_jsonl(self, out: &mut impl Write) -> io::Result<()> {
         match self {
@@ -130,7 +114,14 @@ impl TraceEvent {
         }
     }
 
-    fn from_json(value: &Json) -> Result<Self, String> {
+    /// Parses one event line of a trace (keys in any order).
+    ///
+    /// # Errors
+    ///
+    /// Says what is wrong with the line: not JSON, no `kind`, an unknown
+    /// kind, or a missing or out-of-range field.
+    pub fn parse(line: &str) -> Result<Self, String> {
+        let value = Json::parse(line).map_err(|e| e.to_string())?;
         let kind = value
             .get("kind")
             .and_then(Json::as_str)
@@ -141,18 +132,12 @@ impl TraceEvent {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("`{kind}` event missing integer field `{name}`"))
         };
-        let round = |name: &str| -> Result<u32, String> {
-            field(name).and_then(|v| {
-                u32::try_from(v).map_err(|_| format!("`{name}` out of range for u32"))
-            })
+        let round = || -> Result<u32, String> {
+            u32::try_from(field("round")?).map_err(|_| "`round` out of range for u32".to_string())
         };
         match kind {
-            "round_start" => Ok(TraceEvent::RoundStart {
-                round: round("round")?,
-            }),
-            "round_end" => Ok(TraceEvent::RoundEnd {
-                round: round("round")?,
-            }),
+            "round_start" => Ok(TraceEvent::RoundStart { round: round()? }),
+            "round_end" => Ok(TraceEvent::RoundEnd { round: round()? }),
             "placed" => Ok(TraceEvent::Placed {
                 id: field("id")?,
                 addr: field("addr")?,
@@ -166,19 +151,64 @@ impl TraceEvent {
             other => Err(format!("unknown event kind `{other}`")),
         }
     }
+
+    /// Replays the event on `heap`, re-validating it against the
+    /// ground-truth rules.
+    ///
+    /// # Errors
+    ///
+    /// The [`HeapError`] the event commits: an overlap, a budget
+    /// violation, an unknown or already-live object, or an id or extent
+    /// out of the heap's range.
+    pub fn apply(self, heap: &mut Heap) -> Result<(), HeapError> {
+        match self {
+            TraceEvent::RoundStart { round } => heap.set_round(round),
+            TraceEvent::RoundEnd { .. } => {}
+            TraceEvent::Placed { id, addr, size } => {
+                // The heap trusts its engine to keep ids and extents in
+                // range; a trace is untrusted input.
+                if id >= ID_LIMIT {
+                    return Err(HeapError::IdOutOfRange(id));
+                }
+                in_address_space(addr, size)?;
+                let id = ObjectId::from_raw(id);
+                // Fresh ids must never collide if the heap is used
+                // further after replay.
+                heap.skip_id(id);
+                heap.place(id, Addr::new(addr), Size::new(size))?;
+            }
+            TraceEvent::Freed { id } => {
+                heap.free(ObjectId::from_raw(id))?;
+            }
+            TraceEvent::Moved { id, to } => {
+                let id = ObjectId::from_raw(id);
+                if let Some(record) = heap.record(id) {
+                    in_address_space(to, record.size().get())?;
+                }
+                heap.relocate(id, Addr::new(to))?;
+            }
+        }
+        Ok(())
+    }
 }
 
-/// A recorded execution.
+/// Rejects an extent that ends past the address space the heap maps.
+fn in_address_space(addr: u64, size: u64) -> Result<(), HeapError> {
+    match addr.checked_add(size) {
+        Some(end) if end <= MAX_ADDR => Ok(()),
+        _ => Err(HeapError::ExtentOutOfRange { addr, size }),
+    }
+}
+
+/// A recorded execution, held in memory.
 ///
 /// ```
 /// use pcb_heap::{Trace, TraceEvent};
-/// let mut t = Trace::new(10);
-/// t.events.push(TraceEvent::RoundStart { round: 0 });
-/// t.events.push(TraceEvent::Placed { id: 0, addr: 0, size: 4 });
+/// let t = Trace::from_jsonl("{\"c\": 10}\n{\"kind\":\"placed\",\"id\":0,\"addr\":0,\"size\":4}\n")?;
+/// assert_eq!(t.events, [TraceEvent::Placed { id: 0, addr: 0, size: 4 }]);
 /// let heap = t.replay().expect("valid");
 /// assert_eq!(heap.heap_size().get(), 4);
-/// let back = Trace::from_json(&t.to_json()).unwrap();
-/// assert_eq!(t, back);
+/// # Ok::<(), pcb_heap::TraceError>(())
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
@@ -208,118 +238,179 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Replays the trace on a fresh heap, re-validating every operation
-    /// against the ground-truth rules. Returns the final heap.
+    /// Replays the trace on a fresh heap, event by event through
+    /// [`TraceEvent::apply`]. Returns the final heap.
     ///
     /// # Errors
     ///
-    /// Returns the first [`HeapError`] (overlap, budget violation, unknown
-    /// object, an id or extent out of the heap's range), along with the
-    /// index of the offending event.
+    /// Returns the first [`HeapError`] along with the index of the
+    /// offending event.
     pub fn replay(&self) -> Result<Heap, (usize, HeapError)> {
         let mut heap = Heap::with_c(self.c);
         for (i, event) in self.events.iter().enumerate() {
-            match *event {
-                TraceEvent::RoundStart { round } => heap.set_round(round),
-                TraceEvent::RoundEnd { .. } => {}
-                TraceEvent::Placed { id, addr, size } => {
-                    // The heap trusts its engine to keep ids and extents
-                    // in range; a trace is untrusted input.
-                    if id >= ID_LIMIT {
-                        return Err((i, HeapError::IdOutOfRange(id)));
-                    }
-                    in_address_space(addr, size).map_err(|e| (i, e))?;
-                    let id = ObjectId::from_raw(id);
-                    // Fresh ids must never collide if the heap is used
-                    // further after replay.
-                    heap.skip_id(id);
-                    heap.place(id, Addr::new(addr), Size::new(size))
-                        .map_err(|e| (i, e))?;
-                }
-                TraceEvent::Freed { id } => {
-                    heap.free(ObjectId::from_raw(id)).map_err(|e| (i, e))?;
-                }
-                TraceEvent::Moved { id, to } => {
-                    let id = ObjectId::from_raw(id);
-                    if let Some(record) = heap.record(id) {
-                        in_address_space(to, record.size().get()).map_err(|e| (i, e))?;
-                    }
-                    heap.relocate(id, Addr::new(to)).map_err(|e| (i, e))?;
-                }
-            }
+            event.apply(&mut heap).map_err(|e| (i, e))?;
         }
         Ok(heap)
     }
 
-    /// Serializes to JSON.
-    pub fn to_json(&self) -> String {
-        Json::object([
-            ("c", Json::from(self.c)),
-            (
-                "events",
-                Json::array(self.events.iter().map(|e| e.to_json())),
+    /// Parses the JSON Lines form written by [`TraceWriter`], through a
+    /// [`TraceReader`].
+    ///
+    /// # Errors
+    ///
+    /// The [`TraceError`] of the header or of the first malformed line.
+    pub fn from_jsonl(jsonl: &str) -> Result<Self, TraceError> {
+        let reader = TraceReader::new(jsonl.as_bytes())?;
+        Ok(Trace {
+            c: reader.c(),
+            events: reader.collect::<Result<_, _>>()?,
+        })
+    }
+}
+
+/// Why a trace could not be read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceError {
+    /// The first non-blank line is missing or is not exactly `{"c": N}`.
+    Header(String),
+    /// A later line is not one event (see [`TraceEvent::parse`]).
+    Event {
+        /// The line's number, from 1.
+        line: usize,
+        /// What is wrong with it.
+        reason: String,
+    },
+}
+
+impl fmt::Display for TraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceError::Header(why) => write!(
+                f,
+                "not a JSONL trace ({why}): the first line must be exactly \
+                 {{\"c\": N}}, then one event object per line"
             ),
-        ])
-        .to_string()
+            TraceError::Event { line, reason } => write!(f, "trace line {line}: {reason}"),
+        }
     }
+}
 
-    /// Deserializes from the JSON Lines form produced by [`TraceWriter`]:
-    /// a header line `{"c": N}` followed by one event object per line.
+impl std::error::Error for TraceError {}
+
+/// Reads a trace one line at a time: [`new`](TraceReader::new) reads the
+/// header, and iterating yields the events, each parsed by
+/// [`TraceEvent::parse`]. Blank lines are skipped. Memory stays bounded
+/// by the longest line allowed, however long the run; iteration stops
+/// after the first error.
+#[derive(Debug)]
+pub struct TraceReader<R> {
+    reader: R,
+    buf: Vec<u8>,
+    line: usize,
+    c: u64,
+    failed: bool,
+}
+
+impl<R: BufRead> TraceReader<R> {
+    /// Reads the header line, which must be exactly `{"c": N}`.
     ///
     /// # Errors
     ///
-    /// Returns the parse error message of the first malformed line.
-    pub fn from_jsonl(jsonl: &str) -> Result<Self, String> {
-        let mut lines = jsonl.lines().filter(|l| !l.trim().is_empty());
-        let header = lines
-            .next()
-            .ok_or_else(|| "empty trace stream".to_string())?;
-        let c = Json::parse(header)
-            .map_err(|e| format!("trace header: {e}"))?
-            .get("c")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "trace header missing integer field `c`".to_string())?;
-        let events = lines
-            .map(|line| {
-                Json::parse(line)
-                    .map_err(|e| e.to_string())
-                    .and_then(|v| TraceEvent::from_json(&v))
+    /// [`TraceError::Header`] when the stream is empty or the header is
+    /// anything else — a retired whole-document JSON trace included.
+    pub fn new(reader: R) -> Result<Self, TraceError> {
+        let mut trace = TraceReader {
+            reader,
+            buf: Vec::new(),
+            line: 0,
+            c: 0,
+            failed: false,
+        };
+        let header = match next_line(&mut trace.reader, &mut trace.buf, &mut trace.line) {
+            Ok(Some(line)) => parse_header(line),
+            Ok(None) => Err("the stream is empty".to_string()),
+            Err(why) => Err(why),
+        };
+        trace.c = header.map_err(|why| {
+            // A whole-document trace opens with `{"c":N,"events":[`.
+            let retired = if trace.buf.windows(8).any(|w| w == b"\"events\"") {
+                "; a whole-document JSON trace, a retired format"
+            } else {
+                ""
+            };
+            TraceError::Header(format!("{why}{retired}"))
+        })?;
+        Ok(trace)
+    }
+
+    /// The compaction bound the header names.
+    pub fn c(&self) -> u64 {
+        self.c
+    }
+}
+
+impl<R: BufRead> Iterator for TraceReader<R> {
+    type Item = Result<TraceEvent, TraceError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.failed {
+            return None;
+        }
+        let event = next_line(&mut self.reader, &mut self.buf, &mut self.line)
+            .and_then(|line| line.map(TraceEvent::parse).transpose())
+            .map_err(|reason| TraceError::Event {
+                line: self.line,
+                reason,
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Trace { c, events })
-    }
-
-    /// Deserializes from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying parse error message.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        let value = Json::parse(json).map_err(|e| e.to_string())?;
-        let c = value
-            .get("c")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "trace missing integer field `c`".to_string())?;
-        let events = value
-            .get("events")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "trace missing array field `events`".to_string())?
-            .iter()
-            .map(TraceEvent::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Trace { c, events })
+            .transpose()?;
+        self.failed = event.is_err();
+        Some(event)
     }
 }
 
-/// Rejects an extent that ends past the address space the heap maps.
-fn in_address_space(addr: u64, size: u64) -> Result<(), HeapError> {
-    match addr.checked_add(size) {
-        Some(end) if end <= MAX_ADDR => Ok(()),
-        _ => Err(HeapError::ExtentOutOfRange { addr, size }),
+/// Parses a header line: exactly `{"c": N}`.
+fn parse_header(line: &str) -> Result<u64, String> {
+    match Json::parse(line).map_err(|e| e.to_string())? {
+        Json::Object(fields) if fields.keys().eq(["c"]) => fields["c"]
+            .as_u64()
+            .ok_or_else(|| "`c` is not an unsigned integer".to_string()),
+        Json::Object(fields) => {
+            let keys: Vec<&str> = fields.keys().map(String::as_str).collect();
+            Err(format!("the header has keys {}", keys.join(", ")))
+        }
+        _ => Err("the header is not an object".to_string()),
     }
 }
 
-/// An [`Observer`] that records a [`Trace`].
+/// Reads the next non-blank line of `reader` into `buf`, counting lines
+/// in `line`; `Ok(None)` at the end of the stream.
+fn next_line<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+    line: &mut usize,
+) -> Result<Option<&'b str>, String> {
+    loop {
+        buf.clear();
+        let read = io::Read::take(&mut *reader, MAX_LINE as u64 + 1)
+            .read_until(b'\n', buf)
+            .map_err(|e| format!("read error: {e}"))?;
+        if read == 0 {
+            return Ok(None);
+        }
+        *line += 1;
+        if !buf.trim_ascii().is_empty() {
+            break;
+        }
+    }
+    if buf.len() > MAX_LINE && buf.last() != Some(&b'\n') {
+        return Err(format!("longer than {MAX_LINE} bytes"));
+    }
+    std::str::from_utf8(buf)
+        .map(Some)
+        .map_err(|e| format!("not UTF-8: {e}"))
+}
+
+/// An [`Observer`] that holds a run's [`Trace`] in memory.
 #[derive(Debug)]
 pub struct TraceRecorder {
     trace: Trace,
@@ -346,26 +437,16 @@ impl Observer for TraceRecorder {
     }
 }
 
-/// An [`Observer`] that streams a trace as JSON Lines instead of holding
-/// the whole event log in memory: a header line `{"c": N}` followed by
-/// one event object per line, replayable via [`Trace::from_jsonl`].
+/// An [`Observer`] that streams a trace to `out` as it happens: the header
+/// line `{"c": N}`, then one event object per line, readable by
+/// [`TraceReader`].
 ///
 /// I/O errors are deferred: the observer callback cannot fail, so the
 /// first error is stashed and surfaced by [`finish`](TraceWriter::finish)
 /// (subsequent events are dropped once an error has occurred).
-///
-/// With [`ring`](TraceWriterBuilder::ring) the writer instead buffers
-/// only the **last** `capacity` events and emits them at `finish` — a
-/// flight-recorder mode for long runs where only the tail matters. A
-/// truncated ring trace starts mid-run, so it documents behaviour but
-/// no longer replays from an empty heap.
 pub struct TraceWriter<W: Write> {
     out: W,
-    c: u64,
-    ring: Option<VecDeque<TraceEvent>>,
-    capacity: usize,
     written: u64,
-    dropped: u64,
     error: Option<io::Error>,
     chaos: pcb_chaos::FaultPlan,
 }
@@ -373,51 +454,25 @@ pub struct TraceWriter<W: Write> {
 impl<W: Write> TraceWriter<W> {
     /// Starts streaming a run under compaction bound `c` (pass the same
     /// value the heap was built with; `u64::MAX` for non-moving, 0 for
-    /// unlimited). The header line is written immediately.
-    #[allow(clippy::new_ret_no_self)] // entry point of the builder: new(out).ring(..).begin(c)
-    pub fn new(out: W) -> TraceWriterBuilder<W> {
-        TraceWriterBuilder {
-            out,
-            capacity: None,
-            chaos: pcb_chaos::FaultPlan::empty(),
-        }
-    }
-
-    fn start(mut out: W, c: u64, capacity: Option<usize>, chaos: pcb_chaos::FaultPlan) -> Self {
-        let mut error = None;
-        let ring = match capacity {
-            Some(cap) => Some(VecDeque::with_capacity(cap.max(1))),
-            None => {
-                if let Err(e) = writeln!(out, "{}", Json::object([("c", Json::from(c))])) {
-                    error = Some(e);
-                }
-                None
-            }
-        };
+    /// unlimited) and writes the header line. The `trace-io` site of
+    /// `chaos` injects synthetic sink errors (indexed by event count)
+    /// through the deferred-error path; the empty plan injects nothing.
+    pub fn new(mut out: W, c: u64, chaos: pcb_chaos::FaultPlan) -> Self {
+        let error = writeln!(out, "{{\"c\":{c}}}").err();
         TraceWriter {
             out,
-            c,
-            ring,
-            capacity: capacity.unwrap_or(0).max(1),
             written: 0,
-            dropped: 0,
             error,
             chaos,
         }
     }
 
-    /// Events accepted so far (streamed or buffered).
+    /// Events written so far.
     pub fn events_seen(&self) -> u64 {
         self.written
     }
 
-    /// Events evicted from the ring buffer (always 0 in streaming mode).
-    pub fn events_dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Flushes (emitting the buffered tail in ring mode) and returns the
-    /// underlying writer.
+    /// Flushes and returns the underlying writer.
     ///
     /// # Errors
     ///
@@ -427,55 +482,16 @@ impl<W: Write> TraceWriter<W> {
         if let Some(e) = self.error.take() {
             return Err(e);
         }
-        if let Some(ring) = self.ring.take() {
-            writeln!(self.out, "{}", Json::object([("c", Json::from(self.c))]))?;
-            for event in ring {
-                event.write_jsonl(&mut self.out)?;
-            }
-        }
         self.out.flush()?;
         Ok(self.out)
-    }
-}
-
-/// Configures a [`TraceWriter`] before the header is committed.
-#[derive(Debug)]
-pub struct TraceWriterBuilder<W: Write> {
-    out: W,
-    capacity: Option<usize>,
-    chaos: pcb_chaos::FaultPlan,
-}
-
-impl<W: Write> TraceWriterBuilder<W> {
-    /// Keep only the last `capacity` events (flight-recorder mode) and
-    /// write them at [`finish`](TraceWriter::finish) instead of streaming.
-    pub fn ring(mut self, capacity: usize) -> Self {
-        self.capacity = Some(capacity);
-        self
-    }
-
-    /// Attaches a fault schedule whose `trace-io` site injects
-    /// synthetic sink errors (indexed by event count); they flow
-    /// through the writer's normal deferred-error path and surface at
-    /// [`finish`](TraceWriter::finish). The empty plan injects nothing.
-    pub fn chaos(mut self, plan: pcb_chaos::FaultPlan) -> Self {
-        self.chaos = plan;
-        self
-    }
-
-    /// Commits the configuration for a run under compaction bound `c`.
-    pub fn begin(self, c: u64) -> TraceWriter<W> {
-        TraceWriter::start(self.out, c, self.capacity, self.chaos)
     }
 }
 
 impl<W: Write> fmt::Debug for TraceWriter<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceWriter")
-            .field("c", &self.c)
-            .field("ring", &self.ring.is_some())
             .field("events_seen", &self.written)
-            .field("events_dropped", &self.dropped)
+            .field("failed", &self.error.is_some())
             .finish()
     }
 }
@@ -495,21 +511,9 @@ impl<W: Write> Observer for TraceWriter<W> {
             )));
             return;
         }
-        let event = TraceEvent::from(event);
         self.written += 1;
-        match &mut self.ring {
-            Some(ring) => {
-                if ring.len() == self.capacity {
-                    ring.pop_front();
-                    self.dropped += 1;
-                }
-                ring.push_back(event);
-            }
-            None => {
-                if let Err(e) = event.write_jsonl(&mut self.out) {
-                    self.error = Some(e);
-                }
-            }
+        if let Err(e) = TraceEvent::from(event).write_jsonl(&mut self.out) {
+            self.error = Some(e);
         }
     }
 }
@@ -559,12 +563,31 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
-        let (trace, _) = record_run();
-        let json = trace.to_json();
-        let back = Trace::from_json(&json).unwrap();
-        assert_eq!(trace, back);
-        assert!(Trace::from_json("not json").is_err());
+    fn jsonl_round_trips_every_event_variant() {
+        let events = [
+            TraceEvent::RoundStart { round: u32::MAX },
+            TraceEvent::Placed {
+                id: 7,
+                addr: u64::MAX,
+                size: 3,
+            },
+            TraceEvent::Moved { id: 7, to: 12 },
+            TraceEvent::Freed { id: 7 },
+            TraceEvent::RoundEnd { round: 0 },
+        ];
+        let mut jsonl = b"{\"c\":10}\n".to_vec();
+        for event in events {
+            event.write_jsonl(&mut jsonl).unwrap();
+        }
+        let back = Trace::from_jsonl(std::str::from_utf8(&jsonl).unwrap()).unwrap();
+        assert_eq!(back.c, 10);
+        assert_eq!(back.events, events);
+        for (line, event) in jsonl.split(|&b| b == b'\n').skip(1).zip(events) {
+            assert_eq!(
+                TraceEvent::parse(std::str::from_utf8(line).unwrap()),
+                Ok(event)
+            );
+        }
     }
 
     #[test]
@@ -597,12 +620,11 @@ mod tests {
             .round([1], [8]);
         let mut exec = Execution::new(Heap::non_moving(), program, Bump::default());
         let mut rec = TraceRecorder::new(u64::MAX);
-        let mut writer = TraceWriter::new(Vec::new()).begin(u64::MAX);
+        let mut writer = TraceWriter::new(Vec::new(), u64::MAX, pcb_chaos::FaultPlan::empty());
         let mut bus = crate::event::Observers::new();
         bus.attach(&mut rec).attach(&mut writer);
         exec.run_observed(&mut bus).unwrap();
         drop(bus);
-        assert_eq!(writer.events_dropped(), 0);
         let bytes = writer.finish().unwrap();
         let streamed = Trace::from_jsonl(&String::from_utf8(bytes).unwrap()).unwrap();
         assert_eq!(streamed, rec.into_trace());
@@ -612,7 +634,7 @@ mod tests {
     #[test]
     fn injected_trace_io_fault_surfaces_at_finish() {
         let plan = pcb_chaos::FaultPlan::new(5).with_rate(pcb_chaos::FaultSite::TraceIo, 200_000);
-        let mut writer = TraceWriter::new(Vec::new()).chaos(plan).begin(u64::MAX);
+        let mut writer = TraceWriter::new(Vec::new(), u64::MAX, plan);
         for round in 0..64u32 {
             writer.on_event(round as Tick, &Event::RoundStart { round });
         }
@@ -623,9 +645,7 @@ mod tests {
         );
 
         // The empty plan leaves the stream intact.
-        let mut clean = TraceWriter::new(Vec::new())
-            .chaos(pcb_chaos::FaultPlan::empty())
-            .begin(u64::MAX);
+        let mut clean = TraceWriter::new(Vec::new(), u64::MAX, pcb_chaos::FaultPlan::empty());
         for round in 0..64u32 {
             clean.on_event(round as Tick, &Event::RoundStart { round });
         }
@@ -634,30 +654,39 @@ mod tests {
     }
 
     #[test]
-    fn ring_mode_keeps_only_the_tail() {
-        let mut writer = TraceWriter::new(Vec::new()).ring(2).begin(u64::MAX);
-        for round in 0..5u32 {
-            writer.on_event(round as Tick, &Event::RoundStart { round });
-        }
-        assert_eq!(writer.events_seen(), 5);
-        assert_eq!(writer.events_dropped(), 3);
-        let bytes = writer.finish().unwrap();
-        let tail = Trace::from_jsonl(&String::from_utf8(bytes).unwrap()).unwrap();
-        assert_eq!(
-            tail.events,
-            vec![
-                TraceEvent::RoundStart { round: 3 },
-                TraceEvent::RoundStart { round: 4 }
-            ]
-        );
-    }
-
-    #[test]
     fn from_jsonl_rejects_malformed_streams() {
-        assert!(Trace::from_jsonl("").is_err());
-        assert!(Trace::from_jsonl("{\"not_c\":1}\n").is_err());
-        assert!(Trace::from_jsonl("{\"c\":10}\nnot json\n").is_err());
-        assert!(Trace::from_jsonl("{\"c\":10}\n{\"kind\":\"mystery\"}\n").is_err());
+        let header = |jsonl: &str| match Trace::from_jsonl(jsonl) {
+            Err(TraceError::Header(why)) => why,
+            other => panic!("{jsonl}: {other:?}"),
+        };
+        assert_eq!(header(""), "the stream is empty");
+        assert_eq!(header("{\"not_c\":1}\n"), "the header has keys not_c");
+        assert_eq!(header("{\"c\":1,\"x\":2}\n"), "the header has keys c, x");
+        assert_eq!(header("{\"c\":-1}\n"), "`c` is not an unsigned integer");
+        assert!(header("[10]\n").contains("not an object"));
+        // A retired whole-document trace is named, short or long.
+        let document = |n: usize| {
+            let event = "{\"kind\":\"round_start\",\"round\":0}";
+            format!("{{\"c\":0,\"events\":[{}]}}", vec![event; n].join(","))
+        };
+        for n in [1, 1000] {
+            assert!(header(&document(n)).ends_with("a retired format"), "{n}");
+        }
+        assert!(header(&document(1000)).starts_with("longer than 4096 bytes"));
+        let event = |jsonl: &str| match Trace::from_jsonl(jsonl) {
+            Err(TraceError::Event { line, reason }) => (line, reason),
+            other => panic!("{jsonl}: {other:?}"),
+        };
+        assert_eq!(event("{\"c\":10}\n\nnot json\n").0, 3);
+        assert_eq!(
+            event("{\"c\":10}\n{\"kind\":\"mystery\"}\n"),
+            (2, "unknown event kind `mystery`".to_string())
+        );
+        // Iteration stops at the first bad line.
+        let jsonl = "{\"c\":10}\nnot json\n{\"kind\":\"freed\",\"id\":0}\n";
+        let mut reader = TraceReader::new(jsonl.as_bytes()).unwrap();
+        assert!(reader.next().unwrap().is_err());
+        assert!(reader.next().is_none());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! pcb bounds <M_words> <log2_n> <c>         evaluate every bound
 //! pcb figure <1|2|3|5|6|7|9>                print a figure's or experiment's CSV
 //! pcb simulate [options]                    run an adversary or workload
-//! pcb record <file.json> [options]          record a run as a trace
-//! pcb replay <file.json>                    re-validate a recorded trace
+//! pcb record <file.jsonl> [options]         record a run as a trace
+//! pcb replay <file.jsonl>                   re-validate a recorded trace
 //! pcb fleet [options]                       simulate a fleet of tenant heaps
 //! ```
 //!
@@ -18,16 +18,16 @@
 //! The flags `simulate`, `fleet` and `worst-case` share are parsed once,
 //! from the [`SHARED`] table.
 //!
-//! `record` writes the paper's JSON trace format, or a streaming JSONL
-//! trace (one event per line, constant memory) when the target ends in
-//! `.jsonl`; `replay` accepts both.
+//! A trace is JSONL: a `{"c": N}` header, then one event per line.
+//! `record` streams it to the file as the run goes and `replay` streams
+//! it back through the heap, so neither holds the run in memory.
 
 use std::fmt::Display;
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Duration;
 
-use partial_compaction::heap::{heat_map_rows, Event, Heap, Observer, Tick, TraceRecorder};
+use partial_compaction::heap::{heat_map_rows, Event, Heap, Observer, Tick, TraceReader};
 use partial_compaction::metrics::spans;
 use partial_compaction::progress::{Heartbeat, ProgressMode, ProgressOptions};
 use partial_compaction::sim::{Adversary, Sim, SimError, Workload};
@@ -91,8 +91,8 @@ usage:
                [--chaos <spec>] [--paranoia <k>]
                [--progress[=secs]] [--progress-out <file.jsonl>]
                [--metrics] [--metrics-out <file>]
-  pcb record <file.json|file.jsonl> [simulate options]
-  pcb replay <file.json|file.jsonl>
+  pcb record <file.jsonl> [simulate options]
+  pcb replay <file.jsonl>
   pcb fleet [--tenants <n>] [--shards <n>] [--manager <name>]
             [--seed <s>] [--m-min <words>] [--m-max <words>]
             [--theta <zipf>] [--rounds <k>] [--allocs <k>]
@@ -491,21 +491,14 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
         sim = sim.series(every);
     }
 
-    let (mut recorder, mut writer) = (None, None);
-    if let Some(path) = &record_to {
-        if path.ends_with(".jsonl") {
-            // Streaming mode: events go straight to disk, one JSON object
-            // per line, so arbitrarily long runs record in constant memory.
+    let mut writer = match &record_to {
+        Some(path) => {
             let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
-            writer = Some(
-                TraceWriter::new(std::io::BufWriter::new(file))
-                    .chaos(run.chaos)
-                    .begin(sim.heap_c()),
-            );
-        } else {
-            recorder = Some(TraceRecorder::new(sim.heap_c()));
+            let out = std::io::BufWriter::new(file);
+            Some(TraceWriter::new(out, sim.heap_c(), run.chaos))
         }
-    }
+        None => None,
+    };
     let mut progress = match flags.progress.cadence() {
         Some(_) => Some(ProgressObserver(
             Heartbeat::new("simulate", &flags.progress)
@@ -515,9 +508,6 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
     };
     let mut heat_map = map.then(HeatMap::default);
     let mut bus = Observers::new();
-    if let Some(r) = recorder.as_mut() {
-        bus.attach(r);
-    }
     if let Some(w) = writer.as_mut() {
         bus.attach(w);
     }
@@ -542,11 +532,6 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
             .map_err(|e| format!("progress stream: {e}"))?;
     }
 
-    if let (Some(recorder), Some(path)) = (recorder, &record_to) {
-        let trace = recorder.into_trace();
-        std::fs::write(path, trace.to_json()).map_err(|e| e.to_string())?;
-        println!("trace: {} events -> {path}", trace.len());
-    }
     if let (Some(writer), Some(path)) = (writer, &record_to) {
         let events = writer.events_seen();
         writer.finish().map_err(|e| e.to_string())?;
@@ -724,7 +709,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 
 fn cmd_worst_case(args: &[String]) -> Result<(), String> {
     use partial_compaction::exhaustive::{
-        try_worst_case_observed, try_worst_case_resumable, SearchOutcome, SearchPolicy,
+        try_worst_case_with, ResumeError, SearchOutcome, SearchPolicy,
     };
     let mut positional: Vec<String> = Vec::new();
     let mut max_states = 50_000_000usize;
@@ -761,43 +746,40 @@ fn cmd_worst_case(args: &[String]) -> Result<(), String> {
     }
     let run = &flags.run;
     run.apply();
-    let report = match &flags.checkpoint {
-        Some(opts) => {
-            match try_worst_case_resumable(params, policy, max_states, run, opts)
-                .map_err(|e| e.to_string())?
-            {
-                SearchOutcome::Complete(report) => report,
-                SearchOutcome::Paused { levels_done } => {
-                    eprintln!(
-                        "paused after {levels_done} BFS levels; \
-                         checkpoint -> {} (continue with --resume)",
-                        opts.path.display()
-                    );
-                    return Ok(());
-                }
-            }
-        }
-        None => {
-            let mut heartbeat = Heartbeat::new("worst-case", &flags.progress)
-                .map_err(|e| format!("progress stream: {e}"))?;
-            // Total is unknown ahead of time (that is what the search
-            // computes), so `done` counts interned states with no ETA.
-            let report = try_worst_case_observed(params, policy, max_states, run, |pulse| {
-                heartbeat.tick(
-                    pulse.seen_states as u64,
-                    0,
-                    &[
-                        ("levels", Json::from(pulse.levels as u64)),
-                        ("frontier_states", Json::from(pulse.frontier_states as u64)),
-                        ("resident_bytes", Json::from(pulse.resident_bytes)),
-                    ],
+    let mut heartbeat = Heartbeat::new("worst-case", &flags.progress)
+        .map_err(|e| format!("progress stream: {e}"))?;
+    // Total is unknown ahead of time (that is what the search computes),
+    // so `done` counts interned states with no ETA.
+    let checkpoint = flags.checkpoint.as_ref();
+    let outcome = try_worst_case_with(params, policy, max_states, run, checkpoint, |pulse| {
+        heartbeat.tick(
+            pulse.seen_states as u64,
+            0,
+            &[
+                ("levels", Json::from(pulse.levels as u64)),
+                ("frontier_states", Json::from(pulse.frontier_states as u64)),
+                ("resident_bytes", Json::from(pulse.resident_bytes)),
+            ],
+        );
+    });
+    heartbeat
+        .finish()
+        .map_err(|e| format!("progress stream: {e}"))?;
+    let report = match outcome.map_err(|e| match e {
+        ResumeError::Search(e) => format!("parameters not toy enough: {e}"),
+        e => e.to_string(),
+    })? {
+        SearchOutcome::Complete(report) => report,
+        SearchOutcome::Paused { levels_done } => {
+            // Only a checkpointed search pauses.
+            if let Some(opts) = checkpoint {
+                eprintln!(
+                    "paused after {levels_done} BFS levels; \
+                     checkpoint -> {} (continue with --resume)",
+                    opts.path.display()
                 );
-            })
-            .map_err(|e| format!("parameters not toy enough: {e}"))?;
-            heartbeat
-                .finish()
-                .map_err(|e| format!("progress stream: {e}"))?;
-            report
+            }
+            return Ok(());
         }
     };
     if let Some(path) = &flags.metrics_out {
@@ -828,22 +810,21 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     let [path] = args else {
         return Err("replay needs a trace file".into());
     };
-    let json = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let trace = if path.ends_with(".jsonl") {
-        partial_compaction::heap::Trace::from_jsonl(&json)?
-    } else {
-        partial_compaction::heap::Trace::from_json(&json)?
-    };
-    match trace.replay() {
-        Ok(heap) => {
-            println!(
-                "trace valid: {} events, final HS = {} words, {} live objects",
-                trace.len(),
-                heap.heap_size().get(),
-                heap.live_count()
-            );
-            Ok(())
-        }
-        Err((idx, e)) => Err(format!("trace invalid at event {idx}: {e}")),
+    let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
+    let reader = TraceReader::new(std::io::BufReader::new(file)).map_err(|e| e.to_string())?;
+    let mut heap = Heap::with_c(reader.c());
+    let mut events = 0usize;
+    for event in reader {
+        event
+            .map_err(|e| e.to_string())?
+            .apply(&mut heap)
+            .map_err(|e| format!("trace invalid at event {events}: {e}"))?;
+        events += 1;
     }
+    println!(
+        "trace valid: {events} events, final HS = {} words, {} live objects",
+        heap.heap_size().get(),
+        heap.live_count()
+    );
+    Ok(())
 }

@@ -127,7 +127,7 @@ fn retired_oracle_flags_are_unknown() {
 fn record_then_replay_round_trips() {
     let dir = std::env::temp_dir().join("pcb-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("trace.json");
+    let path = dir.join("trace.jsonl");
     let path_str = path.to_str().unwrap();
     let (stdout, _, ok) = pcb(&[
         "record",
@@ -151,10 +151,22 @@ fn record_then_replay_round_trips() {
 fn replay_rejects_garbage() {
     let dir = std::env::temp_dir().join("pcb-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("garbage.json");
-    let trace = |event: &str| format!(r#"{{"c":0,"events":[{event}]}}"#);
+    let path = dir.join("garbage.jsonl");
+    let trace = |events: &str| format!("{{\"c\":0}}\n{events}\n");
     for (doc, why) in [
         ("not a trace".to_owned(), "expected"),
+        (
+            r#"{"c":0,"events":[{"kind":"round_start","round":0}]}"#.to_owned(),
+            "a whole-document JSON trace, a retired format",
+        ),
+        (
+            "{\"c\":0,\"x\":1}\n".to_owned(),
+            "not a JSONL trace (the header has keys c, x)",
+        ),
+        (
+            trace(r#"{"kind":"mystery"}"#),
+            "trace line 2: unknown event kind `mystery`",
+        ),
         (
             trace(r#"{"kind":"placed","id":100000000000000,"addr":0,"size":1}"#),
             "trace invalid at event 0: object id 100000000000000 is out of range",
@@ -169,15 +181,15 @@ fn replay_rejects_garbage() {
         ),
         (
             trace(
-                r#"{"kind":"placed","id":0,"addr":0,"size":4},
+                r#"{"kind":"placed","id":0,"addr":0,"size":4}
                    {"kind":"moved","id":0,"to":4294967295}"#,
             ),
             "trace invalid at event 1: 4 words at address 4294967295 end past",
         ),
         (
             trace(
-                r#"{"kind":"placed","id":0,"addr":0,"size":4},
-                   {"kind":"placed","id":0,"addr":8,"size":4},
+                r#"{"kind":"placed","id":0,"addr":0,"size":4}
+                   {"kind":"placed","id":0,"addr":8,"size":4}
                    {"kind":"freed","id":0}"#,
             ),
             "trace invalid at event 1: object o0 is already live",
@@ -359,6 +371,35 @@ fn worst_case_checkpoint_pause_resume_matches_the_pinned_constant() {
     assert!(ok, "{stdout}");
     assert!(stdout.contains("HS = 9 words"), "{stdout}");
     std::fs::remove_file(path).ok();
+}
+
+/// A checkpointed search heartbeats exactly like a plain one: one pulse
+/// per BFS level on the `--progress-out` stream, and the same verdict.
+#[test]
+fn worst_case_checkpoint_keeps_the_heartbeat() {
+    let dir = std::env::temp_dir().join("pcb-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let pulses = |checkpoint: bool| {
+        let (ck, out) = (dir.join("wc-hb-ck.json"), dir.join("wc-hb-pulses.jsonl"));
+        std::fs::remove_file(&ck).ok();
+        std::fs::remove_file(&out).ok();
+        let mut args = vec!["worst-case", "6", "1", "--progress=0"];
+        args.extend(["--progress-out", out.to_str().unwrap()]);
+        if checkpoint {
+            args.extend(["--checkpoint", ck.to_str().unwrap()]);
+        }
+        let (stdout, stderr, ok) = pcb(&args);
+        assert!(ok, "{args:?}: {stderr}");
+        let pulses = std::fs::read_to_string(&out).unwrap_or_default();
+        std::fs::remove_file(&ck).ok();
+        std::fs::remove_file(&out).ok();
+        (stdout, pulses.lines().count())
+    };
+    let (plain, plain_pulses) = pulses(false);
+    let (checkpointed, checkpointed_pulses) = pulses(true);
+    assert_eq!(plain, checkpointed);
+    assert_eq!(plain_pulses, 20, "one pulse per BFS level");
+    assert_eq!(checkpointed_pulses, plain_pulses);
 }
 
 #[test]
@@ -699,4 +740,142 @@ fn every_value_flag_rejects_missing_and_unparsable_values() {
             }
         }
     }
+}
+
+/// The other CLI slice of the untrusted-input contract: flag values that
+/// parse but make no sense. Each row exits 0 or 1 (never a panic's 101)
+/// with the pinned start of stderr; `CK` stands for a fresh checkpoint
+/// path.
+#[test]
+fn absurd_but_parseable_flag_values_exit_cleanly() {
+    let invalid = "error: invalid parameters: ";
+    let fleet = "error: invalid fleet configuration: ";
+    let table: &[(&str, i32, &str)] = &[
+        (
+            "simulate --m 0",
+            1,
+            "error: invalid parameters: M = 0 must exceed n = 1024",
+        ),
+        (
+            "simulate --m 3",
+            1,
+            "error: invalid parameters: M = 3 must exceed n = 1024",
+        ),
+        (
+            "simulate --log-n 0",
+            1,
+            "error: invalid parameters: n must exceed 1",
+        ),
+        (
+            "simulate --log-n 64",
+            1,
+            "error: invalid parameters: log_n = 64 is beyond",
+        ),
+        (
+            "simulate --c 0",
+            1,
+            "error: invalid parameters: c = 0 must exceed 1",
+        ),
+        (
+            "simulate --c 1",
+            1,
+            "error: invalid parameters: c = 1 must exceed 1",
+        ),
+        ("simulate --series /dev/null --every 0", 0, ""),
+        ("simulate --program churn --rounds 0", 0, ""),
+        ("simulate --program churn --allocs 0", 0, ""),
+        ("simulate --paranoia 0", 0, ""),
+        ("simulate --m 64 --log-n 10", 1, invalid),
+        ("simulate --manager pages-thm2 --c 1", 1, invalid),
+        ("simulate --manager buddy --m 1000", 1, invalid),
+        ("simulate --chaos seed=1", 0, ""),
+        (
+            "fleet --tenants 0",
+            1,
+            "error: invalid fleet configuration: tenants must be >= 1",
+        ),
+        ("fleet --tenants 10 --shards 0", 0, "ran 10 tenants in "),
+        (
+            "fleet --tenants 10 --theta NaN",
+            1,
+            "error: invalid fleet configuration: zipf_theta=NaN",
+        ),
+        (
+            "fleet --tenants 10 --theta -1",
+            1,
+            "error: invalid fleet configuration: zipf_theta=-1",
+        ),
+        (
+            "fleet --tenants 10 --m-min 4096 --m-max 16",
+            1,
+            "error: invalid fleet configuration: m_max=16",
+        ),
+        (
+            "fleet --tenants 10 --m-min 0",
+            1,
+            "error: invalid fleet configuration: m_min=0",
+        ),
+        (
+            "fleet --tenants 10 --checkpoint CK --checkpoint-every 0",
+            0,
+            "ran 10 tenants in ",
+        ),
+        (
+            "fleet --tenants 10 --checkpoint CK --stop-after 0",
+            0,
+            "paused after 0/10 shards",
+        ),
+        (
+            "fleet --tenants 10 --mix 0,0,0,0",
+            1,
+            "error: invalid fleet configuration: all mix weights are zero",
+        ),
+        ("fleet --tenants 10 --rounds 0", 1, fleet),
+        ("fleet --tenants 10 --allocs 0", 1, fleet),
+        (
+            "fleet --tenants 10 --c 0",
+            1,
+            "error: invalid fleet configuration: tenant 0: invalid parameters: c = 0",
+        ),
+        ("fleet --tenants 10 --c 1", 1, fleet),
+        ("fleet --tenants 10 --paranoia 0", 0, "ran 10 tenants in "),
+        (
+            "worst-case 6 1 --max-states 0",
+            1,
+            "error: parameters not toy enough: state space exceeded 0",
+        ),
+        ("worst-case 0 0", 1, invalid),
+        ("worst-case 6 1 --checkpoint CK --checkpoint-every 0", 0, ""),
+        (
+            "worst-case 6 1 --checkpoint CK --stop-after 0",
+            0,
+            "paused after 0 BFS levels",
+        ),
+        ("worst-case 6 1 --threads 0", 0, ""),
+        ("sweep thm1-lower c 0 0 0 0", 0, ""),
+        ("sweep thm1-lower n 0 0 0 0", 0, ""),
+        ("sweep thm1-lower c 65536 10 20 10", 0, ""),
+        ("sweep rho 0 0 0", 1, invalid),
+        ("bounds 0 0 0", 1, invalid),
+        (
+            "bounds 65536 64 20",
+            1,
+            "error: invalid parameters: log_n = 64 is beyond",
+        ),
+    ];
+    let dir = std::env::temp_dir().join("pcb-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let ck = dir.join("absurd-ck.json");
+    let ck = ck.to_str().unwrap();
+    for &(row, code, prefix) in table {
+        std::fs::remove_file(ck).ok();
+        let args: Vec<&str> = row
+            .split(' ')
+            .map(|arg| if arg == "CK" { ck } else { arg })
+            .collect();
+        let (status, stderr) = pcb_status(&args);
+        assert_eq!(status, Some(code), "{row}: {stderr}");
+        assert!(stderr.starts_with(prefix), "{row}: {stderr}");
+    }
+    std::fs::remove_file(ck).ok();
 }

@@ -49,26 +49,17 @@ fn recorded_traces_replay_to_the_same_heap() {
 }
 
 #[test]
-fn traces_survive_json_round_trips() {
-    let (trace, _) = record(ManagerKind::BestFit);
-    let json = trace.to_json();
-    let back = partial_compaction::heap::Trace::from_json(&json).expect("parses");
-    assert_eq!(trace, back);
-    assert!(back.replay().is_ok());
-}
-
-#[test]
 fn checked_in_golden_trace_still_matches_the_implementation() {
-    // tests/golden/pf_vs_first_fit.json was recorded with
+    // tests/golden/pf_vs_first_fit.jsonl was recorded with
     //   pcb record ... --program pf --manager first-fit --m 4096 --log-n 8 --c 10
     // If a change to the adversary or the allocator alters ANY placement,
     // this comparison fails — update the artifact consciously.
     let json = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/pf_vs_first_fit.json"
+        "/tests/golden/pf_vs_first_fit.jsonl"
     ))
     .expect("golden trace present");
-    let golden = partial_compaction::heap::Trace::from_json(&json).expect("parses");
+    let golden = partial_compaction::heap::Trace::from_jsonl(&json).expect("parses");
     // 1. The golden trace is valid under the budget rules.
     let heap = golden.replay().expect("golden trace replays");
     assert_eq!(heap.heap_size().get(), 7661, "pinned HS of the golden run");

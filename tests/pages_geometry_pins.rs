@@ -11,8 +11,8 @@
 //! them consciously.
 
 use partial_compaction::alloc::PageManager;
-use partial_compaction::heap::{Execution, Heap, MemoryManager, TraceRecorder};
-use partial_compaction::{PfConfig, PfProgram, PfVariant};
+use partial_compaction::heap::{Execution, Heap, MemoryManager};
+use partial_compaction::{FaultPlan, PfConfig, PfProgram, PfVariant, TraceWriter};
 
 /// One pinned run: `(m, log_n, c, slots)` and what it produced.
 struct Pin {
@@ -27,9 +27,22 @@ struct Pin {
     trace_fnv: u64,
 }
 
-/// FNV-1a (64-bit) over the trace's JSON serialization.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+/// FNV-1a (64-bit) over a streamed JSONL trace, taken in the
+/// whole-document shape `{"c":N,"events":[e1,e2,...]}` the pinned digests
+/// were first recorded in: each `ei` is one event line, verbatim.
+fn trace_fnv(jsonl: &[u8]) -> u64 {
+    let mut lines = jsonl.split(|&b| b == b'\n').filter(|l| !l.is_empty());
+    let header = lines.next().expect("header line");
+    let mut doc = header.strip_suffix(b"}").expect("header object").to_vec();
+    doc.extend_from_slice(b",\"events\":[");
+    for (i, line) in lines.enumerate() {
+        if i > 0 {
+            doc.push(b',');
+        }
+        doc.extend_from_slice(line);
+    }
+    doc.extend_from_slice(b"]}");
+    doc.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
@@ -51,14 +64,14 @@ fn run(pin: &Pin) -> String {
         PfProgram::new(cfg),
         PageManager::with_geometry(pin.c, pin.log_n, pin.slots),
     );
-    let mut rec = TraceRecorder::new(pin.c);
-    let report = exec.run_observed(&mut rec).expect("runs");
+    let mut writer = TraceWriter::new(Vec::new(), pin.c, FaultPlan::empty());
+    let report = exec.run_observed(&mut writer).expect("runs");
     let (_, _, manager) = exec.into_parts();
     render(
         &format!("{report:?}"),
         manager.evictions(),
         manager.internal_waste(),
-        fnv1a(rec.into_trace().to_json().as_bytes()),
+        trace_fnv(&writer.finish().expect("in-memory sink")),
     )
 }
 

@@ -10,8 +10,10 @@
 //! `BTreeMap`/`HashMap` association; an intentional behaviour change must
 //! update them consciously.
 
-use partial_compaction::heap::{Execution, Heap, TraceRecorder};
-use partial_compaction::{ManagerKind, Params, PfConfig, PfProgram, PfVariant};
+use partial_compaction::heap::{Execution, Heap};
+use partial_compaction::{
+    FaultPlan, ManagerKind, Params, PfConfig, PfProgram, PfVariant, TraceWriter,
+};
 
 /// One pinned run: `(variant, manager, m, log_n, c)` and what it produced.
 struct Pin {
@@ -44,9 +46,22 @@ fn variant(name: &str) -> PfVariant {
     }
 }
 
-/// FNV-1a (64-bit) over the trace's JSON serialization.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+/// FNV-1a (64-bit) over a streamed JSONL trace, taken in the
+/// whole-document shape `{"c":N,"events":[e1,e2,...]}` the pinned digests
+/// were first recorded in: each `ei` is one event line, verbatim.
+fn trace_fnv(jsonl: &[u8]) -> u64 {
+    let mut lines = jsonl.split(|&b| b == b'\n').filter(|l| !l.is_empty());
+    let header = lines.next().expect("header line");
+    let mut doc = header.strip_suffix(b"}").expect("header object").to_vec();
+    doc.extend_from_slice(b",\"events\":[");
+    for (i, line) in lines.enumerate() {
+        if i > 0 {
+            doc.push(b',');
+        }
+        doc.extend_from_slice(line);
+    }
+    doc.extend_from_slice(b"]}");
+    doc.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
@@ -62,8 +77,8 @@ fn run(pin: &Pin) -> String {
         PfProgram::new(cfg),
         pin.manager.build(&params),
     );
-    let mut rec = TraceRecorder::new(pin.c);
-    let report = exec.run_observed(&mut rec).expect("runs");
+    let mut writer = TraceWriter::new(Vec::new(), pin.c, FaultPlan::empty());
+    let report = exec.run_observed(&mut writer).expect("runs");
     let program = exec.program();
     assert!(
         program.violations().is_empty(),
@@ -72,7 +87,7 @@ fn run(pin: &Pin) -> String {
         pin.manager,
         program.violations()
     );
-    let trace_fnv = fnv1a(rec.into_trace().to_json().as_bytes());
+    let trace_fnv = trace_fnv(&writer.finish().expect("in-memory sink"));
     // Rendered in the same shape as the table below, so a mismatch prints
     // the row to paste after an intentional behaviour change.
     format!(
