@@ -25,7 +25,7 @@ use crate::freelist::{FitPolicy, FreeSpace};
 /// ```
 /// use pcb_alloc::CompactingManager;
 /// let m = CompactingManager::new(10, 1 << 20);
-/// assert_eq!(m.arena_words(), 11 << 20);
+/// assert_eq!(m.compactions(), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompactingManager {
@@ -49,11 +49,6 @@ impl CompactingManager {
             space: FreeSpace::new(),
             compactions: 0,
         }
-    }
-
-    /// The arena size `(c+1)·M` in words.
-    pub fn arena_words(&self) -> u64 {
-        self.limit
     }
 
     /// How many slide compactions have run.

@@ -132,6 +132,11 @@ pub struct FreeSpace {
     total_words: u64,
     /// Everything at or above this address is free.
     frontier: u64,
+    /// Neighbouring gaps merged by releases so far, published as the
+    /// `manager.coalesce_merges` counter. [`clear`](Self::clear) keeps
+    /// it: a manager that rebuilds its view mid-run still reports the
+    /// whole run's merges.
+    coalesce_merges: u64,
 }
 
 impl Default for FreeSpace {
@@ -147,6 +152,7 @@ impl Default for FreeSpace {
             n_gaps: 0,
             total_words: 0,
             frontier: 0,
+            coalesce_merges: 0,
         }
     }
 }
@@ -756,7 +762,7 @@ impl FreeSpace {
                 }
                 None => at,
             };
-            Self::note_coalesce_merges(u64::from(prev.is_some()));
+            self.coalesce_merges += u64::from(prev.is_some());
             return;
         }
         // A merge only moves the boundary bits on the freed range's
@@ -783,15 +789,7 @@ impl FreeSpace {
             self.ends.set(end - 1);
         }
         self.size_insert(gap_start, gap_end - gap_start);
-        Self::note_coalesce_merges(merges);
-    }
-
-    fn note_coalesce_merges(merges: u64) {
-        if merges > 0 && pcb_metrics::enabled() {
-            static COALESCES: pcb_metrics::Counter =
-                pcb_metrics::Counter::new("manager.coalesce_merges");
-            COALESCES.add(merges);
-        }
+        self.coalesce_merges += merges;
     }
 
     fn coalesce_around(&mut self, at: u64) {
@@ -820,11 +818,12 @@ impl FreeSpace {
             self.gap_remove(start);
             self.frontier = start;
         }
-        Self::note_coalesce_merges(merges);
+        self.coalesce_merges += merges;
     }
 
-    /// Forgets everything, making the whole space free again (used by
-    /// managers that rebuild their view after a full compaction).
+    /// Forgets every gap, making the whole space free again (used by
+    /// managers that rebuild their view after a full compaction). The
+    /// coalesce-merge count is the run's, so it survives.
     pub fn clear(&mut self) {
         self.starts.clear_all();
         self.ends.clear_all();
@@ -840,17 +839,19 @@ impl FreeSpace {
         self.frontier = 0;
     }
 
-    /// Publishes index high-water marks into the `pcb-metrics` plane; a
-    /// relaxed-load no-op while the plane is detached.
+    /// Publishes the run's coalesce merges and the index's high-water
+    /// marks into the `pcb-metrics` registry, once at the end of a run; a
+    /// relaxed-load no-op while the registry is off.
     pub fn publish_metrics(&self) {
         if !pcb_metrics::enabled() {
             return;
         }
-        static GAPS_HIGH: pcb_metrics::Gauge = pcb_metrics::Gauge::new("manager.mirror_gaps");
-        static SLAB_HIGH: pcb_metrics::Gauge = pcb_metrics::Gauge::new("manager.slab_high_water");
-        GAPS_HIGH.record_max(self.n_gaps as u64);
+        if self.coalesce_merges > 0 {
+            pcb_metrics::add_counter("manager.coalesce_merges", self.coalesce_merges);
+        }
+        pcb_metrics::record_gauge_max("manager.mirror_gaps", self.n_gaps as u64);
         let slab: usize = self.classes.iter().map(BinaryHeap::len).sum();
-        SLAB_HIGH.record_max(slab as u64);
+        pcb_metrics::record_gauge_max("manager.slab_high_water", slab as u64);
     }
 
     /// Internal-consistency check for tests: the indexes agree, gaps are

@@ -241,7 +241,7 @@ impl std::error::Error for PageGeometryError {}
 /// ```
 /// use pcb_alloc::PageManager;
 /// let m = PageManager::new(100, 20);
-/// assert!((m.eviction_density() - 0.25).abs() < 1e-12);
+/// assert_eq!(m.evictions(), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PageManager {
@@ -329,12 +329,6 @@ impl PageManager {
             },
             evictions: 0,
         })
-    }
-
-    /// The live-slot fraction at or below which pages are evacuated
-    /// (`slots/4` out of `slots`, i.e. 1/4).
-    pub fn eviction_density(&self) -> f64 {
-        self.geom.sparse_live as f64 / self.geom.slots() as f64
     }
 
     /// How many pages have been evacuated so far.
@@ -786,7 +780,6 @@ mod tests {
             let report = exec.run().unwrap_or_else(|e| panic!("slots={slots}: {e}"));
             let (_, _, manager) = exec.into_parts();
             manager.check_consistency();
-            assert!((manager.eviction_density() - 0.25).abs() < 1e-12);
             sizes.push(report.heap_size);
         }
         sizes.dedup();

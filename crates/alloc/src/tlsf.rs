@@ -53,6 +53,9 @@ pub struct TlsfManager {
     /// Ground-level bookkeeping shared with the rest of the suite (used
     /// only for coalescing lookups, not for placement decisions).
     mirror: FreeSpace,
+    /// Bucket slots the placements' lookups scanned so far, published as
+    /// the `manager.bucket_scan_len` counter.
+    bucket_scans: u64,
 }
 
 /// The two-level bucket index: lazily-cleaned min-heaps of `(start, len)`
@@ -84,6 +87,7 @@ impl TlsfManager {
                 summary: 0,
             },
             mirror: FreeSpace::new(),
+            bucket_scans: 0,
         }
     }
 
@@ -202,21 +206,10 @@ impl TlsfManager {
         Some(w * 64 + words[w].trailing_zeros() as usize)
     }
 
-    /// Finds a block of at least `size` words: first non-empty bucket at
-    /// or above the search mapping.
-    fn find_block(&mut self, size: u64) -> Option<(u64, u64)> {
-        let (fl, sl) = Self::search_mapping(size);
-        let from = Self::bucket_index(fl, sl);
-        let index = &mut self.index;
-        Self::first_nonempty_from(&index.words, index.summary, from)
-            .and_then(|idx| Self::bucket_first(&mut index.heaps, idx, &self.mirror))
-            .filter(|&(_, len)| len >= size)
-    }
-
-    /// [`find_block`](Self::find_block) plus the number of bucket slots
-    /// a linear nonempty scan would examine (the classic algorithm's
-    /// honest lookup cost, derived from the bitmap in O(1)). Chooses
-    /// exactly the same block.
+    /// Finds a block of at least `size` words (the first non-empty bucket
+    /// at or above the search mapping), plus the number of bucket slots a
+    /// linear nonempty scan would examine: the classic algorithm's honest
+    /// lookup cost, derived from the bitmap in O(1).
     fn find_block_traced(&mut self, size: u64) -> (Option<(u64, u64)>, u64) {
         let (fl, sl) = Self::search_mapping(size);
         let from = Self::bucket_index(fl, sl);
@@ -227,7 +220,7 @@ impl TlsfManager {
                     .filter(|&(_, len)| len >= size);
                 (found, (idx - from) as u64 + 1)
             }
-            None => (None, (BUCKETS - from) as u64),
+            None => (None, BUCKETS.saturating_sub(from) as u64),
         }
     }
 
@@ -291,33 +284,15 @@ impl MemoryManager for TlsfManager {
         ops: &mut HeapOps<'_, '_>,
     ) -> Result<Addr, PlacementError> {
         let size = req.size.get();
-        let stats = ops.stats_enabled();
-        let found = if stats {
-            let (found, probes) = self.find_block_traced(size);
-            ops.stat_add("tlsf.placements", 1);
-            ops.stat_record("tlsf.probes", probes);
-            ops.stat_record("alloc.size", size);
-            if pcb_metrics::enabled() {
-                static SCANS: pcb_metrics::Counter =
-                    pcb_metrics::Counter::new("manager.bucket_scan_len");
-                SCANS.add(probes);
-            }
-            found
-        } else if pcb_metrics::enabled() {
-            let (found, probes) = self.find_block_traced(size);
-            static SCANS: pcb_metrics::Counter =
-                pcb_metrics::Counter::new("manager.bucket_scan_len");
-            SCANS.add(probes);
-            found
-        } else {
-            self.find_block(size)
-        };
+        let (found, probes) = self.find_block_traced(size);
+        self.bucket_scans += probes;
+        ops.stat_add("tlsf.placements", 1);
+        ops.stat_record("tlsf.probes", probes);
+        ops.stat_record("alloc.size", size);
         match found {
             Some((start, len)) => {
-                if stats {
-                    ops.stat_add("tlsf.good_fit_serves", 1);
-                    ops.stat_record("tlsf.hole_size", len);
-                }
+                ops.stat_add("tlsf.good_fit_serves", 1);
+                ops.stat_record("tlsf.hole_size", len);
                 self.remove_block(len);
                 let taken = self.mirror.take_exact(Addr::new(start), req.size);
                 debug_assert!(taken, "mirror agrees with the index");
@@ -327,9 +302,7 @@ impl MemoryManager for TlsfManager {
                 Ok(Addr::new(start))
             }
             None => {
-                if stats {
-                    ops.stat_add("tlsf.frontier_serves", 1);
-                }
+                ops.stat_add("tlsf.frontier_serves", 1);
                 // Good-fit found nothing (a block one bucket down may
                 // still have fit — that miss is TLSF's documented trade
                 // for O(1) lookup): grow strictly at the frontier so the
@@ -359,6 +332,9 @@ impl MemoryManager for TlsfManager {
     }
 
     fn publish_metrics(&self) {
+        if self.bucket_scans > 0 {
+            pcb_metrics::add_counter("manager.bucket_scan_len", self.bucket_scans);
+        }
         self.mirror.publish_metrics();
     }
 }
@@ -397,7 +373,7 @@ mod tests {
             m.insert_block(start, len);
         }
         for size in 1..300u64 {
-            if let Some((_, len)) = m.find_block(size) {
+            if let (Some((_, len)), _) = m.find_block_traced(size) {
                 assert!(len >= size, "found {len} for request {size}");
             }
         }

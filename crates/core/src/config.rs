@@ -36,22 +36,22 @@ pub struct RunConfig {
     /// Cross-check manager mirrors against the ground truth every this
     /// many rounds; 0 (the default) disables paranoia mode.
     pub paranoia: u32,
-    /// Whether the `pcb-metrics` registry collects and reports embed a
-    /// [`MetricsSnapshot`](pcb_metrics::MetricsSnapshot); off (the
-    /// default) costs one relaxed load per recording site.
+    /// Whether the fleet builds its per-shard
+    /// [`MetricsSnapshot`](pcb_metrics::MetricsSnapshot) and embeds it in
+    /// its report. The process-global registry has its own switch
+    /// ([`pcb_metrics::enable`]), which only the commands that export it
+    /// turn on.
     pub metrics: bool,
 }
 
 impl RunConfig {
     /// Resolves the configuration from the environment: `PCB_THREADS`
-    /// (falling back to the machine's available parallelism) and the
-    /// current metrics state.
+    /// (falling back to the machine's available parallelism); every other
+    /// field starts at its default.
     pub fn from_env() -> Self {
         RunConfig {
             threads: crate::parallel::thread_count(),
-            chaos: FaultPlan::empty(),
-            paranoia: 0,
-            metrics: pcb_metrics::enabled(),
+            ..RunConfig::default()
         }
     }
 
@@ -77,17 +77,6 @@ impl RunConfig {
     pub fn with_metrics(mut self, metrics: bool) -> Self {
         self.metrics = metrics;
         self
-    }
-
-    /// Applies the process-global side of the configuration (the
-    /// metrics registry is a process singleton; the other fields are
-    /// threaded explicitly and need no global application).
-    pub fn apply(&self) {
-        if self.metrics {
-            pcb_metrics::enable();
-        } else {
-            pcb_metrics::disable();
-        }
     }
 }
 

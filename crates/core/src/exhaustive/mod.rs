@@ -584,13 +584,10 @@ impl Search {
         let _level_span = pcb_metrics::span!("exhaustive.level");
         self.stats.levels += 1;
         self.stats.peak_frontier = self.stats.peak_frontier.max(self.frontier.len());
-        // High-water marks on the metric plane (one relaxed load each
-        // when metrics are off).
-        static FRONTIER_GAUGE: pcb_metrics::Gauge =
-            pcb_metrics::Gauge::new("exhaustive.frontier_states");
-        static LEVELS_GAUGE: pcb_metrics::Gauge = pcb_metrics::Gauge::new("exhaustive.levels");
-        FRONTIER_GAUGE.record_max(self.frontier.len() as u64);
-        LEVELS_GAUGE.record_max(self.stats.levels as u64);
+        // High-water marks in the metric registry, once per level (one
+        // relaxed load each when metrics are off).
+        pcb_metrics::record_gauge_max("exhaustive.frontier_states", self.frontier.len() as u64);
+        pcb_metrics::record_gauge_max("exhaustive.levels", self.stats.levels as u64);
         let frontier = std::mem::take(&mut self.frontier);
         // Level-synchronous expansion: fan the frontier across threads.
         let expanded: Vec<Result<(u64, Vec<PackedState>), SearchError>> =
@@ -653,15 +650,10 @@ impl Search {
         };
 
         let states: usize = self.seen.iter().map(Interner::len).sum();
-        static SEEN_GAUGE: pcb_metrics::Gauge =
-            pcb_metrics::Gauge::new("exhaustive.interned_states");
-        static RESIDENT_GAUGE: pcb_metrics::Gauge =
-            pcb_metrics::Gauge::new("exhaustive.resident_bytes");
-        static PAYLOAD_GAUGE: pcb_metrics::Gauge =
-            pcb_metrics::Gauge::new("exhaustive.payload_words");
-        SEEN_GAUGE.record_max(states as u64);
-        RESIDENT_GAUGE.record_max(self.seen.iter().map(Interner::resident_bytes).sum());
-        PAYLOAD_GAUGE.record_max(self.stats.payload_words);
+        let resident = self.seen.iter().map(Interner::resident_bytes).sum();
+        pcb_metrics::record_gauge_max("exhaustive.interned_states", states as u64);
+        pcb_metrics::record_gauge_max("exhaustive.resident_bytes", resident);
+        pcb_metrics::record_gauge_max("exhaustive.payload_words", self.stats.payload_words);
         if states > self.max_states {
             return Err(SearchError::StateSpaceExceeded {
                 states,

@@ -146,11 +146,21 @@ pub fn over_c(bound: Bound, m: u64, log_n: u32, cs: impl Iterator<Item = u64>) -
 /// ```
 pub fn over_n(bound: Bound, m_over_n: u64, c: u64, log_ns: impl Iterator<Item = u32>) -> Series {
     Series::collect_par(bound.label(), log_ns.collect(), |log_n| {
-        let y = Params::new(m_over_n << log_n, log_n, c)
+        let y = n_params(m_over_n, log_n, c)
             .ok()
             .and_then(|p| bound.factor(p));
         (log_n as f64, y)
     })
+}
+
+/// The parameters of one [`over_n`] point: `M = m_over_n · 2^log_n`.
+///
+/// # Errors
+///
+/// The [`Params::new`] error; a `log_n` past the shift width fails as
+/// out of range rather than overflowing the shift.
+pub fn n_params(m_over_n: u64, log_n: u32, c: u64) -> Result<Params, crate::ParamsError> {
+    Params::new(m_over_n.checked_shl(log_n).unwrap_or(0), log_n, c)
 }
 
 /// Sweeps Theorem 1 over the density exponent `ρ` at fixed parameters —

@@ -12,11 +12,10 @@
 //! silent survival and fails the test.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
 
 use partial_compaction::heap::{Execution, ExecutionError, Heap, MirrorCheck};
 use partial_compaction::workload::{ChurnConfig, ChurnWorkload};
-use partial_compaction::{metrics, FaultPlan, FaultSite, ManagerKind, Params};
+use partial_compaction::{FaultPlan, FaultSite, ManagerKind, Params};
 use proptest::prelude::*;
 
 /// The managers that maintain a mirror of the referee (a free list, or
@@ -32,11 +31,6 @@ const MIRRORED: [ManagerKind; 4] = [
 
 const M: u64 = 1 << 12;
 const LOG_N: u32 = 6;
-
-/// Serializes the tests whose paranoia runs record a detection latency:
-/// the metric registry is process-global and the latency is a high-water
-/// gauge, so a concurrent run would ratchet the value under test.
-static REGISTRY: Mutex<()> = Mutex::new(());
 
 fn churn(seed: u64) -> ChurnWorkload {
     let mut cfg = ChurnConfig::typical(M, LOG_N);
@@ -57,7 +51,6 @@ proptest! {
         cadence in 1u32..5,
         kind_idx in 0usize..MIRRORED.len(),
     ) {
-        let _registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
         let kind = MIRRORED[kind_idx];
         let params = Params::new(M, LOG_N, 2).expect("valid params");
         let manager = kind.try_build(&params).expect("mirrored kinds build");
@@ -156,12 +149,11 @@ fn unmirrored_kinds_decline_injection_instead_of_lying() {
     }
 }
 
-/// The detection latency of a paranoia run lands in the metric registry
-/// as the `chaos.detection_latency_rounds` gauge: rounds from the planted
-/// corruption to the sweep that caught it.
+/// The detection latency of a paranoia run is carried by the error that
+/// ends it: `MirrorDivergence` names the round the corruption was planted
+/// and the round the sweep caught it, and its message says both.
 #[test]
-fn detection_latency_is_published_as_a_gauge() {
-    let _registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
+fn detection_latency_is_carried_by_the_mirror_divergence() {
     let params = Params::new(M, LOG_N, 2).expect("valid params");
     // The page table's audit catches the phantom slot before the referee
     // sees an overlap, so the divergence surfaces at the first sweep.
@@ -170,12 +162,7 @@ fn detection_latency_is_published_as_a_gauge() {
     let mut exec = Execution::new(Heap::non_moving(), churn(7), manager)
         .with_chaos(plan)
         .with_paranoia(4);
-    metrics::reset();
-    metrics::enable();
     let outcome = exec.run_summary();
-    metrics::disable();
-    let latency = metrics::snapshot().gauge("chaos.detection_latency_rounds");
-    metrics::reset();
     let Err(ExecutionError::MirrorDivergence {
         round,
         injected_round: Some(injected),
@@ -188,5 +175,13 @@ fn detection_latency_is_published_as_a_gauge() {
         round > injected,
         "the sweep must catch a corruption planted in an earlier round"
     );
-    assert_eq!(latency, u64::from(round - injected));
+    assert!(round - injected < 4, "caught within the paranoia cadence");
+    assert_eq!(exec.mirror_fault_round(), Some(injected));
+    let message = outcome.unwrap_err().to_string();
+    assert!(
+        message.contains(&format!(
+            "at round {round} (fault injected at round {injected})"
+        )),
+        "{message}"
+    );
 }

@@ -24,7 +24,7 @@
 use std::time::Instant;
 
 use partial_compaction::fleet::{self, FleetConfig};
-use partial_compaction::metrics::{self, Counter};
+use partial_compaction::metrics;
 use partial_compaction::workload::MixerConfig;
 use partial_compaction::{sim, FaultPlan, FaultSite, ManagerKind, Params, RunConfig, TraceWriter};
 
@@ -73,14 +73,13 @@ fn fleet_seconds(metrics: bool) -> f64 {
 #[test]
 #[ignore = "wall-clock budget; run in release"]
 fn disabled_metric_plane_costs_at_most_1_pct() {
-    static GATE_PROBE: Counter = Counter::new("bench.gate_probe");
     const SITES_PER_TENANT: f64 = 64.0;
     const GATE_ITERS: u64 = 20_000_000;
     assert!(!metrics::enabled(), "the probe times the disabled path");
     let off = median((0..ITERS).map(|_| fleet_seconds(false)).collect());
     let start = Instant::now();
     for i in 0..GATE_ITERS {
-        GATE_PROBE.add(std::hint::black_box(i) & 1);
+        metrics::add_counter("bench.gate_probe", std::hint::black_box(i) & 1);
     }
     let gate = start.elapsed().as_secs_f64() / GATE_ITERS as f64;
     let per_tenant = off / metrics_fleet().tenants as f64;

@@ -212,6 +212,10 @@ impl Observer for NullObserver {
     fn on_event(&mut self, _tick: Tick, _event: &Event) {}
 }
 
+/// Upper bound on rounds, a safety net against non-terminating programs
+/// (the round counter is a `u32`).
+const MAX_ROUNDS: u32 = u32::MAX;
+
 /// Drives a program against a manager on a fresh heap.
 #[derive(Debug)]
 pub struct Execution<P, M> {
@@ -220,9 +224,6 @@ pub struct Execution<P, M> {
     manager: M,
     round: u32,
     tick: Tick,
-    /// Upper bound on rounds, a safety net against non-terminating
-    /// programs. Defaults to `u32::MAX`.
-    max_rounds: u32,
     /// Manager-side counters/histograms; `None` (the default) keeps the
     /// manager's reporting calls free.
     stats: Option<StatSink>,
@@ -253,7 +254,6 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
             manager,
             round: 0,
             tick: 0,
-            max_rounds: u32::MAX,
             stats: None,
             chaos: FaultPlan::empty(),
             paranoia: 0,
@@ -279,12 +279,6 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
     /// chaining.
     pub fn with_paranoia(mut self, every_rounds: u32) -> Self {
         self.paranoia = every_rounds;
-        self
-    }
-
-    /// Caps the number of rounds (safety net); returns `self` for chaining.
-    pub fn with_max_rounds(mut self, max_rounds: u32) -> Self {
-        self.max_rounds = max_rounds;
         self
     }
 
@@ -356,7 +350,7 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
     /// inspectable afterwards.
     pub fn run(&mut self) -> Result<Report, ExecutionError> {
         let _span = pcb_metrics::span!("engine.run");
-        while !self.program.finished() && self.round < self.max_rounds {
+        while !self.program.finished() && self.round < MAX_ROUNDS {
             self.step_round_inner(None)?;
         }
         self.publish_metrics();
@@ -376,7 +370,7 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
     /// Propagates the first [`ExecutionError`], like [`run`](Self::run).
     pub fn run_summary(&mut self) -> Result<HeapSummary, ExecutionError> {
         let _span = pcb_metrics::span!("engine.run");
-        while !self.program.finished() && self.round < self.max_rounds {
+        while !self.program.finished() && self.round < MAX_ROUNDS {
             self.step_round_inner(None)?;
         }
         self.publish_metrics();
@@ -391,7 +385,7 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
     /// Propagates the first [`ExecutionError`].
     pub fn run_observed(&mut self, observer: &mut dyn Observer) -> Result<Report, ExecutionError> {
         let _span = pcb_metrics::span!("engine.run");
-        while !self.program.finished() && self.round < self.max_rounds {
+        while !self.program.finished() && self.round < MAX_ROUNDS {
             self.step_round_inner(Some(observer))?;
         }
         self.publish_metrics();
@@ -408,48 +402,30 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         if !pcb_metrics::enabled() {
             return;
         }
-        use pcb_metrics::{Counter, Gauge};
-        static OBJECTS_PLACED: Counter = Counter::new("engine.objects_placed");
-        static OBJECTS_FREED: Counter = Counter::new("engine.objects_freed");
-        static OBJECTS_MOVED: Counter = Counter::new("engine.objects_moved");
-        static WORDS_PLACED: Counter = Counter::new("engine.words_placed");
-        static WORDS_MOVED: Counter = Counter::new("engine.words_moved");
-        static ROUNDS: Counter = Counter::new("engine.rounds");
-        static HEAP_SIZE: Gauge = Gauge::new("engine.heap_size_words");
-        static PEAK_LIVE: Gauge = Gauge::new("engine.peak_live_words");
-        static EXTERNAL: Counter = Counter::new("waste.external_words");
-        static GHOST: Counter = Counter::new("waste.ghost_words");
-        static INTERNAL: Counter = Counter::new("waste.internal_words");
-        static REFUSALS: Counter = Counter::new("chaos.injected.alloc_refusals");
-        static CUTS: Counter = Counter::new("chaos.injected.budget_cuts");
-        static FLIPS: Counter = Counter::new("chaos.injected.mirror_faults");
-        static SCANNED: Gauge = Gauge::new("space.words_scanned");
-        static SKIPS: Gauge = Gauge::new("space.summary_skips");
-        static SLOT_HIGH: Gauge = Gauge::new("space.slot_high_water");
-        static REUSED: Gauge = Gauge::new("space.slots_reused");
-
+        use pcb_metrics::{add_counter, record_gauge_max};
         let stats = self.heap.stats();
-        OBJECTS_PLACED.add(stats.objects_placed);
-        OBJECTS_FREED.add(stats.objects_freed);
-        OBJECTS_MOVED.add(stats.objects_moved);
-        WORDS_PLACED.add(stats.words_placed);
-        WORDS_MOVED.add(stats.words_moved);
-        ROUNDS.add(u64::from(self.round));
-        HEAP_SIZE.record_max(self.heap.heap_size().get());
-        PEAK_LIVE.record_max(self.heap.peak_live().get());
-        EXTERNAL.add(self.heap.external_waste().get());
-        GHOST.add(self.heap.ghost_words().get());
-        INTERNAL.add(self.manager.internal_waste());
+        add_counter("engine.objects_placed", stats.objects_placed);
+        add_counter("engine.objects_freed", stats.objects_freed);
+        add_counter("engine.objects_moved", stats.objects_moved);
+        add_counter("engine.words_placed", stats.words_placed);
+        add_counter("engine.words_moved", stats.words_moved);
+        add_counter("engine.rounds", u64::from(self.round));
+        record_gauge_max("engine.heap_size_words", self.heap.heap_size().get());
+        record_gauge_max("engine.peak_live_words", self.heap.peak_live().get());
+        add_counter("waste.external_words", self.heap.external_waste().get());
+        add_counter("waste.ghost_words", self.heap.ghost_words().get());
+        add_counter("waste.internal_words", self.manager.internal_waste());
         if self.chaos_counters != ChaosCounters::default() {
-            REFUSALS.add(self.chaos_counters.alloc_refusals);
-            CUTS.add(self.chaos_counters.budget_cuts);
-            FLIPS.add(self.chaos_counters.mirror_faults);
+            let chaos = &self.chaos_counters;
+            add_counter("chaos.injected.alloc_refusals", chaos.alloc_refusals);
+            add_counter("chaos.injected.budget_cuts", chaos.budget_cuts);
+            add_counter("chaos.injected.mirror_faults", chaos.mirror_faults);
         }
         let c = self.heap.space().counters();
-        SCANNED.record_max(c.words_scanned);
-        SKIPS.record_max(c.summary_skips);
-        SLOT_HIGH.record_max(c.slot_high_water);
-        REUSED.record_max(c.slots_reused);
+        record_gauge_max("space.words_scanned", c.words_scanned);
+        record_gauge_max("space.summary_skips", c.summary_skips);
+        record_gauge_max("space.slot_high_water", c.slot_high_water);
+        record_gauge_max("space.slots_reused", c.slots_reused);
         // Manager-side counters collected this run share the same
         // exposition path, as do the manager's own index high-water
         // marks (the `manager.*` series).
@@ -598,15 +574,10 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         // Paranoia: cross-check the manager's mirror against the
         // ground truth every `paranoia` rounds. An injected corruption
         // is therefore detected within `paranoia` rounds of being
-        // planted; the observed latency is published as a gauge.
+        // planted; the error carries both rounds, hence the latency.
         if self.paranoia != 0 && (self.round + 1).is_multiple_of(self.paranoia) {
             let _span = pcb_metrics::span!("engine.paranoia");
             if let MirrorCheck::Divergent(detail) = self.manager.mirror_check(self.heap.space()) {
-                if let Some(injected) = self.mirror_fault_round {
-                    static LATENCY: pcb_metrics::Gauge =
-                        pcb_metrics::Gauge::new("chaos.detection_latency_rounds");
-                    LATENCY.record_max(u64::from(self.round - injected));
-                }
                 return Err(ExecutionError::MirrorDivergence {
                     round: self.round,
                     injected_round: self.mirror_fault_round,
@@ -767,36 +738,6 @@ mod tests {
         let mut exec = Execution::new(Heap::non_moving(), program, Bump::default());
         let err = exec.run().unwrap_err();
         assert!(matches!(err, ExecutionError::BadFree(_)));
-    }
-
-    #[test]
-    fn max_rounds_caps_execution() {
-        /// A program that never finishes.
-        #[derive(Debug)]
-        struct Forever;
-        impl Program for Forever {
-            fn name(&self) -> &str {
-                "forever"
-            }
-            fn live_bound(&self) -> Size {
-                Size::new(1000)
-            }
-            fn frees(&mut self) -> Vec<ObjectId> {
-                Vec::new()
-            }
-            fn allocs(&mut self) -> Vec<Size> {
-                vec![Size::WORD]
-            }
-            fn placed(&mut self, _id: ObjectId, _addr: Addr, _size: Size) {}
-            fn finished(&self) -> bool {
-                false
-            }
-        }
-        let mut exec =
-            Execution::new(Heap::non_moving(), Forever, Bump::default()).with_max_rounds(5);
-        let report = exec.run().unwrap();
-        assert_eq!(report.rounds, 5);
-        assert_eq!(report.objects_placed, 5);
     }
 
     #[test]

@@ -403,17 +403,6 @@ impl Heap {
     pub fn stats(&self) -> HeapStats {
         self.stats
     }
-
-    /// Live words divided by current (peak) heap size; 1.0 for an empty
-    /// execution.
-    pub fn utilization(&self) -> f64 {
-        let hs = self.heap_size().get();
-        if hs == 0 {
-            1.0
-        } else {
-            self.live_words.get() as f64 / hs as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -534,7 +523,6 @@ mod tests {
         h.free(a).unwrap();
         assert_eq!(h.peak_live(), Size::new(12));
         assert_eq!(h.live_words(), Size::new(6));
-        assert!((h.utilization() - 0.5).abs() < 1e-12);
     }
 
     #[test]

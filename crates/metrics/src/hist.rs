@@ -1,6 +1,6 @@
 //! Power-of-two histograms: the one sample distribution the workspace
 //! uses, shared by the sequential [`StatSink`](crate::StatSink) and the
-//! sharded registry.
+//! registry.
 
 use std::collections::BTreeMap;
 

@@ -1,10 +1,11 @@
 //! # pcb-metrics — the workspace's one observability plane
 //!
-//! Two instrument kinds share one crate and one per-thread index:
+//! Two instrument kinds share one crate:
 //!
-//! * **metrics** — counters, gauges, and power-of-two histograms,
-//!   recorded through a process-global registry that costs a single
-//!   relaxed atomic load when disabled (the default);
+//! * **metrics** — counters, gauges, and power-of-two histograms, folded
+//!   into one process-global [`MetricsSnapshot`] behind a lock; every
+//!   recording call costs a single relaxed atomic load when the registry
+//!   is disabled (the default);
 //! * **spans** — [`span!`] guards timing engine phases on per-thread
 //!   tracks, drained by [`spans::take_trace`] into a Chrome trace or a
 //!   [`spans::Profile`] (see [`mod@spans`]).
@@ -13,16 +14,20 @@
 //! collection retains every finished span until it is drained, a memory
 //! cost a metrics-only run should not pay.
 //!
-//! ## Shard/merge model
+//! ## Written once per run
 //!
-//! Every metric owns [`SHARDS`] cache-padded `u64` slots; each thread is
-//! assigned one slot at first use and updates it with relaxed atomics.
-//! A [`snapshot`] folds the slots with commutative, associative integer
-//! operations — counters sum, gauges max, histogram buckets sum — so the
-//! folded [`MetricsSnapshot`] depends only on *what* was recorded, never
-//! on which thread recorded it or how many threads there were. That is
-//! the same determinism contract the rest of the workspace keeps
-//! (`PCB_THREADS` must not change report bytes), extended to metrics.
+//! Nothing records into the registry per event. The engine publishes its
+//! totals when a run ends, a manager publishes the counters it kept in
+//! its own fields, a [`StatSink`] folds in through [`StatSink::publish`],
+//! and the exhaustive search records its gauges once per BFS level. So a
+//! lock is all the concurrency the registry needs. Counters sum, gauges
+//! max and histogram buckets sum, all commutative and associative, so the
+//! [`snapshot`] depends only on *what* was recorded, never on which
+//! thread recorded it or how many threads there were. That is the same
+//! determinism contract the rest of the workspace keeps (`PCB_THREADS`
+//! must not change report bytes), extended to metrics. The fleet keeps
+//! its own per-shard snapshots and folds them in shard order; it never
+//! turns the registry on.
 //!
 //! ## Timing vs identity
 //!
@@ -34,25 +39,15 @@
 //!
 //! ## Recording
 //!
-//! Hot call sites declare a static handle once and record through it:
-//!
 //! ```
-//! use pcb_metrics::{Counter, Gauge, HistogramHandle};
-//! static PLACED: Counter = Counter::new("engine.objects_placed");
-//! static PEAK: Gauge = Gauge::new("engine.heap_size_words");
-//! static SIZES: HistogramHandle = HistogramHandle::new("alloc.size");
-//!
 //! pcb_metrics::enable();
-//! PLACED.add(1);
-//! PEAK.record_max(96);
-//! SIZES.observe(8);
+//! pcb_metrics::add_counter("engine.objects_placed", 1);
+//! pcb_metrics::record_gauge_max("engine.heap_size_words", 96);
+//! pcb_metrics::observe("alloc.size", 8);
 //! let snap = pcb_metrics::snapshot();
 //! assert!(snap.counter("engine.objects_placed") >= 1);
 //! # pcb_metrics::disable();
 //! ```
-//!
-//! Cold paths (end-of-run publication) can use the name-keyed
-//! [`add_counter`]/[`record_gauge_max`]/[`observe`] functions instead.
 //!
 //! [`StatSink`] — the sequential per-run counter bag managers fill in
 //! through `HeapOps` — lives here too, as a thin adapter whose
@@ -69,7 +64,7 @@ pub mod spans;
 pub use hist::{Histogram, HIST_BUCKETS};
 pub use registry::{
     add_counter, disable, enable, enabled, merge_histogram, observe, record_gauge_max, reset,
-    snapshot, Counter, Gauge, HistogramHandle, SHARDS,
+    snapshot,
 };
 pub use sink::StatSink;
 pub use snapshot::MetricsSnapshot;

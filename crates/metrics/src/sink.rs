@@ -1,11 +1,10 @@
 //! The sequential counter bag managers fill in through `HeapOps`.
 //!
-//! [`StatSink`] predates the sharded registry (it arrived with the
-//! observability layer) and keeps its exact API and JSON shape; it is
-//! now a thin adapter over the same [`Histogram`] substrate, and
-//! [`StatSink::publish`] folds a finished sink into the process-global
-//! registry so single-run manager counters and fleet-scale metrics share
-//! one exposition path.
+//! [`StatSink`] predates the registry (it arrived with the observability
+//! layer) and keeps its exact API and JSON shape; it is a thin adapter
+//! over the same [`Histogram`] substrate, and [`StatSink::publish`] folds
+//! a finished sink into the process-global registry so a run's manager
+//! counters and its engine totals share one exposition path.
 
 use std::collections::BTreeMap;
 

@@ -22,9 +22,14 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Creates an empty snapshot.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty snapshot (`const`, so the process-global
+    /// registry can hold one in a `static`).
+    pub const fn new() -> Self {
+        MetricsSnapshot {
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+        }
     }
 
     /// Adds `delta` to the named counter (creating it at 0).

@@ -12,9 +12,9 @@
 //!    finished spans append to a thread-local buffer that flushes to the
 //!    global sink in large batches, so worker threads never contend on a
 //!    lock in their hot loop.
-//! 3. **Threads are tracks.** A thread's track is its thread index — the
-//!    same index that picks its metric shard — and becomes the `tid` lane
-//!    in the Chrome trace export, so `par_map` shard lifetimes render as
+//! 3. **Threads are tracks.** A thread's track is its thread index,
+//!    assigned when it first opens a span, and becomes the `tid` lane in
+//!    the Chrome trace export, so `par_map` shard lifetimes render as
 //!    parallel lanes.
 //!
 //! ```
@@ -39,7 +39,7 @@
 //! ```
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -55,6 +55,9 @@ const MAX_RETAINED: usize = 4_000_000;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
+/// The next thread's track: each thread takes one index, in the order
+/// threads first open a span.
+static NEXT_TRACK: AtomicU32 = AtomicU32::new(0);
 
 struct Global {
     spans: Vec<SpanRecord>,
@@ -168,7 +171,7 @@ struct LocalBuf {
 
 impl LocalBuf {
     fn new() -> LocalBuf {
-        let track = crate::registry::thread_index() as u32;
+        let track = NEXT_TRACK.fetch_add(1, Ordering::Relaxed);
         let name = std::thread::current()
             .name()
             .map(str::to_owned)

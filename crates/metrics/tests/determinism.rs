@@ -101,21 +101,16 @@ proptest! {
 }
 
 /// The registry side of the contract: a fixed workload recorded by 1, 2,
-/// or 4 threads folds to byte-identical snapshots, because every cell
-/// merge is a sum or a max.
+/// or 4 threads folds to byte-identical snapshots, because every
+/// recording is a sum or a max into the one locked snapshot.
 #[test]
 fn registry_snapshot_is_thread_count_independent() {
-    use pcb_metrics::{Counter, Gauge, HistogramHandle};
-    static OPS_COUNTER: Counter = Counter::new("test.ops");
-    static PEAK_GAUGE: Gauge = Gauge::new("test.peak");
-    static SIZE_HIST: HistogramHandle = HistogramHandle::new("test.size");
-
     // A fixed, partition-independent workload: operation i contributes
     // the same values no matter which thread runs it.
     let record = |i: u64| {
-        OPS_COUNTER.add(i % 7);
-        PEAK_GAUGE.record_max(i * 3);
-        SIZE_HIST.observe(i % 513);
+        pcb_metrics::add_counter("test.ops", i % 7);
+        pcb_metrics::record_gauge_max("test.peak", i * 3);
+        pcb_metrics::observe("test.size", i % 513);
     };
     const N: u64 = 4000;
 

@@ -107,11 +107,6 @@ impl TraceWorkload {
         }
     }
 
-    /// The live bound the replay needs.
-    pub fn live_bound_words(&self) -> u64 {
-        self.live_bound
-    }
-
     /// Number of rounds in the replay.
     pub fn rounds(&self) -> usize {
         self.rounds.len()
@@ -254,7 +249,6 @@ mod tests {
         let trace = rec.into_trace();
 
         let workload = TraceWorkload::new(&trace);
-        assert!(workload.live_bound_words() <= m + (1 << (log_n)));
         let mut replay = Execution::new(
             Heap::non_moving(),
             workload,

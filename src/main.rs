@@ -91,6 +91,7 @@ usage:
                [--chaos <spec>] [--paranoia <k>]
                [--progress[=secs]] [--progress-out <file.jsonl>]
                [--metrics] [--metrics-out <file>]
+               [--trace-out <file>] [--profile]
   pcb record <file.jsonl> [simulate options]
   pcb replay <file.jsonl>
   pcb fleet [--tenants <n>] [--shards <n>] [--manager <name>]
@@ -476,7 +477,9 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
     let params = Params::new(m, log_n, flags.c.unwrap_or(20)).map_err(|e| e.to_string())?;
     let adversary = program(&name, flags.rounds, flags.allocs)?;
     let run = &flags.run;
-    run.apply();
+    if run.metrics {
+        metrics::enable();
+    }
     let spans_on = trace_out.is_some() || profile;
     if spans_on {
         spans::enable();
@@ -627,7 +630,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     cfg.mixer.rounds = flags.rounds.unwrap_or(cfg.mixer.rounds);
     cfg.mixer.allocs_per_round = flags.allocs.unwrap_or(cfg.mixer.allocs_per_round);
     let run = &flags.run;
-    run.apply();
     let start = std::time::Instant::now();
     let report = match &flags.checkpoint {
         Some(opts) => {
@@ -680,21 +682,19 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let series = match args {
         [b, axis, m, log_n, from, to] if axis == "c" => {
             let bound = parse_bound(b)?;
-            sweep::over_c(
-                bound,
-                num(m, "M")?,
-                num(log_n, "log_n")?,
-                num(from, "from")?..=num(to, "to")?,
-            )
+            let (m, log_n) = (num(m, "M")?, num(log_n, "log_n")?);
+            let cs = sweep_range(num(from, "from")?..=num(to, "to")?, |c| {
+                Params::new(m, log_n, c)
+            })?;
+            sweep::over_c(bound, m, log_n, cs)
         }
         [b, axis, ratio, c, from, to] if axis == "n" => {
             let bound = parse_bound(b)?;
-            sweep::over_n(
-                bound,
-                num(ratio, "M/n")?,
-                num(c, "c")?,
-                num(from, "from")?..=num(to, "to")?,
-            )
+            let (ratio, c) = (num(ratio, "M/n")?, num(c, "c")?);
+            let log_ns = sweep_range(num(from, "from")?..=num(to, "to")?, |log_n| {
+                sweep::n_params(ratio, log_n, c)
+            })?;
+            sweep::over_n(bound, ratio, c, log_ns)
         }
         [rho, m, log_n, c] if rho == "rho" => sweep::over_rho(params(m, log_n, c)?, 1..=16),
         _ => return Err("see usage for sweep forms".into()),
@@ -705,6 +705,28 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         println!("{x},{y}");
     }
     Ok(())
+}
+
+/// `range` itself when at least one of its points has valid parameters;
+/// an empty or reversed range, or one where every point fails, is an
+/// error naming the first point's failure.
+fn sweep_range<X: Copy>(
+    range: std::ops::RangeInclusive<X>,
+    params: impl Fn(X) -> Result<Params, partial_compaction::ParamsError>,
+) -> Result<std::ops::RangeInclusive<X>, String>
+where
+    std::ops::RangeInclusive<X>: Iterator<Item = X>,
+{
+    let mut first_error = None;
+    for x in range.clone() {
+        match params(x) {
+            Ok(_) => return Ok(range),
+            Err(e) => {
+                first_error.get_or_insert(e);
+            }
+        }
+    }
+    Err(first_error.map_or_else(|| "empty range".to_owned(), |e| e.to_string()))
 }
 
 fn cmd_worst_case(args: &[String]) -> Result<(), String> {
@@ -745,7 +767,9 @@ fn cmd_worst_case(args: &[String]) -> Result<(), String> {
         ));
     }
     let run = &flags.run;
-    run.apply();
+    if run.metrics {
+        metrics::enable();
+    }
     let mut heartbeat = Heartbeat::new("worst-case", &flags.progress)
         .map_err(|e| format!("progress stream: {e}"))?;
     // Total is unknown ahead of time (that is what the search computes),

@@ -616,6 +616,81 @@ fn fleet_metrics_out_is_valid_prometheus_and_matches_the_report() {
     std::fs::remove_file(json).ok();
 }
 
+/// FNV-1a (64-bit), the digest `manager_report_pins.rs` pins reports with.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs `args` with `--metrics-out <dir>/<file>` appended and returns the
+/// FNV-1a digest of the file it wrote.
+fn metrics_out_digest(args: &[&str], file: &str) -> u64 {
+    let dir = std::env::temp_dir().join("pcb-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(file);
+    std::fs::remove_file(&path).ok();
+    let mut args = args.to_vec();
+    args.extend(["--metrics-out", path.to_str().unwrap()]);
+    let (_, stderr, ok) = pcb(&args);
+    assert!(ok, "{args:?}: {stderr}");
+    let bytes = std::fs::read(&path).expect("--metrics-out wrote its file");
+    std::fs::remove_file(&path).ok();
+    fnv1a(&bytes)
+}
+
+/// The `simulate --stats --metrics-out x.json` file of `P_F` against the
+/// three managers that report stats, pinned by digest: engine totals,
+/// manager counters (coalesce merges, TLSF bucket scans) and the folded
+/// `StatSink` all land in it, so any change to what a run publishes, or
+/// to a value it publishes, moves a digest.
+#[test]
+fn simulate_metrics_out_reproduces_its_pinned_digests() {
+    const PINS: &[(&str, u64)] = &[
+        ("first-fit", 0x30ec2c0fb14c2ae6),
+        ("tlsf", 0xb231709f832021b0),
+        ("pages-thm2", 0xf2c07483502cc3cd),
+    ];
+    let got: Vec<(&str, u64)> = PINS
+        .iter()
+        .map(|&(manager, _)| {
+            let args = [
+                "simulate",
+                "--program",
+                "pf",
+                "--manager",
+                manager,
+                "--stats",
+            ];
+            let file = format!("sim-metrics-{manager}.json");
+            (manager, metrics_out_digest(&args, &file))
+        })
+        .collect();
+    if got != PINS {
+        let table: String = got
+            .iter()
+            .map(|(m, d)| format!("        ({m:?}, {d:#018x}),\n"))
+            .collect();
+        panic!("simulate --metrics-out moved; the current table is:\n{table}");
+    }
+}
+
+/// The `worst-case 10 2 --threads 1 --metrics-out y.json` file, pinned by
+/// digest. The search is pinned at one thread only: the
+/// `exhaustive.resident_bytes` gauge sums the dedup shards' table
+/// capacities, and the shard count follows the thread count by design
+/// (2944 KiB at `--threads 1`, 3072 KiB at `--threads 4`).
+#[test]
+fn worst_case_metrics_out_reproduces_its_pinned_digest() {
+    const PIN: u64 = 0x9996a193fbcb1777;
+    let args = ["worst-case", "10", "2", "--threads", "1"];
+    let digest = metrics_out_digest(&args, "worst-case-metrics.json");
+    assert_eq!(
+        digest, PIN,
+        "worst-case --metrics-out moved: now {digest:#018x}"
+    );
+}
+
 /// `worst-case --progress` streams BFS frontier pulses on stderr without
 /// touching the verdict on stdout.
 #[test]
@@ -852,9 +927,23 @@ fn absurd_but_parseable_flag_values_exit_cleanly() {
             "paused after 0 BFS levels",
         ),
         ("worst-case 6 1 --threads 0", 0, ""),
-        ("sweep thm1-lower c 0 0 0 0", 0, ""),
-        ("sweep thm1-lower n 0 0 0 0", 0, ""),
-        ("sweep thm1-lower c 65536 10 20 10", 0, ""),
+        (
+            "sweep thm1-lower c 0 0 0 0",
+            1,
+            "error: invalid parameters: n must exceed 1",
+        ),
+        (
+            "sweep thm1-lower n 0 0 0 0",
+            1,
+            "error: invalid parameters: n must exceed 1",
+        ),
+        ("sweep thm1-lower c 65536 10 20 10", 1, "error: empty range"),
+        (
+            "sweep thm1-lower c 65536 10 0 1",
+            1,
+            "error: invalid parameters: c = 0 must exceed 1",
+        ),
+        ("sweep thm1-lower c 65536 10 1 2", 0, ""),
         ("sweep rho 0 0 0", 1, invalid),
         ("bounds 0 0 0", 1, invalid),
         (
