@@ -16,10 +16,22 @@
 //! * the chunk potential `u_D` (Definition 4.3) and the total `u(t) =
 //!   Σ u_D − n/4` (Definition 4.4) are maintained incrementally.
 //!
-//! The layout is dense: chunks live in a vector indexed by chunk number,
-//! and each object's backrefs in a vector indexed by object id. A backref
-//! is the start word address of the chunk it names, so it stays valid
-//! across step changes (the chunk index is `addr >> step`).
+//! The layout is sized by the associated objects, not by the ids ever
+//! issued:
+//!
+//! * every chunk's entries are one contiguous run of a flat arena. A step
+//!   change and each shedding pass rebuild the arena with the runs in
+//!   chunk order; a chunk that a fresh allocation resets starts a new run
+//!   at the arena's tail, and the cells it leaves behind are dropped by
+//!   the next rebuild;
+//! * the backrefs of live objects are a list sorted by id, one record per
+//!   associated object. An object that loses its last backref leaves a
+//!   tombstone there until the next shedding pass. A backref is the start
+//!   word address of the chunk it names, so it stays valid across step
+//!   changes (the chunk index is `addr >> step`).
+//!
+//! Ids, entry sizes, arena positions and chunk addresses are packed in
+//! `u32`s: the heap keeps object ids and addresses below 2³².
 
 use std::cmp::Reverse;
 
@@ -27,22 +39,35 @@ use pcb_heap::ObjectId;
 
 /// One element of an `O_D` set: a whole object or one of its halves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Entry {
-    /// The associated object.
-    pub id: ObjectId,
+struct Entry {
+    /// The associated object's raw id.
+    id: u32,
     /// Words this entry contributes to the chunk (the object's size, or
     /// half of it for a half-entry).
-    pub words: u64,
+    words: u32,
     /// Whether the object is still live (dead entries are left behind by
     /// compacted-then-freed objects).
-    pub live: bool,
+    live: bool,
     /// Whether this is one half of an object split across two chunks.
-    pub half: bool,
+    half: bool,
 }
 
-#[derive(Debug, Clone, Default)]
+impl Entry {
+    fn new(id: ObjectId, words: u64, live: bool, half: bool) -> Self {
+        Entry {
+            id: raw_id(id),
+            words: u32::try_from(words).expect("objects are smaller than 2^32 words"),
+            live,
+            half,
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy, Default)]
 struct Chunk {
-    entries: Vec<Entry>,
+    /// The chunk's entries are `entries[start..start + len]`.
+    start: u32,
+    len: u32,
     /// Sum of `words` over entries (maintained, not recomputed).
     sum: u64,
     /// Membership in the set `E` of middle chunks (Definition 4.12).
@@ -52,7 +77,7 @@ struct Chunk {
 impl Chunk {
     /// Whether the chunk has a non-empty association or is in `E`.
     fn is_used(&self) -> bool {
-        !self.entries.is_empty() || self.in_e
+        self.len != 0 || self.in_e
     }
 
     /// `u_D` for a chunk of `2^step` words at density exponent `rho`.
@@ -64,10 +89,52 @@ impl Chunk {
             cap.min((self.sum as u128) << rho)
         }
     }
+
+    fn run(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+
+    /// Appends `entry` to the chunk's run. A run that does not end at the
+    /// arena's tail is first copied there. A full arena grows by half its
+    /// length, not by doubling: a run holds a whole object or one of its
+    /// two halves, so doubling could reach four records per object.
+    fn push(&mut self, entries: &mut Vec<Entry>, entry: Entry) {
+        if entries.len() + self.len as usize >= entries.capacity() {
+            entries.reserve_exact(entries.len() / 2 + self.len as usize + 1);
+        }
+        if self.len == 0 {
+            self.start = arena_pos(entries.len());
+        } else if self.run().end != entries.len() {
+            let run = self.run();
+            self.start = arena_pos(entries.len());
+            entries.extend_from_within(run);
+        }
+        entries.push(entry);
+        self.len += 1;
+        self.sum += u64::from(entry.words);
+    }
+}
+
+/// A live object's backrefs: the start addresses of the (at most two)
+/// chunks holding its entries, `NO_CHUNK` when absent and never in slot 0
+/// alone. Two backrefs that fall in the same chunk after a step change
+/// name that chunk once. Both empty is a tombstone.
+#[derive(Debug, Clone, Copy)]
+struct Backref {
+    id: u32,
+    at: [u32; 2],
 }
 
 /// Marks an empty backref slot.
-const NO_CHUNK: u64 = u64::MAX;
+const NO_CHUNK: u32 = u32::MAX;
+
+fn raw_id(id: ObjectId) -> u32 {
+    u32::try_from(id.get()).expect("the heap keeps object ids below 2^32")
+}
+
+fn arena_pos(len: usize) -> u32 {
+    u32::try_from(len).expect("the entry arena holds fewer than 2^32 entries")
+}
 
 /// The association state at one step, with `u(t)` maintained incrementally.
 #[derive(Debug, Clone)]
@@ -80,13 +147,12 @@ pub struct Association {
     /// Chunk `k` covers words `[k·2^step, (k+1)·2^step)`; chunks past the
     /// last used one may be absent.
     chunks: Vec<Chunk>,
+    /// The entry arena the chunks' runs live in.
+    entries: Vec<Entry>,
     /// Number of chunks with a non-empty association or in `E`.
     used: usize,
-    /// Live-object backrefs, indexed by object id: the start addresses of
-    /// the (at most two) chunks holding the object's entries, `NO_CHUNK`
-    /// when absent and never in slot 0 alone. Two backrefs that fall in
-    /// the same chunk after a step change name that chunk once.
-    backrefs: Vec<[u64; 2]>,
+    /// Live-object backrefs, sorted by id.
+    backrefs: Vec<Backref>,
     /// Σ u_D over all chunks, in words.
     u_sum: u128,
 }
@@ -98,10 +164,58 @@ impl Association {
             step,
             rho,
             chunks: Vec::new(),
+            entries: Vec::new(),
             used: 0,
             backrefs: Vec::new(),
             u_sum: 0,
         }
+    }
+
+    /// Line 9 of Algorithm 1 in bulk: the association over chunks of
+    /// `2^step` words of the stage-I survivors, each `(index, id, words,
+    /// live)` whole in the chunk at `index`. The same state as
+    /// [`associate_whole`](Self::associate_whole) called for each survivor
+    /// in turn, built in two passes (count, then fill) so every chunk's
+    /// run is exactly sized and no run is ever copied.
+    pub fn from_survivors<I>(step: u32, rho: u32, survivors: I) -> Self
+    where
+        I: Iterator<Item = (u64, ObjectId, u64, bool)> + Clone,
+    {
+        let mut assoc = Association::new(step, rho);
+        let mut live = 0;
+        for (index, _, _, is_live) in survivors.clone() {
+            assoc.chunk_mut(index).len += 1;
+            live += usize::from(is_live);
+        }
+        assoc.chunks.shrink_to_fit();
+        let mut total = 0u32;
+        for chunk in &mut assoc.chunks {
+            chunk.start = total;
+            total = total
+                .checked_add(chunk.len)
+                .expect("the entry arena holds fewer than 2^32 entries");
+            chunk.len = 0;
+        }
+        let blank = Entry {
+            id: 0,
+            words: 0,
+            live: false,
+            half: false,
+        };
+        assoc.entries = vec![blank; total as usize];
+        assoc.backrefs.reserve_exact(live);
+        for (index, id, words, is_live) in survivors {
+            let entry = Entry::new(id, words, is_live, false);
+            let chunk = &mut assoc.chunks[index as usize];
+            assoc.entries[(chunk.start + chunk.len) as usize] = entry;
+            chunk.len += 1;
+            chunk.sum += words;
+            if is_live {
+                assoc.add_backref(id, index);
+            }
+        }
+        assoc.recount();
+        assoc
     }
 
     /// Current step (chunk order).
@@ -140,110 +254,167 @@ impl Association {
         self.chunks.get(index as usize).map_or(0, |c| c.sum)
     }
 
-    /// Applies `f` to the chunk at `index`, keeping `u_sum` and the used
-    /// count consistent.
-    fn update<R>(&mut self, index: u64, f: impl FnOnce(&mut Chunk) -> R) -> R {
+    /// The chunk at `index`, growing the table to reach it.
+    fn chunk_mut(&mut self, index: u64) -> &mut Chunk {
         let i = index as usize;
         if i >= self.chunks.len() {
-            self.chunks.resize_with(i + 1, Chunk::default);
+            self.chunks.resize(i + 1, Chunk::default());
         }
+        &mut self.chunks[i]
+    }
+
+    /// Recomputes the used count and `u_sum` from scratch.
+    fn recount(&mut self) {
         let (step, rho) = (self.step, self.rho);
-        let chunk = &mut self.chunks[i];
+        self.used = self.chunks.iter().filter(|c| c.is_used()).count();
+        self.u_sum = self.chunks.iter().map(|c| c.potential(step, rho)).sum();
+    }
+
+    /// Applies `f` to the chunk at `index` and the entry arena, keeping
+    /// `u_sum` and the used count consistent.
+    fn update<R>(&mut self, index: u64, f: impl FnOnce(&mut Chunk, &mut Vec<Entry>) -> R) -> R {
+        let (step, rho) = (self.step, self.rho);
+        self.chunk_mut(index);
+        let chunk = &mut self.chunks[index as usize];
         let (was_used, before) = (chunk.is_used(), chunk.potential(step, rho));
-        let r = f(chunk);
+        let r = f(chunk, &mut self.entries);
         let (is_used, after) = (chunk.is_used(), chunk.potential(step, rho));
         self.used = self.used + usize::from(is_used) - usize::from(was_used);
         self.u_sum = self.u_sum - before + after;
         r
     }
 
-    /// The object's backref slot (both empty if it has none).
-    fn refs(&self, id: ObjectId) -> [u64; 2] {
-        self.backrefs
-            .get(id.get() as usize)
-            .copied()
-            .unwrap_or([NO_CHUNK; 2])
+    /// The chunk at `index`'s entries (empty for an unused chunk).
+    fn entries_of(&self, index: u64) -> &[Entry] {
+        self.chunks
+            .get(index as usize)
+            .map_or(&[], |c| &self.entries[c.run()])
     }
 
-    fn set_refs(&mut self, id: ObjectId, refs: [u64; 2]) {
-        let i = id.get() as usize;
-        if i >= self.backrefs.len() {
-            if refs[0] == NO_CHUNK {
-                return;
-            }
-            self.backrefs.resize(i + 1, [NO_CHUNK; 2]);
+    /// The position of the object's backref record, tombstone or not.
+    fn backref_pos(&self, id: ObjectId) -> Result<usize, usize> {
+        let raw = raw_id(id);
+        match self.backrefs.last() {
+            Some(last) if last.id < raw => Err(self.backrefs.len()),
+            _ => self.backrefs.binary_search_by_key(&raw, |b| b.id),
         }
-        self.backrefs[i] = refs;
+    }
+
+    /// The object's backref slots (both empty if it has none).
+    fn refs(&self, id: ObjectId) -> [u32; 2] {
+        self.backref_pos(id)
+            .map_or([NO_CHUNK; 2], |pos| self.backrefs[pos].at)
+    }
+
+    fn set_refs(&mut self, id: ObjectId, at: [u32; 2]) {
+        match self.backref_pos(id) {
+            Ok(pos) => self.backrefs[pos].at = at,
+            Err(_) if at[0] == NO_CHUNK => {}
+            Err(pos) => self.backrefs.insert(pos, Backref { id: raw_id(id), at }),
+        }
+    }
+
+    /// The start word address of the chunk at `index`, as a backref.
+    fn chunk_addr(&self, index: u64) -> u32 {
+        u32::try_from(index << self.step)
+            .ok()
+            .filter(|&a| a != NO_CHUNK)
+            .expect("chunks start below 2^32 - 1 words")
+    }
+
+    /// Adds a backref from the object to the chunk at `index`.
+    fn add_backref(&mut self, id: ObjectId, index: u64) {
+        let addr = self.chunk_addr(index);
+        let mut at = self.refs(id);
+        let slot = at
+            .iter_mut()
+            .find(|a| **a == NO_CHUNK)
+            .expect("an object is associated with at most two chunks");
+        *slot = addr;
+        self.set_refs(id, at);
     }
 
     /// The distinct chunk indices an object's backrefs name.
     fn chunks_of(&self, id: ObjectId) -> (Option<u64>, Option<u64>) {
-        let [a, b] = self.refs(id);
-        let first = (a != NO_CHUNK).then(|| a >> self.step);
-        let second = (b != NO_CHUNK && Some(b >> self.step) != first).then(|| b >> self.step);
+        self.distinct_chunks(self.refs(id))
+    }
+
+    /// The distinct chunk indices the backref slots `at` name.
+    fn distinct_chunks(&self, [a, b]: [u32; 2]) -> (Option<u64>, Option<u64>) {
+        let step = self.step;
+        let first = (a != NO_CHUNK).then(|| u64::from(a) >> step);
+        let second =
+            (b != NO_CHUNK && Some(u64::from(b) >> step) != first).then(|| u64::from(b) >> step);
         (first, second)
     }
 
     /// Removes the object's backrefs to the chunk at `index`.
     fn drop_backref(&mut self, id: ObjectId, index: u64) {
         let step = self.step;
-        let [a, b] = self
-            .refs(id)
-            .map(|r| if r >> step == index { NO_CHUNK } else { r });
+        let [a, b] = self.refs(id).map(|r| {
+            if r != NO_CHUNK && u64::from(r) >> step == index {
+                NO_CHUNK
+            } else {
+                r
+            }
+        });
         self.set_refs(id, if a == NO_CHUNK { [b, NO_CHUNK] } else { [a, b] });
     }
 
     /// Associates a whole live object with the chunk at `index` (used by
     /// line 9 of Algorithm 1 for the f_ρ-occupying survivors of stage I).
     pub fn associate_whole(&mut self, index: u64, id: ObjectId, words: u64, live: bool) {
-        self.update(index, |chunk| {
-            chunk.entries.push(Entry {
-                id,
-                words,
-                live,
-                half: false,
-            });
-            chunk.sum += words;
-        });
+        let entry = Entry::new(id, words, live, false);
+        self.update(index, |chunk, entries| chunk.push(entries, entry));
         if live {
-            let mut refs = self.refs(id);
-            let slot = refs
-                .iter_mut()
-                .find(|a| **a == NO_CHUNK)
-                .expect("an object is associated with at most two chunks");
-            *slot = index << self.step;
-            self.set_refs(id, refs);
+            self.add_backref(id, index);
         }
     }
 
     /// Doubles the chunk size: each pair of adjacent chunks becomes one
     /// (line 12: `O_D = O_D1 ∪ O_D2`), and `E` membership lapses
-    /// (Definition 4.12).
+    /// (Definition 4.12). The arena is rebuilt with the merged runs in
+    /// chunk order, dropping the cells reset chunks left behind.
     pub fn advance_step(&mut self) {
         self.step += 1;
         let merged_len = self.chunks.len().div_ceil(2);
-        let mut halves: Vec<(ObjectId, usize)> = Vec::new();
+        let kept: usize = self.chunks.iter().map(|c| c.len as usize).sum();
+        let mut entries = Vec::with_capacity(kept);
+        let mut halves: Vec<(u32, usize)> = Vec::new();
         for k in 0..merged_len {
-            let mut lo = std::mem::take(&mut self.chunks[2 * k]);
-            let mut hi = self
-                .chunks
-                .get_mut(2 * k + 1)
-                .map(std::mem::take)
-                .unwrap_or_default();
-            coalesce_halves(&mut lo, &mut hi, &mut halves);
-            lo.sum += hi.sum;
-            if lo.entries.is_empty() {
-                lo.entries = hi.entries;
-            } else {
-                lo.entries.append(&mut hi.entries);
-            }
-            lo.in_e = false;
-            self.chunks[k] = lo;
+            let lo = self.chunks[2 * k];
+            let hi = self.chunks.get(2 * k + 1).copied().unwrap_or_default();
+            let start = entries.len();
+            entries.extend_from_slice(&self.entries[lo.run()]);
+            merge_run(&mut entries, start, &self.entries[hi.run()], &mut halves);
+            self.chunks[k] = Chunk {
+                start: arena_pos(start),
+                len: arena_pos(entries.len() - start),
+                sum: lo.sum + hi.sum,
+                in_e: false,
+            };
         }
         self.chunks.truncate(merged_len);
-        let (step, rho) = (self.step, self.rho);
-        self.used = self.chunks.iter().filter(|c| c.is_used()).count();
-        self.u_sum = self.chunks.iter().map(|c| c.potential(step, rho)).sum();
+        self.chunks.shrink_to_fit();
+        self.entries = entries;
+        self.recount();
+    }
+
+    /// Drops the cells no run holds and the backref tombstones, so both
+    /// tables shrink with the objects they describe.
+    fn compact(&mut self) {
+        let kept: usize = self.chunks.iter().map(|c| c.len as usize).sum();
+        let mut entries = Vec::with_capacity(kept);
+        for chunk in &mut self.chunks {
+            let start = arena_pos(entries.len());
+            entries.extend_from_slice(&self.entries[chunk.run()]);
+            chunk.start = start;
+        }
+        self.entries = entries;
+        self.backrefs.retain(|b| b.at[0] != NO_CHUNK);
+        if self.backrefs.capacity() > 2 * self.backrefs.len() {
+            self.backrefs.shrink_to_fit();
+        }
     }
 
     /// Marks a (compacted-then-freed) object's entries dead; the entries
@@ -253,9 +424,10 @@ impl Association {
     pub fn mark_dead(&mut self, id: ObjectId) {
         let (first, second) = self.chunks_of(id);
         self.set_refs(id, [NO_CHUNK; 2]);
+        let raw = raw_id(id);
         for index in first.into_iter().chain(second) {
-            self.update(index, |chunk| {
-                for e in chunk.entries.iter_mut().filter(|e| e.id == id) {
+            self.update(index, |chunk, entries| {
+                for e in entries[chunk.run()].iter_mut().filter(|e| e.id == raw) {
                     e.live = false;
                 }
             });
@@ -278,77 +450,86 @@ impl Association {
     /// once stays too large: one pass over the live entries in descending
     /// order makes the same choices.
     ///
-    /// Returns the objects to free, in a deterministic order.
-    pub fn shed_density_surplus(&mut self) -> Vec<ObjectId> {
+    /// Returns the objects to free, in a deterministic order, and their
+    /// total size in words (a dropped whole entry carries its object's
+    /// full size).
+    pub fn shed_density_surplus(&mut self) -> (Vec<ObjectId>, u64) {
         let threshold = 1u64 << (self.step - self.rho);
         let mut freed = Vec::new();
+        let mut freed_words = 0;
         let mut worklist: Vec<u64> = (0..self.chunks.len() as u64)
             .filter(|&i| self.chunks[i as usize].is_used())
             .collect();
         let mut candidates: Vec<Entry> = Vec::new();
         while let Some(index) = worklist.pop() {
-            let chunk = &self.chunks[index as usize];
+            let sum = self.chunks[index as usize].sum;
             candidates.clear();
             candidates.extend(
-                chunk
-                    .entries
+                self.entries_of(index)
                     .iter()
-                    .filter(|e| e.live && chunk.sum - e.words >= threshold),
+                    .filter(|e| e.live && sum - u64::from(e.words) >= threshold),
             );
             candidates.sort_unstable_by_key(|e| Reverse((e.words, !e.half, e.id)));
             for &entry in &candidates {
-                if self.chunks[index as usize].sum - entry.words < threshold {
+                let words = u64::from(entry.words);
+                if self.chunks[index as usize].sum - words < threshold {
                     continue;
                 }
-                self.update(index, |chunk| {
-                    let pos = chunk
-                        .entries
+                self.update(index, |chunk, entries| {
+                    let run = &mut entries[chunk.run()];
+                    let pos = run
                         .iter()
                         .position(|e| e.id == entry.id && e.half == entry.half)
                         .expect("candidate entry present");
-                    chunk.entries.swap_remove(pos);
-                    chunk.sum -= entry.words;
+                    run.swap(pos, run.len() - 1);
+                    chunk.len -= 1;
+                    chunk.sum -= words;
                 });
+                let id = ObjectId::from_raw(u64::from(entry.id));
                 if entry.half {
                     // Re-assign the dropped half to the chunk holding the
                     // other half, then re-evaluate that chunk.
                     let step = self.step;
-                    let [a, b] = self.refs(entry.id);
-                    let partner_addr = if a >> step == index { b } else { a };
+                    let [a, b] = self.refs(id);
+                    let partner_addr = if u64::from(a) >> step == index { b } else { a };
                     assert!(partner_addr != NO_CHUNK, "a live half has a partner chunk");
-                    self.set_refs(entry.id, [partner_addr, NO_CHUNK]);
-                    let partner = partner_addr >> step;
-                    self.update(partner, |chunk| {
-                        let other = chunk
-                            .entries
+                    self.set_refs(id, [partner_addr, NO_CHUNK]);
+                    let partner = u64::from(partner_addr) >> step;
+                    self.update(partner, |chunk, entries| {
+                        let other = entries[chunk.run()]
                             .iter_mut()
                             .find(|e| e.id == entry.id && e.live)
                             .expect("partner holds the other half");
                         debug_assert!(other.half);
                         other.half = false;
                         other.words += entry.words;
-                        chunk.sum += entry.words;
+                        chunk.sum += words;
                     });
                     worklist.push(partner);
                 } else {
-                    self.set_refs(entry.id, [NO_CHUNK; 2]);
-                    freed.push(entry.id);
+                    self.set_refs(id, [NO_CHUNK; 2]);
+                    freed.push(id);
+                    freed_words += words;
                 }
             }
         }
         freed.sort_unstable();
-        freed
+        self.compact();
+        (freed, freed_words)
     }
 
     /// Empties the chunk at `index` (association and `E` membership).
     fn reset(&mut self, index: u64) {
         // Only dead residue can sit on chunks a new object fully covers,
         // but stay defensive and drop the backrefs of live entries.
-        let live: Vec<ObjectId> = self.chunks.get(index as usize).map_or(Vec::new(), |c| {
-            c.entries.iter().filter(|e| e.live).map(|e| e.id).collect()
-        });
-        self.update(index, |chunk| {
-            chunk.entries.clear();
+        let live: Vec<ObjectId> = self
+            .entries_of(index)
+            .iter()
+            .filter(|e| e.live)
+            .map(|e| ObjectId::from_raw(u64::from(e.id)))
+            .collect();
+        self.update(index, |chunk, _| {
+            chunk.len = 0;
             chunk.sum = 0;
             chunk.in_e = false;
         });
@@ -367,22 +548,12 @@ impl Association {
         for index in [d1, d2, d3] {
             self.reset(index);
         }
-        let half = size / 2;
+        let half = Entry::new(id, size / 2, true, true);
         for index in [d1, d3] {
-            self.update(index, |chunk| {
-                chunk.entries.push(Entry {
-                    id,
-                    words: half,
-                    live: true,
-                    half: true,
-                });
-                chunk.sum += half;
-            });
+            self.update(index, |chunk, entries| chunk.push(entries, half));
         }
-        self.update(d2, |chunk| {
-            chunk.in_e = true;
-        });
-        self.set_refs(id, [d1 << self.step, d3 << self.step]);
+        self.update(d2, |chunk, _| chunk.in_e = true);
+        self.set_refs(id, [self.chunk_addr(d1), self.chunk_addr(d3)]);
     }
 
     /// The no-halves variant of [`claim_new_object`](Self::claim_new_object)
@@ -394,16 +565,9 @@ impl Association {
         for index in [d1, d2, d3] {
             self.reset(index);
         }
-        self.update(d1, |chunk| {
-            chunk.entries.push(Entry {
-                id,
-                words: size,
-                live: true,
-                half: false,
-            });
-            chunk.sum += size;
-        });
-        self.set_refs(id, [d1 << self.step, NO_CHUNK]);
+        let whole = Entry::new(id, size, true, false);
+        self.update(d1, |chunk, entries| chunk.push(entries, whole));
+        self.set_refs(id, [self.chunk_addr(d1), NO_CHUNK]);
     }
 
     /// Total words in live entries (the live space the association is
@@ -411,9 +575,9 @@ impl Association {
     pub fn live_associated_words(&self) -> u128 {
         self.chunks
             .iter()
-            .flat_map(|c| &c.entries)
+            .flat_map(|c| &self.entries[c.run()])
             .filter(|e| e.live)
-            .map(|e| e.words as u128)
+            .map(|e| u128::from(e.words))
             .sum()
     }
 
@@ -425,63 +589,102 @@ impl Association {
             .enumerate()
             .filter(|(_, c)| c.is_used())
             .map(|(i, c)| {
+                let run = &self.entries[c.run()];
                 (
                     i as u64,
                     c.sum,
-                    c.entries.iter().filter(|e| e.live).count(),
-                    c.entries.len(),
+                    run.iter().filter(|e| e.live).count(),
+                    run.len(),
                     c.in_e,
                 )
             })
             .collect()
     }
 
+    /// Capacities of the per-object tables (entry arena, backref list),
+    /// in records.
+    #[cfg(test)]
+    pub(crate) fn table_capacities(&self) -> [usize; 2] {
+        [self.entries.capacity(), self.backrefs.capacity()]
+    }
+
     /// Checks Claim 4.15-style structural invariants plus internal
     /// consistency; returns a description of the first violation.
     pub fn check_invariants(&self) -> Result<(), String> {
-        // Live half-entries per object id.
-        let mut halves = vec![0u32; self.backrefs.len()];
+        // Runs must lie inside the arena and not overlap.
+        let mut owned = vec![false; self.entries.len()];
         for (index, chunk) in self.chunks.iter().enumerate() {
-            let sum: u64 = chunk.entries.iter().map(|e| e.words).sum();
+            let run = chunk.run();
+            if run.end > self.entries.len() {
+                return Err(format!("chunk {index}: run {run:?} past the arena"));
+            }
+            if owned[run.clone()].iter().any(|&o| o) {
+                return Err(format!("chunk {index}: run {run:?} overlaps another"));
+            }
+            owned[run].fill(true);
+        }
+        if let Some(w) = self.backrefs.windows(2).find(|w| w[0].id >= w[1].id) {
+            return Err(format!(
+                "backrefs of {} and {} out of order",
+                w[0].id, w[1].id
+            ));
+        }
+        // Live entries packed as `id << 32 | chunk index << 1 | half` (a
+        // chunk index is below 2³¹: addresses are below 2³² and the step is
+        // at least 1), sorted to match against the backrefs in id order.
+        let mut live: Vec<u64> = Vec::new();
+        for (index, chunk) in self.chunks.iter().enumerate() {
+            let run = &self.entries[chunk.run()];
+            let sum: u64 = run.iter().map(|e| u64::from(e.words)).sum();
             if sum != chunk.sum {
                 return Err(format!("chunk {index}: sum {} != {}", chunk.sum, sum));
             }
-            if chunk.in_e && !chunk.entries.is_empty() {
+            if chunk.in_e && !run.is_empty() {
                 return Err(format!("chunk {index}: in E but has entries"));
             }
-            for e in &chunk.entries {
-                if e.words == 0 {
-                    return Err(format!("chunk {index}: zero-word entry {}", e.id));
-                }
-                if e.live {
-                    let (first, second) = self.chunks_of(e.id);
-                    if first.is_none() {
-                        return Err(format!("live {} missing backrefs", e.id));
-                    }
-                    if first != Some(index as u64) && second != Some(index as u64) {
-                        return Err(format!("live {} lacks backref to {index}", e.id));
-                    }
-                    if e.half {
-                        halves[e.id.get() as usize] += 1;
-                    }
-                }
+            if let Some(e) = run.iter().find(|e| e.words == 0) {
+                return Err(format!("chunk {index}: zero-word entry o{}", e.id));
+            }
+            live.extend(
+                run.iter()
+                    .filter(|e| e.live)
+                    .map(|e| u64::from(e.id) << 32 | (index as u64) << 1 | u64::from(e.half)),
+            );
+        }
+        live.sort_unstable();
+        let id_of = |key: u64| (key >> 32) as u32;
+        let missing = |key: u64| Err(format!("live o{} missing backrefs", id_of(key)));
+        let mut rest = live.as_slice();
+        for b in &self.backrefs {
+            if b.at[0] == NO_CHUNK && b.at[1] != NO_CHUNK {
+                return Err(format!("object {}: backref slot 0 empty, slot 1 set", b.id));
+            }
+            let unreferenced = rest.partition_point(|&k| id_of(k) < b.id);
+            if let Some(&key) = rest[..unreferenced].first() {
+                return missing(key);
+            }
+            rest = &rest[unreferenced..];
+            let (mine, tail) = rest.split_at(rest.partition_point(|&k| id_of(k) == b.id));
+            rest = tail;
+            let (first, second) = self.distinct_chunks(b.at);
+            if let (Some(&key), None) = (mine.first(), first) {
+                return missing(key);
+            }
+            let chunk_of = |key: u64| (key & 0xffff_ffff) >> 1;
+            if let Some(&key) = mine
+                .iter()
+                .find(|&&k| first != Some(chunk_of(k)) && second != Some(chunk_of(k)))
+            {
+                return Err(format!("live o{} lacks backref to {}", b.id, chunk_of(key)));
+            }
+            // Claim 4.15(2): a live object is whole in one chunk or split
+            // as two halves over two chunks.
+            if second.is_some() && mine.iter().filter(|&&k| k & 1 == 1).count() != 2 {
+                return Err(format!("o{} in two chunks but not as two halves", b.id));
             }
         }
-        // Claim 4.15(2): a live object is whole in one chunk or split as
-        // two halves over two chunks.
-        for (raw, &count) in halves.iter().enumerate() {
-            let id = ObjectId::from_raw(raw as u64);
-            if self.chunks_of(id).1.is_some() && count != 2 {
-                return Err(format!("{id} in two chunks but not as two halves"));
-            }
-        }
-        if let Some((raw, _)) = self
-            .backrefs
-            .iter()
-            .enumerate()
-            .find(|(_, r)| r[0] == NO_CHUNK && r[1] != NO_CHUNK)
-        {
-            return Err(format!("object {raw}: backref slot 0 empty, slot 1 set"));
+        if let Some(&key) = rest.first() {
+            return missing(key);
         }
         let used = self.chunks.iter().filter(|c| c.is_used()).count();
         if used != self.used {
@@ -500,39 +703,39 @@ impl Association {
     }
 }
 
-/// Coalesces the half-entries of objects whose two halves sit in the two
-/// merging chunks `lo` and `hi`: the half in `lo` becomes whole and the one
-/// in `hi` goes, so the shedding logic never sees a half without a distinct
-/// partner. Entries of one chunk have distinct ids, so only pairs across
-/// the two chunks can match.
-fn coalesce_halves(lo: &mut Chunk, hi: &mut Chunk, scratch: &mut Vec<(ObjectId, usize)>) {
-    if hi.entries.is_empty() {
-        return;
-    }
+/// Appends the run `hi` to the run `out[lo_start..]`, coalescing the
+/// half-entries of objects whose two halves sit in the two merging runs:
+/// the half in `lo` becomes whole and the one in `hi` goes, so the
+/// shedding logic never sees a half without a distinct partner. Entries of
+/// one chunk have distinct ids, so only pairs across the two runs can
+/// match.
+fn merge_run(out: &mut Vec<Entry>, lo_start: usize, hi: &[Entry], scratch: &mut Vec<(u32, usize)>) {
     scratch.clear();
-    scratch.extend(
-        lo.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.half)
-            .map(|(i, e)| (e.id, i)),
-    );
+    if !hi.is_empty() {
+        scratch.extend(
+            out[lo_start..]
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.half)
+                .map(|(i, e)| (e.id, lo_start + i)),
+        );
+    }
     if scratch.is_empty() {
+        out.extend_from_slice(hi);
         return;
     }
     scratch.sort_unstable();
-    hi.entries.retain(|e| {
-        if !e.half {
-            return true;
+    for &e in hi {
+        if e.half {
+            if let Ok(k) = scratch.binary_search_by_key(&e.id, |&(id, _)| id) {
+                let whole = &mut out[scratch[k].1];
+                whole.words += e.words;
+                whole.half = false;
+                continue;
+            }
         }
-        let Ok(k) = scratch.binary_search_by_key(&e.id, |&(id, _)| id) else {
-            return true;
-        };
-        let whole = &mut lo.entries[scratch[k].1];
-        whole.words += e.words;
-        whole.half = false;
-        false
-    });
+        out.push(e);
+    }
 }
 
 #[cfg(test)]
@@ -553,7 +756,7 @@ mod tests {
         a.claim_new_object_for_test(7, id(2), 4); // O2 halves on C7, C8
         a.associate_whole(9, id(3), 2, true); // O3 on C9
         a.check_invariants().unwrap();
-        let freed = a.shed_density_surplus();
+        let (freed, _) = a.shed_density_surplus();
         // C7 has sum 4 (O1=2 + half O2=2): dropping O1 leaves 2 >= 2. The
         // half of O2 cannot leave C7 (C7 would fall to 2-2=0 < 2 after?
         // dropping the half leaves O1's 2 words = threshold, so the half
@@ -574,20 +777,42 @@ mod tests {
         /// the line-14 reset semantics.
         fn claim_new_object_for_test(&mut self, d: u64, id_: ObjectId, size: u64) {
             let half = size / 2;
-            for (k, index) in [d, d + 1].into_iter().enumerate() {
-                let _ = k;
-                self.update(index, |chunk| {
-                    chunk.entries.push(Entry {
-                        id: id_,
-                        words: half,
-                        live: true,
-                        half: true,
-                    });
-                    chunk.sum += half;
-                });
+            let entry = Entry::new(id_, half, true, true);
+            for index in [d, d + 1] {
+                self.update(index, |chunk, entries| chunk.push(entries, entry));
             }
-            self.set_refs(id_, [d << self.step, (d + 1) << self.step]);
+            self.set_refs(id_, [self.chunk_addr(d), self.chunk_addr(d + 1)]);
         }
+    }
+
+    #[test]
+    fn from_survivors_matches_one_by_one_association() {
+        let survivors = [
+            (5, 1, 2, true),
+            (2, 3, 1, false),
+            (5, 4, 4, true),
+            (0, 6, 2, true),
+        ];
+        let bulk = Association::from_survivors(
+            3,
+            2,
+            survivors
+                .iter()
+                .map(|&(index, raw, words, live)| (index, id(raw), words, live)),
+        );
+        let mut single = Association::new(3, 2);
+        for &(index, raw, words, live) in &survivors {
+            single.associate_whole(index, id(raw), words, live);
+        }
+        bulk.check_invariants().unwrap();
+        assert_eq!(bulk.chunk_stats(), single.chunk_stats());
+        assert_eq!(bulk.u_sum(), single.u_sum());
+        assert_eq!(bulk.used_chunks(), single.used_chunks());
+        for raw in 0..8 {
+            assert_eq!(bulk.is_associated(id(raw)), single.is_associated(id(raw)));
+        }
+        // The bulk build sizes the arena exactly.
+        assert_eq!(bulk.table_capacities(), [4, 3]);
     }
 
     #[test]
@@ -629,7 +854,7 @@ mod tests {
         a.mark_dead(id(1));
         assert_eq!(a.u_sum(), u_before, "death does not change u");
         assert!(!a.is_associated(id(1)));
-        let freed = a.shed_density_surplus();
+        let (freed, _) = a.shed_density_surplus();
         assert!(freed.is_empty(), "dead entries are never shed");
         a.check_invariants().unwrap();
     }
@@ -663,14 +888,14 @@ mod tests {
         let mut a = Association::new(4, 2); // threshold 4
         a.associate_whole(0, id(1), 4, true);
         a.associate_whole(0, id(2), 4, true);
-        let freed = a.shed_density_surplus();
+        let (freed, _) = a.shed_density_surplus();
         assert_eq!(freed.len(), 1, "exactly one of the two 4-word objects");
         let stats = a.chunk_stats();
         assert_eq!(stats[0].1, 4, "threshold retained");
         // A chunk below threshold sheds nothing.
         let mut b = Association::new(4, 2);
         b.associate_whole(0, id(3), 2, true);
-        assert!(b.shed_density_surplus().is_empty());
+        assert!(b.shed_density_surplus().0.is_empty());
     }
 
     #[test]
@@ -682,7 +907,7 @@ mod tests {
         a.associate_whole(1, id(11), 4, true);
         a.claim_new_object_for_test(0, id(12), 8);
         a.check_invariants().unwrap();
-        let freed = a.shed_density_surplus();
+        let (freed, _) = a.shed_density_surplus();
         a.check_invariants().unwrap();
         // Enough mass exists to free both whole objects: each chunk ends
         // holding exactly one half... or the halves migrate to one chunk.

@@ -48,7 +48,7 @@ mod occupancy;
 mod pf;
 mod robson_program;
 
-pub use association::{Association, Entry};
+pub use association::Association;
 pub use math::{
     optimal_rho, optimal_rho_memo, rho_feasible, stage1_alloc_fraction, stage2_alloc_fraction,
     waste_factor, SCALED_SLACK,

@@ -142,74 +142,104 @@ impl PfConfig {
     }
 }
 
+/// A stage-I object in 12 bytes: the heap keeps object ids and addresses
+/// below 2³², and stage-I sizes are at most `2^ρ` words. Size zero marks a
+/// tombstone, left by an object that moved until the next Robson pass
+/// drops it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LiveObj {
-    addr: Addr,
-    size: Size,
+struct Obj {
+    id: u32,
+    addr: u32,
+    size: u32,
 }
 
-impl LiveObj {
-    /// An empty [`IdMap`] slot: no object has size zero.
-    const VACANT: LiveObj = LiveObj {
-        addr: Addr::ZERO,
-        size: Size::ZERO,
-    };
-
-    fn is_vacant(self) -> bool {
-        self.size.is_zero()
-    }
-}
-
-/// Id-indexed object table. Engine ids are small sequential integers, so
-/// a slot vector beats hashing on every placement/free, and iteration
-/// comes out in id order — which is the order every consumer sorts into
-/// anyway. A slot of size zero is vacant, which keeps a slot at 16 bytes
-/// (an `Option<LiveObj>` takes 24): the table grows with every id ever
-/// issued.
-#[derive(Debug, Default)]
-struct IdMap {
-    slots: Vec<LiveObj>,
-}
-
-impl IdMap {
-    fn insert(&mut self, id: ObjectId, obj: LiveObj) {
-        debug_assert!(!obj.is_vacant(), "objects are never empty");
-        let i = id.get() as usize;
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, LiveObj::VACANT);
+impl Obj {
+    fn new(id: ObjectId, addr: Addr, size: Size) -> Self {
+        let narrow =
+            |v: u64| u32::try_from(v).expect("the heap keeps ids and addresses below 2^32");
+        Obj {
+            id: narrow(id.get()),
+            addr: narrow(addr.get()),
+            size: narrow(size.get()),
         }
-        self.slots[i] = obj;
     }
 
-    fn get(&self, id: ObjectId) -> Option<LiveObj> {
-        self.slots
-            .get(id.get() as usize)
-            .copied()
-            .filter(|o| !o.is_vacant())
+    fn id(self) -> ObjectId {
+        ObjectId::from_raw(u64::from(self.id))
     }
 
-    fn remove(&mut self, id: ObjectId) -> Option<LiveObj> {
-        let slot = self.slots.get_mut(id.get() as usize)?;
-        let obj = std::mem::replace(slot, LiveObj::VACANT);
-        (!obj.is_vacant()).then_some(obj)
+    fn addr(self) -> Addr {
+        Addr::new(u64::from(self.addr))
     }
 
-    fn clear(&mut self) {
-        self.slots.clear();
+    fn size(self) -> Size {
+        Size::new(u64::from(self.size))
     }
 
-    /// Live entries in ascending id order.
-    fn iter(&self) -> impl Iterator<Item = (ObjectId, LiveObj)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| !o.is_vacant())
-            .map(|(i, &o)| (ObjectId::from_raw(i as u64), o))
+    fn is_tombstone(self) -> bool {
+        self.size == 0
     }
 
-    fn values(&self) -> impl Iterator<Item = LiveObj> + '_ {
-        self.slots.iter().copied().filter(|o| !o.is_vacant())
+    fn occupies(self, f: u64, i: u32) -> bool {
+        is_f_occupying(self.addr(), self.size(), f, i)
     }
+}
+
+/// Stage I's live and ghost inventories merged in ascending id order,
+/// tombstones skipped; each object comes with whether it is live.
+#[derive(Debug, Clone)]
+struct IdOrder<'a> {
+    live: &'a [Obj],
+    ghosts: &'a [Obj],
+}
+
+impl Iterator for IdOrder<'_> {
+    type Item = (Obj, bool);
+
+    fn next(&mut self) -> Option<(Obj, bool)> {
+        loop {
+            let take_live = match (self.live.first(), self.ghosts.first()) {
+                (None, None) => return None,
+                (Some(l), Some(g)) => l.id < g.id,
+                (live, _) => live.is_some(),
+            };
+            let (list, live) = if take_live {
+                (&mut self.live, true)
+            } else {
+                (&mut self.ghosts, false)
+            };
+            let (&obj, rest) = list.split_first().expect("checked non-empty");
+            *list = rest;
+            if !obj.is_tombstone() {
+                return Some((obj, live));
+            }
+        }
+    }
+}
+
+/// Drops the objects that are tombstones or not `f`-occupying at step
+/// `i`, returning the dropped words; `freed` collects the dropped objects'
+/// ids in list order. Shrinks the list once it fills less than half its
+/// capacity, so its size follows the inventory, not its peak.
+fn robson_pass(list: &mut Vec<Obj>, f: u64, i: u32, mut freed: Option<&mut Vec<ObjectId>>) -> u64 {
+    let mut words = 0;
+    list.retain(|&o| {
+        if o.is_tombstone() {
+            return false;
+        }
+        let keep = o.occupies(f, i);
+        if !keep {
+            words += u64::from(o.size);
+            if let Some(freed) = freed.as_mut() {
+                freed.push(o.id());
+            }
+        }
+        keep
+    });
+    if list.capacity() > 2 * list.len() {
+        list.shrink_to_fit();
+    }
+    words
 }
 
 /// Execution phases of `P_F`.
@@ -238,10 +268,14 @@ pub struct PfProgram {
     cfg: PfConfig,
     round: u32,
     f: u64,
-    live: IdMap,
+    /// Stage-I live objects in ascending id order (ids arrive in that
+    /// order). Emptied when the association is built: from then on the
+    /// association is the only per-object record.
+    live: Vec<Obj>,
     live_words: u64,
-    /// Stage-I ghosts at their original (birth) address.
-    ghosts: IdMap,
+    /// Stage-I ghosts at their original (birth) address, in the order
+    /// their objects moved.
+    ghosts: Vec<Obj>,
     ghost_words: u64,
     /// Incrementally maintained candidate scores over live ∪ ghosts for
     /// the next Robson offset choice. Stage-I moves are score-neutral (the
@@ -265,9 +299,9 @@ impl PfProgram {
             cfg,
             round: 0,
             f: 0,
-            live: IdMap::default(),
+            live: Vec::new(),
             live_words: 0,
-            ghosts: IdMap::default(),
+            ghosts: Vec::new(),
             ghost_words: 0,
             tracker: OffsetTracker::new(),
             assoc: None,
@@ -335,32 +369,49 @@ impl PfProgram {
 
     /// Builds the line-9 association: each `f_ρ`-occupying live or ghost
     /// object is associated with the `2^{2ρ−1}`-chunk containing its
-    /// occupying word.
+    /// occupying word. The stage-I inventories go with it.
     fn init_association(&mut self) {
         let step = 2 * self.cfg.rho - 1;
-        let mut assoc = Association::new(step, self.cfg.rho);
-        let chunk_words = 1u64 << step;
-        // `live` and `ghosts` are id-indexed with disjoint ids, so walking
-        // the ids in order visits every survivor once, in id order.
-        let ids = self.live.slots.len().max(self.ghosts.slots.len());
-        for raw in 0..ids as u64 {
-            let id = ObjectId::from_raw(raw);
-            let (obj, live) = match (self.live.get(id), self.ghosts.get(id)) {
-                (Some(obj), _) => (obj, true),
-                (None, Some(obj)) => (obj, false),
-                (None, None) => continue,
-            };
-            if let Some(word) = first_occupying_word(obj.addr, obj.size, self.f, self.cfg.rho) {
-                // The occupying word is defined w.r.t. step-ρ chunks; the
-                // association chunk (size 2^{2ρ−1}) is the one containing
-                // that word.
-                let index = word.get() / chunk_words;
-                assoc.associate_whole(index, id, obj.size.get(), live);
-            }
+        let (f, rho) = (self.f, self.cfg.rho);
+        let live = std::mem::take(&mut self.live);
+        let mut ghosts = std::mem::take(&mut self.ghosts);
+        ghosts.sort_unstable_by_key(|o| o.id);
+        let survivors = IdOrder {
+            live: &live,
+            ghosts: &ghosts,
         }
-        self.ghosts.clear();
+        .filter_map(move |(obj, live)| {
+            // The occupying word is defined w.r.t. step-ρ chunks; the
+            // association chunk (size 2^{2ρ−1}) is the one containing
+            // that word.
+            let word = first_occupying_word(obj.addr(), obj.size(), f, rho)?;
+            Some((word.get() >> step, obj.id(), u64::from(obj.size), live))
+        });
+        self.assoc = Some(Association::from_survivors(step, rho, survivors));
         self.ghost_words = 0;
-        self.assoc = Some(assoc);
+    }
+
+    /// Capacities of the per-object tables, in records: the stage-I
+    /// inventories, then the association's entry arena and backrefs.
+    #[cfg(test)]
+    fn table_capacities(&self) -> [usize; 4] {
+        let [entries, backrefs] = self
+            .assoc
+            .as_ref()
+            .map_or([0, 0], Association::table_capacities);
+        [
+            self.live.capacity(),
+            self.ghosts.capacity(),
+            entries,
+            backrefs,
+        ]
+    }
+
+    /// The position of a live stage-I object in the live list.
+    fn live_pos(&self, id: ObjectId) -> Option<usize> {
+        let raw = u32::try_from(id.get()).ok()?;
+        let pos = self.live.binary_search_by_key(&raw, |o| o.id).ok()?;
+        (!self.live[pos].is_tombstone()).then_some(pos)
     }
 
     fn validate_u_monotone(&mut self, before: i128, what: &str) {
@@ -400,34 +451,17 @@ impl Program for PfProgram {
                     self.f = self.tracker.choose();
                 }
                 let f = self.f;
-                // IdMap iteration is already in ascending id order.
-                let freed: Vec<ObjectId> = self
-                    .live
-                    .iter()
-                    .filter(|&(_, o)| !is_f_occupying(o.addr, o.size, f, i))
-                    .map(|(id, _)| id)
-                    .collect();
-                for &id in &freed {
-                    let o = self.live.remove(id).expect("selected from live");
-                    self.live_words -= o.size.get();
-                }
+                // The live list is in ascending id order, and so is `freed`.
+                let mut freed = Vec::new();
+                self.live_words -= robson_pass(&mut self.live, f, i, Some(&mut freed));
                 // Ghosts vanish silently (they are already de-allocated).
-                let ghost_gone: Vec<ObjectId> = self
-                    .ghosts
-                    .iter()
-                    .filter(|&(_, o)| !is_f_occupying(o.addr, o.size, f, i))
-                    .map(|(id, _)| id)
-                    .collect();
-                for id in ghost_gone {
-                    let o = self.ghosts.remove(id).expect("selected from ghosts");
-                    self.ghost_words -= o.size.get();
-                }
+                self.ghost_words -= robson_pass(&mut self.ghosts, f, i, None);
                 // Seed the step-(i+1) candidate scores from the surviving
                 // live-or-ghost inventory; round-`i` allocations accumulate
                 // via `placed`.
                 self.tracker.advance(f, i + 1);
-                for o in self.live.values().chain(self.ghosts.values()) {
-                    self.tracker.add(o.addr, o.size);
+                for o in self.live.iter().chain(&self.ghosts) {
+                    self.tracker.add(o.addr(), o.size());
                 }
                 freed
             }
@@ -443,7 +477,7 @@ impl Program for PfProgram {
                 self.validate_u_monotone(before, "step change");
                 // Line 13: shed surplus while keeping chunk density 2^-ρ.
                 let before = self.potential().expect("association exists");
-                let freed = self
+                let (freed, freed_words) = self
                     .assoc
                     .as_mut()
                     .expect("association exists")
@@ -454,10 +488,7 @@ impl Program for PfProgram {
                         self.violations.push(format!("step {i}: {e}"));
                     }
                 }
-                for &id in &freed {
-                    let o = self.live.remove(id).expect("shed objects are live");
-                    self.live_words -= o.size.get();
-                }
+                self.live_words -= freed_words;
                 freed
             }
         }
@@ -493,7 +524,6 @@ impl Program for PfProgram {
     }
 
     fn placed(&mut self, id: ObjectId, addr: Addr, size: Size) {
-        self.live.insert(id, LiveObj { addr, size });
         self.live_words += size.get();
         match self.phase() {
             Phase::Stage2(i) => {
@@ -528,6 +558,9 @@ impl Program for PfProgram {
                 }
             }
             Phase::Fill | Phase::Robson(_) => {
+                let obj = Obj::new(id, addr, size);
+                debug_assert!(self.live.last().is_none_or(|o| o.id < obj.id), "ids ascend");
+                self.live.push(obj);
                 self.s1_words += size.get();
                 self.tracker.add(addr, size);
             }
@@ -538,10 +571,6 @@ impl Program for PfProgram {
     fn moved(&mut self, id: ObjectId, _from: Addr, _to: Addr, size: Size) -> MoveResponse {
         // "If the memory manager compacts an object, ask [it] to
         // de-allocate this object immediately."
-        let obj = self
-            .live
-            .remove(id)
-            .expect("the manager can only move live objects");
         self.live_words -= size.get();
         match self.phase() {
             Phase::Stage2(_) => {
@@ -554,13 +583,12 @@ impl Program for PfProgram {
                 // Stage I (including fill and null steps): keep a ghost at
                 // the original allocation address (Definition 4.1).
                 self.q1_words += size.get();
-                self.ghosts.insert(
-                    id,
-                    LiveObj {
-                        addr: obj.addr,
-                        size: obj.size,
-                    },
-                );
+                let pos = self
+                    .live_pos(id)
+                    .expect("the manager can only move live objects");
+                let birth = self.live[pos];
+                self.live[pos].size = 0;
+                self.ghosts.push(birth);
                 self.ghost_words += size.get();
             }
         }
@@ -579,29 +607,74 @@ impl Program for PfProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcb_alloc::ManagerKind;
+    use pcb_heap::{Execution, Heap, NullObserver, Params};
 
     #[test]
-    fn id_map_slots_stay_16_bytes() {
-        assert_eq!(std::mem::size_of::<LiveObj>(), 16);
+    fn stage_one_records_stay_12_bytes() {
+        assert_eq!(std::mem::size_of::<Obj>(), 12);
     }
 
     #[test]
-    fn id_map_treats_size_zero_as_vacant() {
-        let mut map = IdMap::default();
-        let obj = LiveObj {
-            addr: Addr::new(0),
-            size: Size::new(2),
-        };
-        map.insert(ObjectId::from_raw(3), obj);
-        assert_eq!(map.get(ObjectId::from_raw(3)), Some(obj));
-        assert_eq!(map.get(ObjectId::from_raw(1)), None);
-        assert_eq!(map.get(ObjectId::from_raw(9)), None);
+    fn id_order_merges_live_and_ghosts_and_skips_tombstones() {
+        let obj = |id, size| Obj { id, addr: 0, size };
+        let live = [obj(1, 1), obj(4, 0), obj(6, 2)];
+        let ghosts = [obj(2, 1), obj(5, 1), obj(9, 1)];
+        let merged: Vec<(u32, bool)> = IdOrder {
+            live: &live,
+            ghosts: &ghosts,
+        }
+        .map(|(o, live)| (o.id, live))
+        .collect();
         assert_eq!(
-            map.iter().collect::<Vec<_>>(),
-            vec![(ObjectId::from_raw(3), obj)]
+            merged,
+            [(1, true), (2, false), (5, false), (6, true), (9, false)]
         );
-        assert_eq!(map.remove(ObjectId::from_raw(3)), Some(obj));
-        assert_eq!(map.remove(ObjectId::from_raw(3)), None);
-        assert_eq!(map.values().count(), 0);
+    }
+
+    /// Every per-object table is sized by the objects `P_F` holds, not by
+    /// the ids the heap has issued: at every round boundary each table's
+    /// capacity stays within twice the live objects plus the ghosts held
+    /// (the stage-I ghost list, then the association's dead entries), and
+    /// so within twice the peak of that count. The bound bites: once stage
+    /// II starts, the heap has issued more than twice as many ids as there
+    /// are objects held, so an id-indexed table fails it.
+    #[test]
+    fn per_object_tables_follow_live_and_ghost_objects() {
+        let (m, log_n, c) = (1 << 12, 8, 20);
+        let params = Params::new(m, log_n, c).expect("valid");
+        for kind in [ManagerKind::PagesThm2, ManagerKind::FirstFit] {
+            let cfg = PfConfig::new(m, log_n, c).expect("feasible");
+            let mut exec = Execution::new(Heap::new(c), PfProgram::new(cfg), kind.build(&params));
+            let (mut peak, mut max_ghosts, mut id_indexed_fails) = (0, 0, false);
+            while !exec.program().finished() {
+                exec.step_round(&mut NullObserver).expect("P_F runs");
+                let program = exec.program();
+                let ghosts = match program.association() {
+                    Some(assoc) => assoc.chunk_stats().iter().map(|s| s.3 - s.2).sum(),
+                    None => program.ghosts.len(),
+                };
+                let held = exec.heap().live_count() + ghosts;
+                peak = peak.max(held);
+                max_ghosts = max_ghosts.max(ghosts);
+                for (table, cap) in program.table_capacities().into_iter().enumerate() {
+                    assert!(
+                        cap <= 2 * held && cap <= 2 * peak,
+                        "{kind}: table {table} holds {cap} records for {held} objects \
+                         (peak {peak}) after round {}",
+                        exec.rounds()
+                    );
+                }
+                let ids = exec.heap().stats().objects_placed as usize;
+                id_indexed_fails |= program.association().is_some() && ids > 2 * held;
+            }
+            assert!(
+                id_indexed_fails,
+                "{kind}: the bound must tell id-indexed tables apart"
+            );
+            if kind == ManagerKind::PagesThm2 {
+                assert!(max_ghosts > 0, "the compacting run keeps ghosts");
+            }
+        }
     }
 }

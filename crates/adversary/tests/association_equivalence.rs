@@ -95,9 +95,17 @@ impl Lockstep {
         let entries =
             |a: &oracle::Association| -> usize { a.chunk_stats().iter().map(|s| s.3).sum() };
         let before = entries(&self.seed);
-        let dense = self.dense.shed_density_surplus();
+        let live_words = self.seed.live_associated_words();
+        let (dense, dense_words) = self.dense.shed_density_surplus();
         let seed = self.seed.shed_density_surplus();
         prop_assert_eq!(&dense, &seed, "freed lists differ");
+        // Re-assigned halves keep their words live, so the live words
+        // that went are the freed objects' sizes.
+        prop_assert_eq!(
+            u128::from(dense_words),
+            live_words - self.seed.live_associated_words(),
+            "freed words differ"
+        );
         self.reassigned += before - entries(&self.seed) - seed.len();
         Ok(())
     }

@@ -60,7 +60,7 @@ proptest! {
         a.check_invariants().map_err(TestCaseError::fail)?;
         let mut last_u = a.u_sum();
         for _ in 0..steps {
-            let freed = a.shed_density_surplus();
+            let (freed, _) = a.shed_density_surplus();
             a.check_invariants().map_err(TestCaseError::fail)?;
             // Claim 4.16(1): shedding never decreases u. Objects are shed
             // only from chunks that stay at or above the saturation

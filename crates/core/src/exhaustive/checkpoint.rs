@@ -155,5 +155,20 @@ pub(super) fn restore(
     search.worst = worst;
     search.stats.levels = levels;
     search.stats.peak_frontier = peak_frontier;
+    // The levels before the pause raised the registry's gauges in the
+    // paused process; raise them here to the same high-water marks, so a
+    // resumed run exports what an uninterrupted one does.
+    // `resident_bytes` follows this process's allocations.
+    pcb_metrics::record_gauge_max("exhaustive.frontier_states", peak_frontier as u64);
+    pcb_metrics::record_gauge_max("exhaustive.levels", levels as u64);
+    pcb_metrics::record_gauge_max("exhaustive.interned_states", interned as u64);
+    pcb_metrics::record_gauge_max(
+        "exhaustive.resident_bytes",
+        search
+            .seen
+            .iter()
+            .map(super::intern::Interner::resident_bytes)
+            .sum(),
+    );
     Ok(())
 }

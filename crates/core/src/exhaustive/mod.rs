@@ -653,7 +653,6 @@ impl Search {
         let resident = self.seen.iter().map(Interner::resident_bytes).sum();
         pcb_metrics::record_gauge_max("exhaustive.interned_states", states as u64);
         pcb_metrics::record_gauge_max("exhaustive.resident_bytes", resident);
-        pcb_metrics::record_gauge_max("exhaustive.payload_words", self.stats.payload_words);
         if states > self.max_states {
             return Err(SearchError::StateSpaceExceeded {
                 states,
@@ -665,6 +664,7 @@ impl Search {
 
     fn into_report(mut self) -> SearchReport {
         self.stats.payload_words = self.seen.iter().map(Interner::payload_words).sum();
+        pcb_metrics::record_gauge_max("exhaustive.payload_words", self.stats.payload_words);
         self.stats.resident_bytes = self.seen.iter().map(Interner::resident_bytes).sum();
         SearchReport {
             worst: WorstCase {

@@ -13,28 +13,52 @@ use crate::error::HeapError;
 use crate::object::{ObjectId, ObjectIdGen, ObjectRecord};
 use crate::space::SpaceMap;
 
-/// Sentinel for "not live" in [`ObjectTable::id_to_slot`].
+/// Sentinel for "not live" in [`ObjectTable::pages`].
 const NO_SLOT: u32 = u32::MAX;
 
 /// Object ids index the dense table and must stay below this.
 pub(crate) const ID_LIMIT: u64 = NO_SLOT as u64;
 
-/// Dense object table: object ids are allocation sequence numbers, so a
-/// flat id→slot vector replaces a hash map on the place/free/relocate hot
+/// Ids per page of the id → slot table, as a power of two.
+const ID_PAGE_BITS: u32 = 16;
+
+/// Ids per page of the id → slot table.
+const ID_PAGE: usize = 1 << ID_PAGE_BITS;
+
+/// Dense object table: object ids are allocation sequence numbers, so an
+/// id → slot array replaces a hash map on the place/free/relocate hot
 /// path. The slot indexes the [`SpaceMap`]'s slot table, which holds the
 /// object's interval and owner: the referee's record is the heap's only
 /// per-object record.
+///
+/// The array is paged like the referee's addr → slot directory: page `p`
+/// maps ids `[p·ID_PAGE, (p+1)·ID_PAGE)`. A page is allocated when an id
+/// in it is first inserted and grows only as far as the highest id
+/// inserted in it, so a heap whose ids fit the first page costs what one
+/// flat vector does, and a sparse id costs one page (plus a 24-byte
+/// directory entry per page number up to its own), not a slot for every
+/// id below it.
 #[derive(Debug, Default, Clone)]
 struct ObjectTable {
-    /// id raw -> space-map slot; `NO_SLOT` while not live. Grows with the
-    /// highest id ever inserted.
-    id_to_slot: Vec<u32>,
+    /// id → space-map slot; `NO_SLOT` while not live.
+    pages: Vec<Vec<u32>>,
 }
 
 impl ObjectTable {
+    /// The page and offset of an id.
+    #[inline]
+    fn locate(id: ObjectId) -> (usize, usize) {
+        let raw = id.get();
+        (
+            (raw >> ID_PAGE_BITS) as usize,
+            (raw as usize) & (ID_PAGE - 1),
+        )
+    }
+
     #[inline]
     fn slot_of(&self, id: ObjectId) -> Option<u32> {
-        match self.id_to_slot.get(id.get() as usize) {
+        let (page, offset) = Self::locate(id);
+        match self.pages.get(page)?.get(offset) {
             Some(&s) if s != NO_SLOT => Some(s),
             _ => None,
         }
@@ -42,22 +66,41 @@ impl ObjectTable {
 
     /// Points `id` at `slot`.
     fn set(&mut self, id: ObjectId, slot: u32) {
-        let raw = id.get();
         assert!(
-            raw < ID_LIMIT,
+            id.get() < ID_LIMIT,
             "object ids index the dense table and must stay below 2^32 - 1"
         );
-        let idx = raw as usize;
-        if idx >= self.id_to_slot.len() {
-            self.id_to_slot.resize(idx + 1, NO_SLOT);
+        let (page, offset) = Self::locate(id);
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, Vec::new);
         }
-        self.id_to_slot[idx] = slot;
+        let page = &mut self.pages[page];
+        if offset >= page.len() {
+            if offset >= page.capacity() {
+                // Grow geometrically, but never past one page.
+                let want = (2 * page.capacity()).clamp(offset + 1, ID_PAGE);
+                page.reserve_exact(want - page.len());
+            }
+            page.resize(offset + 1, NO_SLOT);
+        }
+        page[offset] = slot;
     }
 
     fn remove(&mut self, id: ObjectId) -> Option<u32> {
         let slot = self.slot_of(id)?;
-        self.id_to_slot[id.get() as usize] = NO_SLOT;
+        let (page, offset) = Self::locate(id);
+        self.pages[page][offset] = NO_SLOT;
         Some(slot)
+    }
+
+    /// Allocated pages and their total capacity, in ids.
+    #[cfg(test)]
+    fn footprint(&self) -> (usize, usize) {
+        let allocated = self.pages.iter().filter(|p| p.capacity() > 0);
+        (
+            allocated.clone().count(),
+            allocated.map(Vec::capacity).sum(),
+        )
     }
 }
 
@@ -551,6 +594,32 @@ mod tests {
         let mut want: Vec<_> = ids[4..].iter().chain(&more).copied().collect();
         want.sort();
         assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn a_sparse_id_costs_one_page() {
+        let mut h = Heap::new(10);
+        let sparse = ObjectId::from_raw(ID_LIMIT - 1);
+        h.place(sparse, Addr::new(0), Size::new(2)).unwrap();
+        let (pages, ids) = h.objects.footprint();
+        assert_eq!(pages, 1);
+        assert!(ids <= ID_PAGE, "{ids} id slots for one page");
+        assert!(h.is_live(sparse));
+        assert!(!h.is_live(ObjectId::from_raw(ID_LIMIT - 2)));
+        assert!(!h.is_live(ObjectId::from_raw(7)));
+        h.free(sparse).unwrap();
+        assert!(!h.is_live(sparse));
+        // Dense ids fill the first page as a flat vector would, then
+        // spill into the next one.
+        let mut dense = Heap::new(10);
+        for i in 0..=ID_PAGE as u64 {
+            let id = dense.fresh_id();
+            dense.place(id, Addr::new(i), Size::WORD).unwrap();
+        }
+        let (pages, ids) = dense.objects.footprint();
+        assert_eq!(pages, 2);
+        assert!(ids < 2 * ID_PAGE, "{ids} id slots for {} ids", ID_PAGE + 1);
+        assert_eq!(dense.live_count(), ID_PAGE + 1);
     }
 
     #[test]

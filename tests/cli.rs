@@ -206,6 +206,28 @@ fn replay_rejects_garbage() {
 }
 
 #[test]
+fn replay_of_the_highest_id_replays_cleanly() {
+    // The id → slot table is paged, so the largest id a trace may name
+    // costs one page rather than a slot for every id below it (which
+    // was 16 GB).
+    let dir = std::env::temp_dir().join("pcb-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("sparse-id.jsonl");
+    std::fs::write(
+        &path,
+        "{\"c\":0}\n{\"kind\":\"placed\",\"id\":4294967294,\"addr\":0,\"size\":1}\n",
+    )
+    .unwrap();
+    let (stdout, stderr, ok) = pcb(&["replay", path.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("trace valid: 1 events, final HS = 1 words, 1 live objects"),
+        "{stdout}"
+    );
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn sweep_rho_lists_feasible_points() {
     let (stdout, _, ok) = pcb(&["sweep", "rho", "268435456", "20", "100"]);
     assert!(ok);
@@ -676,19 +698,83 @@ fn simulate_metrics_out_reproduces_its_pinned_digests() {
 }
 
 /// The `worst-case 10 2 --threads 1 --metrics-out y.json` file, pinned by
-/// digest. The search is pinned at one thread only: the
+/// digest; `exhaustive.payload_words` reads the interned payload of the
+/// finished search (706473 words). The search is pinned at one thread
+/// only: the
 /// `exhaustive.resident_bytes` gauge sums the dedup shards' table
 /// capacities, and the shard count follows the thread count by design
 /// (2944 KiB at `--threads 1`, 3072 KiB at `--threads 4`).
 #[test]
 fn worst_case_metrics_out_reproduces_its_pinned_digest() {
-    const PIN: u64 = 0x9996a193fbcb1777;
+    const PIN: u64 = 0x3d1cf68eb6eedf7c;
     let args = ["worst-case", "10", "2", "--threads", "1"];
     let digest = metrics_out_digest(&args, "worst-case-metrics.json");
     assert_eq!(
         digest, PIN,
         "worst-case --metrics-out moved: now {digest:#018x}"
     );
+}
+
+/// A `worst-case --metrics-out` paused at level 30 and resumed exports
+/// the same search gauges as the uninterrupted run: restoring the
+/// checkpoint raises the gauges to the high-water marks the paused levels
+/// reached (the widest frontier comes before level 30).
+/// `exhaustive.resident_bytes` may differ, as it follows allocator
+/// history.
+#[test]
+fn worst_case_metrics_out_survives_pause_and_resume() {
+    let dir = std::env::temp_dir().join("pcb-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let checkpoint = dir.join("wc-metrics-ck.json");
+    std::fs::remove_file(&checkpoint).ok();
+    let gauges = |args: &[&str], file: &str| -> Vec<String> {
+        let path = dir.join(file);
+        let mut args = args.to_vec();
+        args.extend(["--metrics-out", path.to_str().unwrap()]);
+        let (_, stderr, ok) = pcb(&args);
+        assert!(ok, "{args:?}: {stderr}");
+        let json = std::fs::read_to_string(&path).expect("--metrics-out wrote its file");
+        std::fs::remove_file(&path).ok();
+        [
+            "frontier_states",
+            "levels",
+            "interned_states",
+            "payload_words",
+        ]
+        .iter()
+        .map(|gauge| {
+            let key = format!("\"exhaustive.{gauge}\":");
+            let at = json.find(&key).unwrap_or_else(|| panic!("{key} in {json}")) + key.len();
+            let value: String = json[at..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            format!("{gauge}={value}")
+        })
+        .collect()
+    };
+    let base = ["worst-case", "10", "2", "--threads", "1"];
+    let full = gauges(&base, "wc-metrics-full.json");
+    assert!(
+        full.contains(&"frontier_states=3885".to_owned()),
+        "{full:?}"
+    );
+    let ck = checkpoint.to_str().unwrap();
+    let mut paused = base.to_vec();
+    paused.extend([
+        "--checkpoint",
+        ck,
+        "--checkpoint-every",
+        "1",
+        "--stop-after",
+        "30",
+    ]);
+    let (_, stderr, ok) = pcb(&paused);
+    assert!(ok && stderr.contains("paused after 30"), "{stderr}");
+    let mut resumed = base.to_vec();
+    resumed.extend(["--checkpoint", ck, "--resume"]);
+    assert_eq!(gauges(&resumed, "wc-metrics-resumed.json"), full);
+    std::fs::remove_file(checkpoint).ok();
 }
 
 /// `worst-case --progress` streams BFS frontier pulses on stderr without
