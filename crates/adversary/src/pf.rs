@@ -105,20 +105,6 @@ impl PfConfig {
         })
     }
 
-    /// Overrides the density exponent (recomputing `h`); useful for
-    /// sweeping `ρ` in experiments.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when `rho` is infeasible for the parameters.
-    pub fn with_rho(mut self, rho: u32) -> Result<Self, String> {
-        let h = math::waste_factor(self.m, self.log_n, self.c, rho)
-            .ok_or_else(|| format!("rho={rho} infeasible"))?;
-        self.rho = rho;
-        self.h = h;
-        Ok(self)
-    }
-
     /// Selects a variant; returns `self` for chaining.
     pub fn with_variant(mut self, variant: PfVariant) -> Self {
         self.variant = variant;

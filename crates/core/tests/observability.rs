@@ -61,9 +61,9 @@ fn run_arms(kind: ManagerKind) -> [String; 3] {
         .expect("instrumented run");
     metrics::spans::disable();
     metrics::disable();
-    let trace = metrics::spans::take_trace();
+    let profile = metrics::spans::take_profile();
     assert!(
-        trace.spans.iter().any(|s| s.name == "engine.run"),
+        profile.rows.iter().any(|r| r.name == "engine.run"),
         "{}: no engine span collected",
         kind.name()
     );

@@ -6,6 +6,9 @@
 //!   and manager stats) cost at most 25 % over the detached run;
 //! * an **armed chaos plan** that never fires stays within ±25 %.
 //!
+//! One more ignored case, `each_observer_alone_prints_its_cost`, prints
+//! what each of the three observers costs alone on the observer grid.
+//!
 //! Timing in a debug build means nothing, so every case is ignored by
 //! default. Run them in release, one at a time so they do not compete
 //! for cores:
@@ -133,35 +136,38 @@ fn observer_grid() -> Vec<(Params, ManagerKind)> {
     cells
 }
 
+/// Observers to attach: a JSONL trace streamed to a sink, a per-round
+/// series, manager stats.
+type Attached = (bool, bool, bool);
+
+/// Runs every cell of `cells` with the observers `on` names attached.
+fn run_observed(cells: &[(Params, ManagerKind)], on: Attached) {
+    let (trace, series, stats) = on;
+    for &(params, kind) in cells {
+        let mut writer =
+            trace.then(|| TraceWriter::new(std::io::sink(), params.c(), FaultPlan::empty()));
+        let mut sim = sim::Sim::new(params).manager(kind).stats(stats);
+        if series {
+            sim = sim.series(1);
+        }
+        if let Some(writer) = writer.as_mut() {
+            sim = sim.observe(writer);
+        }
+        sim.run().expect("cell runs");
+        if let Some(writer) = writer {
+            writer.finish().expect("a sink never fails");
+        }
+    }
+}
+
 #[test]
 #[ignore = "wall-clock budget; run in release"]
 fn attached_observers_cost_at_most_25_pct() {
     let cells = observer_grid();
-    let detached = || {
-        for &(params, kind) in &cells {
-            sim::Sim::new(params)
-                .manager(kind)
-                .run()
-                .expect("cell runs");
-        }
-    };
-    let attached = || {
-        for &(params, kind) in &cells {
-            let mut writer = TraceWriter::new(std::io::sink(), params.c(), FaultPlan::empty());
-            sim::Sim::new(params)
-                .manager(kind)
-                .observe(&mut writer)
-                .series(1)
-                .stats(true)
-                .run()
-                .expect("cell runs");
-            writer.finish().expect("a sink never fails");
-        }
-    };
     let (mut plain, mut observed) = (Vec::new(), Vec::new());
     for _ in 0..ITERS {
-        plain.push(timed(detached));
-        observed.push(timed(attached));
+        plain.push(timed(|| run_observed(&cells, (false, false, false))));
+        observed.push(timed(|| run_observed(&cells, (true, true, true))));
     }
     let (plain, observed) = (median(plain), median(observed));
     let pct = (observed / plain - 1.0) * 100.0;
@@ -171,6 +177,32 @@ fn attached_observers_cost_at_most_25_pct() {
         cells.len()
     );
     assert!(pct <= 25.0, "attached observers at {pct:+.1} %, over 25 %");
+}
+
+/// Where the attached-observer cost goes: each observer alone on the
+/// same grid, against the detached run. A printout, not a budget.
+#[test]
+#[ignore = "wall-clock measurement; run in release"]
+fn each_observer_alone_prints_its_cost() {
+    let cells = observer_grid();
+    let modes: [(&str, Attached); 5] = [
+        ("detached", (false, false, false)),
+        ("JSONL trace", (true, false, false)),
+        ("per-round series", (false, true, false)),
+        ("manager stats", (false, false, true)),
+        ("all three", (true, true, true)),
+    ];
+    let mut samples = vec![Vec::new(); modes.len()];
+    for _ in 0..ITERS {
+        for (times, &(_, on)) in samples.iter_mut().zip(&modes) {
+            times.push(timed(|| run_observed(&cells, on)));
+        }
+    }
+    let medians: Vec<f64> = samples.into_iter().map(median).collect();
+    for (&(name, _), &secs) in modes.iter().zip(&medians) {
+        let pct = (secs / medians[0] - 1.0) * 100.0;
+        println!("{name:<17} {secs:.3} s {pct:+6.1} %");
+    }
 }
 
 /// A plan armed at one part per million on the tenant-panic stream pays

@@ -1,6 +1,5 @@
 //! Fragmentation and utilization metrics derived from executions.
 
-use crate::addr::Size;
 use crate::heap::Heap;
 
 /// A snapshot of heap-shape statistics at a point in time.
@@ -67,18 +66,12 @@ impl FragmentationSnapshot {
             },
         }
     }
-
-    /// Whether a request of `size` words can be served from an interior
-    /// hole (ignoring alignment).
-    pub fn fits_in_hole(&self, size: Size) -> bool {
-        self.largest_hole >= size.get()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::Addr;
+    use crate::addr::{Addr, Size};
 
     #[test]
     fn snapshot_measures_holes() {
@@ -96,8 +89,6 @@ mod tests {
         assert_eq!(s.largest_hole, 8);
         assert_eq!(s.current_span, 24);
         assert!((s.external_fragmentation - 0.5).abs() < 1e-12);
-        assert!(s.fits_in_hole(Size::new(8)));
-        assert!(!s.fits_in_hole(Size::new(9)));
     }
 
     #[test]

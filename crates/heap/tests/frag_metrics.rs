@@ -62,12 +62,6 @@ proptest! {
             prop_assert!(snap.hole_words as usize >= snap.hole_count);
         }
 
-        // fits_in_hole agrees with largest_hole on both sides.
-        if snap.largest_hole > 0 {
-            prop_assert!(snap.fits_in_hole(Size::new(snap.largest_hole)));
-        }
-        prop_assert!(!snap.fits_in_hole(Size::new(snap.largest_hole + 1)));
-
         // Live words in the snapshot match the heap's own accounting.
         prop_assert_eq!(snap.live_words, heap.live_words().get());
     }

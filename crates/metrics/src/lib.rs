@@ -6,13 +6,15 @@
 //!   into one process-global [`MetricsSnapshot`] behind a lock; every
 //!   recording call costs a single relaxed atomic load when the registry
 //!   is disabled (the default);
-//! * **spans** — [`span!`] guards timing engine phases on per-thread
-//!   tracks, drained by [`spans::take_trace`] into a Chrome trace or a
-//!   [`spans::Profile`] (see [`mod@spans`]).
+//! * **spans** — [`span!`] guards timing engine phases, folded per
+//!   thread into one row per span name and drained by
+//!   [`spans::take_profile`] into a [`spans::Profile`] (see
+//!   [`mod@spans`]).
 //!
-//! Each has its own switch ([`enable`], [`spans::enable`]): span
-//! collection retains every finished span until it is drained, a memory
-//! cost a metrics-only run should not pay.
+//! Each has its own switch ([`enable`], [`spans::enable`]): spans read
+//! the clock twice each, a cost a metrics-only run should not pay. The
+//! registry's one export is pcb-json ([`MetricsSnapshot`]'s `ToJson`);
+//! the profile is a printed table.
 //!
 //! ## Written once per run
 //!
@@ -53,7 +55,6 @@
 //! through `HeapOps` — lives here too, as a thin adapter whose
 //! [`StatSink::publish`] folds into the same registry.
 
-mod chrome;
 mod hist;
 mod profile;
 mod registry;

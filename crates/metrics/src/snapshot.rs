@@ -169,68 +169,6 @@ impl MetricsSnapshot {
         }
         Ok(snap)
     }
-
-    /// Renders the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4): counters, then gauges, then histograms, each in
-    /// name order; dotted names mapped to `pcb_`-prefixed underscore
-    /// names; histogram buckets exposed cumulatively with the
-    /// power-of-two inclusive upper bounds as `le` labels.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let prom = prometheus_name(name);
-            header(&mut out, &prom, name, "counter");
-            out.push_str(&format!("{prom} {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            let prom = prometheus_name(name);
-            header(&mut out, &prom, name, "gauge");
-            out.push_str(&format!("{prom} {v}\n"));
-        }
-        for (name, h) in &self.histograms {
-            let prom = prometheus_name(name);
-            header(&mut out, &prom, name, "histogram");
-            let mut cumulative = 0u64;
-            for (k, n) in h.bucket_counts().into_iter().enumerate() {
-                cumulative += n;
-                let le = Histogram::bucket_upper_bound(k as u32);
-                out.push_str(&format!("{prom}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-            }
-            out.push_str(&format!("{prom}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
-            out.push_str(&format!("{prom}_sum {}\n", h.sum()));
-            out.push_str(&format!("{prom}_count {}\n", h.count()));
-        }
-        out
-    }
-}
-
-fn header(out: &mut String, prom: &str, original: &str, kind: &str) {
-    let escaped: String = original
-        .chars()
-        .flat_map(|c| match c {
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect();
-    out.push_str(&format!("# HELP {prom} {escaped}\n"));
-    out.push_str(&format!("# TYPE {prom} {kind}\n"));
-}
-
-/// Maps a dotted metric name onto the Prometheus charset: `pcb_` prefix,
-/// every character outside `[a-zA-Z0-9_:]` replaced by `_`.
-fn prometheus_name(name: &str) -> String {
-    let body: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    format!("pcb_{body}")
 }
 
 impl ToJson for MetricsSnapshot {
@@ -314,24 +252,5 @@ mod tests {
             MetricsSnapshot::from_json(&pcb_json::Json::parse(&s.to_json().to_string()).unwrap())
                 .unwrap();
         assert!(back.is_empty());
-    }
-
-    #[test]
-    fn prometheus_exposition_is_cumulative_and_name_sanitized() {
-        let text = sample().to_prometheus();
-        assert!(text.contains("# TYPE pcb_engine_objects_placed counter"));
-        assert!(text.contains("pcb_engine_objects_placed 12\n"));
-        assert!(text.contains("# TYPE pcb_fleet_heap_size_words gauge"));
-        // 0 → le="0" bucket, 1500 ×2 → bucket 11 (1024..2047], cumulative.
-        assert!(text.contains("pcb_fleet_waste_milli_bucket{le=\"0\"} 1\n"));
-        assert!(text.contains("pcb_fleet_waste_milli_bucket{le=\"2047\"} 3\n"));
-        assert!(text.contains("pcb_fleet_waste_milli_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("pcb_fleet_waste_milli_sum 3000\n"));
-        assert!(text.contains("pcb_fleet_waste_milli_count 3\n"));
-        // Counters come before gauges before histograms.
-        let c = text.find("pcb_engine_objects_placed").unwrap();
-        let g = text.find("pcb_fleet_heap_size_words").unwrap();
-        let h = text.find("pcb_fleet_waste_milli").unwrap();
-        assert!(c < g && g < h);
     }
 }

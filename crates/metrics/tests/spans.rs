@@ -1,15 +1,15 @@
-//! Integration tests for span collection. The span sink is process
-//! global, so every test serializes on one mutex and drains the sink
+//! Integration tests for span collection. The span table is process
+//! global, so every test serializes on one mutex and drains the table
 //! before asserting.
 
 use std::sync::Mutex;
 
-use pcb_json::{Json, ToJson};
-use pcb_metrics::{span, spans};
+use pcb_metrics::span;
+use pcb_metrics::spans::{self, Profile, ProfileRow};
 
 static REGISTRY: Mutex<()> = Mutex::new(());
 
-/// Runs `body` with exclusive ownership of the (clean) global registry.
+/// Runs `body` with exclusive ownership of the (clean) global table.
 fn exclusive<T>(body: impl FnOnce() -> T) -> T {
     let _guard = REGISTRY.lock().expect("no test panics while holding");
     spans::reset();
@@ -18,13 +18,22 @@ fn exclusive<T>(body: impl FnOnce() -> T) -> T {
     value
 }
 
+/// The profile's row for `name`.
+fn row<'a>(profile: &'a Profile, name: &str) -> &'a ProfileRow {
+    profile
+        .rows
+        .iter()
+        .find(|r| r.name == name)
+        .unwrap_or_else(|| panic!("no {name} row in {profile:?}"))
+}
+
 #[test]
 fn disabled_spans_record_nothing() {
     exclusive(|| {
         {
             let _span = span!("invisible");
         }
-        assert!(spans::take_trace().is_empty());
+        assert!(spans::take_profile().is_empty());
     });
 }
 
@@ -34,7 +43,7 @@ fn guards_entered_while_disabled_stay_inert() {
         let early = span!("before-enable");
         spans::enable();
         drop(early);
-        assert!(spans::take_trace().is_empty());
+        assert!(spans::take_profile().is_empty());
     });
 }
 
@@ -49,109 +58,50 @@ fn nested_spans_attribute_self_time_to_the_parent() {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         spans::disable();
-        let trace = spans::take_trace();
-        assert_eq!(trace.len(), 2);
-        let outer = trace.spans.iter().find(|s| s.name == "outer").unwrap();
-        let inner = trace.spans.iter().find(|s| s.name == "inner").unwrap();
-        assert_eq!(outer.depth, 0);
-        assert_eq!(inner.depth, 1);
-        assert_eq!(outer.track, inner.track, "same thread, same track");
-        assert!(outer.dur_ns >= inner.dur_ns);
+        let profile = spans::take_profile();
+        assert_eq!(profile.rows.len(), 2);
+        let (outer, inner) = (row(&profile, "outer"), row(&profile, "inner"));
+        assert_eq!((outer.dur.count(), inner.dur.count()), (1, 1));
+        assert!(outer.dur.sum() >= inner.dur.sum());
+        assert_eq!(inner.self_ns, inner.dur.sum(), "a leaf is all self-time");
         assert!(
-            outer.child_ns >= inner.dur_ns,
+            outer.self_ns <= outer.dur.sum() - inner.dur.sum(),
             "the inner span's time is charged to the parent"
         );
-        assert!(outer.self_ns() <= outer.dur_ns - inner.dur_ns);
     });
 }
 
 #[test]
-fn threads_get_distinct_named_tracks() {
-    exclusive(|| {
-        spans::enable();
-        let main_track = {
-            let _span = span!("on-main");
-            0 // placeholder; the real id comes from the trace below
-        };
-        let _ = main_track;
-        std::thread::Builder::new()
-            .name("worker-a".into())
-            .spawn(|| {
-                let _span = span!("on-worker");
-            })
-            .unwrap()
-            .join()
-            .unwrap();
-        spans::disable();
-        let trace = spans::take_trace();
-        assert_eq!(trace.len(), 2);
-        let main_span = trace.spans.iter().find(|s| s.name == "on-main").unwrap();
-        let worker_span = trace.spans.iter().find(|s| s.name == "on-worker").unwrap();
-        assert_ne!(main_span.track, worker_span.track);
-        let worker_track = trace
-            .tracks
-            .iter()
-            .find(|t| t.id == worker_span.track)
-            .expect("worker registered a track");
-        assert_eq!(worker_track.name, "worker-a");
-    });
-}
-
-#[test]
-fn chrome_export_round_trips_through_pcb_json() {
+fn worker_rows_fold_in_after_join() {
     exclusive(|| {
         spans::enable();
         {
-            let _a = span!("phase-a");
-            let _b = span!("phase-b");
+            let _span = span!("on-main");
         }
-        spans::disable();
-        let trace = spans::take_trace();
-        let document = trace.to_json().to_string();
-
-        // The emitted document must be valid Chrome trace-event JSON:
-        // parseable, a traceEvents array, and every "X" event carrying
-        // name/ts/dur/pid/tid with numeric timestamps.
-        let parsed = Json::parse(&document).expect("valid JSON");
-        let events = parsed
-            .get("traceEvents")
-            .and_then(Json::as_array)
-            .expect("traceEvents present");
-        let mut complete = 0;
-        for event in events {
-            let ph = event
-                .get("ph")
-                .and_then(Json::as_str)
-                .expect("ph on every event");
-            match ph {
-                "X" => {
-                    complete += 1;
-                    assert!(event.get("name").and_then(Json::as_str).is_some());
-                    assert!(event.get("ts").and_then(Json::as_f64).is_some());
-                    assert!(event.get("dur").and_then(Json::as_f64).is_some());
-                    assert!(event.get("pid").and_then(Json::as_u64).is_some());
-                    assert!(event.get("tid").and_then(Json::as_u64).is_some());
-                }
-                "M" => {
-                    assert!(event.get("args").is_some());
-                }
-                other => panic!("unexpected phase {other}"),
+        std::thread::spawn(|| {
+            for _ in 0..3 {
+                let _span = span!("on-worker");
             }
-        }
-        assert_eq!(complete, 2, "both spans exported as complete events");
+        })
+        .join()
+        .unwrap();
+        spans::disable();
+        let profile = spans::take_profile();
+        assert_eq!(row(&profile, "on-main").dur.count(), 1);
+        assert_eq!(row(&profile, "on-worker").dur.count(), 3);
     });
 }
 
 #[test]
-fn take_trace_drains_the_sink() {
+fn take_profile_drains_the_table() {
     exclusive(|| {
         spans::enable();
         {
             let _span = span!("once");
         }
         spans::disable();
-        assert_eq!(spans::take_trace().len(), 1);
-        assert!(spans::take_trace().is_empty(), "second take is empty");
+        assert_eq!(row(&spans::take_profile(), "once").dur.count(), 1);
+        assert!(spans::take_profile().is_empty(), "second take is empty");
     });
 }
 
@@ -163,11 +113,25 @@ fn profile_rows_match_span_volume() {
             let _span = span!("repeated");
         }
         spans::disable();
-        let trace = spans::take_trace();
-        let profile = spans::Profile::from_trace(&trace);
+        let profile = spans::take_profile();
         assert_eq!(profile.rows.len(), 1);
         assert_eq!(profile.rows[0].name, "repeated");
-        assert_eq!(profile.rows[0].count, 10);
+        assert_eq!(profile.rows[0].dur.count(), 10);
         assert!(profile.render_table().contains("repeated"));
+    });
+}
+
+/// A profile keeps no span, so it has no retention cap to fall off: one
+/// span past the four million a span buffer used to hold is still
+/// counted.
+#[test]
+fn profile_counts_every_span() {
+    exclusive(|| {
+        spans::enable();
+        for _ in 0..4_000_001 {
+            let _span = span!("many");
+        }
+        spans::disable();
+        assert_eq!(row(&spans::take_profile(), "many").dur.count(), 4_000_001);
     });
 }

@@ -90,8 +90,7 @@ usage:
                [--series <file>] [--every <k>] [--stats]
                [--chaos <spec>] [--paranoia <k>]
                [--progress[=secs]] [--progress-out <file.jsonl>]
-               [--metrics] [--metrics-out <file>]
-               [--trace-out <file>] [--profile]
+               [--metrics-out <file>] [--profile]
   pcb record <file.jsonl> [simulate options]
   pcb replay <file.jsonl>
   pcb fleet [--tenants <n>] [--shards <n>] [--manager <name>]
@@ -113,7 +112,7 @@ usage:
                  [--checkpoint <file>] [--checkpoint-every <levels>]
                  [--resume] [--stop-after <levels>]
                  [--progress[=secs]] [--progress-out <file.jsonl>]
-                 [--metrics] [--metrics-out <file>]
+                 [--metrics-out <file>]
   pcb reproduce
     (--chaos spec: seed=<s>,<site>=<rate_ppm>,... with sites
      alloc-refusal budget-cut mirror-flip trace-io tenant-panic;
@@ -121,8 +120,8 @@ usage:
     (--progress: heartbeat to stderr; fleet defaults to on when stderr
      is a terminal, off when piped; --no-progress forces off;
      --progress-out streams one JSON object per pulse)
-    (--metrics-out: Prometheus text, or pcb-json when the path
-     ends in .json; implies --metrics)
+    (--metrics-out: the run's metrics as pcb-json, whatever the
+     file is called; on fleet it implies --metrics)
     (bounds: thm1-lower thm2-upper robson-p2 robson-doubled
              bp11-upper bp11-lower)
 ";
@@ -182,7 +181,7 @@ const SHARED: &[(&str, &[Cmd])] = {
         ("--checkpoint-every", &[F, W]),
         ("--resume", &[F, W]),
         ("--stop-after", &[F, W]),
-        ("--metrics", &[S, F, W]),
+        ("--metrics", &[F]),
         ("--metrics-out", &[S, F, W]),
         ("--progress", &[S, F, W]),
         ("--no-progress", &[S, F, W]),
@@ -307,16 +306,11 @@ fn cadence(secs: &str) -> Result<f64, String> {
     }
 }
 
-/// Writes a metrics snapshot to `path`: pcb-json when the path ends in
-/// `.json`, Prometheus text exposition (0.0.4) otherwise. The summary
-/// line goes to stderr so stdout stays report-only.
+/// Writes a metrics snapshot to `path` as pcb-json, whatever the file is
+/// called. The summary line goes to stderr so stdout stays report-only.
 fn write_metrics(path: &str, snap: &metrics::MetricsSnapshot) -> Result<(), String> {
-    let out = if path.ends_with(".json") {
-        format!("{}\n", snap.to_json())
-    } else {
-        snap.to_prometheus()
-    };
-    std::fs::write(path, out).map_err(|e| format!("writing {path}: {e}"))?;
+    std::fs::write(path, format!("{}\n", snap.to_json()))
+        .map_err(|e| format!("writing {path}: {e}"))?;
     eprintln!(
         "metrics: {} counters / {} gauges / {} histograms -> {path}",
         snap.counters().count(),
@@ -457,7 +451,7 @@ impl Observer for HeatMap {
 fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String> {
     let (mut name, mut m, mut log_n, mut every) = ("pf".to_string(), 1u64 << 16, 10u32, 1u32);
     let (mut map, mut validate, mut stats, mut profile) = (false, false, false, false);
-    let (mut series_to, mut trace_out) = (None, None);
+    let mut series_to = None;
     let flags = Flags::parse(Cmd::Simulate, args, |flag, args| {
         match flag {
             "--program" => name = args.value(flag)?,
@@ -468,7 +462,6 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
             "--series" => series_to = Some(args.value(flag)?),
             "--every" => every = args.parse(flag)?,
             "--stats" => stats = true,
-            "--trace-out" => trace_out = Some(args.value(flag)?),
             "--profile" => profile = true,
             _ => return Ok(false),
         }
@@ -480,8 +473,7 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
     if run.metrics {
         metrics::enable();
     }
-    let spans_on = trace_out.is_some() || profile;
-    if spans_on {
+    if profile {
         spans::enable();
     }
     let mut sim = Sim::new(params)
@@ -571,21 +563,9 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
     if let Some(HeatMap(rows)) = heat_map {
         println!("{rows}");
     }
-    if spans_on {
+    if profile {
         spans::disable();
-        let trace = spans::take_trace();
-        if let Some(path) = &trace_out {
-            let doc = trace.to_chrome_trace();
-            std::fs::write(path, format!("{doc}\n")).map_err(|e| e.to_string())?;
-            println!(
-                "trace: {} spans on {} tracks -> {path} (load it at https://ui.perfetto.dev)",
-                trace.len(),
-                trace.tracks.len()
-            );
-        }
-        if profile {
-            print!("{}", spans::Profile::from_trace(&trace).render_table());
-        }
+        print!("{}", spans::take_profile().render_table());
     }
     Ok(())
 }

@@ -445,11 +445,7 @@ fn unknown_commands_are_errors() {
 }
 
 #[test]
-fn simulate_trace_out_emits_chrome_trace_events() {
-    let dir = std::env::temp_dir().join("pcb-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("spans.json");
-    let path_str = path.to_str().unwrap();
+fn simulate_profile_prints_every_engine_phase() {
     let (stdout, _, ok) = pcb(&[
         "simulate",
         "--m",
@@ -458,38 +454,33 @@ fn simulate_trace_out_emits_chrome_trace_events() {
         "9",
         "--c",
         "15",
-        "--trace-out",
-        path_str,
         "--profile",
     ]);
     assert!(ok, "{stdout}");
-    assert!(stdout.contains("trace:"), "{stdout}");
     // The profile table aggregates the engine phases.
     for phase in ["engine.run", "engine.alloc", "engine.free"] {
         assert!(stdout.contains(phase), "missing {phase} in:\n{stdout}");
     }
+}
 
-    // The file must round-trip through pcb-json as Chrome trace-event
-    // JSON: a traceEvents array of "M" metadata and "X" complete events.
-    let text = std::fs::read_to_string(&path).unwrap();
-    let doc = pcb_json::Json::parse(&text).expect("trace is valid JSON");
-    let pcb_json::Json::Object(top) = &doc else {
-        panic!("top level must be an object")
-    };
-    let Some(pcb_json::Json::Array(events)) = top.get("traceEvents") else {
-        panic!("traceEvents array missing in {text}")
-    };
-    assert!(!events.is_empty());
-    let phase_of = |ev: &pcb_json::Json| match ev {
-        pcb_json::Json::Object(fields) => match fields.get("ph") {
-            Some(pcb_json::Json::Str(ph)) => ph.clone(),
-            other => panic!("ph must be a string, got {other:?}"),
-        },
-        other => panic!("event must be an object, got {other:?}"),
-    };
-    assert!(events.iter().any(|e| phase_of(e) == "M"));
-    assert!(events.iter().any(|e| phase_of(e) == "X"));
-    std::fs::remove_file(path).ok();
+/// Flags a command has no use for are unknown to it: `--trace-out` went
+/// with the span buffer (the per-phase profile is the one view of a run's
+/// spans), and `--metrics` only embeds the registry in the fleet report,
+/// so `simulate` and `worst-case` export theirs through `--metrics-out`.
+#[test]
+fn flags_without_a_use_are_unknown() {
+    for (args, flag) in [
+        (&["simulate", "--trace-out", "x"][..], "--trace-out"),
+        (&["simulate", "--metrics"], "--metrics"),
+        (&["worst-case", "6", "1", "--metrics"], "--metrics"),
+    ] {
+        let (code, stderr) = pcb_status(args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}\n")),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 /// The heartbeat is a pure side channel: enabling it (even at maximum
@@ -543,45 +534,10 @@ fn fleet_heartbeat_is_a_pure_side_channel() {
     std::fs::remove_file(pulses).ok();
 }
 
-/// Checks one Prometheus text-format line: either a `# HELP`/`# TYPE`
-/// comment or a `name[{le="..."}] value` sample with a legal metric name.
-fn assert_prometheus_line(line: &str) {
-    if let Some(rest) = line.strip_prefix("# ") {
-        let mut words = rest.split_whitespace();
-        let keyword = words.next().unwrap_or("");
-        assert!(
-            keyword == "HELP" || keyword == "TYPE",
-            "unknown comment: {line}"
-        );
-        let name = words.next().expect("comment names a metric");
-        assert!(name.starts_with("pcb_"), "unprefixed metric: {line}");
-        return;
-    }
-    let (series, value) = line.rsplit_once(' ').expect("`name value` sample");
-    let name = series.split('{').next().unwrap();
-    assert!(name.starts_with("pcb_"), "unprefixed metric: {line}");
-    assert!(
-        name.chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
-        "illegal metric name: {line}"
-    );
-    if let Some((_, labels)) = series.split_once('{') {
-        let labels = labels.strip_suffix('}').expect("closed label set");
-        let (key, le) = labels.split_once('=').expect("le=\"...\" label");
-        assert_eq!(key, "le", "only histogram bounds are labelled: {line}");
-        assert!(le.starts_with('"') && le.ends_with('"'), "{line}");
-    }
-    assert!(
-        value == "+Inf" || value.parse::<f64>().is_ok(),
-        "unparseable sample value: {line}"
-    );
-}
-
-/// `--metrics-out` writes the Prometheus exposition format (or pcb-json
-/// with a `.json` suffix), and the JSON flavour is byte-for-byte the
-/// `metrics` object embedded in the report.
+/// `--metrics-out` writes pcb-json whatever the file is called, and the
+/// file is byte-for-byte the `metrics` object embedded in the report.
 #[test]
-fn fleet_metrics_out_is_valid_prometheus_and_matches_the_report() {
+fn fleet_metrics_out_is_json_and_matches_the_report() {
     let dir = std::env::temp_dir().join("pcb-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let prom = dir.join("fleet-metrics.prom");
@@ -602,30 +558,12 @@ fn fleet_metrics_out_is_valid_prometheus_and_matches_the_report() {
     ];
 
     let mut args: Vec<&str> = base.to_vec();
-    args.extend(["--metrics-out", prom.to_str().unwrap()]);
-    let (_, stderr, ok) = pcb(&args);
+    args.extend(["--metrics-out", json.to_str().unwrap()]);
+    let (stdout, stderr, ok) = pcb(&args);
     assert!(ok, "{stderr}");
     assert!(stderr.contains("metrics:"), "{stderr}");
-    let text = std::fs::read_to_string(&prom).unwrap();
-    assert!(
-        text.contains("# TYPE pcb_fleet_words_placed counter"),
-        "{text}"
-    );
-    assert!(
-        text.contains("# TYPE pcb_fleet_waste_milli histogram"),
-        "{text}"
-    );
-    assert!(text.contains("le=\"+Inf\""), "{text}");
-    for line in text.lines() {
-        assert_prometheus_line(line);
-    }
-
-    let mut args: Vec<&str> = base.to_vec();
-    args.extend(["--metrics-out", json.to_str().unwrap()]);
-    let (stdout, _, ok) = pcb(&args);
-    assert!(ok);
-    let file = pcb_json::Json::parse(&std::fs::read_to_string(&json).unwrap())
-        .expect("metrics file is valid JSON");
+    let text = std::fs::read_to_string(&json).unwrap();
+    let file = pcb_json::Json::parse(&text).expect("metrics file is valid JSON");
     let report = pcb_json::Json::parse(&stdout).expect("report is valid JSON");
     let pcb_json::Json::Object(report) = &report else {
         panic!("report must be an object")
@@ -634,6 +572,13 @@ fn fleet_metrics_out_is_valid_prometheus_and_matches_the_report() {
         .get("metrics")
         .expect("--metrics-out implies --metrics");
     assert_eq!(&file, embedded, "sidecar file disagrees with the report");
+
+    // The file's name picks no format: a `.prom` path gets the same bytes.
+    let mut args: Vec<&str> = base.to_vec();
+    args.extend(["--metrics-out", prom.to_str().unwrap()]);
+    let (_, stderr, ok) = pcb(&args);
+    assert!(ok, "{stderr}");
+    assert_eq!(std::fs::read_to_string(&prom).unwrap(), text);
     std::fs::remove_file(prom).ok();
     std::fs::remove_file(json).ok();
 }
@@ -845,7 +790,6 @@ fn every_value_flag_rejects_missing_and_unparsable_values() {
                 ("--chaos", Some("nope")),
                 ("--paranoia", Some("x")),
                 ("--series", None),
-                ("--trace-out", None),
                 ("--metrics-out", None),
                 ("--progress-out", None),
             ],
