@@ -45,7 +45,7 @@ mod tlsf;
 
 pub use buddy::{BuddyAllocator, BuddySelect};
 pub use compacting::CompactingManager;
-pub use freelist::{FitPolicy, FreeSpace, TakeStats};
+pub use freelist::{FitPolicy, FreeSpace};
 pub use full_compact::FullCompactor;
 pub use pages::{PageGeometryError, PageManager, SLOTS_PER_PAGE};
 pub use policy::FreeListManager;
@@ -53,3 +53,19 @@ pub use registry::{BuildError, ManagerKind, ParseManagerKindError};
 pub use robson::RobsonAllocator;
 pub use segregated::SegregatedManager;
 pub use tlsf::TlsfManager;
+
+/// Publishes a counter a manager kept in a field, skipping zero: a
+/// series appears in the metrics file once the event it counts happened.
+fn publish_count(name: &'static str, value: u64) {
+    if value > 0 {
+        pcb_metrics::add_counter(name, value);
+    }
+}
+
+/// Publishes a histogram a manager kept in a field, skipping an empty
+/// one.
+fn publish_samples(name: &'static str, samples: &pcb_metrics::Histogram) {
+    if samples.count() > 0 {
+        pcb_metrics::merge_histogram(name, samples);
+    }
+}

@@ -40,9 +40,11 @@ use pcb_heap::{
     Addr, AllocRequest, HeapOps, MemoryManager, MirrorCheck, MoveOutcome, ObjectId, PlacementError,
     Size, SpaceMap,
 };
+use pcb_metrics::Histogram;
 
 use crate::freelist::FreeSpace;
 use crate::indexed::StartBits;
+use crate::{publish_count, publish_samples};
 
 /// Objects per page: each class-`k` page spans `4 * 2^k` words, mirroring
 /// the factor-4 chunk geometry of the paper's Section 4 analysis.
@@ -251,7 +253,14 @@ pub struct PageManager {
     /// Objects per page (the factor-`slots` geometry; 4 by default) and
     /// the evacuation threshold.
     geom: Geometry,
+    /// Pages evacuated (`pages.evictions`), requests served by an open
+    /// page (`pages.open_serves`) and by a fresh one (`pages.new_pages`).
     evictions: u64,
+    open_serves: u64,
+    new_pages: u64,
+    /// Request sizes (`alloc.size`), sampled only while the metrics
+    /// registry is on.
+    sizes: Histogram,
 }
 
 impl PageManager {
@@ -328,6 +337,9 @@ impl PageManager {
                 sparse_live: slots / 4,
             },
             evictions: 0,
+            open_serves: 0,
+            new_pages: 0,
+            sizes: Histogram::new(),
         })
     }
 
@@ -539,6 +551,11 @@ impl MemoryManager for PageManager {
     }
 
     fn publish_metrics(&self) {
+        publish_count("pages.placements", self.open_serves + self.new_pages);
+        publish_count("pages.open_serves", self.open_serves);
+        publish_count("pages.new_pages", self.new_pages);
+        publish_count("pages.evictions", self.evictions);
+        publish_samples("alloc.size", &self.sizes);
         self.pool.publish_metrics();
     }
 
@@ -554,16 +571,16 @@ impl MemoryManager for PageManager {
                 req.size, self.max_order
             )));
         }
-        ops.stat_add("pages.placements", 1);
-        ops.stat_record("alloc.size", req.size.get());
+        if pcb_metrics::enabled() {
+            self.sizes.record(req.size.get());
+        }
         if let Some(addr) = self.place_in_open(k) {
-            ops.stat_add("pages.open_serves", 1);
+            self.open_serves += 1;
             return Ok(addr);
         }
         // No open page: evacuate sparse pages until the pool can host the
         // needed page (or nothing more can be evacuated), then grow from
         // the (possibly replenished) pool.
-        let before = self.evictions;
         loop {
             if self.classes[k as usize].open.succ(0).is_some() || self.pool_has_room(k) {
                 break;
@@ -572,14 +589,13 @@ impl MemoryManager for PageManager {
                 break;
             }
         }
-        ops.stat_add("pages.evictions", self.evictions - before);
         if let Some(addr) = self.place_in_open(k) {
-            ops.stat_add("pages.open_serves", 1);
+            self.open_serves += 1;
             return Ok(addr);
         }
         let base = self.acquire_page(k);
         self.install_page(k, base);
-        ops.stat_add("pages.new_pages", 1);
+        self.new_pages += 1;
         Ok(self.place_in_open(k).expect("fresh page has free slots"))
     }
 

@@ -8,8 +8,10 @@ use pcb_heap::{
     Addr, AllocRequest, HeapOps, MemoryManager, MirrorCheck, ObjectId, PlacementError, Size,
     SpaceMap,
 };
+use pcb_metrics::Histogram;
 
 use crate::freelist::{FitPolicy, FreeSpace};
+use crate::{publish_count, publish_samples};
 
 /// A non-moving manager applying one of the classic fit policies.
 ///
@@ -24,6 +26,16 @@ pub struct FreeListManager {
     policy: FitPolicy,
     space: FreeSpace,
     cursor: Addr,
+    /// Requests served from a gap (`freelist.gap_serves`) and from the
+    /// frontier (`freelist.frontier_serves`); together, the placements.
+    gap_serves: u64,
+    frontier_serves: u64,
+    /// Sampled only while the metrics registry is on: request sizes
+    /// (`alloc.size`), the gaps they were carved from
+    /// (`freelist.hole_size`) and next-fit's probes (`freelist.probes`).
+    sizes: Histogram,
+    holes: Histogram,
+    probes: Histogram,
 }
 
 impl FreeListManager {
@@ -33,17 +45,12 @@ impl FreeListManager {
             policy,
             space: FreeSpace::new(),
             cursor: Addr::ZERO,
+            gap_serves: 0,
+            frontier_serves: 0,
+            sizes: Histogram::new(),
+            holes: Histogram::new(),
+            probes: Histogram::new(),
         }
-    }
-
-    /// The policy in use.
-    pub fn policy(&self) -> FitPolicy {
-        self.policy
-    }
-
-    /// The manager's free-space view (for diagnostics/tests).
-    pub fn free_space(&self) -> &FreeSpace {
-        &self.space
     }
 }
 
@@ -55,31 +62,30 @@ impl MemoryManager for FreeListManager {
     fn place(
         &mut self,
         req: AllocRequest,
-        ops: &mut HeapOps<'_, '_>,
+        _ops: &mut HeapOps<'_, '_>,
     ) -> Result<Addr, PlacementError> {
-        // The traced takes pick identical addresses; they only add probe
-        // accounting, so the placement sequence is byte-for-byte the same
-        // whether or not stats are being collected.
-        if !ops.stats_enabled() {
-            let addr = match self.policy {
-                FitPolicy::NextFit => self.space.take_next_fit(req.size, &mut self.cursor),
-                p => self.space.take(req.size, p),
-            };
-            return Ok(addr);
-        }
-        let (addr, taken) = match self.policy {
-            FitPolicy::NextFit => self.space.take_next_fit_traced(req.size, &mut self.cursor),
-            p => self.space.take_traced(req.size, p),
-        };
-        ops.stat_add("freelist.placements", 1);
-        ops.stat_record("freelist.probes", taken.probes);
-        ops.stat_record("alloc.size", req.size.get());
-        match taken.gap_len {
-            Some(len) => {
-                ops.stat_add("freelist.gap_serves", 1);
-                ops.stat_record("freelist.hole_size", len);
+        let (addr, gap_len, probes) = match self.policy {
+            FitPolicy::NextFit => {
+                let (addr, gap_len, probes) = self.space.take_next_fit(req.size, &mut self.cursor);
+                (addr, gap_len, Some(probes))
             }
-            None => ops.stat_add("freelist.frontier_serves", 1),
+            p => {
+                let (addr, gap_len) = self.space.take(req.size, p);
+                (addr, gap_len, None)
+            }
+        };
+        match gap_len {
+            Some(_) => self.gap_serves += 1,
+            None => self.frontier_serves += 1,
+        }
+        if pcb_metrics::enabled() {
+            self.sizes.record(req.size.get());
+            if let Some(len) = gap_len {
+                self.holes.record(len);
+            }
+            if let Some(probes) = probes {
+                self.probes.record(probes);
+            }
         }
         Ok(addr)
     }
@@ -89,6 +95,15 @@ impl MemoryManager for FreeListManager {
     }
 
     fn publish_metrics(&self) {
+        publish_count(
+            "freelist.placements",
+            self.gap_serves + self.frontier_serves,
+        );
+        publish_count("freelist.gap_serves", self.gap_serves);
+        publish_count("freelist.frontier_serves", self.frontier_serves);
+        publish_samples("alloc.size", &self.sizes);
+        publish_samples("freelist.hole_size", &self.holes);
+        publish_samples("freelist.probes", &self.probes);
         self.space.publish_metrics();
     }
 

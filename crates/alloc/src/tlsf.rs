@@ -24,8 +24,10 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 
 use pcb_heap::{Addr, AllocRequest, HeapOps, MemoryManager, ObjectId, PlacementError, Size};
+use pcb_metrics::Histogram;
 
 use crate::freelist::FreeSpace;
+use crate::{publish_count, publish_samples};
 
 /// Second-level subdivision: each power-of-two range splits into
 /// `2^SL_BITS` buckets.
@@ -56,6 +58,16 @@ pub struct TlsfManager {
     /// Bucket slots the placements' lookups scanned so far, published as
     /// the `manager.bucket_scan_len` counter.
     bucket_scans: u64,
+    /// Requests served by a good-fit block (`tlsf.good_fit_serves`) and
+    /// at the frontier (`tlsf.frontier_serves`); together, the placements.
+    good_fit_serves: u64,
+    frontier_serves: u64,
+    /// Sampled only while the metrics registry is on: each lookup's
+    /// bucket scan (`tlsf.probes`), request sizes (`alloc.size`) and the
+    /// blocks served from (`tlsf.hole_size`).
+    probes: Histogram,
+    sizes: Histogram,
+    holes: Histogram,
 }
 
 /// The two-level bucket index: lazily-cleaned min-heaps of `(start, len)`
@@ -88,6 +100,11 @@ impl TlsfManager {
             },
             mirror: FreeSpace::new(),
             bucket_scans: 0,
+            good_fit_serves: 0,
+            frontier_serves: 0,
+            probes: Histogram::new(),
+            sizes: Histogram::new(),
+            holes: Histogram::new(),
         }
     }
 
@@ -281,18 +298,21 @@ impl MemoryManager for TlsfManager {
     fn place(
         &mut self,
         req: AllocRequest,
-        ops: &mut HeapOps<'_, '_>,
+        _ops: &mut HeapOps<'_, '_>,
     ) -> Result<Addr, PlacementError> {
         let size = req.size.get();
         let (found, probes) = self.find_block_traced(size);
         self.bucket_scans += probes;
-        ops.stat_add("tlsf.placements", 1);
-        ops.stat_record("tlsf.probes", probes);
-        ops.stat_record("alloc.size", size);
+        if pcb_metrics::enabled() {
+            self.probes.record(probes);
+            self.sizes.record(size);
+            if let Some((_, len)) = found {
+                self.holes.record(len);
+            }
+        }
         match found {
             Some((start, len)) => {
-                ops.stat_add("tlsf.good_fit_serves", 1);
-                ops.stat_record("tlsf.hole_size", len);
+                self.good_fit_serves += 1;
                 self.remove_block(len);
                 let taken = self.mirror.take_exact(Addr::new(start), req.size);
                 debug_assert!(taken, "mirror agrees with the index");
@@ -302,7 +322,7 @@ impl MemoryManager for TlsfManager {
                 Ok(Addr::new(start))
             }
             None => {
-                ops.stat_add("tlsf.frontier_serves", 1);
+                self.frontier_serves += 1;
                 // Good-fit found nothing (a block one bucket down may
                 // still have fit — that miss is TLSF's documented trade
                 // for O(1) lookup): grow strictly at the frontier so the
@@ -332,9 +352,16 @@ impl MemoryManager for TlsfManager {
     }
 
     fn publish_metrics(&self) {
-        if self.bucket_scans > 0 {
-            pcb_metrics::add_counter("manager.bucket_scan_len", self.bucket_scans);
-        }
+        publish_count("manager.bucket_scan_len", self.bucket_scans);
+        publish_count(
+            "tlsf.placements",
+            self.good_fit_serves + self.frontier_serves,
+        );
+        publish_count("tlsf.good_fit_serves", self.good_fit_serves);
+        publish_count("tlsf.frontier_serves", self.frontier_serves);
+        publish_samples("tlsf.probes", &self.probes);
+        publish_samples("alloc.size", &self.sizes);
+        publish_samples("tlsf.hole_size", &self.holes);
         self.mirror.publish_metrics();
     }
 }

@@ -5,12 +5,12 @@
 //! ground-truth argument for the runtime indexes: any divergence, however
 //! small, fails here before it can bias a placement decision.
 //!
-//! Covered: every [`FreeSpace`] operation (traced probe counts included)
-//! against [`ReferenceFreeSpace`]; the buddy allocator under both
-//! [`BuddySelect`] strategies (`LowestAddr` is the discipline behind
-//! `robson-aligned`), the segregated and the TLSF managers against their
-//! seed managers, with manager stats on; and `pages-thm2` against the seed
-//! page manager, whose page pool runs on the seed free space.
+//! Covered: every [`FreeSpace`] operation (carved gap lengths and
+//! next-fit probe counts included) against [`ReferenceFreeSpace`]; the
+//! buddy allocator under both [`BuddySelect`] strategies (`LowestAddr` is
+//! the discipline behind `robson-aligned`), the segregated and the TLSF
+//! managers against their seed managers; and `pages-thm2` against the
+//! seed page manager, whose page pool runs on the seed free space.
 
 mod oracle;
 
@@ -20,8 +20,7 @@ use pcb_alloc::{
     BuddyAllocator, BuddySelect, FitPolicy, FreeSpace, PageManager, SegregatedManager, TlsfManager,
 };
 use pcb_heap::{
-    Addr, Execution, Extent, Heap, MemoryManager, ScriptedProgram, Size, StatSink, Trace,
-    TraceRecorder,
+    Addr, Execution, Extent, Heap, MemoryManager, ScriptedProgram, Size, Trace, TraceRecorder,
 };
 
 use oracle::{
@@ -30,13 +29,10 @@ use oracle::{
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Traced take via a fit policy (0..4 maps onto `FitPolicy::ALL`).
+    /// Take via a fit policy (0..4 maps onto `FitPolicy::ALL`).
     Take { size: u64, policy: usize },
-    /// Untraced take; must pick the same address as the traced one would.
-    TakePlain { size: u64, policy: usize },
-    /// Take the next-fit way, advancing the external cursor (traced when
-    /// `traced`).
-    TakeNextFit { size: u64, traced: bool },
+    /// Take the next-fit way, advancing the external cursor.
+    TakeNextFit { size: u64 },
     /// Take the lowest aligned gap (buddy-style).
     TakeAligned { size: u64, align_log2: u32 },
     /// Claim an explicit extent; both sides must agree on whether it was
@@ -73,8 +69,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (size(), 0usize..4).prop_map(|(size, policy)| Op::Take { size, policy }),
         (size(), 0usize..4).prop_map(|(size, policy)| Op::Take { size, policy }),
-        (size(), 0usize..4).prop_map(|(size, policy)| Op::TakePlain { size, policy }),
-        (size(), any::<bool>()).prop_map(|(size, traced)| Op::TakeNextFit { size, traced }),
+        (size(), 0usize..4).prop_map(|(size, policy)| Op::Take { size, policy }),
+        size().prop_map(|size| Op::TakeNextFit { size }),
         (1u64..32, 0u32..5).prop_map(|(size, align_log2)| Op::TakeAligned { size, align_log2 }),
         (0u64..4_000, 0u64..48).prop_map(|(start, size)| Op::TakeExact { start, size }),
         (size(), 0usize..4, 1u64..4_000).prop_map(|(size, policy, limit)| Op::TakeWithin {
@@ -145,12 +141,11 @@ fn random_script(rounds: &[(Vec<u64>, Vec<usize>)], live_bound: u64) -> Scripted
 }
 
 /// Everything a managed run exposes: the report (or the error), the event
-/// stream, the manager stats and a manager-specific index digest.
+/// stream and a manager-specific index digest.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     report: Result<String, String>,
     trace: Trace,
-    stats: Option<StatSink>,
     index: String,
 }
 
@@ -158,98 +153,80 @@ fn drive<M: MemoryManager>(
     heap: Heap,
     program: ScriptedProgram,
     manager: M,
-    stats: bool,
     index: impl Fn(&M) -> String,
 ) -> Outcome {
     let c = heap.budget().c();
     let mut exec = Execution::new(heap, program, manager);
-    if stats {
-        exec = exec.with_stats();
-    }
     let mut rec = TraceRecorder::new(c);
     let report = exec
         .run_observed(&mut rec)
         .map(|r| format!("{r:?}"))
         .map_err(|e| e.to_string());
-    let stats = exec.take_stats();
     let (_, _, manager) = exec.into_parts();
     Outcome {
         report,
         trace: rec.into_trace(),
-        stats,
         index: index(&manager),
     }
 }
 
 /// Runs `program` through every runtime manager that has a seed oracle
-/// and through that oracle, demanding identical outcomes. Traced and
-/// untraced placement paths differ inside the managers (probe
-/// accounting), so both are held to the oracle.
+/// and through that oracle, demanding identical outcomes.
 fn managers_match_their_seeds(program: &ScriptedProgram, max_order: u32) {
-    for stats in [false, true] {
-        for select in [BuddySelect::SmallestOrder, BuddySelect::LowestAddr] {
-            let runtime = drive(
-                Heap::non_moving(),
-                program.clone(),
-                BuddyAllocator::new(max_order, select),
-                stats,
-                |m| format!("{:?}", m.free_blocks()),
-            );
-            let seed = drive(
-                Heap::non_moving(),
-                program.clone(),
-                SeedBuddyAllocator::new(max_order, select),
-                stats,
-                |m| format!("{:?}", m.free_blocks()),
-            );
-            assert_eq!(runtime, seed, "buddy {select:?}, stats {stats}");
-        }
+    for select in [BuddySelect::SmallestOrder, BuddySelect::LowestAddr] {
         let runtime = drive(
             Heap::non_moving(),
             program.clone(),
-            SegregatedManager::new(max_order),
-            stats,
-            |m| format!("{:?}", m.free_slots()),
+            BuddyAllocator::new(max_order, select),
+            |m| format!("{:?}", m.free_blocks()),
         );
         let seed = drive(
             Heap::non_moving(),
             program.clone(),
-            SeedSegregatedManager::new(max_order),
-            stats,
-            |m| format!("{:?}", m.free_slots()),
+            SeedBuddyAllocator::new(max_order, select),
+            |m| format!("{:?}", m.free_blocks()),
         );
-        assert_eq!(runtime, seed, "segregated, stats {stats}");
-        let runtime = drive(
-            Heap::non_moving(),
-            program.clone(),
-            TlsfManager::new(),
-            stats,
-            |m| m.indexed_free_words().to_string(),
-        );
-        let seed = drive(
-            Heap::non_moving(),
-            program.clone(),
-            SeedTlsfManager::default(),
-            stats,
-            |m| m.indexed_free_words().to_string(),
-        );
-        assert_eq!(runtime, seed, "tlsf, stats {stats}");
-        let runtime = drive(
-            Heap::new(8),
-            program.clone(),
-            PageManager::new(8, max_order),
-            stats,
-            |m| m.evictions().to_string(),
-        );
-        let seed = drive(
-            Heap::new(8),
-            program.clone(),
-            SeedPageManager::with_geometry(8, max_order, 4),
-            stats,
-            |m| m.evictions().to_string(),
-        );
-        assert_eq!(runtime, seed, "pages-thm2, stats {stats}");
+        assert_eq!(runtime, seed, "buddy {select:?}");
     }
+    let runtime = drive(
+        Heap::non_moving(),
+        program.clone(),
+        SegregatedManager::new(max_order),
+        |m| format!("{:?}", m.free_slots()),
+    );
+    let seed = drive(
+        Heap::non_moving(),
+        program.clone(),
+        SeedSegregatedManager::new(max_order),
+        |m| format!("{:?}", m.free_slots()),
+    );
+    assert_eq!(runtime, seed, "segregated");
+    let runtime = drive(
+        Heap::non_moving(),
+        program.clone(),
+        TlsfManager::new(),
+        |m| m.indexed_free_words().to_string(),
+    );
+    let seed = drive(
+        Heap::non_moving(),
+        program.clone(),
+        SeedTlsfManager::default(),
+        |m| m.indexed_free_words().to_string(),
+    );
+    assert_eq!(runtime, seed, "tlsf");
+    let runtime = drive(
+        Heap::new(8),
+        program.clone(),
+        PageManager::new(8, max_order),
+        |m| m.evictions().to_string(),
+    );
+    let seed = drive(
+        Heap::new(8),
+        program.clone(),
+        SeedPageManager::with_geometry(8, max_order, 4),
+        |m| m.evictions().to_string(),
+    );
+    assert_eq!(runtime, seed, "pages-thm2");
 }
 
 /// A deterministic churn script: `rounds` rounds of `per_round` sizes from
@@ -280,8 +257,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     // Operation-level lockstep: every take answers with the same address
-    // and probe count, every exact claim with the same verdict, and the
-    // full gap structure matches after every single operation.
+    // and carved gap (next-fit also with the same probe count), every
+    // exact claim with the same verdict, and the full gap structure
+    // matches after every single operation.
     #[test]
     fn free_space_matches_the_oracle(
         ops in proptest::collection::vec(op_strategy(), 1..120),
@@ -296,34 +274,18 @@ proptest! {
             match op {
                 Op::Take { size, policy } => {
                     let (size, policy) = (Size::new(size), FitPolicy::ALL[policy]);
-                    let got = fs.take_traced(size, policy);
-                    let want = oracle.take_traced(size, policy);
-                    prop_assert_eq!(got, want, "take_traced {} {:?}", size, policy);
-                    taken.push((got.0, size));
-                }
-                Op::TakePlain { size, policy } => {
-                    let (size, policy) = (Size::new(size), FitPolicy::ALL[policy]);
                     let got = fs.take(size, policy);
                     let want = oracle.take(size, policy);
                     prop_assert_eq!(got, want, "take {} {:?}", size, policy);
-                    taken.push((got, size));
+                    taken.push((got.0, size));
                 }
-                Op::TakeNextFit { size, traced } => {
+                Op::TakeNextFit { size } => {
                     let size = Size::new(size);
-                    let (got, want) = if traced {
-                        let got = fs.take_next_fit_traced(size, &mut cursor);
-                        let want = oracle.take_next_fit_traced(size, &mut oracle_cursor);
-                        prop_assert_eq!(got.1, want.1, "next-fit stats {}", size);
-                        (got.0, want.0)
-                    } else {
-                        (
-                            fs.take_next_fit(size, &mut cursor),
-                            oracle.take_next_fit(size, &mut oracle_cursor),
-                        )
-                    };
+                    let got = fs.take_next_fit(size, &mut cursor);
+                    let want = oracle.take_next_fit(size, &mut oracle_cursor);
                     prop_assert_eq!(got, want, "take_next_fit {}", size);
                     prop_assert_eq!(cursor, oracle_cursor, "next-fit cursors");
-                    taken.push((got, size));
+                    taken.push((got.0, size));
                 }
                 Op::TakeAligned { size, align_log2 } => {
                     let size = Size::new(size);
@@ -389,7 +351,7 @@ enum WideOp {
     /// Claim `[block * LEVEL2_SPAN + offset, + size)` exactly (skipping
     /// the frontier past it when it lies above).
     Claim { block: u64, offset: u64, size: u64 },
-    /// Traced take under first-, best- or worst-fit.
+    /// Take under first-, best- or worst-fit.
     Take { size: u64, policy: usize },
     /// Release the `pick`-th claimed extent.
     Release { pick: usize },
@@ -426,7 +388,7 @@ proptest! {
     // Lockstep across level-2 blocks: gaps live in at least three
     // top-level blocks of the length bounds, so the first-fit descent
     // really skips and tightens blocks at every level. Every address and
-    // traced probe count matches the seed oracle.
+    // carved gap matches the seed oracle.
     #[test]
     fn free_space_matches_the_oracle_across_summary_blocks(
         ops in proptest::collection::vec(wide_op_strategy(), 1..150),
@@ -456,8 +418,8 @@ proptest! {
                 }
                 WideOp::Take { size, policy } => {
                     let (size, policy) = (Size::new(size), FitPolicy::ALL[policy]);
-                    let got = fs.take_traced(size, policy);
-                    prop_assert_eq!(got, oracle.take_traced(size, policy), "take {} {:?}", size, policy);
+                    let got = fs.take(size, policy);
+                    prop_assert_eq!(got, oracle.take(size, policy), "take {} {:?}", size, policy);
                     taken.push((got.0, size));
                 }
                 WideOp::Release { pick } => {
@@ -476,8 +438,8 @@ proptest! {
                     prop_assert!(fs.take_exact(gap.start(), gap.size()));
                     prop_assert!(oracle.take_exact(gap.start(), gap.size()));
                     taken.push((gap.start(), gap.size()));
-                    let got = fs.take_traced(largest, FitPolicy::FirstFit);
-                    prop_assert_eq!(got, oracle.take_traced(largest, FitPolicy::FirstFit), "ask {}", largest);
+                    let got = fs.take(largest, FitPolicy::FirstFit);
+                    prop_assert_eq!(got, oracle.take(largest, FitPolicy::FirstFit), "ask {}", largest);
                     taken.push((got.0, largest));
                 }
             }
@@ -490,7 +452,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     // Manager-level lockstep: every manager with a seed oracle produces
-    // the same report, event stream, stats and index state for arbitrary
+    // the same report, event stream and index state for arbitrary
     // well-formed workloads.
     #[test]
     fn managers_match_their_seeds_on_random_scripts(
@@ -522,13 +484,13 @@ fn free_space_matches_the_oracle_on_a_long_mixed_script() {
         match roll % 7 {
             0..=3 => {
                 let policy = FitPolicy::ALL[(roll % 4) as usize];
-                let got = fs.take_traced(size, policy);
-                assert_eq!(got, oracle.take_traced(size, policy), "step {i}");
+                let got = fs.take(size, policy);
+                assert_eq!(got, oracle.take(size, policy), "step {i}");
                 live.push((got.0, size));
             }
             4 => {
-                let got = fs.take_next_fit_traced(size, &mut cursor);
-                let want = oracle.take_next_fit_traced(size, &mut oracle_cursor);
+                let got = fs.take_next_fit(size, &mut cursor);
+                let want = oracle.take_next_fit(size, &mut oracle_cursor);
                 assert_eq!(got, want, "step {i}");
                 assert_eq!(cursor, oracle_cursor);
                 live.push((got.0, size));
@@ -575,7 +537,7 @@ fn fit_ties_break_towards_the_lowest_address() {
             for _ in 0..3 {
                 let a = fs.take(size, FitPolicy::FirstFit);
                 assert_eq!(a, oracle.take(size, FitPolicy::FirstFit));
-                starts.push(a);
+                starts.push(a.0);
                 let spacer = fs.take(one, FitPolicy::FirstFit);
                 assert_eq!(spacer, oracle.take(one, FitPolicy::FirstFit));
             }
@@ -584,8 +546,8 @@ fn fit_ties_break_towards_the_lowest_address() {
                 oracle.release(a, size);
             }
             let ask = Size::new(len - 3);
-            let got = fs.take_traced(ask, policy);
-            assert_eq!(got, oracle.take_traced(ask, policy), "{len} {policy:?}");
+            let got = fs.take(ask, policy);
+            assert_eq!(got, oracle.take(ask, policy), "{len} {policy:?}");
             assert_eq!(got.0, starts[0], "{len} {policy:?}");
         }
     }

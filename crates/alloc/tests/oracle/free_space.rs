@@ -1,12 +1,12 @@
 //! The seed free-space index, kept verbatim (apart from renaming) as the
 //! oracle for the runtime [`pcb_alloc::FreeSpace`]: a `BTreeMap<u64, u64>`
 //! address mirror plus a flat `BTreeSet<(len, start)>` size index. Every
-//! fit policy must choose the same address and report the same probe
-//! count on both.
+//! fit policy must choose the same address and carve the same gap on
+//! both, and next-fit must examine the same gaps.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use pcb_alloc::{FitPolicy, TakeStats};
+use pcb_alloc::FitPolicy;
 use pcb_heap::{Addr, Extent, Size};
 
 /// The seed BTree-based free-space index.
@@ -91,7 +91,7 @@ impl ReferenceFreeSpace {
         self.by_len.insert((len, start));
     }
 
-    pub fn take(&mut self, size: Size, policy: FitPolicy) -> Addr {
+    pub fn take(&mut self, size: Size, policy: FitPolicy) -> (Addr, Option<u64>) {
         assert!(!size.is_zero(), "cannot take zero words");
         let s = size.get();
         let pick = match policy {
@@ -100,31 +100,11 @@ impl ReferenceFreeSpace {
             FitPolicy::WorstFit => self.pick_worst(s),
         };
         match pick {
-            Some(start) => self.carve(start, s),
-            None => self.take_frontier(s),
-        }
-    }
-
-    pub fn take_traced(&mut self, size: Size, policy: FitPolicy) -> (Addr, TakeStats) {
-        assert!(!size.is_zero(), "cannot take zero words");
-        let s = size.get();
-        let (pick, probes) = match policy {
-            FitPolicy::FirstFit | FitPolicy::NextFit => self.pick_first_traced(s),
-            FitPolicy::BestFit => (self.pick_best(s), 1),
-            FitPolicy::WorstFit => (self.pick_worst(s), 2),
-        };
-        match pick {
             Some(start) => {
                 let gap_len = self.by_addr.get(&start).copied();
-                (self.carve(start, s), TakeStats { probes, gap_len })
+                (self.carve(start, s), gap_len)
             }
-            None => (
-                self.take_frontier(s),
-                TakeStats {
-                    probes,
-                    gap_len: None,
-                },
-            ),
+            None => (self.take_frontier(s), None),
         }
     }
 
@@ -143,37 +123,9 @@ impl ReferenceFreeSpace {
         }
     }
 
-    pub fn take_next_fit(&mut self, size: Size, cursor: &mut Addr) -> Addr {
-        assert!(!size.is_zero(), "cannot take zero words");
-        let s = size.get();
-        let from = cursor.get();
-        // Fast path: if no gap anywhere fits, go straight to the frontier
-        // instead of scanning every hole (adversarial workloads shatter
-        // the heap into hundreds of thousands of too-small holes).
-        let any_fits = self.by_len.range((s, 0)..).next().is_some();
-        let found = if !any_fits {
-            None
-        } else {
-            self.by_addr
-                .range(from..)
-                .find(|&(_, &len)| len >= s)
-                .map(|(&start, _)| start)
-                .or_else(|| {
-                    self.by_addr
-                        .range(..from)
-                        .find(|&(_, &len)| len >= s)
-                        .map(|(&start, _)| start)
-                })
-        };
-        let addr = match found {
-            Some(start) => self.carve(start, s),
-            None => self.take_frontier(s),
-        };
-        *cursor = addr + size;
-        addr
-    }
-
-    pub fn take_next_fit_traced(&mut self, size: Size, cursor: &mut Addr) -> (Addr, TakeStats) {
+    /// Next-fit, with the gap carved from and the probes spent: one for
+    /// the any-fits pre-check plus one per gap examined.
+    pub fn take_next_fit(&mut self, size: Size, cursor: &mut Addr) -> (Addr, Option<u64>, u64) {
         assert!(!size.is_zero(), "cannot take zero words");
         let s = size.get();
         let from = cursor.get();
@@ -206,7 +158,7 @@ impl ReferenceFreeSpace {
             None => (self.take_frontier(s), None),
         };
         *cursor = addr + size;
-        (addr, TakeStats { probes, gap_len })
+        (addr, gap_len, probes)
     }
 
     pub fn take_aligned(&mut self, size: Size, align: u64) -> Addr {
@@ -293,28 +245,6 @@ impl ReferenceFreeSpace {
             }
         }
         best
-    }
-
-    /// [`pick_first`](Self::pick_first) plus the number of size-class range
-    /// probes it issued (including the final empty one).
-    fn pick_first_traced(&self, size: u64) -> (Option<u64>, u64) {
-        let mut best: Option<u64> = None;
-        let mut probes = 0u64;
-        let mut from = size;
-        loop {
-            probes += 1;
-            match self.by_len.range((from, 0)..).next() {
-                Some(&(len, start)) => {
-                    best = Some(best.map_or(start, |b| b.min(start)));
-                    match len.checked_add(1) {
-                        Some(next) => from = next,
-                        None => break,
-                    }
-                }
-                None => break,
-            }
-        }
-        (best, probes)
     }
 
     fn pick_best(&self, size: u64) -> Option<u64> {

@@ -2,7 +2,7 @@
 //! renaming) as oracles for `manager_equivalence`: each is the runtime
 //! manager with its seed `BTreeSet` index, and TLSF keeps its coalescing
 //! mirror on the seed [`ReferenceFreeSpace`]. The runtime managers must
-//! make exactly the same placements and report the same probe counts.
+//! make exactly the same placements.
 
 use std::collections::BTreeSet;
 
@@ -269,21 +269,6 @@ impl SeedTlsfManager {
             .filter(|&(_, len)| len >= size)
     }
 
-    fn find_block_traced(&mut self, size: u64) -> (Option<(u64, u64)>, u64) {
-        let (fl, sl) = Self::search_mapping(size);
-        let from = Self::bucket_index(fl, sl);
-        match self.nonempty[from..].iter().position(|&ne| ne) {
-            Some(off) => {
-                let found = self.buckets[from + off]
-                    .first()
-                    .copied()
-                    .filter(|&(_, len)| len >= size);
-                (found, off as u64 + 1)
-            }
-            None => (None, (self.nonempty.len() - from) as u64),
-        }
-    }
-
     /// Total free words indexed.
     pub fn indexed_free_words(&self) -> u64 {
         self.buckets
@@ -302,25 +287,11 @@ impl MemoryManager for SeedTlsfManager {
     fn place(
         &mut self,
         req: AllocRequest,
-        ops: &mut HeapOps<'_, '_>,
+        _ops: &mut HeapOps<'_, '_>,
     ) -> Result<Addr, PlacementError> {
         let size = req.size.get();
-        let stats = ops.stats_enabled();
-        let found = if stats {
-            let (found, probes) = self.find_block_traced(size);
-            ops.stat_add("tlsf.placements", 1);
-            ops.stat_record("tlsf.probes", probes);
-            ops.stat_record("alloc.size", size);
-            found
-        } else {
-            self.find_block(size)
-        };
-        match found {
+        match self.find_block(size) {
             Some((start, len)) => {
-                if stats {
-                    ops.stat_add("tlsf.good_fit_serves", 1);
-                    ops.stat_record("tlsf.hole_size", len);
-                }
                 self.remove_block(start, len);
                 let taken = self.mirror.take_exact(Addr::new(start), req.size);
                 debug_assert!(taken, "mirror agrees with the index");
@@ -330,9 +301,6 @@ impl MemoryManager for SeedTlsfManager {
                 Ok(Addr::new(start))
             }
             None => {
-                if stats {
-                    ops.stat_add("tlsf.frontier_serves", 1);
-                }
                 let frontier = self.mirror.frontier();
                 let taken = self.mirror.take_exact(frontier, req.size);
                 debug_assert!(taken, "frontier space is always free");

@@ -273,13 +273,9 @@ impl MemoryManager for SeedPageManager {
                 req.size, self.max_order
             )));
         }
-        ops.stat_add("pages.placements", 1);
-        ops.stat_record("alloc.size", req.size.get());
         if let Some(addr) = self.place_in_open(k, req.id) {
-            ops.stat_add("pages.open_serves", 1);
             return Ok(addr);
         }
-        let before = self.evictions;
         loop {
             if !self.classes[k as usize].open.is_empty() || self.pool_has_room(k) {
                 break;
@@ -288,14 +284,11 @@ impl MemoryManager for SeedPageManager {
                 break;
             }
         }
-        ops.stat_add("pages.evictions", self.evictions - before);
         if let Some(addr) = self.place_in_open(k, req.id) {
-            ops.stat_add("pages.open_serves", 1);
             return Ok(addr);
         }
         let base = self.acquire_page(k);
         self.install_page(k, base);
-        ops.stat_add("pages.new_pages", 1);
         Ok(self
             .place_in_open(k, req.id)
             .expect("fresh page has free slots"))

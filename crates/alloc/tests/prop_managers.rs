@@ -83,9 +83,9 @@ proptest! {
         for (size, release, pick) in ops {
             let size = Size::new(size);
             let addr = if policy == FitPolicy::NextFit {
-                fs.take_next_fit(size, &mut cursor)
+                fs.take_next_fit(size, &mut cursor).0
             } else {
-                fs.take(size, policy)
+                fs.take(size, policy).0
             };
             // No overlap with anything currently held.
             for &(a, s) in &held {

@@ -231,12 +231,18 @@ pub fn all_checks() -> Vec<Check> {
             .manager(ManagerKind::FirstFit)
             .run()
             .expect("P_F runs");
+        // The metric plane is process-global: switch it on for the
+        // watched run only, leaving it as the caller had it.
+        let plane_was_on = pcb_metrics::enabled();
+        pcb_metrics::enable();
         let watched = sim::Sim::new(params)
             .manager(ManagerKind::FirstFit)
             .series(1)
-            .stats(true)
             .run()
             .expect("P_F runs observed");
+        if !plane_was_on {
+            pcb_metrics::disable();
+        }
         let series = watched.series.as_ref().expect("series collected");
         let peak = series.span().iter().copied().max().unwrap_or(0);
         let ok = plain.execution.heap_size == watched.execution.heap_size
@@ -245,7 +251,7 @@ pub fn all_checks() -> Vec<Check> {
             && series.len() == watched.execution.rounds as usize;
         checks.push(Check::new(
             "E12",
-            "attaching per-round series + manager stats changes no result",
+            "attaching per-round series + metric plane changes no result",
             format!(
                 "HS {} = {} (peak of {} samples)",
                 plain.execution.heap_size,

@@ -5,8 +5,9 @@
 //! The entry point is the [`Sim`] builder, the one code path that builds
 //! and drives a single-heap run (`pcb simulate` and `pcb record` are thin
 //! shells over it). It also carries the observability hooks: an external
-//! [`Observer`], a per-round [`TimeSeries`], and manager-side
-//! [`StatSink`] counters can all be attached to the same run.
+//! [`Observer`] and a per-round [`TimeSeries`] can both be attached to
+//! the same run. Manager counters go to the `pcb-metrics` registry when
+//! it is on, like every other metric.
 
 use core::fmt;
 
@@ -14,8 +15,7 @@ use pcb_adversary::{PfConfig, PfProgram, PfVariant, RobsonProgram};
 use pcb_alloc::{BuildError, ManagerKind};
 use pcb_chaos::FaultPlan;
 use pcb_heap::{
-    Execution, ExecutionError, Heap, MemoryManager, Observer, Observers, Program, StatSink,
-    TimeSeries,
+    Execution, ExecutionError, Heap, MemoryManager, Observer, Observers, Program, TimeSeries,
 };
 use pcb_workload::{tenant_by_kind, TenantProgram, TenantShape};
 
@@ -117,8 +117,6 @@ pub struct SimReport {
     pub violations: Vec<String>,
     /// Per-round samples, when requested via [`Sim::series`].
     pub series: Option<TimeSeries>,
-    /// Manager-side counters/histograms, when requested via [`Sim::stats`].
-    pub stats: Option<StatSink>,
 }
 
 impl pcb_json::ToJson for SimReport {
@@ -148,13 +146,6 @@ impl pcb_json::ToJson for SimReport {
             (
                 "series",
                 match &self.series {
-                    Some(s) => s.to_json(),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "stats",
-                match &self.stats {
                     Some(s) => s.to_json(),
                     None => Json::Null,
                 },
@@ -205,7 +196,6 @@ pub struct Sim<'a> {
     validate: bool,
     observer: Option<&'a mut dyn Observer>,
     series_every: Option<u32>,
-    stats: bool,
     chaos: FaultPlan,
     paranoia: u32,
 }
@@ -219,7 +209,6 @@ impl fmt::Debug for Sim<'_> {
             .field("validate", &self.validate)
             .field("observer", &self.observer.is_some())
             .field("series_every", &self.series_every)
-            .field("stats", &self.stats)
             .field("chaos", &self.chaos)
             .field("paranoia", &self.paranoia)
             .finish()
@@ -238,7 +227,6 @@ impl<'a> Sim<'a> {
             validate: false,
             observer: None,
             series_every: None,
-            stats: false,
             chaos: FaultPlan::empty(),
             paranoia: 0,
         }
@@ -274,13 +262,6 @@ impl<'a> Sim<'a> {
     /// (0 is treated as 1) into [`SimReport::series`].
     pub fn series(mut self, every: u32) -> Self {
         self.series_every = Some(every);
-        self
-    }
-
-    /// Collects manager-side counters/histograms into
-    /// [`SimReport::stats`].
-    pub fn stats(mut self, stats: bool) -> Self {
-        self.stats = stats;
         self
     }
 
@@ -328,7 +309,6 @@ impl<'a> Sim<'a> {
             validate,
             observer,
             series_every,
-            stats,
             chaos,
             paranoia,
         } = self;
@@ -337,7 +317,6 @@ impl<'a> Sim<'a> {
             manager: manager.try_build(&params).map_err(SimError::Manager)?,
             chaos,
             paranoia,
-            stats,
             observer,
             series_every,
         };
@@ -394,7 +373,6 @@ struct Setup<'a> {
     manager: Box<dyn MemoryManager>,
     chaos: FaultPlan,
     paranoia: u32,
-    stats: bool,
     observer: Option<&'a mut dyn Observer>,
     series_every: Option<u32>,
 }
@@ -408,9 +386,6 @@ impl Setup<'_> {
         let mut exec = Execution::new(self.heap, program, self.manager)
             .with_chaos(self.chaos)
             .with_paranoia(self.paranoia);
-        if self.stats {
-            exec = exec.with_stats();
-        }
         let mut series = self.series_every.map(|k| TimeSeries::new().every(k));
         let execution = if self.observer.is_none() && series.is_none() {
             exec.run()
@@ -425,7 +400,6 @@ impl Setup<'_> {
             exec.run_observed(&mut bus)
         }
         .map_err(SimError::Execution)?;
-        let stats = exec.take_stats();
         // The trivial factor 1 is always attainable, so the bound the
         // measurement is held to is the clamped value; the raw h is
         // preserved separately.
@@ -440,7 +414,6 @@ impl Setup<'_> {
             violations: Vec::new(),
             execution,
             series,
-            stats,
         };
         Ok((report, exec.into_parts().1))
     }
@@ -501,7 +474,6 @@ mod tests {
         );
         assert!(report.final_potential.unwrap() <= report.execution.heap_size as i128);
         assert!(report.series.is_none());
-        assert!(report.stats.is_none());
         let display = report.to_string();
         assert!(display.contains("pf vs first-fit"));
     }
@@ -621,7 +593,6 @@ mod tests {
             .manager(ManagerKind::FirstFit)
             .observe(&mut recorder)
             .series(1)
-            .stats(true)
             .run()
             .unwrap();
         assert_eq!(baseline.execution.heap_size, observed.execution.heap_size);
@@ -635,11 +606,5 @@ mod tests {
         // HS is the peak of the span column.
         let peak = series.span().iter().copied().max().unwrap();
         assert_eq!(peak, observed.execution.heap_size);
-        let stats = observed.stats.expect("stats collected");
-        assert_eq!(
-            stats.counter("freelist.placements"),
-            observed.execution.objects_placed
-        );
-        assert!(stats.histogram("freelist.probes").is_some());
     }
 }

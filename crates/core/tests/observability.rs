@@ -1,6 +1,6 @@
-//! Observers must be invisible in the physics: attaching any combination
-//! of event recorders, per-round series, and manager stats to a run, or
-//! switching on span collection and the metrics plane, must leave every
+//! Observers must be invisible in the physics: attaching event recorders
+//! and per-round series to a run, or switching on span collection and
+//! the metrics plane (which carries the manager counters), must leave every
 //! `Report` field identical to the plain run — under the sequential code
 //! path and under parallel workers alike.
 //!
@@ -39,7 +39,6 @@ fn run_arms(kind: ManagerKind) -> [String; 3] {
         .manager(kind)
         .observe(&mut recorder)
         .series(1)
-        .stats(true)
         .run()
         .expect("observed run");
     assert!(

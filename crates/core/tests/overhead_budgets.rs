@@ -3,7 +3,7 @@
 //! * a **disabled** metric plane costs at most 1 % of a fleet run;
 //! * an **attached** metric plane costs at most 5 %;
 //! * **attached observers** (a streamed JSONL trace, a per-round series
-//!   and manager stats) cost at most 25 % over the detached run;
+//!   and the metric plane on) cost at most 25 % over the detached run;
 //! * an **armed chaos plan** that never fires stays within ±25 %.
 //!
 //! One more ignored case, `each_observer_alone_prints_its_cost`, prints
@@ -137,16 +137,19 @@ fn observer_grid() -> Vec<(Params, ManagerKind)> {
 }
 
 /// Observers to attach: a JSONL trace streamed to a sink, a per-round
-/// series, manager stats.
+/// series, the metric plane (engine and manager counters).
 type Attached = (bool, bool, bool);
 
 /// Runs every cell of `cells` with the observers `on` names attached.
 fn run_observed(cells: &[(Params, ManagerKind)], on: Attached) {
-    let (trace, series, stats) = on;
+    let (trace, series, plane) = on;
+    if plane {
+        metrics::enable();
+    }
     for &(params, kind) in cells {
         let mut writer =
             trace.then(|| TraceWriter::new(std::io::sink(), params.c(), FaultPlan::empty()));
-        let mut sim = sim::Sim::new(params).manager(kind).stats(stats);
+        let mut sim = sim::Sim::new(params).manager(kind);
         if series {
             sim = sim.series(1);
         }
@@ -157,6 +160,10 @@ fn run_observed(cells: &[(Params, ManagerKind)], on: Attached) {
         if let Some(writer) = writer {
             writer.finish().expect("a sink never fails");
         }
+    }
+    if plane {
+        metrics::disable();
+        metrics::reset();
     }
 }
 
@@ -189,7 +196,7 @@ fn each_observer_alone_prints_its_cost() {
         ("detached", (false, false, false)),
         ("JSONL trace", (true, false, false)),
         ("per-round series", (false, true, false)),
-        ("manager stats", (false, false, true)),
+        ("metric plane on", (false, false, true)),
         ("all three", (true, true, true)),
     ];
     let mut samples = vec![Vec::new(); modes.len()];

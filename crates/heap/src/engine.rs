@@ -16,7 +16,6 @@ use crate::event::{Event, Observer, Tick};
 use crate::heap::{Heap, HeapStats};
 use crate::manager::{AllocRequest, HeapOps, MemoryManager, MirrorCheck};
 use crate::program::Program;
-use crate::stats::StatSink;
 
 /// Counts of chaos faults the engine actually injected (not merely
 /// scheduled: a `mirror-flip` decision that found nothing to corrupt,
@@ -224,9 +223,6 @@ pub struct Execution<P, M> {
     manager: M,
     round: u32,
     tick: Tick,
-    /// Manager-side counters/histograms; `None` (the default) keeps the
-    /// manager's reporting calls free.
-    stats: Option<StatSink>,
     /// Deterministic fault schedule; the default (empty) plan costs one
     /// array load per decision point.
     chaos: FaultPlan,
@@ -254,7 +250,6 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
             manager,
             round: 0,
             tick: 0,
-            stats: None,
             chaos: FaultPlan::empty(),
             paranoia: 0,
             alloc_attempts: 0,
@@ -280,25 +275,6 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
     pub fn with_paranoia(mut self, every_rounds: u32) -> Self {
         self.paranoia = every_rounds;
         self
-    }
-
-    /// Attaches a [`StatSink`] so the manager's `stat_add`/`stat_record`
-    /// calls (placement probes, size histograms) are collected; returns
-    /// `self` for chaining. Without this the calls are no-ops.
-    pub fn with_stats(mut self) -> Self {
-        self.stats = Some(StatSink::new());
-        self
-    }
-
-    /// The collected manager statistics, if [`with_stats`](Self::with_stats)
-    /// was enabled.
-    pub fn stats(&self) -> Option<&StatSink> {
-        self.stats.as_ref()
-    }
-
-    /// Detaches and returns the collected statistics.
-    pub fn take_stats(&mut self) -> Option<StatSink> {
-        self.stats.take()
     }
 
     /// The heap (read-only).
@@ -426,13 +402,9 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         record_gauge_max("space.summary_skips", c.summary_skips);
         record_gauge_max("space.slot_high_water", c.slot_high_water);
         record_gauge_max("space.slots_reused", c.slots_reused);
-        // Manager-side counters collected this run share the same
-        // exposition path, as do the manager's own index high-water
-        // marks (the `manager.*` series).
+        // The manager's own counters, histograms and index high-water
+        // marks share the same exposition path.
         self.manager.publish_metrics();
-        if let Some(sink) = &self.stats {
-            sink.publish();
-        }
     }
 
     /// Produces a report of the execution so far.
@@ -529,7 +501,6 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
                     program: &mut self.program,
                     observer: observer.as_deref_mut(),
                     tick: &mut self.tick,
-                    stats: self.stats.as_mut(),
                 };
                 self.manager
                     .place(AllocRequest { id, size }, &mut ops)

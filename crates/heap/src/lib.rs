@@ -62,7 +62,6 @@ mod params;
 mod program;
 mod series;
 mod space;
-mod stats;
 mod trace;
 
 pub use pcb_chaos::{FaultPlan, FaultSite};
@@ -81,5 +80,4 @@ pub use params::{Params, ParamsError};
 pub use program::{MoveResponse, Program, ScriptRound, ScriptedProgram};
 pub use series::TimeSeries;
 pub use space::{SpaceCounters, SpaceMap};
-pub use stats::{Histogram, StatSink};
 pub use trace::{Trace, TraceError, TraceEvent, TraceReader, TraceRecorder, TraceWriter};

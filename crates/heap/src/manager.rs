@@ -16,7 +16,6 @@ use crate::heap::Heap;
 use crate::object::ObjectId;
 use crate::program::{MoveResponse, Program};
 use crate::space::SpaceMap;
-use crate::stats::StatSink;
 
 /// An allocation request forwarded to the manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +78,6 @@ pub struct HeapOps<'a, 'o> {
     // request instead of surrendering it for the whole round.
     pub(crate) observer: Option<&'a mut (dyn Observer + 'o)>,
     pub(crate) tick: &'a mut Tick,
-    pub(crate) stats: Option<&'a mut StatSink>,
 }
 
 impl HeapOps<'_, '_> {
@@ -133,31 +131,6 @@ impl HeapOps<'_, '_> {
                 self.emit(Event::Freed { id, addr, size });
                 Ok(MoveOutcome::Discarded)
             }
-        }
-    }
-
-    /// Whether a [`StatSink`] is collecting this execution. Managers with
-    /// a traced-but-slower reporting path (e.g. probe counting) can branch
-    /// on this to keep the detached run at full speed.
-    pub fn stats_enabled(&self) -> bool {
-        self.stats.is_some()
-    }
-
-    /// Adds `delta` to a named manager statistic. A no-op (one branch on
-    /// an `Option`) unless the execution enabled stats collection via
-    /// [`Execution::with_stats`](crate::Execution::with_stats) — reporting
-    /// must never change placement decisions, only describe them.
-    pub fn stat_add(&mut self, name: &'static str, delta: u64) {
-        if let Some(stats) = self.stats.as_deref_mut() {
-            stats.add(name, delta);
-        }
-    }
-
-    /// Records one sample into a named manager histogram (same gating as
-    /// [`stat_add`](Self::stat_add)).
-    pub fn stat_record(&mut self, name: &'static str, value: u64) {
-        if let Some(stats) = self.stats.as_deref_mut() {
-            stats.record(name, value);
         }
     }
 
@@ -256,10 +229,13 @@ pub trait MemoryManager {
         0
     }
 
-    /// Publishes the manager's index counters and high-water marks into
-    /// the `pcb-metrics` plane (the `manager.*` series). The engine calls
-    /// this once per run while the metrics registry is enabled. Default:
-    /// nothing — managers without instrumented mirrors publish no series.
+    /// Publishes the counters and histograms the manager kept in its own
+    /// fields, and its index high-water marks, into the `pcb-metrics`
+    /// plane (`manager.*` plus the manager's own series, e.g.
+    /// `pages.evictions` or `alloc.size`). The engine calls this once per
+    /// run while the metrics registry is enabled. Counting must never
+    /// change a placement decision, only describe it. Default: nothing —
+    /// managers without instrumentation publish no series.
     fn publish_metrics(&self) {}
 }
 

@@ -1,8 +1,6 @@
 //! Power-of-two histograms: the one sample distribution the workspace
-//! uses, shared by the sequential [`StatSink`](crate::StatSink) and the
-//! registry.
-
-use std::collections::BTreeMap;
+//! uses, shared by the registry, the managers' per-request distributions
+//! and the span profile.
 
 use pcb_json::{Json, ToJson};
 
@@ -26,23 +24,34 @@ pub const HIST_BUCKETS: usize = 65;
 /// assert_eq!(h.sum(), 7);
 /// assert_eq!(h.bucket_counts()[2], 2); // [2, 4) holds both 3s
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    buckets: BTreeMap<u32, u64>,
+    buckets: [u64; HIST_BUCKETS],
     count: u64,
     sum: u64,
     max: u64,
 }
 
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Histogram {
     /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Histogram {
+            buckets: [0; HIST_BUCKETS],
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
     }
 
     /// Adds one sample.
     pub fn record(&mut self, value: u64) {
-        *self.buckets.entry(Self::bucket_of(value)).or_default() += 1;
+        self.buckets[Self::bucket_of(value) as usize] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
@@ -54,16 +63,6 @@ impl Histogram {
         match value {
             0 => 0,
             v => 64 - v.leading_zeros(),
-        }
-    }
-
-    /// The inclusive upper bound of bucket `k`: 0 for bucket 0, else
-    /// `2^k - 1` (the largest value with `bucket_of(v) == k`).
-    pub fn bucket_upper_bound(k: u32) -> u64 {
-        match k {
-            0 => 0,
-            64.. => u64::MAX,
-            k => (1u64 << k) - 1,
         }
     }
 
@@ -94,21 +93,20 @@ impl Histogram {
     /// Dense per-bucket counts from bucket 0 through the highest
     /// non-empty bucket (empty vector when no samples).
     pub fn bucket_counts(&self) -> Vec<u64> {
-        let hi = match self.buckets.keys().next_back() {
-            Some(&hi) => hi,
-            None => return Vec::new(),
-        };
-        (0..=hi)
-            .map(|b| self.buckets.get(&b).copied().unwrap_or(0))
-            .collect()
+        let len = self
+            .buckets
+            .iter()
+            .rposition(|&n| n != 0)
+            .map_or(0, |hi| hi + 1);
+        self.buckets[..len].to_vec()
     }
 
     /// Folds `other` into `self`: per-bucket counts and totals add,
     /// maxima combine. Merging is commutative and associative, which is
     /// what makes sharded snapshots independent of the shard count.
     pub fn merge(&mut self, other: &Histogram) {
-        for (&bucket, &n) in &other.buckets {
-            *self.buckets.entry(bucket).or_default() += n;
+        for (mine, &n) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += n;
         }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
@@ -132,18 +130,14 @@ impl Histogram {
         if total != count {
             return Err(format!("bucket counts sum to {total}, count says {count}"));
         }
-        let mut map = BTreeMap::new();
-        for (k, &n) in buckets.iter().enumerate() {
-            if n != 0 {
-                map.insert(k as u32, n);
-            }
-        }
-        Ok(Histogram {
-            buckets: map,
+        let mut h = Histogram {
             count,
             sum,
             max,
-        })
+            ..Histogram::new()
+        };
+        h.buckets[..buckets.len()].copy_from_slice(buckets);
+        Ok(h)
     }
 }
 
@@ -165,6 +159,16 @@ impl ToJson for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The inclusive upper bound of bucket `k`: 0 for bucket 0, else
+    /// `2^k - 1` (the largest value with `bucket_of(v) == k`).
+    fn bucket_upper_bound(k: u32) -> u64 {
+        match k {
+            0 => 0,
+            64.. => u64::MAX,
+            k => (1u64 << k) - 1,
+        }
+    }
 
     #[test]
     fn histogram_buckets_are_powers_of_two() {
@@ -227,9 +231,9 @@ mod tests {
     fn bucket_bounds_bracket_their_values() {
         for v in [0u64, 1, 2, 3, 4, 1023, 1024, u64::MAX] {
             let k = Histogram::bucket_of(v);
-            assert!(v <= Histogram::bucket_upper_bound(k));
+            assert!(v <= bucket_upper_bound(k));
             if k > 0 {
-                assert!(v > Histogram::bucket_upper_bound(k - 1));
+                assert!(v > bucket_upper_bound(k - 1));
             }
         }
     }

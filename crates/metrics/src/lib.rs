@@ -19,9 +19,10 @@
 //! ## Written once per run
 //!
 //! Nothing records into the registry per event. The engine publishes its
-//! totals when a run ends, a manager publishes the counters it kept in
-//! its own fields, a [`StatSink`] folds in through [`StatSink::publish`],
-//! and the exhaustive search records its gauges once per BFS level. So a
+//! totals when a run ends, a manager publishes the counters and
+//! histograms it kept in its own fields (recording a histogram sample
+//! only while [`enabled`]), and the exhaustive search records its gauges
+//! once per BFS level. So a
 //! lock is all the concurrency the registry needs. Counters sum, gauges
 //! max and histogram buckets sum, all commutative and associative, so the
 //! [`snapshot`] depends only on *what* was recorded, never on which
@@ -50,15 +51,10 @@
 //! assert!(snap.counter("engine.objects_placed") >= 1);
 //! # pcb_metrics::disable();
 //! ```
-//!
-//! [`StatSink`] — the sequential per-run counter bag managers fill in
-//! through `HeapOps` — lives here too, as a thin adapter whose
-//! [`StatSink::publish`] folds into the same registry.
 
 mod hist;
 mod profile;
 mod registry;
-mod sink;
 mod snapshot;
 pub mod spans;
 
@@ -67,7 +63,6 @@ pub use registry::{
     add_counter, disable, enable, enabled, merge_histogram, observe, record_gauge_max, reset,
     snapshot,
 };
-pub use sink::StatSink;
 pub use snapshot::MetricsSnapshot;
 
 /// Opens a span covering the rest of the enclosing scope; bind the result

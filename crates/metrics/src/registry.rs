@@ -8,9 +8,9 @@
 //! - **histograms** — power-of-two sample distributions.
 //!
 //! Writers publish once per run (the engine's end-of-run totals, a
-//! manager's own counters, a [`StatSink`](crate::StatSink)) or once per
-//! BFS level of the exhaustive search, never per event, so a plain lock
-//! is all the concurrency the registry needs. Because every fold is a
+//! manager's own counters and histograms) or once per BFS level of the
+//! exhaustive search, never per event, so a plain lock is all the
+//! concurrency the registry needs. Because every fold is a
 //! sum or a max, the snapshot depends only on what was recorded, not on
 //! which thread recorded it: `PCB_THREADS=1` and `=8` produce
 //! byte-identical snapshots for the same work.
@@ -76,7 +76,8 @@ pub fn observe(name: &'static str, value: u64) {
 }
 
 /// Folds a whole sequential [`Histogram`] into the named registry
-/// histogram (used by the `StatSink` adapter at end of run).
+/// histogram (how a manager publishes its per-request distributions at
+/// the end of a run).
 #[inline]
 pub fn merge_histogram(name: &'static str, h: &Histogram) {
     if enabled() {

@@ -87,7 +87,7 @@ usage:
   pcb simulate [--program pf|pf-baseline|robson|churn|ramp|replay]
                [--manager <name>] [--m <words>] [--log-n <k>] [--c <c>]
                [--rounds <k>] [--allocs <k>] [--map] [--validate]
-               [--series <file>] [--every <k>] [--stats]
+               [--series <file>] [--every <k>]
                [--chaos <spec>] [--paranoia <k>]
                [--progress[=secs]] [--progress-out <file.jsonl>]
                [--metrics-out <file>] [--profile]
@@ -449,9 +449,9 @@ impl Observer for HeatMap {
 }
 
 fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String> {
-    let (mut name, mut m, mut log_n, mut every) = ("pf".to_string(), 1u64 << 16, 10u32, 1u32);
-    let (mut map, mut validate, mut stats, mut profile) = (false, false, false, false);
-    let mut series_to = None;
+    let (mut name, mut m, mut log_n) = ("pf".to_string(), 1u64 << 16, 10u32);
+    let (mut map, mut validate, mut profile) = (false, false, false);
+    let (mut series_to, mut every) = (None, None);
     let flags = Flags::parse(Cmd::Simulate, args, |flag, args| {
         match flag {
             "--program" => name = args.value(flag)?,
@@ -460,13 +460,15 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
             "--map" => map = true,
             "--validate" => validate = true,
             "--series" => series_to = Some(args.value(flag)?),
-            "--every" => every = args.parse(flag)?,
-            "--stats" => stats = true,
+            "--every" => every = Some(args.parse(flag)?),
             "--profile" => profile = true,
             _ => return Ok(false),
         }
         Ok(true)
     })?;
+    if every.is_some() && series_to.is_none() {
+        return Err("--every needs --series <file>".into());
+    }
     let params = Params::new(m, log_n, flags.c.unwrap_or(20)).map_err(|e| e.to_string())?;
     let adversary = program(&name, flags.rounds, flags.allocs)?;
     let run = &flags.run;
@@ -480,10 +482,9 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
         .adversary(adversary)
         .manager(flags.manager.unwrap_or(ManagerKind::FirstFit))
         .validate(validate)
-        .stats(stats)
         .config(run);
     if series_to.is_some() {
-        sim = sim.series(every);
+        sim = sim.series(every.unwrap_or(1));
     }
 
     let mut writer = match &record_to {
@@ -553,9 +554,6 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
             "theorem 1 bound h = {h:.3}; measured/bound = {:.3}",
             exec.waste_factor / h
         );
-    }
-    if let Some(stats) = &report.stats {
-        println!("stats: {}", stats.to_json());
     }
     if let Some(path) = &flags.metrics_out {
         write_metrics(path, &metrics::snapshot())?;

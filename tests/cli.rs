@@ -465,13 +465,16 @@ fn simulate_profile_prints_every_engine_phase() {
 
 /// Flags a command has no use for are unknown to it: `--trace-out` went
 /// with the span buffer (the per-phase profile is the one view of a run's
-/// spans), and `--metrics` only embeds the registry in the fleet report,
-/// so `simulate` and `worst-case` export theirs through `--metrics-out`.
+/// spans), `--metrics` only embeds the registry in the fleet report, so
+/// `simulate` and `worst-case` export theirs through `--metrics-out`, and
+/// `--stats` went with the separate manager-counter print path (the
+/// counters travel in `--metrics-out`).
 #[test]
 fn flags_without_a_use_are_unknown() {
     for (args, flag) in [
         (&["simulate", "--trace-out", "x"][..], "--trace-out"),
         (&["simulate", "--metrics"], "--metrics"),
+        (&["simulate", "--stats"], "--stats"),
         (&["worst-case", "6", "1", "--metrics"], "--metrics"),
     ] {
         let (code, stderr) = pcb_status(args);
@@ -583,6 +586,47 @@ fn fleet_metrics_out_is_json_and_matches_the_report() {
     std::fs::remove_file(json).ok();
 }
 
+/// Manager counters reach `--metrics-out` through the one switch: a
+/// plain `simulate --metrics-out` carries first-fit's placement counter
+/// and its request-size histogram, with no other flag.
+#[test]
+fn simulate_metrics_out_carries_the_manager_counters() {
+    let dir = std::env::temp_dir().join("pcb-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("sim-manager-counters.json");
+    std::fs::remove_file(&path).ok();
+    let args = [
+        "simulate",
+        "--manager",
+        "first-fit",
+        "--metrics-out",
+        path.to_str().unwrap(),
+    ];
+    let (_, stderr, ok) = pcb(&args);
+    assert!(ok, "{stderr}");
+    let text = std::fs::read_to_string(&path).expect("--metrics-out wrote its file");
+    std::fs::remove_file(&path).ok();
+    let file = pcb_json::Json::parse(&text).expect("metrics file is valid JSON");
+    let counter = |name: &str| {
+        file.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(pcb_json::Json::as_u64)
+            .unwrap_or_else(|| panic!("counter {name} in {text}"))
+    };
+    assert_eq!(
+        counter("freelist.placements"),
+        counter("engine.objects_placed")
+    );
+    let sizes = file
+        .get("histograms")
+        .and_then(|h| h.get("alloc.size"))
+        .unwrap_or_else(|| panic!("alloc.size histogram in {text}"));
+    assert_eq!(
+        sizes.get("count").and_then(pcb_json::Json::as_u64),
+        Some(counter("engine.objects_placed"))
+    );
+}
+
 /// FNV-1a (64-bit), the digest `manager_report_pins.rs` pins reports with.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -606,29 +650,22 @@ fn metrics_out_digest(args: &[&str], file: &str) -> u64 {
     fnv1a(&bytes)
 }
 
-/// The `simulate --stats --metrics-out x.json` file of `P_F` against the
-/// three managers that report stats, pinned by digest: engine totals,
-/// manager counters (coalesce merges, TLSF bucket scans) and the folded
-/// `StatSink` all land in it, so any change to what a run publishes, or
-/// to a value it publishes, moves a digest.
+/// The `simulate --metrics-out x.json` file of `P_F` against three
+/// managers, pinned by digest: engine totals and everything the manager
+/// counted in its fields (coalesce merges, TLSF bucket scans, serve
+/// counts, page evictions, size histograms) land in it, so any change to
+/// what a run publishes, or to a value it publishes, moves a digest.
 #[test]
 fn simulate_metrics_out_reproduces_its_pinned_digests() {
     const PINS: &[(&str, u64)] = &[
-        ("first-fit", 0x30ec2c0fb14c2ae6),
+        ("first-fit", 0x9ab2b6d659d62e09),
         ("tlsf", 0xb231709f832021b0),
         ("pages-thm2", 0xf2c07483502cc3cd),
     ];
     let got: Vec<(&str, u64)> = PINS
         .iter()
         .map(|&(manager, _)| {
-            let args = [
-                "simulate",
-                "--program",
-                "pf",
-                "--manager",
-                manager,
-                "--stats",
-            ];
+            let args = ["simulate", "--program", "pf", "--manager", manager];
             let file = format!("sim-metrics-{manager}.json");
             (manager, metrics_out_digest(&args, &file))
         })
@@ -887,6 +924,11 @@ fn absurd_but_parseable_flag_values_exit_cleanly() {
             "error: invalid parameters: c = 1 must exceed 1",
         ),
         ("simulate --series /dev/null --every 0", 0, ""),
+        (
+            "simulate --m 8192 --log-n 9 --c 15 --every 5",
+            1,
+            "error: --every needs --series <file>",
+        ),
         ("simulate --program churn --rounds 0", 0, ""),
         ("simulate --program churn --allocs 0", 0, ""),
         ("simulate --paranoia 0", 0, ""),
