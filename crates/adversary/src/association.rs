@@ -223,11 +223,6 @@ impl Association {
         self.step
     }
 
-    /// Chunk size in words.
-    pub fn chunk_words(&self) -> u64 {
-        1 << self.step
-    }
-
     /// `Σ_D u_D` in words (add `− n/4` for the paper's `u(t)`).
     pub fn u_sum(&self) -> u128 {
         self.u_sum

@@ -11,15 +11,16 @@
 //!
 //! For arbitrary sizes one rounds up to powers of two, at most doubling
 //! live space: the upper bound becomes `2·(M·(½·log₂ n + 1) − n + 1)`.
+//!
+//! The formula itself lives in [`pcb_adversary`], beside the program
+//! `P_R` that realizes it.
 
 use crate::params::Params;
 
 /// Robson's exact bound `M·(½·log₂ n + 1) − n + 1` for `P2(M, n)` without
 /// compaction (both the lower and the matching upper bound).
 pub fn bound_p2(params: Params) -> f64 {
-    let m = params.m() as f64;
-    let n = params.n() as f64;
-    m * (0.5 * params.log_n() as f64 + 1.0) - n + 1.0
+    pcb_adversary::RobsonProgram::robson_lower_bound(params.m(), params.log_n())
 }
 
 /// The doubled upper bound for arbitrary-size programs in `P(M, n)`

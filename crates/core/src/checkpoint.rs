@@ -141,19 +141,10 @@ mod tests {
             ..FleetConfig::default()
         };
         let run = RunConfig::default();
-        fleet::run_checkpointed(
-            &cfg,
-            &run,
-            &CheckpointOptions::new(&fleet_path).stop_after(2),
-        )
-        .expect("fleet pauses");
-        let resume_fleet = || {
-            fleet::run_checkpointed(
-                &cfg,
-                &run,
-                &CheckpointOptions::new(&fleet_path).resume(true),
-            )
-        };
+        let pause = CheckpointOptions::new(&fleet_path).stop_after(2);
+        fleet::run_with(&cfg, &run, Some(&pause), None).expect("fleet pauses");
+        let resume = CheckpointOptions::new(&fleet_path).resume(true);
+        let resume_fleet = || fleet::run_with(&cfg, &run, Some(&resume), None);
 
         let search_path = dir.join(format!("pcb-envelope-{pid}-search.json"));
         let params = Params::new(6, 1, 10).expect("toy params");

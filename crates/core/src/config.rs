@@ -37,8 +37,9 @@ pub struct RunConfig {
     /// many rounds; 0 (the default) disables paranoia mode.
     pub paranoia: u32,
     /// Whether the fleet builds its per-shard
-    /// [`MetricsSnapshot`](pcb_metrics::MetricsSnapshot) and embeds it in
-    /// its report. The process-global registry has its own switch
+    /// [`MetricsSnapshot`](pcb_metrics::MetricsSnapshot) into its
+    /// accumulator, for `fleet --metrics-out` to write; the report never
+    /// embeds it. The process-global registry has its own switch
     /// ([`pcb_metrics::enable`]), which only the commands that export it
     /// turn on.
     pub metrics: bool,

@@ -39,17 +39,17 @@
 //!
 //! # Checkpoint/resume
 //!
-//! [`run_checkpointed`] processes shards in chunks and serializes the
-//! merged accumulator to a pcb-json checkpoint after each chunk (see
-//! [`checkpoint`]); a resumed run continues from the last completed
-//! chunk and produces a byte-identical report.
+//! Given [`CheckpointOptions`], [`run_with`] processes shards in chunks
+//! and serializes the merged accumulator to a pcb-json checkpoint after
+//! each chunk (see [`checkpoint`]); a resumed run continues from the
+//! last completed chunk and produces a byte-identical report.
 
 use core::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pcb_alloc::ManagerKind;
 use pcb_chaos::FaultSite;
-use pcb_heap::{Execution, ExecutionError, Heap, HeapSummary, Program};
+use pcb_heap::{Execution, Heap, HeapSummary, Program};
 use pcb_json::{Json, ToJson};
 use pcb_metrics::MetricsSnapshot;
 use pcb_workload::{MixerConfig, PanicProgram, TenantSpec, WorkloadMixer};
@@ -107,16 +107,6 @@ pub enum FleetError {
     /// The configuration is degenerate (zero tenants, bad mixer, invalid
     /// per-tenant parameters).
     Config(String),
-    /// One tenant's execution failed. Since fault isolation landed, a
-    /// failing tenant is quarantined as a [`TenantFailure`] instead, so
-    /// `run` no longer returns this; it remains for callers that drive
-    /// `run_tenant`-level APIs directly.
-    Execution {
-        /// The failing tenant's index.
-        tenant: u64,
-        /// The underlying engine error.
-        error: ExecutionError,
-    },
     /// A checkpoint could not be written, read, or did not match the run.
     Checkpoint(String),
 }
@@ -125,22 +115,12 @@ impl fmt::Display for FleetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FleetError::Config(msg) => write!(f, "invalid fleet configuration: {msg}"),
-            FleetError::Execution { tenant, error } => {
-                write!(f, "tenant {tenant} failed: {error}")
-            }
             FleetError::Checkpoint(msg) => write!(f, "fleet checkpoint error: {msg}"),
         }
     }
 }
 
-impl std::error::Error for FleetError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            FleetError::Execution { error, .. } => Some(error),
-            FleetError::Config(_) | FleetError::Checkpoint(_) => None,
-        }
-    }
-}
+impl std::error::Error for FleetError {}
 
 /// Retained failure records are capped at this many (counts stay exact),
 /// so a high-fault-rate fleet cannot grow the aggregation state beyond
@@ -157,7 +137,8 @@ pub enum FailureCause {
     /// The tenant's program or manager panicked; carries the (truncated)
     /// panic message.
     Panic(String),
-    /// The engine returned a typed [`ExecutionError`]; carries its
+    /// The engine returned a typed
+    /// [`ExecutionError`](pcb_heap::ExecutionError); carries its
     /// (truncated) rendering.
     Engine(String),
 }
@@ -481,17 +462,6 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// The fleet's metric plane, when the run collected one
-    /// ([`RunConfig::metrics`](crate::RunConfig)); `None` on a
-    /// metrics-off run.
-    pub fn metrics(&self) -> Option<&MetricsSnapshot> {
-        if self.accumulator.metrics.is_empty() {
-            None
-        } else {
-            Some(&self.accumulator.metrics)
-        }
-    }
-
     /// Per-bucket mean waste factors (0 for empty buckets), aligned with
     /// [`size_buckets`](Self::size_buckets) and
     /// [`bucket_thm1`](Self::bucket_thm1).
@@ -566,7 +536,7 @@ impl ToJson for FleetReport {
                 Json::array(acc.kind_internal.iter().map(|&w| Json::from(w))),
             ),
         ]);
-        let mut fields = vec![
+        Json::object([
             ("tenants", Json::from(self.tenants)),
             ("shards", Json::from(self.shards as u64)),
             ("manager", Json::from(self.manager.as_str())),
@@ -621,13 +591,7 @@ impl ToJson for FleetReport {
                 "bucket_thm1",
                 Json::array(self.bucket_thm1.iter().map(|&f| Json::from(f))),
             ),
-        ];
-        // The metric plane appears only when the run collected one, so
-        // metrics-off reports carry no dead key.
-        if let Some(metrics) = self.metrics() {
-            fields.push(("metrics", metrics.to_json()));
-        }
-        Json::object(fields)
+        ])
     }
 }
 
@@ -802,68 +766,12 @@ fn run_tenant(
 /// [`FleetError::Config`] for degenerate configurations (tenant panics
 /// and engine errors are quarantined into the report, not returned).
 pub fn run(cfg: &FleetConfig, run: &RunConfig) -> Result<FleetReport, FleetError> {
-    match drive(cfg, run, None, None)? {
+    match run_with(cfg, run, None, None)? {
         FleetOutcome::Complete(report) => Ok(report),
-        // Without checkpoint options there is no stop_after, so drive
-        // always processes every shard.
+        // Without checkpoint options there is no stop_after, so every
+        // shard is processed.
         FleetOutcome::Paused { .. } => unreachable!("uncheckpointed runs never pause"),
     }
-}
-
-/// Like [`run`], with a live [`Heartbeat`] following `progress`: a
-/// periodic stderr line (tenants/sec, ETA, quarantine count, waste vs
-/// the Theorem 1 reference) and an optional JSONL stream. The heartbeat
-/// is a pure side channel — the returned report is byte-identical to
-/// [`run`]'s for the same configuration.
-///
-/// # Errors
-///
-/// As for [`run`], plus [`FleetError::Config`] when the progress stream
-/// file cannot be created or written.
-pub fn run_with_progress(
-    cfg: &FleetConfig,
-    run: &RunConfig,
-    progress: &ProgressOptions,
-) -> Result<FleetReport, FleetError> {
-    match drive(cfg, run, None, Some(progress))? {
-        FleetOutcome::Complete(report) => Ok(report),
-        FleetOutcome::Paused { .. } => unreachable!("uncheckpointed runs never pause"),
-    }
-}
-
-/// Like [`run`], but saves a resumable checkpoint every
-/// `opts.every` shards and — when `opts.resume` is set — continues from
-/// an existing checkpoint instead of starting over. A run resumed after
-/// an interruption (or after `opts.stop_after`) produces a report
-/// byte-identical to an uninterrupted one.
-///
-/// # Errors
-///
-/// [`FleetError::Config`] as for [`run`]; [`FleetError::Checkpoint`] if
-/// the checkpoint cannot be written, parsed, or belongs to a different
-/// fleet configuration.
-pub fn run_checkpointed(
-    cfg: &FleetConfig,
-    run: &RunConfig,
-    opts: &CheckpointOptions,
-) -> Result<FleetOutcome, FleetError> {
-    drive(cfg, run, Some(opts), None)
-}
-
-/// [`run_checkpointed`] with a live [`Heartbeat`] (see
-/// [`run_with_progress`]).
-///
-/// # Errors
-///
-/// As for [`run_checkpointed`], plus [`FleetError::Config`] when the
-/// progress stream file cannot be created or written.
-pub fn run_checkpointed_with_progress(
-    cfg: &FleetConfig,
-    run: &RunConfig,
-    opts: &CheckpointOptions,
-    progress: &ProgressOptions,
-) -> Result<FleetOutcome, FleetError> {
-    drive(cfg, run, Some(opts), Some(progress))
 }
 
 /// The first tenant index of shard `s` when `tenants` are cut into
@@ -874,9 +782,26 @@ fn shard_start(tenants: u64, shards: usize, s: usize) -> u64 {
     s as u64 * per + (s as u64).min(extra)
 }
 
-/// The single driver behind [`run`] and [`run_checkpointed`]: processes
-/// shards in chunks, checkpointing after each chunk when asked to.
-fn drive(
+/// Like [`run`], with the two optional side channels.
+///
+/// With `checkpoint`, saves a resumable checkpoint every `every` shards
+/// and, when `resume` is set, continues from an existing checkpoint
+/// instead of starting over; a run resumed after an interruption (or
+/// after `stop_after`, the one way to get [`FleetOutcome::Paused`])
+/// produces a report byte-identical to an uninterrupted one.
+///
+/// With `progress`, keeps a live [`Heartbeat`]: a periodic stderr line
+/// (tenants/sec, ETA, quarantine count, waste vs the Theorem 1
+/// reference) and an optional JSONL stream. The heartbeat is a pure side
+/// channel: the report is byte-identical to [`run`]'s.
+///
+/// # Errors
+///
+/// [`FleetError::Config`] as for [`run`], or when the progress stream
+/// file cannot be created or written; [`FleetError::Checkpoint`] if the
+/// checkpoint cannot be written, parsed, or belongs to a different fleet
+/// configuration.
+pub fn run_with(
     cfg: &FleetConfig,
     run: &RunConfig,
     ckpt: Option<&CheckpointOptions>,
@@ -1211,7 +1136,7 @@ mod tests {
         let path = temp_checkpoint("kill-resume");
         // "Kill" the run after 3 of 8 shards...
         let opts = CheckpointOptions::new(&path).every(2).stop_after(3);
-        match run_checkpointed(&cfg, &run_cfg, &opts).unwrap() {
+        match run_with(&cfg, &run_cfg, Some(&opts), None).unwrap() {
             FleetOutcome::Paused {
                 shards_done,
                 shards_total,
@@ -1222,10 +1147,11 @@ mod tests {
             FleetOutcome::Complete(_) => panic!("stop_after must pause"),
         }
         // ...and resume under a different thread count.
-        let resumed = match run_checkpointed(
+        let resumed = match run_with(
             &cfg,
             &run_cfg.with_threads(4),
-            &CheckpointOptions::new(&path).every(2).resume(true),
+            Some(&CheckpointOptions::new(&path).every(2).resume(true)),
+            None,
         )
         .unwrap()
         {
@@ -1239,13 +1165,17 @@ mod tests {
         );
         // Resuming a finished run re-emits the identical report without
         // re-running any shard.
-        let again =
-            match run_checkpointed(&cfg, &run_cfg, &CheckpointOptions::new(&path).resume(true))
-                .unwrap()
-            {
-                FleetOutcome::Complete(report) => report,
-                FleetOutcome::Paused { .. } => panic!("finished run must complete"),
-            };
+        let again = match run_with(
+            &cfg,
+            &run_cfg,
+            Some(&CheckpointOptions::new(&path).resume(true)),
+            None,
+        )
+        .unwrap()
+        {
+            FleetOutcome::Complete(report) => report,
+            FleetOutcome::Paused { .. } => panic!("finished run must complete"),
+        };
         assert_eq!(pcb_json::ToJson::to_json(&again).to_string(), full);
         std::fs::remove_file(&path).ok();
     }
@@ -1257,22 +1187,28 @@ mod tests {
         let path = temp_checkpoint("fingerprint");
         let opts = CheckpointOptions::new(&path).every(4).stop_after(4);
         assert!(matches!(
-            run_checkpointed(&cfg, &run_cfg, &opts).unwrap(),
+            run_with(&cfg, &run_cfg, Some(&opts), None).unwrap(),
             FleetOutcome::Paused { .. }
         ));
         let other = FleetConfig { tenants: 65, ..cfg };
-        let err = run_checkpointed(
+        let err = run_with(
             &other,
             &run_cfg,
-            &CheckpointOptions::new(&path).resume(true),
+            Some(&CheckpointOptions::new(&path).resume(true)),
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, FleetError::Checkpoint(_)), "{err}");
         assert!(err.to_string().contains("fingerprint mismatch"), "{err}");
         // A resume pointed at a missing checkpoint is a clean error too.
         std::fs::remove_file(&path).ok();
-        let err = run_checkpointed(&cfg, &run_cfg, &CheckpointOptions::new(&path).resume(true))
-            .unwrap_err();
+        let err = run_with(
+            &cfg,
+            &run_cfg,
+            Some(&CheckpointOptions::new(&path).resume(true)),
+            None,
+        )
+        .unwrap_err();
         assert!(matches!(err, FleetError::Checkpoint(_)), "{err}");
     }
 
@@ -1286,7 +1222,7 @@ mod tests {
         let path = temp_checkpoint("retired-knobs");
         let opts = CheckpointOptions::new(&path).every(4).stop_after(4);
         assert!(matches!(
-            run_checkpointed(&cfg, &run_cfg, &opts).unwrap(),
+            run_with(&cfg, &run_cfg, Some(&opts), None).unwrap(),
             FleetOutcome::Paused { .. }
         ));
         let old = checkpoint::hash_desc(&format!(
@@ -1303,8 +1239,13 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains(&current));
         std::fs::write(&path, text.replace(&current, &old.to_string())).unwrap();
-        let err = run_checkpointed(&cfg, &run_cfg, &CheckpointOptions::new(&path).resume(true))
-            .unwrap_err();
+        let err = run_with(
+            &cfg,
+            &run_cfg,
+            Some(&CheckpointOptions::new(&path).resume(true)),
+            None,
+        )
+        .unwrap_err();
         assert!(matches!(err, FleetError::Checkpoint(_)), "{err}");
         assert!(err.to_string().contains("fingerprint mismatch"), "{err}");
         std::fs::remove_file(&path).ok();
@@ -1319,12 +1260,18 @@ mod tests {
         let path = temp_checkpoint("impossible-counts");
         let opts = CheckpointOptions::new(&path).every(4).stop_after(4);
         assert!(matches!(
-            run_checkpointed(&cfg, &run_cfg, &opts).unwrap(),
+            run_with(&cfg, &run_cfg, Some(&opts), None).unwrap(),
             FleetOutcome::Paused { .. }
         ));
         let saved = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let resume =
-            || run_checkpointed(&cfg, &run_cfg, &CheckpointOptions::new(&path).resume(true));
+        let resume = || {
+            run_with(
+                &cfg,
+                &run_cfg,
+                Some(&CheckpointOptions::new(&path).resume(true)),
+                None,
+            )
+        };
         for (key, index, value) in [
             ("tenants", None, u64::MAX),
             ("failed_tenants", None, 1),

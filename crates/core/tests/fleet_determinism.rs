@@ -7,7 +7,7 @@ use partial_compaction::fleet::{self, FleetConfig};
 use partial_compaction::heap::HeapSummary;
 use partial_compaction::workload::MixerConfig;
 use partial_compaction::{Execution, Heap, ManagerKind, Params, RunConfig};
-use pcb_json::{Json, ToJson};
+use pcb_json::ToJson;
 
 fn small_fleet() -> FleetConfig {
     FleetConfig {
@@ -40,53 +40,38 @@ fn report_bytes_identical_across_threads() {
 
 /// The metric plane obeys the same contract: with metrics on, the
 /// snapshot rides the accumulator (counter sums, gauge maxes, histogram
-/// buckets — integers only), so the whole report, `metrics` key
-/// included, stays byte-identical across thread counts.
+/// buckets — integers only), so it is identical across thread counts.
 #[test]
 fn metrics_plane_identical_across_threads() {
     let cfg = small_fleet();
     let with_metrics = RunConfig::default().with_metrics(true);
-    let baseline_report = fleet::run(&cfg, &with_metrics).expect("fleet runs");
-    assert!(
-        baseline_report.metrics().is_some(),
-        "metrics-on run collects a snapshot"
-    );
-    let baseline = baseline_report.to_json().to_string();
-    assert!(
-        baseline.contains("\"metrics\""),
-        "snapshot embedded in JSON"
-    );
+    let baseline = fleet::run(&cfg, &with_metrics)
+        .expect("fleet runs")
+        .accumulator
+        .metrics;
+    assert!(!baseline.is_empty(), "metrics-on run collects a snapshot");
     for threads in [1usize, 2, 4] {
         let run = with_metrics.with_threads(threads);
         let report = fleet::run(&cfg, &run).expect("fleet runs");
-        assert_eq!(report.to_json().to_string(), baseline, "threads={threads}");
+        assert_eq!(report.accumulator.metrics, baseline, "threads={threads}");
     }
-    // Metrics off: no snapshot, no JSON key, same tenant-derived numbers.
+    // Metrics off: no snapshot.
     let off = fleet::run(&cfg, &RunConfig::default()).expect("fleet runs");
-    assert!(off.metrics().is_none());
-    assert!(!off.to_json().to_string().contains("\"metrics\""));
-    assert_eq!(
-        off.accumulator.words_placed, baseline_report.accumulator.words_placed,
-        "collection does not perturb the simulation"
-    );
+    assert!(off.accumulator.metrics.is_empty());
 }
 
 /// The metric plane is invisible in the report it rides: the same fleet
-/// with metrics on and off serializes identically once the `metrics`
-/// key is removed, and prints the same text.
+/// with metrics on and off serializes and prints identically.
 #[test]
 fn metrics_plane_is_invisible_in_the_report() {
     let cfg = small_fleet();
     let off = fleet::run(&cfg, &RunConfig::default()).expect("fleet runs");
     let on = fleet::run(&cfg, &RunConfig::default().with_metrics(true)).expect("fleet runs");
-    let Json::Object(mut fields) = on.to_json() else {
-        panic!("the fleet report is a JSON object")
-    };
     assert!(
-        fields.remove("metrics").is_some(),
-        "metrics-on run embeds the plane"
+        !on.accumulator.metrics.is_empty(),
+        "metrics-on run collects"
     );
-    assert_eq!(Json::Object(fields).to_string(), off.to_json().to_string());
+    assert_eq!(on.to_json().to_string(), off.to_json().to_string());
     assert_eq!(on.to_string(), off.to_string());
 }
 
@@ -97,7 +82,7 @@ fn attribution_counters_match_the_accumulator() {
     let report =
         fleet::run(&small_fleet(), &RunConfig::default().with_metrics(true)).expect("fleet runs");
     let acc = &report.accumulator;
-    let metrics = report.metrics().expect("metrics collected");
+    let metrics = &acc.metrics;
     assert_eq!(
         metrics.counter("waste.external_words"),
         acc.kind_external.iter().sum::<u64>()

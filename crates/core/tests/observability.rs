@@ -60,14 +60,16 @@ fn run_arms(kind: ManagerKind) -> [String; 3] {
         .expect("instrumented run");
     metrics::spans::disable();
     metrics::disable();
-    let profile = metrics::spans::take_profile();
+    metrics::spans::flush();
+    let snap = metrics::snapshot();
     assert!(
-        profile.rows.iter().any(|r| r.name == "engine.run"),
+        snap.histogram("span.engine.run")
+            .is_some_and(|h| h.count() > 0),
         "{}: no engine span collected",
         kind.name()
     );
     assert!(
-        metrics::snapshot().counter("engine.rounds") > 0,
+        snap.counter("engine.rounds") > 0,
         "{}: no engine metrics collected",
         kind.name()
     );

@@ -7,23 +7,24 @@
 //!   recording call costs a single relaxed atomic load when the registry
 //!   is disabled (the default);
 //! * **spans** — [`span!`] guards timing engine phases, folded per
-//!   thread into one row per span name and drained by
-//!   [`spans::take_profile`] into a [`spans::Profile`] (see
+//!   thread into one row per span name and, at thread exit or
+//!   [`spans::flush`], into the same snapshot as the `span.` family (see
 //!   [`mod@spans`]).
 //!
 //! Each has its own switch ([`enable`], [`spans::enable`]): spans read
-//! the clock twice each, a cost a metrics-only run should not pay. The
-//! registry's one export is pcb-json ([`MetricsSnapshot`]'s `ToJson`);
-//! the profile is a printed table.
+//! the clock twice each, a cost a metrics-only run should not pay. There
+//! is one store and one export, pcb-json ([`MetricsSnapshot`]'s
+//! `ToJson`); the `--profile` table is [`spans::render_table`]'s view of
+//! the `span.` family.
 //!
 //! ## Written once per run
 //!
 //! Nothing records into the registry per event. The engine publishes its
 //! totals when a run ends, a manager publishes the counters and
 //! histograms it kept in its own fields (recording a histogram sample
-//! only while [`enabled`]), and the exhaustive search records its gauges
-//! once per BFS level. So a
-//! lock is all the concurrency the registry needs. Counters sum, gauges
+//! only while [`enabled`]), the exhaustive search records its gauges
+//! once per BFS level, and a thread's spans fold in once, when it exits
+//! or flushes. So a lock is all the concurrency the registry needs. Counters sum, gauges
 //! max and histogram buckets sum, all commutative and associative, so the
 //! [`snapshot`] depends only on *what* was recorded, never on which
 //! thread recorded it or how many threads there were. That is the same
@@ -34,11 +35,12 @@
 //!
 //! ## Timing vs identity
 //!
-//! Snapshots deliberately carry no wall-clock values: everything in a
-//! [`MetricsSnapshot`] is an exact integer derived from the simulated
-//! run, so snapshots can be embedded in reports that are compared
-//! byte-for-byte. Timing lives elsewhere: the heartbeat's stderr/JSONL
-//! stream, the spans, and the benchmark (`perfbench`).
+//! Wall-clock values appear only in the `span.` family, and only while
+//! spans are on: every other entry of a [`MetricsSnapshot`] is an exact
+//! integer derived from the simulated run, so a snapshot taken with
+//! spans off compares byte-for-byte across runs and thread counts. The
+//! rest of the timing lives in the heartbeat's stderr/JSONL stream and
+//! the benchmark (`perfbench`).
 //!
 //! ## Recording
 //!
@@ -53,7 +55,6 @@
 //! ```
 
 mod hist;
-mod profile;
 mod registry;
 mod snapshot;
 pub mod spans;

@@ -18,6 +18,8 @@
 //! When the registry is disabled (the default) every recording call is
 //! one relaxed atomic load and a branch. Only commands that export the
 //! registry (`simulate` and `worst-case` with `--metrics-out`) turn it on.
+//! Spans fold their `span.` family in under the same lock whether or not
+//! it is on (see [`crate::spans`]): they have their own switch.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -27,7 +29,7 @@ use crate::snapshot::MetricsSnapshot;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-static REGISTRY: Mutex<MetricsSnapshot> = Mutex::new(MetricsSnapshot::new());
+pub(crate) static REGISTRY: Mutex<MetricsSnapshot> = Mutex::new(MetricsSnapshot::new());
 
 #[cold]
 fn registry() -> MutexGuard<'static, MetricsSnapshot> {

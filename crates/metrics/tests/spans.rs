@@ -1,30 +1,49 @@
-//! Integration tests for span collection. The span table is process
-//! global, so every test serializes on one mutex and drains the table
-//! before asserting.
+//! Integration tests for span collection. Spans fold into the
+//! process-global registry, so every test serializes on one mutex and
+//! starts from a zeroed registry.
 
 use std::sync::Mutex;
 
 use pcb_metrics::span;
-use pcb_metrics::spans::{self, Profile, ProfileRow};
+use pcb_metrics::spans;
 
 static REGISTRY: Mutex<()> = Mutex::new(());
 
-/// Runs `body` with exclusive ownership of the (clean) global table.
+/// Runs `body` with exclusive ownership of the (zeroed) registry.
 fn exclusive<T>(body: impl FnOnce() -> T) -> T {
     let _guard = REGISTRY.lock().expect("no test panics while holding");
-    spans::reset();
+    clear();
     let value = body();
-    spans::reset();
+    clear();
     value
 }
 
-/// The profile's row for `name`.
-fn row<'a>(profile: &'a Profile, name: &str) -> &'a ProfileRow {
-    profile
-        .rows
-        .iter()
-        .find(|r| r.name == name)
-        .unwrap_or_else(|| panic!("no {name} row in {profile:?}"))
+/// Turns spans off and zeroes everything folded so far.
+fn clear() {
+    spans::disable();
+    spans::flush();
+    pcb_metrics::reset();
+}
+
+/// Flushes this thread's spans and returns the names that recorded any.
+fn recorded() -> Vec<String> {
+    spans::flush();
+    pcb_metrics::snapshot()
+        .histograms()
+        .filter(|(name, h)| name.starts_with("span.") && h.count() > 0)
+        .map(|(name, _)| name.to_string())
+        .collect()
+}
+
+/// `(count, total ns, self ns)` of the spans named `name`.
+fn row(name: &str) -> (u64, u64, u64) {
+    spans::flush();
+    let snap = pcb_metrics::snapshot();
+    let dur = snap
+        .histogram(&format!("span.{name}"))
+        .unwrap_or_else(|| panic!("no span.{name} in {snap:?}"));
+    let self_ns = snap.counter(&format!("span.{name}.self_ns"));
+    (dur.count(), dur.sum(), self_ns)
 }
 
 #[test]
@@ -33,7 +52,7 @@ fn disabled_spans_record_nothing() {
         {
             let _span = span!("invisible");
         }
-        assert!(spans::take_profile().is_empty());
+        assert!(recorded().is_empty());
     });
 }
 
@@ -43,7 +62,7 @@ fn guards_entered_while_disabled_stay_inert() {
         let early = span!("before-enable");
         spans::enable();
         drop(early);
-        assert!(spans::take_profile().is_empty());
+        assert!(recorded().is_empty());
     });
 }
 
@@ -58,14 +77,14 @@ fn nested_spans_attribute_self_time_to_the_parent() {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         spans::disable();
-        let profile = spans::take_profile();
-        assert_eq!(profile.rows.len(), 2);
-        let (outer, inner) = (row(&profile, "outer"), row(&profile, "inner"));
-        assert_eq!((outer.dur.count(), inner.dur.count()), (1, 1));
-        assert!(outer.dur.sum() >= inner.dur.sum());
-        assert_eq!(inner.self_ns, inner.dur.sum(), "a leaf is all self-time");
+        assert_eq!(recorded(), ["span.inner", "span.outer"]);
+        let (outer_count, outer_ns, outer_self) = row("outer");
+        let (inner_count, inner_ns, inner_self) = row("inner");
+        assert_eq!((outer_count, inner_count), (1, 1));
+        assert!(outer_ns >= inner_ns);
+        assert_eq!(inner_self, inner_ns, "a leaf is all self-time");
         assert!(
-            outer.self_ns <= outer.dur.sum() - inner.dur.sum(),
+            outer_self <= outer_ns - inner_ns,
             "the inner span's time is charged to the parent"
         );
     });
@@ -86,22 +105,23 @@ fn worker_rows_fold_in_after_join() {
         .join()
         .unwrap();
         spans::disable();
-        let profile = spans::take_profile();
-        assert_eq!(row(&profile, "on-main").dur.count(), 1);
-        assert_eq!(row(&profile, "on-worker").dur.count(), 3);
+        assert_eq!(row("on-main").0, 1);
+        assert_eq!(row("on-worker").0, 3);
     });
 }
 
+/// A flush hands the thread's rows over once: flushing again adds
+/// nothing, and the registry keeps what the first flush folded.
 #[test]
-fn take_profile_drains_the_table() {
+fn flush_folds_each_span_once() {
     exclusive(|| {
         spans::enable();
         {
             let _span = span!("once");
         }
         spans::disable();
-        assert_eq!(row(&spans::take_profile(), "once").dur.count(), 1);
-        assert!(spans::take_profile().is_empty(), "second take is empty");
+        assert_eq!(row("once").0, 1);
+        assert_eq!(row("once").0, 1, "a second flush folds nothing");
     });
 }
 
@@ -113,11 +133,11 @@ fn profile_rows_match_span_volume() {
             let _span = span!("repeated");
         }
         spans::disable();
-        let profile = spans::take_profile();
-        assert_eq!(profile.rows.len(), 1);
-        assert_eq!(profile.rows[0].name, "repeated");
-        assert_eq!(profile.rows[0].dur.count(), 10);
-        assert!(profile.render_table().contains("repeated"));
+        assert_eq!(recorded(), ["span.repeated"]);
+        assert_eq!(row("repeated").0, 10);
+        let table = spans::render_table(&pcb_metrics::snapshot());
+        assert_eq!(table.lines().count(), 2, "header and one row");
+        assert!(table.contains("repeated"));
     });
 }
 
@@ -132,6 +152,6 @@ fn profile_counts_every_span() {
             let _span = span!("many");
         }
         spans::disable();
-        assert_eq!(row(&spans::take_profile(), "many").dur.count(), 4_000_001);
+        assert_eq!(row("many").0, 4_000_001);
     });
 }

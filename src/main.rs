@@ -103,7 +103,7 @@ usage:
             [--resume] [--stop-after <shards>]
             [--progress[=secs]] [--no-progress]
             [--progress-out <file.jsonl>]
-            [--metrics] [--metrics-out <file>]
+            [--metrics-out <file>]
   pcb sweep <bound> c <M_words> <log2_n> <c_from> <c_to>
   pcb sweep <bound> n <M_over_n> <c> <logn_from> <logn_to>
   pcb sweep rho <M_words> <log2_n> <c>
@@ -121,7 +121,7 @@ usage:
      is a terminal, off when piped; --no-progress forces off;
      --progress-out streams one JSON object per pulse)
     (--metrics-out: the run's metrics as pcb-json, whatever the
-     file is called; on fleet it implies --metrics)
+     file is called; with --profile it also holds the span. family)
     (bounds: thm1-lower thm2-upper robson-p2 robson-doubled
              bp11-upper bp11-lower)
 ";
@@ -181,7 +181,6 @@ const SHARED: &[(&str, &[Cmd])] = {
         ("--checkpoint-every", &[F, W]),
         ("--resume", &[F, W]),
         ("--stop-after", &[F, W]),
-        ("--metrics", &[F]),
         ("--metrics-out", &[S, F, W]),
         ("--progress", &[S, F, W]),
         ("--no-progress", &[S, F, W]),
@@ -264,7 +263,6 @@ impl Flags {
                 "--checkpoint-every" => every = args.parse(name)?,
                 "--resume" => resume = true,
                 "--stop-after" => stop_after = Some(args.parse(name)?),
-                "--metrics" => *run = run.with_metrics(true),
                 "--metrics-out" => {
                     flags.metrics_out = Some(args.value(name)?);
                     // Asking for the artifact implies collecting it.
@@ -555,6 +553,11 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
             exec.waste_factor / h
         );
     }
+    if profile {
+        // Before the export, so this thread's spans reach the file too.
+        spans::disable();
+        spans::flush();
+    }
     if let Some(path) = &flags.metrics_out {
         write_metrics(path, &metrics::snapshot())?;
     }
@@ -562,8 +565,7 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
         println!("{rows}");
     }
     if profile {
-        spans::disable();
-        print!("{}", spans::take_profile().render_table());
+        print!("{}", spans::render_table(&metrics::snapshot()));
     }
     Ok(())
 }
@@ -609,26 +611,25 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     cfg.mixer.allocs_per_round = flags.allocs.unwrap_or(cfg.mixer.allocs_per_round);
     let run = &flags.run;
     let start = std::time::Instant::now();
-    let report = match &flags.checkpoint {
-        Some(opts) => {
-            match fleet::run_checkpointed_with_progress(&cfg, run, opts, &flags.progress)
-                .map_err(|e| e.to_string())?
-            {
-                fleet::FleetOutcome::Complete(report) => report,
-                fleet::FleetOutcome::Paused {
-                    shards_done,
-                    shards_total,
-                } => {
-                    eprintln!(
-                        "paused after {shards_done}/{shards_total} shards; \
-                         checkpoint -> {} (continue with --resume)",
-                        opts.path.display()
-                    );
-                    return Ok(());
-                }
+    let checkpoint = flags.checkpoint.as_ref();
+    let report = match fleet::run_with(&cfg, run, checkpoint, Some(&flags.progress))
+        .map_err(|e| e.to_string())?
+    {
+        fleet::FleetOutcome::Complete(report) => report,
+        fleet::FleetOutcome::Paused {
+            shards_done,
+            shards_total,
+        } => {
+            // Only a checkpointed run pauses.
+            if let Some(opts) = checkpoint {
+                eprintln!(
+                    "paused after {shards_done}/{shards_total} shards; \
+                     checkpoint -> {} (continue with --resume)",
+                    opts.path.display()
+                );
             }
+            return Ok(());
         }
-        None => fleet::run_with_progress(&cfg, run, &flags.progress).map_err(|e| e.to_string())?,
     };
     let elapsed = start.elapsed().as_secs_f64();
     if json {

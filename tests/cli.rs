@@ -463,12 +463,70 @@ fn simulate_profile_prints_every_engine_phase() {
     }
 }
 
+/// `--profile --metrics-out` writes the plain `--metrics-out` file plus
+/// the span family and nothing else, and the file's spans are the ones
+/// the printed table shows: the main thread's spans are flushed before
+/// the export.
+#[test]
+fn simulate_profile_metrics_out_adds_only_the_span_family() {
+    let dir = std::env::temp_dir().join("pcb-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let plain_path = dir.join("sim-plain-metrics.json");
+    let profiled_path = dir.join("sim-profiled-metrics.json");
+    let base = [
+        "simulate",
+        "--manager",
+        "pages-thm2",
+        "--m",
+        "8192",
+        "--log-n",
+        "9",
+        "--c",
+        "15",
+        "--metrics-out",
+    ];
+    let run = |path: &std::path::Path, extra: &[&str]| {
+        let mut args: Vec<&str> = base.to_vec();
+        args.push(path.to_str().unwrap());
+        args.extend(extra);
+        let (stdout, stderr, ok) = pcb(&args);
+        assert!(ok, "{stderr}");
+        let text = std::fs::read_to_string(path).expect("--metrics-out wrote its file");
+        std::fs::remove_file(path).ok();
+        (stdout, pcb_json::Json::parse(&text).expect("valid JSON"))
+    };
+    let (_, plain) = run(&plain_path, &[]);
+    let (table, profiled) = run(&profiled_path, &["--profile"]);
+
+    for family in ["counters", "gauges", "histograms"] {
+        let members = |file: &pcb_json::Json| match file.get(family) {
+            Some(pcb_json::Json::Object(members)) => members.clone(),
+            other => panic!("{family} is not an object: {other:?}"),
+        };
+        let mut beyond_spans = members(&profiled);
+        beyond_spans.retain(|name, _| !name.starts_with("span."));
+        assert_eq!(beyond_spans, members(&plain), "{family}");
+    }
+    let compacts = profiled
+        .get("histograms")
+        .and_then(|h| h.get("span.engine.compact"))
+        .and_then(|h| h.get("count"))
+        .and_then(pcb_json::Json::as_u64)
+        .expect("span.engine.compact in the file");
+    let row = table
+        .lines()
+        .find(|line| line.starts_with("engine.compact "))
+        .unwrap_or_else(|| panic!("no engine.compact row in:\n{table}"));
+    let printed: u64 = row.split_whitespace().nth(1).unwrap().parse().unwrap();
+    assert_eq!(compacts, printed, "file and table disagree:\n{table}");
+}
+
 /// Flags a command has no use for are unknown to it: `--trace-out` went
-/// with the span buffer (the per-phase profile is the one view of a run's
-/// spans), `--metrics` only embeds the registry in the fleet report, so
-/// `simulate` and `worst-case` export theirs through `--metrics-out`, and
-/// `--stats` went with the separate manager-counter print path (the
-/// counters travel in `--metrics-out`).
+/// with the span buffer (the spans fold into the metric registry),
+/// `--metrics` went with the fleet report's embedded registry (every
+/// command exports its metrics through `--metrics-out`), and `--stats`
+/// went with the separate manager-counter print path (the counters
+/// travel in `--metrics-out`).
 #[test]
 fn flags_without_a_use_are_unknown() {
     for (args, flag) in [
@@ -476,6 +534,7 @@ fn flags_without_a_use_are_unknown() {
         (&["simulate", "--metrics"], "--metrics"),
         (&["simulate", "--stats"], "--stats"),
         (&["worst-case", "6", "1", "--metrics"], "--metrics"),
+        (&["fleet", "--metrics"], "--metrics"),
     ] {
         let (code, stderr) = pcb_status(args);
         assert_eq!(code, Some(1), "{args:?}: {stderr}");
@@ -537,8 +596,42 @@ fn fleet_heartbeat_is_a_pure_side_channel() {
     std::fs::remove_file(pulses).ok();
 }
 
+/// The fleet report does not depend on instrumentation: `--json` and the
+/// text report are byte-identical with and without `--metrics-out`.
+#[test]
+fn fleet_report_is_the_same_with_and_without_metrics_out() {
+    let dir = std::env::temp_dir().join("pcb-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fleet-report-identity.json");
+    let base = [
+        "fleet",
+        "--tenants",
+        "64",
+        "--shards",
+        "8",
+        "--m-min",
+        "128",
+        "--m-max",
+        "1024",
+    ];
+    for json in [true, false] {
+        let mut args: Vec<&str> = base.to_vec();
+        if json {
+            args.push("--json");
+        }
+        let (plain, stderr, ok) = pcb(&args);
+        assert!(ok, "{stderr}");
+        args.extend(["--metrics-out", path.to_str().unwrap()]);
+        let (instrumented, stderr, ok) = pcb(&args);
+        assert!(ok, "{stderr}");
+        assert!(stderr.contains("metrics:"), "{stderr}");
+        assert_eq!(instrumented, plain, "--json: {json}");
+    }
+    std::fs::remove_file(path).ok();
+}
+
 /// `--metrics-out` writes pcb-json whatever the file is called, and the
-/// file is byte-for-byte the `metrics` object embedded in the report.
+/// file's totals are the report's own numbers.
 #[test]
 fn fleet_metrics_out_is_json_and_matches_the_report() {
     let dir = std::env::temp_dir().join("pcb-cli-test");
@@ -568,13 +661,29 @@ fn fleet_metrics_out_is_json_and_matches_the_report() {
     let text = std::fs::read_to_string(&json).unwrap();
     let file = pcb_json::Json::parse(&text).expect("metrics file is valid JSON");
     let report = pcb_json::Json::parse(&stdout).expect("report is valid JSON");
-    let pcb_json::Json::Object(report) = &report else {
-        panic!("report must be an object")
+    let number = |json: &pcb_json::Json, key: &str| {
+        json.get(key)
+            .and_then(pcb_json::Json::as_u64)
+            .unwrap_or_else(|| panic!("{key} in {json}"))
     };
-    let embedded = report
-        .get("metrics")
-        .expect("--metrics-out implies --metrics");
-    assert_eq!(&file, embedded, "sidecar file disagrees with the report");
+    let Some(counters_json @ pcb_json::Json::Object(counters)) = file.get("counters") else {
+        panic!("no counters in {text}")
+    };
+    let counter = |name: &str| number(counters_json, name);
+    assert_eq!(
+        counter("fleet.objects_placed"),
+        number(&report, "objects_placed")
+    );
+    assert_eq!(
+        counter("fleet.words_placed"),
+        number(&report, "words_placed")
+    );
+    let tenants: u64 = counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("fleet.tenants."))
+        .map(|(_, count)| count.as_u64().expect("a u64 counter"))
+        .sum();
+    assert_eq!(tenants, number(&report, "tenants"), "each tenant once");
 
     // The file's name picks no format: a `.prom` path gets the same bytes.
     let mut args: Vec<&str> = base.to_vec();
