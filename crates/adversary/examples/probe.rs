@@ -19,12 +19,12 @@ fn main() {
             let heap = Heap::new(c);
             let params = Params::new(m, log_n, c).unwrap();
             let mut exec = Execution::new(heap, program, kind.build(&params));
-            match exec.run() {
+            match exec.run_summary() {
                 Ok(report) => {
                     let viol = exec.program().violations().len();
                     println!(
                         "  {:16} HS/M = {:.3}  moved = {:.4}  q1={} q2={} viol={}",
-                        report.manager,
+                        exec.manager().name(),
                         report.waste_factor,
                         report.moved_fraction,
                         exec.program().q1_words(),

@@ -32,10 +32,10 @@
 //!     PfProgram::new(cfg),
 //!     CompactingManager::new(c, m),
 //! );
-//! let report = exec.run()?;
+//! let summary = exec.run_summary()?;
 //! // Theorem 1: every c-partial manager wastes at least h·M.
 //! let (_, h) = optimal_rho(m, log_n, c).unwrap();
-//! assert!(report.waste_factor >= h * 0.9, "close to the bound at least");
+//! assert!(summary.waste_factor >= h * 0.9, "close to the bound at least");
 //! # Ok::<(), pcb_heap::ExecutionError>(())
 //! ```
 

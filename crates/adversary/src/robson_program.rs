@@ -201,7 +201,7 @@ mod tests {
         let m = 1 << 10;
         let program = RobsonProgram::new(m, 4);
         let mut exec = Execution::new(Heap::non_moving(), program, Bump::default());
-        let report = exec.run().expect("run succeeds");
+        let report = exec.run_summary().expect("run succeeds");
         assert_eq!(report.rounds, 5, "fill + 4 steps");
         assert!(report.peak_live <= m);
         let (_, program, _) = exec.into_parts();
@@ -219,7 +219,7 @@ mod tests {
         let m = 1u64 << 12;
         let program = RobsonProgram::new(m, 6);
         let mut exec = Execution::new(Heap::non_moving(), program, Bump(0));
-        exec.run().unwrap();
+        exec.run_summary().unwrap();
         let (_, program, _) = exec.into_parts();
         for s in program.step_log() {
             let claim = (m as f64) * (s.step as f64 + 2.0) / (1u64 << (s.step + 2)) as f64;
@@ -246,7 +246,7 @@ mod tests {
             program,
             FreeListManager::new(FitPolicy::FirstFit),
         );
-        let report = exec.run().unwrap();
+        let report = exec.run_summary().unwrap();
         let bound = RobsonProgram::robson_lower_bound(m, log_n);
         assert!(
             report.heap_size as f64 >= bound,

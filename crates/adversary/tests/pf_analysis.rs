@@ -3,12 +3,12 @@
 
 use pcb_adversary::{optimal_rho, PfConfig, PfProgram, PfVariant, RobsonProgram, SCALED_SLACK};
 use pcb_alloc::ManagerKind;
-use pcb_heap::{Execution, Heap, Params, Program, Report};
+use pcb_heap::{Execution, Heap, HeapSummary, Params, Program};
 
 const M: u64 = 1 << 14;
 const LOG_N: u32 = 10;
 
-fn run_pf(kind: ManagerKind, c: u64, variant: PfVariant) -> (Report, PfProgram) {
+fn run_pf(kind: ManagerKind, c: u64, variant: PfVariant) -> (HeapSummary, PfProgram) {
     let cfg = PfConfig::new(M, LOG_N, c)
         .expect("feasible")
         .with_variant(variant)
@@ -18,7 +18,7 @@ fn run_pf(kind: ManagerKind, c: u64, variant: PfVariant) -> (Report, PfProgram) 
         PfProgram::new(cfg),
         kind.build(&Params::new(M, LOG_N, c).expect("valid")),
     );
-    let report = exec.run().expect("P_F runs to completion");
+    let report = exec.run_summary().expect("P_F runs to completion");
     let (_, program, _) = exec.into_parts();
     (report, program)
 }
@@ -169,7 +169,7 @@ fn robson_program_beats_its_bound_on_every_non_moving_manager() {
             program,
             kind.build(&Params::new(m, log_n, 10).expect("valid")),
         );
-        let report = exec.run().expect("P_R runs");
+        let report = exec.run_summary().expect("P_R runs");
         assert!(
             report.heap_size as f64 >= bound,
             "{kind}: HS {} < Robson bound {bound}",
@@ -344,7 +344,7 @@ fn stage_two_allocation_is_regimented_to_x_m_words_per_step() {
 
     // Claim 4.18 (aggregate form): either the manager already used more
     // than M·h space, or s₂ ≥ x·M·L − 2n where L = log n − 2ρ − 1.
-    let report = exec.report();
+    let report = exec.summary();
     let (_, h) = optimal_rho(M, LOG_N, c).unwrap();
     let l = (last_step + 1 - 2 * rho) as f64;
     let claim = x * M as f64 * l - 2.0 * (1u64 << LOG_N) as f64;

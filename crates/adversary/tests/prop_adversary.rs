@@ -99,7 +99,7 @@ proptest! {
             PfProgram::new(cfg),
             kind.build(&pcb_heap::Params::new(m, log_n, c).expect("valid")),
         );
-        let report = exec.run().map_err(|e| TestCaseError::fail(format!("{kind}: {e}")))?;
+        let report = exec.run_summary().map_err(|e| TestCaseError::fail(format!("{kind}: {e}")))?;
         prop_assert!(
             report.waste_factor >= h * 0.9,
             "{kind} c={c} m={m} log_n={log_n}: waste {} < h {h}",

@@ -252,9 +252,12 @@ mod tests {
     use super::*;
     use pcb_heap::{Execution, Heap, ScriptedProgram};
 
-    fn run(select: BuddySelect, program: ScriptedProgram) -> (pcb_heap::Report, BuddyAllocator) {
+    fn run(
+        select: BuddySelect,
+        program: ScriptedProgram,
+    ) -> (pcb_heap::HeapSummary, BuddyAllocator) {
         let mut exec = Execution::new(Heap::non_moving(), program, BuddyAllocator::new(6, select));
-        let report = exec.run().expect("buddy serves script");
+        let report = exec.run_summary().expect("buddy serves script");
         let (_, _, manager) = exec.into_parts();
         (report, manager)
     }
@@ -267,7 +270,7 @@ mod tests {
             program,
             BuddyAllocator::new(6, BuddySelect::SmallestOrder),
         );
-        exec.run().unwrap();
+        exec.run_summary().unwrap();
         for rec in exec.heap().live_objects() {
             let block = rec.size().next_power_of_two();
             assert!(
@@ -312,7 +315,7 @@ mod tests {
             program,
             BuddyAllocator::new(6, BuddySelect::SmallestOrder),
         );
-        exec.run().unwrap();
+        exec.run_summary().unwrap();
         let mut addrs: Vec<u64> = exec.heap().live_objects().map(|r| r.addr().get()).collect();
         addrs.sort_unstable();
         assert_eq!(addrs, vec![0, 4], "3-word objects occupy 4-word blocks");
@@ -326,7 +329,7 @@ mod tests {
             program,
             BuddyAllocator::new(6, BuddySelect::SmallestOrder),
         );
-        assert!(exec.run().is_err());
+        assert!(exec.run_summary().is_err());
     }
 
     #[test]
@@ -341,7 +344,7 @@ mod tests {
             program,
             BuddyAllocator::new(6, BuddySelect::LowestAddr),
         );
-        exec.run().unwrap();
+        exec.run_summary().unwrap();
         let eight = exec
             .heap()
             .live_objects()
@@ -371,7 +374,7 @@ mod tests {
                 program.clone(),
                 BuddyAllocator::new(8, select),
             );
-            exec.run().unwrap();
+            exec.run_summary().unwrap();
         }
     }
 }

@@ -190,7 +190,7 @@ mod tests {
             )
             .round([16, 48, 72, 84, 90, 93], vec![32u64]);
         let mut exec = Execution::new(Heap::new(2), program, CompactingManager::new(2, m_bound));
-        let report = exec.run().expect("manager serves the churn");
+        let report = exec.run_summary().expect("manager serves the churn");
         assert!(
             report.heap_size <= 3 * m_bound,
             "HS {} exceeds (c+1)M = {}",
@@ -217,7 +217,7 @@ mod tests {
             base += 16;
         }
         let mut exec = Execution::new(Heap::new(4), program, CompactingManager::new(4, m_bound));
-        let report = exec.run().expect("no budget violation");
+        let report = exec.run_summary().expect("no budget violation");
         assert!(report.moved_fraction <= 0.25 + 1e-12);
         assert!(report.heap_size <= 5 * m_bound);
     }
@@ -226,7 +226,7 @@ mod tests {
     fn simple_fill_does_not_compact() {
         let program = ScriptedProgram::new(Size::new(100)).round([], [10, 10, 10]);
         let mut exec = Execution::new(Heap::new(10), program, CompactingManager::new(10, 100));
-        let report = exec.run().unwrap();
+        let report = exec.run_summary().unwrap();
         assert_eq!(report.objects_moved, 0);
         assert_eq!(report.heap_size, 30);
     }
@@ -235,7 +235,7 @@ mod tests {
     fn oversized_request_fails_cleanly() {
         let program = ScriptedProgram::new(Size::new(100)).round([], [10_000]);
         let mut exec = Execution::new(Heap::new(10), program, CompactingManager::new(10, 100));
-        assert!(exec.run().is_err());
+        assert!(exec.run_summary().is_err());
     }
 
     #[test]
@@ -244,7 +244,7 @@ mod tests {
             .round([], [10, 10, 10])
             .round([1], [10]);
         let mut exec = Execution::new(Heap::new(10), program, CompactingManager::new(10, 100));
-        let report = exec.run().unwrap();
+        let report = exec.run_summary().unwrap();
         assert_eq!(
             report.heap_size, 30,
             "freed middle hole absorbed the request"
@@ -263,7 +263,7 @@ mod tests {
         let finished = program.finished();
         assert!(!finished);
         let mut exec = Execution::new(Heap::new(3), program, CompactingManager::new(3, 16));
-        let report = exec.run().unwrap();
+        let report = exec.run_summary().unwrap();
         assert!(report.heap_size <= 64);
     }
 }

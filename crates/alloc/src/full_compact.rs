@@ -115,7 +115,7 @@ mod tests {
             base += 20;
         }
         let mut exec = Execution::new(Heap::unlimited_compaction(), program, FullCompactor::new());
-        let report = exec.run().expect("runs");
+        let report = exec.run_summary().expect("runs");
         assert_eq!(
             report.heap_size, report.peak_live,
             "full compaction keeps HS = peak live"
@@ -132,6 +132,9 @@ mod tests {
             .round([], vec![4u64; 16])
             .round((0..16).step_by(2), vec![4u64; 8]);
         let mut exec = Execution::new(Heap::new(100), program, FullCompactor::new());
-        assert!(exec.run().is_err(), "ledger must reject unlimited moving");
+        assert!(
+            exec.run_summary().is_err(),
+            "ledger must reject unlimited moving"
+        );
     }
 }

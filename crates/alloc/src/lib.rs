@@ -23,8 +23,8 @@
 //! let program = ScriptedProgram::new(Size::new(64)).round([], [8, 8]);
 //! let manager = ManagerKind::CompactingBp11.build(&Params::new(64, 5, 10)?);
 //! let mut exec = Execution::new(Heap::new(10), program, manager);
-//! let report = exec.run()?;
-//! assert_eq!(report.heap_size, 16);
+//! let summary = exec.run_summary()?;
+//! assert_eq!(summary.heap_size, 16);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -698,7 +698,7 @@ mod tests {
     fn pages_fill_before_growing() {
         let program = ScriptedProgram::new(Size::new(1024)).round([], [8, 8, 8, 8, 8]);
         let mut exec = Execution::new(Heap::new(10), program, PageManager::new(10, 10));
-        let report = exec.run().unwrap();
+        let report = exec.run_summary().unwrap();
         // First four share one 32-word page; the fifth starts a second
         // page at 32 (HS counts used words, so the span ends at 32+8).
         assert_eq!(report.heap_size, 40);
@@ -710,7 +710,7 @@ mod tests {
     fn slot_geometry_is_aligned() {
         let program = ScriptedProgram::new(Size::new(1024)).round([], [8, 8, 4, 4, 1]);
         let mut exec = Execution::new(Heap::new(10), program, PageManager::new(10, 10));
-        exec.run().unwrap();
+        exec.run_summary().unwrap();
         for rec in exec.heap().live_objects() {
             let class = rec.size().next_power_of_two().get();
             assert!(rec.addr().is_aligned_to(class));
@@ -723,7 +723,7 @@ mod tests {
             .round([], [8, 8, 8, 8]) // one 32-word page, full
             .round([0, 1, 2, 3], [2, 2]); // page empties; class 1 reuses it
         let mut exec = Execution::new(Heap::new(10), program, PageManager::new(10, 10));
-        let report = exec.run().unwrap();
+        let report = exec.run_summary().unwrap();
         assert_eq!(
             report.heap_size, 32,
             "the emptied class-3 page houses the class-1 page"
@@ -742,7 +742,7 @@ mod tests {
             .round([], [16, 16, 1, 1, 1, 1, 1, 1, 1, 1])
             .round([3, 4, 5, 6, 7, 8], [4, 4, 4, 4, 4]);
         let mut exec = Execution::new(Heap::new(10), program, PageManager::new(10, 10));
-        let report = exec.run().unwrap();
+        let report = exec.run_summary().unwrap();
         let (_, _, manager) = exec.into_parts();
         manager.check_consistency();
         assert!(manager.evictions() >= 1, "eviction should have triggered");
@@ -766,7 +766,7 @@ mod tests {
             base += 36;
         }
         let mut exec = Execution::new(Heap::new(20), program, PageManager::new(20, 8));
-        let report = exec.run().expect("budget never violated");
+        let report = exec.run_summary().expect("budget never violated");
         assert!(report.moved_fraction <= 0.05 + 1e-12);
         let (_, _, manager) = exec.into_parts();
         manager.check_consistency();
@@ -776,7 +776,7 @@ mod tests {
     fn oversized_is_rejected() {
         let program = ScriptedProgram::new(Size::new(1 << 13)).round([], [1 << 12]);
         let mut exec = Execution::new(Heap::new(10), program, PageManager::new(10, 8));
-        assert!(exec.run().is_err());
+        assert!(exec.run_summary().is_err());
     }
 
     #[test]
@@ -793,7 +793,9 @@ mod tests {
                 script(),
                 PageManager::with_geometry(5, 10, slots),
             );
-            let report = exec.run().unwrap_or_else(|e| panic!("slots={slots}: {e}"));
+            let report = exec
+                .run_summary()
+                .unwrap_or_else(|e| panic!("slots={slots}: {e}"));
             let (_, _, manager) = exec.into_parts();
             manager.check_consistency();
             sizes.push(report.heap_size);
@@ -819,7 +821,7 @@ mod tests {
                 program,
                 PageManager::with_geometry(10, 8, slots),
             );
-            exec.run().expect("clean run");
+            exec.run_summary().expect("clean run");
             let (heap, _, mut manager) = exec.into_parts();
             assert_eq!(manager.mirror_check(heap.space()), MirrorCheck::Clean);
             assert!(manager.inject_mirror_fault(0xDEAD_BEEF, heap.space()));
@@ -844,12 +846,12 @@ mod tests {
             .round([], vec![1u64; 16])
             .round((1..10).collect::<Vec<_>>(), []);
         let mut exec = Execution::new(Heap::new(2), program, PageManager::with_geometry(2, 8, 8));
-        exec.run().expect("clean run");
+        exec.run_summary().expect("clean run");
         let (heap, _, mut manager) = exec.into_parts();
         assert!(manager.inject_mirror_fault(0, heap.space()));
         let demand = ScriptedProgram::new(Size::new(64)).round([], [8]);
         let err = Execution::new(heap, demand, manager)
-            .run()
+            .run_summary()
             .expect_err("the phantom surfaces");
         assert!(err.to_string().contains("holds it free"), "{err}");
     }
@@ -858,7 +860,7 @@ mod tests {
     fn full_pages_decline_injection() {
         let program = ScriptedProgram::new(Size::new(1024)).round([], [8, 8, 8, 8]);
         let mut exec = Execution::new(Heap::new(10), program, PageManager::new(10, 10));
-        exec.run().unwrap();
+        exec.run_summary().unwrap();
         let (heap, _, mut manager) = exec.into_parts();
         assert!(!manager.inject_mirror_fault(7, heap.space()));
         assert_eq!(manager.mirror_check(heap.space()), MirrorCheck::Clean);
@@ -873,7 +875,7 @@ mod tests {
         // Free 3 of every 4 (leaving one survivor per page).
         program = program.round((0..32).filter(|i| i % 4 != 0), vec![8u64; 4]);
         let mut exec = Execution::new(Heap::new(5), program, PageManager::new(5, 10));
-        let report = exec.run().unwrap();
+        let report = exec.run_summary().unwrap();
         let (_, _, manager) = exec.into_parts();
         manager.check_consistency();
         assert!(manager.evictions() >= 1);

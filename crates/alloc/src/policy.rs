@@ -165,14 +165,14 @@ mod tests {
     use super::*;
     use pcb_heap::{Execution, Heap, ScriptedProgram};
 
-    fn run_script(policy: FitPolicy) -> pcb_heap::Report {
+    fn run_script(policy: FitPolicy) -> pcb_heap::HeapSummary {
         // Allocate 8 objects of 4 words, free the even ones, then allocate
         // sizes that probe the holes.
         let program = ScriptedProgram::new(Size::new(1024))
             .round([], [4, 4, 4, 4, 4, 4, 4, 4])
             .round([0, 2, 4, 6], [4, 4, 2, 2]);
         let mut exec = Execution::new(Heap::non_moving(), program, FreeListManager::new(policy));
-        exec.run().expect("script runs")
+        exec.run_summary().expect("script runs")
     }
 
     #[test]
@@ -213,7 +213,7 @@ mod tests {
                 .round([1, 3], [2]);
             let mut exec =
                 Execution::new(Heap::non_moving(), program, FreeListManager::new(policy));
-            exec.run().expect("clean run");
+            exec.run_summary().expect("clean run");
             let (heap, _, mut manager) = exec.into_parts();
             assert_eq!(
                 manager.mirror_check(heap.space()),
@@ -247,7 +247,7 @@ mod tests {
                 .round((1..32).step_by(4), [64, 1, 7, 13].to_vec());
             let mut exec =
                 Execution::new(Heap::non_moving(), program, FreeListManager::new(policy));
-            exec.run().expect("no conflicts");
+            exec.run_summary().expect("no conflicts");
         }
     }
 }

@@ -265,8 +265,8 @@ mod tests {
             };
             let params = Params::new(256, 6, 10).unwrap();
             let mut exec = Execution::new(heap, program, kind.build(&params));
-            let report = exec.run().unwrap_or_else(|e| panic!("{kind}: {e}"));
-            assert_eq!(report.manager, kind.name());
+            let report = exec.run_summary().unwrap_or_else(|e| panic!("{kind}: {e}"));
+            assert_eq!(exec.manager().name(), kind.name());
             assert_eq!(report.objects_placed, 9, "{kind}");
         }
     }
@@ -303,7 +303,7 @@ mod tests {
                 .round([1], [2]);
             let params = Params::new(64, 5, 10).unwrap();
             let mut exec = Execution::new(Heap::non_moving(), program, kind.build(&params));
-            let report = exec.run().unwrap();
+            let report = exec.run_summary().unwrap();
             assert_eq!(report.objects_moved, 0, "{kind}");
         }
     }

@@ -74,7 +74,7 @@ mod tests {
             .round([], [4, 2, 1])
             .round([1], [2]);
         let mut exec = Execution::new(Heap::non_moving(), program, RobsonAllocator::new(6));
-        let report = exec.run().unwrap();
+        let report = exec.run_summary().unwrap();
         assert_eq!(report.heap_size, 7);
         let two = exec
             .heap()
@@ -106,7 +106,7 @@ mod tests {
             base += count;
         }
         let mut exec = Execution::new(Heap::non_moving(), program, RobsonAllocator::new(3));
-        let report = exec.run().unwrap();
+        let report = exec.run_summary().unwrap();
         let bound = (m as f64) * (0.5 * 3.0 + 1.0) - 8.0 + 1.0;
         assert!(
             (report.heap_size as f64) <= bound,

@@ -98,7 +98,7 @@ mod tests {
             .round([], [8, 8, 8])
             .round([1], [8]);
         let mut exec = Execution::new(Heap::non_moving(), program, SegregatedManager::new(10));
-        let report = exec.run().unwrap();
+        let report = exec.run_summary().unwrap();
         assert_eq!(report.heap_size, 24, "the freed middle slot is reused");
     }
 
@@ -110,7 +110,7 @@ mod tests {
             .round([], [8, 8, 8, 8])
             .round([0, 1, 2, 3], [16, 16]);
         let mut exec = Execution::new(Heap::non_moving(), program, SegregatedManager::new(10));
-        let report = exec.run().unwrap();
+        let report = exec.run_summary().unwrap();
         assert_eq!(report.heap_size, 32 + 32);
     }
 
@@ -118,7 +118,7 @@ mod tests {
     fn sizes_round_up_to_class() {
         let program = ScriptedProgram::new(Size::new(1024)).round([], [5, 5]);
         let mut exec = Execution::new(Heap::non_moving(), program, SegregatedManager::new(10));
-        exec.run().unwrap();
+        exec.run_summary().unwrap();
         let mut addrs: Vec<u64> = exec.heap().live_objects().map(|r| r.addr().get()).collect();
         addrs.sort_unstable();
         assert_eq!(addrs, vec![0, 8], "5-word objects occupy 8-word slots");
@@ -128,6 +128,6 @@ mod tests {
     fn oversized_is_rejected() {
         let program = ScriptedProgram::new(Size::new(4096)).round([], [2049]);
         let mut exec = Execution::new(Heap::non_moving(), program, SegregatedManager::new(11));
-        assert!(exec.run().is_err());
+        assert!(exec.run_summary().is_err());
     }
 }

@@ -412,7 +412,7 @@ mod tests {
             .round([], [8, 8, 8, 8])
             .round([1, 2], [16, 4]);
         let mut exec = Execution::new(Heap::non_moving(), program, TlsfManager::new());
-        let report = exec.run().expect("tlsf serves the script");
+        let report = exec.run_summary().expect("tlsf serves the script");
         assert_eq!(report.objects_placed, 6);
         // The coalesced 16-word hole [8,24) absorbs the 16-word request.
         assert_eq!(report.heap_size, 36);
@@ -435,7 +435,7 @@ mod tests {
             base += 16;
         }
         let mut exec = Execution::new(Heap::non_moving(), program, TlsfManager::new());
-        exec.run().expect("tlsf survives churn");
+        exec.run_summary().expect("tlsf survives churn");
         let (_, _, manager) = exec.into_parts();
         manager.check_consistency();
     }
@@ -447,7 +447,7 @@ mod tests {
         let (m, log_n) = (1u64 << 10, 5u32);
         let program = RobsonProgram::new(m, log_n);
         let mut exec = Execution::new(Heap::non_moving(), program, TlsfManager::new());
-        let report = exec.run().expect("P_R runs");
+        let report = exec.run_summary().expect("P_R runs");
         let bound = RobsonProgram::robson_lower_bound(m, log_n);
         assert!(
             report.heap_size as f64 >= bound,

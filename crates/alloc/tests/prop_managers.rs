@@ -59,7 +59,7 @@ proptest! {
             let program = random_script(&rounds, live_bound);
             let heap = if kind.is_compacting() { Heap::new(8) } else { Heap::non_moving() };
             let mut exec = Execution::new(heap, program, kind.build(&Params::new(live_bound, 6, 8).unwrap()));
-            let report = exec.run().map_err(|e| {
+            let report = exec.run_summary().map_err(|e| {
                 TestCaseError::fail(format!("{kind}: {e}"))
             })?;
             prop_assert!(report.peak_live <= live_bound);

@@ -741,7 +741,7 @@ mod tests {
             program,
             FreeListManager::new(FitPolicy::FirstFit),
         );
-        let report = exec.run().expect("P_R runs");
+        let report = exec.run_summary().expect("P_R runs");
         assert!(
             report.heap_size <= wc.heap_size,
             "P_R {} exceeds the exhaustive maximum {}",
@@ -978,7 +978,7 @@ mod tests {
                     .round([1, 3], [size]);
                 let mut exec =
                     Execution::new(Heap::non_moving(), program, FreeListManager::new(fit));
-                exec.run().unwrap();
+                exec.run_summary().unwrap();
                 let placed = exec
                     .heap()
                     .live_objects()

@@ -481,8 +481,8 @@ pub fn geometry(grid: &[Params]) -> Result<Vec<GeometryRow>, FigureError> {
         let manager = PageManager::try_with_geometry(c, log_n, slots)
             .map_err(|e| SimError::Infeasible(e.to_string()))?;
         let mut exec = Execution::new(Heap::new(c), PfProgram::new(cfg), manager);
-        let report = exec.run().map_err(SimError::Execution)?;
-        let (waste, moved) = (report.waste_factor, report.moved_fraction);
+        let summary = exec.run_summary().map_err(SimError::Execution)?;
+        let (waste, moved) = (summary.waste_factor, summary.moved_fraction);
         Ok(GeometryRow {
             c,
             slots,
@@ -524,7 +524,10 @@ fn gap_waste(p: Params, kind: ManagerKind, program: &str) -> Result<f64, SimErro
     let heap = Heap::with_c(kind.heap_c(false, p.c()));
     let manager = kind.try_build(&p).map_err(SimError::Manager)?;
     let mut exec = Execution::new(heap, program, manager);
-    Ok(exec.run().map_err(SimError::Execution)?.waste_factor)
+    Ok(exec
+        .run_summary()
+        .map_err(SimError::Execution)?
+        .waste_factor)
 }
 
 /// One cell of experiment 9, the benchmark-vs-worst-case gap.

@@ -94,4 +94,4 @@ pub use pcb_workload as workload;
 pub use pcb_adversary::{PfConfig, PfProgram, PfVariant, RobsonProgram};
 pub use pcb_alloc::ManagerKind;
 pub use pcb_chaos::{FaultPlan, FaultSite};
-pub use pcb_heap::{Execution, Heap, Observer, Observers, Report, Size, TimeSeries, TraceWriter};
+pub use pcb_heap::{Execution, Heap, Observer, Observers, Size, TimeSeries, TraceWriter};

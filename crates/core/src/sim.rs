@@ -15,7 +15,8 @@ use pcb_adversary::{PfConfig, PfProgram, PfVariant, RobsonProgram};
 use pcb_alloc::{BuildError, ManagerKind};
 use pcb_chaos::FaultPlan;
 use pcb_heap::{
-    Execution, ExecutionError, Heap, MemoryManager, Observer, Observers, Program, TimeSeries,
+    Execution, ExecutionError, Heap, HeapSummary, MemoryManager, Observer, Observers, Program,
+    TimeSeries,
 };
 use pcb_workload::{tenant_by_kind, TenantProgram, TenantShape};
 
@@ -93,8 +94,13 @@ impl Workload {
 /// Outcome of one adversary-vs-manager simulation.
 #[derive(Debug, Clone)]
 pub struct SimReport {
-    /// The underlying execution report.
-    pub execution: pcb_heap::Report,
+    /// The program's name, as [`Program::name`] gives it.
+    pub program: String,
+    /// The manager's name, as [`MemoryManager::name`] gives it.
+    pub manager: String,
+    /// The engine's summary of the run: `HS`, `HS / M`, the moved
+    /// fraction and the operation counts.
+    pub execution: HeapSummary,
     /// The bound the run is compared against, clamped to at least the
     /// trivial factor 1 (a heap can never use less than the live space).
     pub h: f64,
@@ -119,48 +125,13 @@ pub struct SimReport {
     pub series: Option<TimeSeries>,
 }
 
-impl pcb_json::ToJson for SimReport {
-    fn to_json(&self) -> pcb_json::Json {
-        use pcb_json::Json;
-        Json::object([
-            ("execution", self.execution.to_json()),
-            ("h", Json::from(self.h)),
-            ("h_raw", Json::from(self.h_raw)),
-            ("rho", Json::from(self.rho)),
-            ("waste_over_bound", Json::from(self.waste_over_bound)),
-            (
-                "stage_words",
-                Json::array(self.stage_words.iter().map(|&w| Json::from(w))),
-            ),
-            (
-                "final_potential",
-                match self.final_potential {
-                    Some(u) => Json::Int(u),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "violations",
-                Json::array(self.violations.iter().map(|v| Json::from(v.as_str()))),
-            ),
-            (
-                "series",
-                match &self.series {
-                    Some(s) => s.to_json(),
-                    None => Json::Null,
-                },
-            ),
-        ])
-    }
-}
-
 impl fmt::Display for SimReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "{} vs {}: HS/M = {:.3} (bound h = {:.3}, ratio {:.3}), moved {:.4}",
-            self.execution.program,
-            self.execution.manager,
+            self.program,
+            self.manager,
             self.execution.waste_factor,
             self.h,
             self.waste_over_bound,
@@ -388,7 +359,7 @@ impl Setup<'_> {
             .with_paranoia(self.paranoia);
         let mut series = self.series_every.map(|k| TimeSeries::new().every(k));
         let execution = if self.observer.is_none() && series.is_none() {
-            exec.run()
+            exec.run_summary()
         } else {
             let mut bus = Observers::new();
             if let Some(s) = series.as_mut() {
@@ -405,6 +376,8 @@ impl Setup<'_> {
         // preserved separately.
         let h = h_raw.max(1.0);
         let report = SimReport {
+            program: exec.program().name().to_owned(),
+            manager: exec.manager().name().to_owned(),
             h,
             h_raw,
             rho: 0,
@@ -526,7 +499,7 @@ mod tests {
         let non_moving = sim(ManagerKind::FirstFit).adversary(churn);
         assert_eq!(non_moving.heap_c(), u64::MAX);
         let report = non_moving.run().unwrap();
-        assert_eq!(report.execution.program, "churn");
+        assert_eq!(report.program, "churn");
         assert_eq!(report.execution.rounds, 20);
         assert_eq!(report.execution.objects_moved, 0);
         assert_eq!((report.h, report.rho), (1.0, 0));
@@ -586,7 +559,7 @@ mod tests {
     }
 
     #[test]
-    fn observers_series_and_stats_attach_without_changing_results() {
+    fn observers_and_series_attach_without_changing_results() {
         let baseline = sim(ManagerKind::FirstFit).run().unwrap();
         let mut recorder = TraceRecorder::new(small().c());
         let observed = Sim::new(small())

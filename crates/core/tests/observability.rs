@@ -1,7 +1,7 @@
 //! Observers must be invisible in the physics: attaching event recorders
 //! and per-round series to a run, or switching on span collection and
 //! the metrics plane (which carries the manager counters), must leave every
-//! `Report` field identical to the plain run — under the sequential code
+//! `HeapSummary` field identical to the plain run — under the sequential code
 //! path and under parallel workers alike.
 //!
 //! This file holds a single `#[test]` on purpose: it mutates the
@@ -22,7 +22,7 @@ fn with_threads<T>(threads: &str, run: impl FnOnce() -> T) -> T {
     out
 }
 
-fn fingerprint(report: &partial_compaction::Report) -> String {
+fn fingerprint(report: &partial_compaction::heap::HeapSummary) -> String {
     format!("{report:?}")
 }
 

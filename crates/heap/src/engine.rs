@@ -30,13 +30,14 @@ pub struct ChaosCounters {
     pub mirror_faults: u64,
 }
 
-/// Allocation-free numeric summary of an execution.
+/// Summary of a finished (or aborted) execution: the engine's one result
+/// type.
 ///
 /// The fleet harness runs millions of tenant heaps and keeps only
 /// O(shards) of aggregation state, so the per-tenant result must not
-/// allocate: this is [`Report`] minus the program/manager name strings,
-/// `Copy`, and extractable from a live [`Execution`] at any point via
-/// [`Execution::summary`].
+/// allocate: the summary is `Copy`, carries no name strings (the program
+/// and manager report their own through `name()`), and is extractable
+/// from a live [`Execution`] at any point via [`Execution::summary`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeapSummary {
     /// The compaction bound `c` (`u64::MAX` encodes "non-moving").
@@ -104,102 +105,6 @@ impl HeapSummary {
             ghost_words: heap.ghost_words().get(),
             internal_waste,
         }
-    }
-}
-
-/// Summary of a finished (or aborted) execution.
-#[derive(Debug, Clone)]
-pub struct Report {
-    /// Program name.
-    pub program: String,
-    /// Manager name.
-    pub manager: String,
-    /// The compaction bound `c` (`u64::MAX` encodes "non-moving").
-    pub c: u64,
-    /// The program's live-space bound `M` in words.
-    pub live_bound: u64,
-    /// Measured heap size `HS` in words (peak used span).
-    pub heap_size: u64,
-    /// Peak live words.
-    pub peak_live: u64,
-    /// `HS / M`: the waste factor the paper's bounds speak about.
-    pub waste_factor: f64,
-    /// Fraction of allocated words that were moved (≤ 1/c by construction).
-    pub moved_fraction: f64,
-    /// Rounds executed.
-    pub rounds: u32,
-    /// Objects placed.
-    pub objects_placed: u64,
-    /// Objects freed.
-    pub objects_freed: u64,
-    /// Objects moved.
-    pub objects_moved: u64,
-    /// Words allocated in total.
-    pub words_placed: u64,
-    /// Words moved in total.
-    pub words_moved: u64,
-    /// Hole words inside the span when `HS` was reached (external
-    /// fragmentation).
-    pub external_waste: u64,
-    /// Words of moved-then-immediately-freed objects.
-    pub ghost_words: u64,
-    /// Words the manager holds that no request can use (internal
-    /// fragmentation).
-    pub internal_waste: u64,
-}
-
-impl Report {
-    fn new<P: Program + ?Sized, M: MemoryManager + ?Sized>(
-        heap: &Heap,
-        program: &P,
-        manager: &M,
-        rounds: u32,
-    ) -> Self {
-        let s = HeapSummary::new(heap, program, rounds, manager.internal_waste());
-        Report {
-            program: program.name().to_owned(),
-            manager: manager.name().to_owned(),
-            c: s.c,
-            live_bound: s.live_bound,
-            heap_size: s.heap_size,
-            peak_live: s.peak_live,
-            waste_factor: s.waste_factor,
-            moved_fraction: s.moved_fraction,
-            rounds: s.rounds,
-            objects_placed: s.objects_placed,
-            objects_freed: s.objects_freed,
-            objects_moved: s.objects_moved,
-            words_placed: s.words_placed,
-            words_moved: s.words_moved,
-            external_waste: s.external_waste,
-            ghost_words: s.ghost_words,
-            internal_waste: s.internal_waste,
-        }
-    }
-}
-
-impl pcb_json::ToJson for Report {
-    fn to_json(&self) -> pcb_json::Json {
-        use pcb_json::Json;
-        Json::object([
-            ("program", Json::from(self.program.as_str())),
-            ("manager", Json::from(self.manager.as_str())),
-            ("c", Json::from(self.c)),
-            ("live_bound", Json::from(self.live_bound)),
-            ("heap_size", Json::from(self.heap_size)),
-            ("peak_live", Json::from(self.peak_live)),
-            ("waste_factor", Json::from(self.waste_factor)),
-            ("moved_fraction", Json::from(self.moved_fraction)),
-            ("rounds", Json::from(self.rounds)),
-            ("objects_placed", Json::from(self.objects_placed)),
-            ("objects_freed", Json::from(self.objects_freed)),
-            ("objects_moved", Json::from(self.objects_moved)),
-            ("words_placed", Json::from(self.words_placed)),
-            ("words_moved", Json::from(self.words_moved)),
-            ("external_waste", Json::from(self.external_waste)),
-            ("ghost_words", Json::from(self.ghost_words)),
-            ("internal_waste", Json::from(self.internal_waste)),
-        ])
     }
 }
 
@@ -312,9 +217,11 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         (self.heap, self.program, self.manager)
     }
 
-    /// Runs rounds until the program finishes, without observation. No
-    /// observer is attached at all on this path: events are neither
-    /// constructed nor dispatched, so the per-tick cost is zero.
+    /// Runs rounds until the program finishes, without observation, and
+    /// returns the run's [`HeapSummary`]. No observer is attached at all
+    /// on this path: events are neither constructed nor dispatched, so
+    /// the per-tick cost is zero, and the result allocates nothing (the
+    /// fleet runs a million tenants through here).
     ///
     /// The run is wrapped in an `engine.run` span (with per-round phase
     /// spans inside); when span collection is disabled — the default —
@@ -324,48 +231,35 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
     ///
     /// Propagates the first [`ExecutionError`]; the execution state remains
     /// inspectable afterwards.
-    pub fn run(&mut self) -> Result<Report, ExecutionError> {
-        let _span = pcb_metrics::span!("engine.run");
-        while !self.program.finished() && self.round < MAX_ROUNDS {
-            self.step_round_inner(None)?;
-        }
-        self.publish_metrics();
-        Ok(self.report())
-    }
-
-    /// Runs rounds until the program finishes and returns the
-    /// allocation-free [`HeapSummary`] instead of a full [`Report`].
-    ///
-    /// This is the fleet hot path: identical execution to [`run`](Self::run)
-    /// (same rounds, same placements, same budget enforcement), but the
-    /// result carries no name strings, so a million tenant runs allocate
-    /// nothing for their results.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`ExecutionError`], like [`run`](Self::run).
     pub fn run_summary(&mut self) -> Result<HeapSummary, ExecutionError> {
-        let _span = pcb_metrics::span!("engine.run");
-        while !self.program.finished() && self.round < MAX_ROUNDS {
-            self.step_round_inner(None)?;
-        }
-        self.publish_metrics();
-        Ok(self.summary())
+        self.run_rounds(None)
     }
 
     /// Runs rounds until the program finishes, reporting every event to
-    /// `observer`.
+    /// `observer`: the same rounds, placements and budget enforcement as
+    /// [`run_summary`](Self::run_summary), hence the same summary.
     ///
     /// # Errors
     ///
     /// Propagates the first [`ExecutionError`].
-    pub fn run_observed(&mut self, observer: &mut dyn Observer) -> Result<Report, ExecutionError> {
+    pub fn run_observed(
+        &mut self,
+        observer: &mut dyn Observer,
+    ) -> Result<HeapSummary, ExecutionError> {
+        self.run_rounds(Some(observer))
+    }
+
+    /// The loop behind both entry points.
+    fn run_rounds(
+        &mut self,
+        mut observer: Option<&mut dyn Observer>,
+    ) -> Result<HeapSummary, ExecutionError> {
         let _span = pcb_metrics::span!("engine.run");
         while !self.program.finished() && self.round < MAX_ROUNDS {
-            self.step_round_inner(Some(observer))?;
+            self.step_round_inner(observer.as_mut().map(|o| &mut **o as &mut dyn Observer))?;
         }
         self.publish_metrics();
-        Ok(self.report())
+        Ok(self.summary())
     }
 
     /// Publishes the run's totals into the `pcb-metrics` registry: engine
@@ -407,13 +301,8 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         self.manager.publish_metrics();
     }
 
-    /// Produces a report of the execution so far.
-    pub fn report(&self) -> Report {
-        Report::new(&self.heap, &self.program, &self.manager, self.round)
-    }
-
     /// Produces the allocation-free numeric summary of the execution so
-    /// far (a [`Report`] minus the name strings).
+    /// far.
     pub fn summary(&self) -> HeapSummary {
         HeapSummary::new(
             &self.heap,
@@ -658,36 +547,10 @@ mod tests {
     }
 
     #[test]
-    fn summary_matches_report_field_for_field() {
-        let program = ScriptedProgram::new(Size::new(100))
-            .round([], [4, 4])
-            .round([0], [8]);
-        let mut exec = Execution::new(Heap::non_moving(), program, Bump::default());
-        let summary = exec.run_summary().unwrap();
-        let report = exec.report();
-        assert_eq!(summary, exec.summary());
-        assert_eq!(summary.c, report.c);
-        assert_eq!(summary.live_bound, report.live_bound);
-        assert_eq!(summary.heap_size, report.heap_size);
-        assert_eq!(summary.peak_live, report.peak_live);
-        assert_eq!(summary.waste_factor, report.waste_factor);
-        assert_eq!(summary.moved_fraction, report.moved_fraction);
-        assert_eq!(summary.rounds, report.rounds);
-        assert_eq!(summary.objects_placed, report.objects_placed);
-        assert_eq!(summary.objects_freed, report.objects_freed);
-        assert_eq!(summary.objects_moved, report.objects_moved);
-        assert_eq!(summary.words_placed, report.words_placed);
-        assert_eq!(summary.words_moved, report.words_moved);
-        assert_eq!(summary.external_waste, report.external_waste);
-        assert_eq!(summary.ghost_words, report.ghost_words);
-        assert_eq!(summary.internal_waste, report.internal_waste);
-    }
-
-    #[test]
     fn overlapping_placement_is_caught() {
         let program = ScriptedProgram::new(Size::new(100)).round([], [4, 4]);
         let mut exec = Execution::new(Heap::non_moving(), program, Clobber);
-        let err = exec.run().unwrap_err();
+        let err = exec.run_summary().unwrap_err();
         assert!(matches!(err, ExecutionError::Heap(_)), "got {err}");
     }
 
@@ -695,7 +558,7 @@ mod tests {
     fn live_bound_violation_is_caught() {
         let program = ScriptedProgram::new(Size::new(7)).round([], [4, 4]);
         let mut exec = Execution::new(Heap::non_moving(), program, Bump::default());
-        let err = exec.run().unwrap_err();
+        let err = exec.run_summary().unwrap_err();
         assert!(matches!(err, ExecutionError::LiveSpaceExceeded { .. }));
     }
 
@@ -707,7 +570,7 @@ mod tests {
             .round([0], [])
             .round([0], []);
         let mut exec = Execution::new(Heap::non_moving(), program, Bump::default());
-        let err = exec.run().unwrap_err();
+        let err = exec.run_summary().unwrap_err();
         assert!(matches!(err, ExecutionError::BadFree(_)));
     }
 
@@ -722,8 +585,8 @@ mod tests {
         let mut chaotic = Execution::new(Heap::non_moving(), script(), Bump::default())
             .with_chaos(FaultPlan::new(99))
             .with_paranoia(1);
-        let a = plain.run().unwrap();
-        let b = chaotic.run().unwrap();
+        let a = plain.run_summary().unwrap();
+        let b = chaotic.run_summary().unwrap();
         assert_eq!(a.heap_size, b.heap_size);
         assert_eq!(a.objects_placed, b.objects_placed);
         assert_eq!(chaotic.chaos_counters(), ChaosCounters::default());
@@ -735,8 +598,8 @@ mod tests {
         let script = || ScriptedProgram::new(Size::new(1000)).round([], [4; 20]);
         let mut a = Execution::new(Heap::non_moving(), script(), Bump::default()).with_chaos(plan);
         let mut b = Execution::new(Heap::non_moving(), script(), Bump::default()).with_chaos(plan);
-        let ra = a.run().unwrap();
-        let rb = b.run().unwrap();
+        let ra = a.run_summary().unwrap();
+        let rb = b.run_summary().unwrap();
         assert_eq!(
             ra.objects_placed, rb.objects_placed,
             "refusals are deterministic"
@@ -756,7 +619,7 @@ mod tests {
             .round([], [4])
             .round([], [4]);
         let mut exec = Execution::new(Heap::new(2), program, Bump::default()).with_chaos(plan);
-        exec.run().unwrap();
+        exec.run_summary().unwrap();
         assert!(exec.chaos_counters().budget_cuts >= 1);
         assert!(exec.heap().budget().c() > 2, "bound was tightened");
 
@@ -764,7 +627,7 @@ mod tests {
         let program = ScriptedProgram::new(Size::new(100)).round([], [4]);
         let mut exec =
             Execution::new(Heap::non_moving(), program, Bump::default()).with_chaos(plan);
-        exec.run().unwrap();
+        exec.run_summary().unwrap();
         assert_eq!(exec.chaos_counters().budget_cuts, 0);
     }
 
@@ -815,7 +678,7 @@ mod tests {
         let mut exec = Execution::new(Heap::non_moving(), program, Mirrored::default())
             .with_chaos(plan)
             .with_paranoia(2);
-        let err = exec.run().unwrap_err();
+        let err = exec.run_summary().unwrap_err();
         match err {
             ExecutionError::MirrorDivergence {
                 round,
@@ -839,7 +702,7 @@ mod tests {
             .round([], [4]);
         let mut exec =
             Execution::new(Heap::non_moving(), program, Mirrored::default()).with_chaos(plan);
-        exec.run().unwrap();
+        exec.run_summary().unwrap();
         assert_eq!(exec.chaos_counters().mirror_faults, 1);
     }
 
@@ -882,7 +745,7 @@ mod tests {
             .round([], [4])
             .round([], [4]);
         let mut exec = Execution::new(Heap::new(2), program, Slider::default());
-        let report = exec.run().unwrap();
+        let report = exec.run_summary().unwrap();
         // First object allocated at 0; before the second allocation the
         // slider finds it already at 0 and does not move it.
         assert_eq!(report.objects_moved, 0);
@@ -890,7 +753,7 @@ mod tests {
             .round([], [1, 4]) // o0 at 0, o1 at 1
             .round([0], [2]); // free o0, slider moves o1 to 0 (budget: 5/2=2 < 4)
         let mut exec = Execution::new(Heap::new(2), program, Slider::default());
-        let report = exec.run().unwrap();
+        let report = exec.run_summary().unwrap();
         // o1 has size 4 but allowance at move time is floor(5/2)=2, so the
         // move is skipped via can_move; no error.
         assert_eq!(report.objects_moved, 0);

@@ -84,18 +84,6 @@ pub trait Observer {
     }
 }
 
-/// Mutable references to observers are observers, so a caller can keep
-/// ownership of a collector while an execution borrows it.
-impl<O: Observer + ?Sized> Observer for &mut O {
-    fn on_event(&mut self, tick: Tick, event: &Event) {
-        (**self).on_event(tick, event);
-    }
-
-    fn on_round_end(&mut self, round: u32, heap: &Heap) {
-        (**self).on_round_end(round, heap);
-    }
-}
-
 /// A composite observer: fans every event out to each attached observer
 /// in attachment order, so one execution can feed a trace recorder, a
 /// metrics collector, and a trace writer at once.

@@ -40,8 +40,8 @@
 //!
 //! let program = ScriptedProgram::new(Size::new(64)).round([], [16, 16]);
 //! let mut exec = Execution::new(Heap::non_moving(), program, Bump(0));
-//! let report = exec.run()?;
-//! assert_eq!(report.heap_size, 32);
+//! let summary = exec.run_summary()?;
+//! assert_eq!(summary.heap_size, 32);
 //! # Ok::<(), pcb_heap::ExecutionError>(())
 //! ```
 
@@ -68,7 +68,7 @@ pub use pcb_chaos::{FaultPlan, FaultSite};
 
 pub use addr::{Addr, Extent, Size};
 pub use budget::CompactionBudget;
-pub use engine::{ChaosCounters, Execution, HeapSummary, NullObserver, Report};
+pub use engine::{ChaosCounters, Execution, HeapSummary, NullObserver};
 pub use error::{ExecutionError, HeapError, SpaceError};
 pub use event::{Event, Observer, Observers, Tick};
 pub use heap::{Heap, HeapStats};

@@ -33,29 +33,26 @@ impl MetricsSnapshot {
     }
 
     /// Adds `delta` to the named counter (creating it at 0).
-    pub fn add_counter(&mut self, name: impl Into<String>, delta: u64) {
-        *self.counters.entry(name.into()).or_default() += delta;
+    pub fn add_counter(&mut self, name: impl AsRef<str>, delta: u64) {
+        *slot(&mut self.counters, name.as_ref()) += delta;
     }
 
     /// Ratchets the named gauge up to `value` (creating it at 0).
-    pub fn record_gauge_max(&mut self, name: impl Into<String>, value: u64) {
-        let slot = self.gauges.entry(name.into()).or_default();
+    pub fn record_gauge_max(&mut self, name: impl AsRef<str>, value: u64) {
+        let slot = slot(&mut self.gauges, name.as_ref());
         *slot = (*slot).max(value);
     }
 
     /// Records one sample into the named histogram.
-    pub fn observe(&mut self, name: impl Into<String>, value: u64) {
-        self.histograms
-            .entry(name.into())
-            .or_default()
-            .record(value);
+    pub fn observe(&mut self, name: impl AsRef<str>, value: u64) {
+        slot(&mut self.histograms, name.as_ref()).record(value);
     }
 
     /// Folds a whole histogram into the named histogram (creating the
     /// entry even when `h` is empty, so registered-but-unsampled metrics
     /// stay visible in expositions).
-    pub fn merge_histogram(&mut self, name: impl Into<String>, h: &Histogram) {
-        self.histograms.entry(name.into()).or_default().merge(h);
+    pub fn merge_histogram(&mut self, name: impl AsRef<str>, h: &Histogram) {
+        slot(&mut self.histograms, name.as_ref()).merge(h);
     }
 
     /// The named counter's value (0 when absent).
@@ -169,6 +166,16 @@ impl MetricsSnapshot {
         }
         Ok(snap)
     }
+}
+
+/// The entry for `name`, created at its default on first use. The key
+/// `String` is allocated only then: every later call is a lookup by
+/// `&str`.
+fn slot<'m, V: Default>(map: &'m mut BTreeMap<String, V>, name: &str) -> &'m mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_owned(), V::default());
+    }
+    map.get_mut(name).expect("inserted above")
 }
 
 impl ToJson for MetricsSnapshot {

@@ -1,5 +1,5 @@
 //! Span collection: timed spans folded into the metric registry — where
-//! the wall clock goes inside the engine (`Execution::run` phases,
+//! the wall clock goes inside the engine (`Execution` round phases,
 //! `par_map` shard lifetimes, exhaustive-search BFS levels).
 //!
 //! Design goals, in order:

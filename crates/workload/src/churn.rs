@@ -185,7 +185,7 @@ mod tests {
     use pcb_alloc::ManagerKind;
     use pcb_heap::{Execution, Heap};
 
-    fn run(cfg: ChurnConfig, kind: ManagerKind) -> pcb_heap::Report {
+    fn run(cfg: ChurnConfig, kind: ManagerKind) -> pcb_heap::HeapSummary {
         let heap = if kind.is_compacting() {
             Heap::new(10)
         } else {
@@ -196,7 +196,7 @@ mod tests {
             ChurnWorkload::new(cfg),
             kind.build(&pcb_heap::Params::new(cfg.m, cfg.log_n, 10).expect("valid")),
         );
-        exec.run().expect("churn runs")
+        exec.run_summary().expect("churn runs")
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! let cfg = ChurnConfig::typical(1 << 12, 6);
 //! let manager = ManagerKind::FirstFit.build(&pcb_heap::Params::new(cfg.m, cfg.log_n, 10)?);
 //! let mut exec = Execution::new(Heap::non_moving(), ChurnWorkload::new(cfg), manager);
-//! let report = exec.run()?;
-//! assert!(report.waste_factor < 2.0, "typical churn is mild");
+//! let summary = exec.run_summary()?;
+//! assert!(summary.waste_factor < 2.0, "typical churn is mild");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

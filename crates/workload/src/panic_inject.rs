@@ -91,10 +91,10 @@ mod tests {
             .round([], [4])
     }
 
-    fn run(program: PanicProgram<ScriptedProgram>) -> pcb_heap::Report {
+    fn run(program: PanicProgram<ScriptedProgram>) -> pcb_heap::HeapSummary {
         let manager = FreeListManager::new(FitPolicy::FirstFit);
         let mut exec = Execution::new(Heap::non_moving(), program, manager);
-        exec.run().unwrap()
+        exec.run_summary().unwrap()
     }
 
     #[test]
@@ -123,7 +123,7 @@ mod tests {
         let bare = {
             let manager = FreeListManager::new(FitPolicy::FirstFit);
             let mut exec = Execution::new(Heap::non_moving(), script(), manager);
-            exec.run().unwrap()
+            exec.run_summary().unwrap()
         };
         let wrapped = run(PanicProgram::new(script(), u32::MAX));
         assert_eq!(bare.heap_size, wrapped.heap_size);

@@ -183,7 +183,7 @@ mod tests {
     use pcb_alloc::ManagerKind;
     use pcb_heap::{Execution, Heap};
 
-    fn run(cfg: RampConfig, kind: ManagerKind) -> pcb_heap::Report {
+    fn run(cfg: RampConfig, kind: ManagerKind) -> pcb_heap::HeapSummary {
         let heap = if kind.is_compacting() {
             Heap::new(10)
         } else {
@@ -194,7 +194,7 @@ mod tests {
             RampWorkload::new(cfg),
             kind.build(&pcb_heap::Params::new(cfg.m, cfg.log_n, 10).expect("valid")),
         );
-        exec.run().expect("ramp runs")
+        exec.run_summary().expect("ramp runs")
     }
 
     #[test]
@@ -248,7 +248,7 @@ mod tests {
                 RampWorkload::new(cfg),
                 ManagerKind::FullCompaction.build(&pcb_heap::Params::new(m, 6, 10).expect("valid")),
             );
-            exec.run().expect("runs")
+            exec.run_summary().expect("runs")
         };
         assert!(
             full.waste_factor < non_moving.waste_factor,

@@ -194,7 +194,7 @@ mod tests {
             workload,
             ManagerKind::FirstFit.build(&pcb_heap::Params::new(1 << 12, 6, 10).expect("valid")),
         );
-        let report = exec.run().expect("replay runs");
+        let report = exec.run_summary().expect("replay runs");
         assert_eq!(report.objects_placed as usize, placed_in_trace);
     }
 
@@ -219,7 +219,7 @@ mod tests {
                 workload,
                 kind.build(&pcb_heap::Params::new(1 << 12, 6, 10).expect("valid")),
             );
-            let report = exec.run().unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let report = exec.run_summary().unwrap_or_else(|e| panic!("{kind}: {e}"));
             assert_eq!(report.objects_placed, placed_expected, "{kind}");
             heap_sizes.push(report.heap_size);
         }
@@ -254,7 +254,7 @@ mod tests {
             workload,
             ManagerKind::Buddy.build(&pcb_heap::Params::new(m, log_n, c).expect("valid")),
         );
-        let report = replay.run().expect("replay runs");
+        let report = replay.run_summary().expect("replay runs");
         assert!(report.heap_size > 0);
         assert!(original.heap_size > 0);
     }

@@ -246,7 +246,7 @@ mod tests {
             let params = Params::new(shape.m * 4, shape.log_n, shape.c).expect("valid");
             let mut exec = Execution::new(heap, program, ManagerKind::FirstFit.build(&params));
             let report = exec
-                .run()
+                .run_summary()
                 .unwrap_or_else(|e| panic!("{}: {e}", family.kind()));
             assert!(report.objects_placed > 0, "{}", family.kind());
         }

@@ -56,7 +56,7 @@ fn main() {
         round += 1;
     }
     println!();
-    let report = exec.report();
+    let report = exec.summary();
     println!(
         "final: HS/M = {:.3} (Theorem 1 floor for c-partial managers: {:.3})",
         report.waste_factor,

@@ -33,7 +33,7 @@ fn main() {
             .expect("runs");
         println!(
             "{:>16} {:>10} {:>8.3}{}",
-            report.execution.manager,
+            report.manager,
             report.execution.heap_size,
             report.execution.waste_factor,
             if (report.execution.heap_size as f64) >= bound {
@@ -51,7 +51,7 @@ fn main() {
     let program = RobsonProgram::new(m, log_n);
     let manager = ManagerKind::Robson.build(&params);
     let mut exec = Execution::new(Heap::non_moving(), program, manager);
-    exec.run().expect("runs");
+    exec.run_summary().expect("runs");
     let (heap, program, _) = exec.into_parts();
     println!(
         "{:>5} {:>6} {:>10} {:>12}",

@@ -544,7 +544,7 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
     let exec = &report.execution;
     println!(
         "{} vs {}: HS = {} words, HS/M = {:.3}, moved = {:.4}",
-        exec.program, exec.manager, exec.heap_size, exec.waste_factor, exec.moved_fraction
+        report.program, report.manager, exec.heap_size, exec.waste_factor, exec.moved_fraction
     );
     if adversary == Adversary::PF {
         let h = bounds::thm1::factor(params);

@@ -102,6 +102,69 @@ fn simulate_reports_the_bound_ratio() {
 }
 
 #[test]
+fn simulate_report_lines_are_pinned() {
+    const PF_FIRST_FIT: &str = "pf vs first-fit: HS = 20785 words, HS/M = 2.537, moved = 0.0000\n\
+                                theorem 1 bound h = 1.838; measured/bound = 1.380\n";
+    let size = ["--m", "8192", "--log-n", "9", "--c", "20"];
+    let cases = [
+        ("pf", "first-fit", PF_FIRST_FIT),
+        (
+            "robson",
+            "best-fit",
+            "robson vs best-fit: HS = 44545 words, HS/M = 5.438, moved = 0.0000\n",
+        ),
+        (
+            "churn",
+            "pages-thm2",
+            "churn vs pages-thm2: HS = 10277 words, HS/M = 1.255, moved = 0.0073\n",
+        ),
+        (
+            "pf-baseline",
+            "pages-thm2",
+            "pf-baseline vs pages-thm2: HS = 18944 words, HS/M = 2.312, moved = 0.0490\n",
+        ),
+    ];
+    for (program, manager, want) in cases {
+        let mut args = vec!["simulate", "--program", program, "--manager", manager];
+        args.extend(size);
+        let (stdout, stderr, ok) = pcb(&args);
+        assert!(ok, "{program} vs {manager}: {stderr}");
+        assert_eq!(stdout, want, "{program} vs {manager}");
+    }
+
+    // The observed path (a streamed trace plus a series) reports the
+    // same lines after its own.
+    let dir = std::env::temp_dir().join("pcb-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("pinned-report.jsonl");
+    let series = dir.join("pinned-report.csv");
+    let (trace_str, series_str) = (trace.to_str().unwrap(), series.to_str().unwrap());
+    let mut args = vec![
+        "record",
+        trace_str,
+        "--series",
+        series_str,
+        "--program",
+        "pf",
+        "--manager",
+        "first-fit",
+    ];
+    args.extend(size);
+    let (stdout, stderr, ok) = pcb(&args);
+    assert!(ok, "{stderr}");
+    assert_eq!(
+        stdout,
+        format!(
+            "trace: 19779 events streamed -> {trace_str}\n\
+             series: 8 samples -> {series_str}\n\
+             {PF_FIRST_FIT}"
+        )
+    );
+    std::fs::remove_file(trace).ok();
+    std::fs::remove_file(series).ok();
+}
+
+#[test]
 fn simulate_rejects_unknown_manager() {
     let (_, stderr, ok) = pcb(&["simulate", "--manager", "magic"]);
     assert!(!ok);

@@ -85,18 +85,6 @@ fn robson_certifies_his_bound_for_non_moving_managers() {
 }
 
 #[test]
-fn reports_serialize_to_json() {
-    let params = Params::new(1 << 12, 8, 10).expect("valid");
-    let report = sim::Sim::new(params)
-        .manager(ManagerKind::Buddy)
-        .run()
-        .expect("runs");
-    let json = pcb_json::ToJson::to_json(&report).to_string();
-    assert!(json.contains("\"waste_over_bound\""));
-    assert!(json.contains("\"manager\":\"buddy\""));
-}
-
-#[test]
 fn theory_scales_with_m_but_simulation_ratio_stays_stable() {
     // The waste factor h depends on (n, c) and only weakly on M (via
     // 2n/M); the measured ratio should stay near or above 1 across M.

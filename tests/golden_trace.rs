@@ -9,7 +9,12 @@
 use partial_compaction::heap::{Execution, Heap, TraceRecorder};
 use partial_compaction::{ManagerKind, Params, PfConfig, PfProgram};
 
-fn record(kind: ManagerKind) -> (partial_compaction::heap::Trace, partial_compaction::Report) {
+fn record(
+    kind: ManagerKind,
+) -> (
+    partial_compaction::heap::Trace,
+    partial_compaction::heap::HeapSummary,
+) {
     let (m, log_n, c) = (1u64 << 12, 8u32, 10u64);
     let cfg = PfConfig::new(m, log_n, c).expect("feasible");
     let params = Params::new(m, log_n, c).expect("valid");

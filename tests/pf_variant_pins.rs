@@ -10,7 +10,7 @@
 //! `BTreeMap`/`HashMap` association; an intentional behaviour change must
 //! update them consciously.
 
-use partial_compaction::heap::{Execution, Heap};
+use partial_compaction::heap::{Execution, Heap, MemoryManager, Program};
 use partial_compaction::{
     FaultPlan, ManagerKind, Params, PfConfig, PfProgram, PfVariant, TraceWriter,
 };
@@ -22,7 +22,7 @@ struct Pin {
     m: u64,
     log_n: u32,
     c: u64,
-    /// `format!("{report:?}")` of the run's `Report`.
+    /// `format!("{program} vs {manager}: {summary:?}")` of the run.
     report: &'static str,
     /// `[s1, s2, q1, q2]` words.
     stage_words: [u64; 4],
@@ -78,7 +78,12 @@ fn run(pin: &Pin) -> String {
         pin.manager.build(&params),
     );
     let mut writer = TraceWriter::new(Vec::new(), pin.c, FaultPlan::empty());
-    let report = exec.run_observed(&mut writer).expect("runs");
+    let summary = exec.run_observed(&mut writer).expect("runs");
+    let report = format!(
+        "{} vs {}: {summary:?}",
+        exec.program().name(),
+        exec.manager().name()
+    );
     let program = exec.program();
     assert!(
         program.violations().is_empty(),
@@ -92,7 +97,7 @@ fn run(pin: &Pin) -> String {
     // the row to paste after an intentional behaviour change.
     format!(
         "report: {:?}\nstage_words: [{}, {}, {}, {}],\npotential: {},\ntrace_fnv: {:#018x},",
-        format!("{report:?}"),
+        report,
         program.s1_words(),
         program.s2_words(),
         program.q1_words(),
@@ -122,7 +127,7 @@ const PINS: &[Pin] = &[
         m: 1 << 14,
         log_n: 10,
         c: 20,
-        report: "Report { program: \"pf\", manager: \"first-fit\", c: 20, live_bound: 16384, heap_size: 44017, peak_live: 16384, waste_factor: 2.68658447265625, moved_fraction: 0.0, rounds: 9, objects_placed: 22608, objects_freed: 16940, objects_moved: 0, words_placed: 44032, words_moved: 0, external_waste: 28081, ghost_words: 0, internal_waste: 0 }",
+        report: "pf vs first-fit: HeapSummary { c: 20, live_bound: 16384, heap_size: 44017, peak_live: 16384, waste_factor: 2.68658447265625, moved_fraction: 0.0, rounds: 9, objects_placed: 22608, objects_freed: 16940, objects_moved: 0, words_placed: 44032, words_moved: 0, external_waste: 28081, ghost_words: 0, internal_waste: 0 }",
         stage_words: [32768, 11264, 0, 0],
         potential: 43264,
         trace_fnv: 0x73c6069122b5599c,
@@ -133,7 +138,7 @@ const PINS: &[Pin] = &[
         m: 1 << 14,
         log_n: 10,
         c: 20,
-        report: "Report { program: \"pf\", manager: \"pages-thm2\", c: 20, live_bound: 16384, heap_size: 34816, peak_live: 16384, waste_factor: 2.125, moved_fraction: 0.04774790502793296, rounds: 9, objects_placed: 22612, objects_freed: 19231, objects_moved: 1882, words_placed: 45824, words_moved: 2188, external_waste: 20912, ghost_words: 2188, internal_waste: 16624 }",
+        report: "pf vs pages-thm2: HeapSummary { c: 20, live_bound: 16384, heap_size: 34816, peak_live: 16384, waste_factor: 2.125, moved_fraction: 0.04774790502793296, rounds: 9, objects_placed: 22612, objects_freed: 19231, objects_moved: 1882, words_placed: 45824, words_moved: 2188, external_waste: 20912, ghost_words: 2188, internal_waste: 16624 }",
         stage_words: [32768, 13056, 1637, 551],
         potential: 31856,
         trace_fnv: 0x0f26be4535e8b751,
@@ -144,7 +149,7 @@ const PINS: &[Pin] = &[
         m: 1 << 13,
         log_n: 9,
         c: 15,
-        report: "Report { program: \"pf-baseline\", manager: \"first-fit\", c: 15, live_bound: 8192, heap_size: 22449, peak_live: 8192, waste_factor: 2.7403564453125, moved_fraction: 0.0, rounds: 8, objects_placed: 11332, objects_freed: 8480, objects_moved: 0, words_placed: 22528, words_moved: 0, external_waste: 14257, ghost_words: 0, internal_waste: 0 }",
+        report: "pf-baseline vs first-fit: HeapSummary { c: 15, live_bound: 8192, heap_size: 22449, peak_live: 8192, waste_factor: 2.7403564453125, moved_fraction: 0.0, rounds: 8, objects_placed: 11332, objects_freed: 8480, objects_moved: 0, words_placed: 22528, words_moved: 0, external_waste: 14257, ghost_words: 0, internal_waste: 0 }",
         stage_words: [16384, 6144, 0, 0],
         potential: 20864,
         trace_fnv: 0x3887daf3e9e636fb,
@@ -155,7 +160,7 @@ const PINS: &[Pin] = &[
         m: 1 << 13,
         log_n: 9,
         c: 15,
-        report: "Report { program: \"pf-baseline\", manager: \"pages-thm2\", c: 15, live_bound: 8192, heap_size: 17408, peak_live: 8192, waste_factor: 2.125, moved_fraction: 0.06403940886699508, rounds: 8, objects_placed: 11369, objects_freed: 10416, objects_moved: 1664, words_placed: 25984, words_moved: 1664, external_waste: 9472, ghost_words: 1664, internal_waste: 6400 }",
+        report: "pf-baseline vs pages-thm2: HeapSummary { c: 15, live_bound: 8192, heap_size: 17408, peak_live: 8192, waste_factor: 2.125, moved_fraction: 0.06403940886699508, rounds: 8, objects_placed: 11369, objects_freed: 10416, objects_moved: 1664, words_placed: 25984, words_moved: 1664, external_waste: 9472, ghost_words: 1664, internal_waste: 6400 }",
         stage_words: [16384, 9600, 1028, 636],
         potential: 13568,
         trace_fnv: 0xa73dbce42779e2bf,
@@ -166,7 +171,7 @@ const PINS: &[Pin] = &[
         m: 1 << 12,
         log_n: 8,
         c: 10,
-        report: "Report { program: \"pf-variant\", manager: \"first-fit\", c: 10, live_bound: 4096, heap_size: 7661, peak_live: 4096, waste_factor: 1.870361328125, moved_fraction: 0.0, rounds: 7, objects_placed: 5188, objects_freed: 2592, objects_moved: 0, words_placed: 7680, words_moved: 0, external_waste: 3565, ghost_words: 0, internal_waste: 0 }",
+        report: "pf-variant vs first-fit: HeapSummary { c: 10, live_bound: 4096, heap_size: 7661, peak_live: 4096, waste_factor: 1.870361328125, moved_fraction: 0.0, rounds: 7, objects_placed: 5188, objects_freed: 2592, objects_moved: 0, words_placed: 7680, words_moved: 0, external_waste: 3565, ghost_words: 0, internal_waste: 0 }",
         stage_words: [6144, 1536, 0, 0],
         potential: 7360,
         trace_fnv: 0xa1240a4316c7f036,
@@ -177,7 +182,7 @@ const PINS: &[Pin] = &[
         m: 1 << 12,
         log_n: 8,
         c: 10,
-        report: "Report { program: \"pf-variant\", manager: \"pages-thm2\", c: 10, live_bound: 4096, heap_size: 7680, peak_live: 4096, waste_factor: 1.875, moved_fraction: 0.0, rounds: 7, objects_placed: 5188, objects_freed: 2592, objects_moved: 0, words_placed: 7680, words_moved: 0, external_waste: 3584, ghost_words: 0, internal_waste: 3584 }",
+        report: "pf-variant vs pages-thm2: HeapSummary { c: 10, live_bound: 4096, heap_size: 7680, peak_live: 4096, waste_factor: 1.875, moved_fraction: 0.0, rounds: 7, objects_placed: 5188, objects_freed: 2592, objects_moved: 0, words_placed: 7680, words_moved: 0, external_waste: 3584, ghost_words: 0, internal_waste: 3584 }",
         stage_words: [6144, 1536, 0, 0],
         potential: 7360,
         trace_fnv: 0xde7e31a90cabe212,
@@ -188,7 +193,7 @@ const PINS: &[Pin] = &[
         m: 1 << 13,
         log_n: 9,
         c: 15,
-        report: "Report { program: \"pf-variant\", manager: \"first-fit\", c: 15, live_bound: 8192, heap_size: 20977, peak_live: 8192, waste_factor: 2.5606689453125, moved_fraction: 0.0, rounds: 8, objects_placed: 11305, objects_freed: 8460, objects_moved: 0, words_placed: 20992, words_moved: 0, external_waste: 13041, ghost_words: 0, internal_waste: 0 }",
+        report: "pf-variant vs first-fit: HeapSummary { c: 15, live_bound: 8192, heap_size: 20977, peak_live: 8192, waste_factor: 2.5606689453125, moved_fraction: 0.0, rounds: 8, objects_placed: 11305, objects_freed: 8460, objects_moved: 0, words_placed: 20992, words_moved: 0, external_waste: 13041, ghost_words: 0, internal_waste: 0 }",
         stage_words: [16384, 4608, 0, 0],
         potential: 19968,
         trace_fnv: 0x2b4632e3703d7351,
@@ -199,7 +204,7 @@ const PINS: &[Pin] = &[
         m: 1 << 13,
         log_n: 9,
         c: 15,
-        report: "Report { program: \"pf-variant\", manager: \"pages-thm2\", c: 15, live_bound: 8192, heap_size: 13824, peak_live: 8192, waste_factor: 1.6875, moved_fraction: 0.06210049715909091, rounds: 8, objects_placed: 11309, objects_freed: 10115, objects_moved: 1399, words_placed: 22528, words_moved: 1399, external_waste: 6775, ghost_words: 1399, internal_waste: 4763 }",
+        report: "pf-variant vs pages-thm2: HeapSummary { c: 15, live_bound: 8192, heap_size: 13824, peak_live: 8192, waste_factor: 1.6875, moved_fraction: 0.06210049715909091, rounds: 8, objects_placed: 11309, objects_freed: 10115, objects_moved: 1399, words_placed: 22528, words_moved: 1399, external_waste: 6775, ghost_words: 1399, internal_waste: 4763 }",
         stage_words: [16384, 6144, 1028, 371],
         potential: 12160,
         trace_fnv: 0x1667ab7592aec0ab,
@@ -210,7 +215,7 @@ const PINS: &[Pin] = &[
         m: 1 << 14,
         log_n: 10,
         c: 20,
-        report: "Report { program: \"pf-variant\", manager: \"first-fit\", c: 20, live_bound: 16384, heap_size: 47025, peak_live: 16384, waste_factor: 2.87017822265625, moved_fraction: 0.0, rounds: 9, objects_placed: 22666, objects_freed: 16992, objects_moved: 0, words_placed: 47104, words_moved: 0, external_waste: 30641, ghost_words: 0, internal_waste: 0 }",
+        report: "pf-variant vs first-fit: HeapSummary { c: 20, live_bound: 16384, heap_size: 47025, peak_live: 16384, waste_factor: 2.87017822265625, moved_fraction: 0.0, rounds: 9, objects_placed: 22666, objects_freed: 16992, objects_moved: 0, words_placed: 47104, words_moved: 0, external_waste: 30641, ghost_words: 0, internal_waste: 0 }",
         stage_words: [32768, 14336, 0, 0],
         potential: 46336,
         trace_fnv: 0xb01ac7f7ae4e4407,
@@ -221,7 +226,7 @@ const PINS: &[Pin] = &[
         m: 1 << 14,
         log_n: 10,
         c: 20,
-        report: "Report { program: \"pf-variant\", manager: \"pages-thm2\", c: 20, live_bound: 16384, heap_size: 39936, peak_live: 16384, waste_factor: 2.4375, moved_fraction: 0.047118263473053895, rounds: 9, objects_placed: 22725, objects_freed: 19590, objects_moved: 2149, words_placed: 53440, words_moved: 2518, external_waste: 24058, ghost_words: 2518, internal_waste: 18450 }",
+        report: "pf-variant vs pages-thm2: HeapSummary { c: 20, live_bound: 16384, heap_size: 39936, peak_live: 16384, waste_factor: 2.4375, moved_fraction: 0.047118263473053895, rounds: 9, objects_placed: 22725, objects_freed: 19590, objects_moved: 2149, words_placed: 53440, words_moved: 2518, external_waste: 24058, ghost_words: 2518, internal_waste: 18450 }",
         stage_words: [32768, 20672, 1637, 881],
         potential: 37232,
         trace_fnv: 0x7be1a3ac4aca5c8b,

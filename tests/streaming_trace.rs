@@ -8,7 +8,7 @@ use partial_compaction::{
     FaultPlan, ManagerKind, Observers, Params, PfConfig, PfProgram, TraceWriter,
 };
 
-fn run_both(kind: ManagerKind) -> (Trace, Trace, partial_compaction::Report) {
+fn run_both(kind: ManagerKind) -> (Trace, Trace, partial_compaction::heap::HeapSummary) {
     let (m, log_n, c) = (1u64 << 12, 8u32, 10u64);
     let params = Params::new(m, log_n, c).expect("valid");
     let cfg = PfConfig::new(m, log_n, c).expect("feasible");

@@ -44,7 +44,7 @@ fn long_churn_against_every_manager() {
             ChurnWorkload::new(cfg),
             kind.build(&Params::new(cfg.m, cfg.log_n, 10).expect("valid")),
         );
-        let report = exec.run().unwrap_or_else(|e| panic!("{kind}: {e}"));
+        let report = exec.run_summary().unwrap_or_else(|e| panic!("{kind}: {e}"));
         assert!(report.objects_placed > 100_000, "{kind}");
         assert!(report.peak_live <= cfg.m, "{kind}");
     }
