@@ -10,17 +10,18 @@
 //! fallback for code that never sees a `RunConfig` (library users calling
 //! `par_map` directly).
 //!
-//! Every field changes how a run executes or what it collects, never
-//! which data structures answer it: the referee and the manager indexes
-//! have one implementation each, and their seed oracles live in the
-//! lockstep tests.
+//! Every field changes how a run executes, never what it collects or
+//! which data structures answer it: what a run exports is derived from
+//! its report, the referee and the manager indexes have one
+//! implementation each, and their seed oracles live in the lockstep
+//! tests.
 
 use core::fmt;
 
 use pcb_chaos::FaultPlan;
 
-/// The resolved knobs of one run: worker threads, metrics collection,
-/// and the chaos/paranoia settings.
+/// The resolved knobs of one run: worker threads and the chaos/paranoia
+/// settings.
 ///
 /// Construct with [`RunConfig::from_env`] at the process boundary, then
 /// override fields from CLI flags; every field is plain data, so the
@@ -36,13 +37,6 @@ pub struct RunConfig {
     /// Cross-check manager mirrors against the ground truth every this
     /// many rounds; 0 (the default) disables paranoia mode.
     pub paranoia: u32,
-    /// Whether the fleet builds its per-shard
-    /// [`MetricsSnapshot`](pcb_metrics::MetricsSnapshot) into its
-    /// accumulator, for `fleet --metrics-out` to write; the report never
-    /// embeds it. The process-global registry has its own switch
-    /// ([`pcb_metrics::enable`]), which only the commands that export it
-    /// turn on.
-    pub metrics: bool,
 }
 
 impl RunConfig {
@@ -73,23 +67,16 @@ impl RunConfig {
         self.paranoia = paranoia;
         self
     }
-
-    /// Overrides the metrics toggle.
-    pub fn with_metrics(mut self, metrics: bool) -> Self {
-        self.metrics = metrics;
-        self
-    }
 }
 
 impl Default for RunConfig {
-    /// Single-threaded, metrics off — the fully deterministic baseline
-    /// used by tests and oracles.
+    /// Single-threaded, no faults, no paranoia — the fully deterministic
+    /// baseline used by tests and oracles.
     fn default() -> Self {
         RunConfig {
             threads: 1,
             chaos: FaultPlan::empty(),
             paranoia: 0,
-            metrics: false,
         }
     }
 }
@@ -97,16 +84,13 @@ impl Default for RunConfig {
 impl fmt::Display for RunConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "threads={}", self.threads)?;
-        // The chaos, paranoia and metrics knobs print only when set, so
-        // the common display stays compact.
+        // The chaos and paranoia knobs print only when set, so the
+        // common display stays compact.
         if !self.chaos.is_empty() {
             write!(f, " chaos={}", self.chaos)?;
         }
         if self.paranoia != 0 {
             write!(f, " paranoia={}", self.paranoia)?;
-        }
-        if self.metrics {
-            write!(f, " metrics=on")?;
         }
         Ok(())
     }
@@ -120,14 +104,15 @@ mod tests {
     fn default_is_the_deterministic_baseline() {
         let cfg = RunConfig::default();
         assert_eq!(cfg.threads, 1);
-        assert!(!cfg.metrics);
+        assert!(cfg.chaos.is_empty());
+        assert_eq!(cfg.paranoia, 0);
     }
 
     #[test]
     fn builders_override_fields() {
-        let cfg = RunConfig::default().with_threads(4).with_metrics(true);
+        let cfg = RunConfig::default().with_threads(4).with_paranoia(8);
         assert_eq!(cfg.threads, 4);
-        assert!(cfg.metrics);
+        assert_eq!(cfg.paranoia, 8);
         assert_eq!(RunConfig::default().with_threads(0).threads, 1);
     }
 
@@ -142,12 +127,6 @@ mod tests {
     fn display_is_compact() {
         let cfg = RunConfig::default();
         assert_eq!(cfg.to_string(), "threads=1");
-    }
-
-    #[test]
-    fn display_names_the_metrics_knob_only_when_on() {
-        let cfg = RunConfig::default().with_metrics(true);
-        assert_eq!(cfg.to_string(), "threads=1 metrics=on");
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! A fleet run is a fold over shards in a fixed order, so the complete
 //! state of a partially-finished run is tiny: the merged
-//! [`FleetAccumulator`], the accumulated resident-bytes figure, and how
-//! many shards have been folded. `save` serializes exactly that —
+//! [`FleetAccumulator`] and how many shards have been folded (the
+//! resident-bytes figure follows from the shard count). `save`
+//! serializes exactly that —
 //! plus a format version and a **fingerprint** of every input that
 //! shapes the result — after each chunk; `load` refuses checkpoints
 //! from any other configuration, so a resumed run is guaranteed to
@@ -20,6 +21,7 @@
 use std::path::PathBuf;
 
 use pcb_json::{Json, ToJson};
+use pcb_metrics::Histogram;
 
 use super::{
     FailureCause, FleetAccumulator, FleetConfig, FleetError, FleetReport, TenantFailure, HEAT_COLS,
@@ -32,8 +34,9 @@ use crate::config::RunConfig;
 /// Version stamp embedded in every checkpoint; bumped whenever the
 /// serialized layout changes incompatibly (v2: waste-attribution
 /// vectors, per-bucket rollups, and the metric plane joined the
-/// accumulator).
-pub const FORMAT_VERSION: u64 = 2;
+/// accumulator; v3: the metric plane and the resident-bytes figure
+/// left, the waste and heap-size histograms joined).
+pub const FORMAT_VERSION: u64 = 3;
 
 /// How a checkpointed fleet run behaves.
 #[derive(Debug, Clone)]
@@ -99,7 +102,6 @@ pub enum FleetOutcome {
 /// A checkpoint restored by [`load`], ready to continue the fold.
 pub(crate) struct ResumeState {
     pub shards_done: usize,
-    pub resident: u64,
     pub accumulator: FleetAccumulator,
 }
 
@@ -107,17 +109,8 @@ pub(crate) struct ResumeState {
 /// is deliberately excluded (see the module docs).
 pub(crate) fn fingerprint(cfg: &FleetConfig, run: &RunConfig) -> u64 {
     hash_desc(&format!(
-        "{}|{}|{}|{:?}|{}|{}|{}",
-        cfg.tenants,
-        cfg.shards,
-        cfg.manager,
-        cfg.mixer,
-        run.chaos,
-        run.paranoia,
-        // Metrics shape the accumulator (the snapshot is part of the
-        // serialized state), so a metrics-on run cannot resume a
-        // metrics-off checkpoint. Threads stay excluded.
-        run.metrics,
+        "{}|{}|{}|{:?}|{}|{}",
+        cfg.tenants, cfg.shards, cfg.manager, cfg.mixer, run.chaos, run.paranoia,
     ))
 }
 
@@ -128,7 +121,6 @@ pub(crate) fn save(
     opts: &CheckpointOptions,
     shards_total: usize,
     shards_done: usize,
-    resident: u64,
     acc: &FleetAccumulator,
 ) -> Result<(), FleetError> {
     let json = Json::object([
@@ -137,7 +129,6 @@ pub(crate) fn save(
         ("fingerprint", Json::from(fingerprint(cfg, run))),
         ("shards_done", Json::from(shards_done)),
         ("shards_total", Json::from(shards_total)),
-        ("resident", Json::from(resident)),
         ("accumulator", accumulator_to_json(acc)),
     ]);
     write_atomic(&opts.path, &format!("{json}\n"))
@@ -160,7 +151,7 @@ pub(crate) fn load(
         version: FORMAT_VERSION,
         fingerprint: fingerprint(cfg, run),
         noun: "fleet",
-        scope: "fleet configuration (tenants/shards/manager/mixer/chaos/paranoia/metrics)",
+        scope: "fleet configuration (tenants/shards/manager/mixer/chaos/paranoia)",
     };
     let json = envelope::open(path, &expect).map_err(fail)?;
     let shards_done = json
@@ -176,18 +167,20 @@ pub(crate) fn load(
             "shard topology mismatch: checkpoint has {shards_done}/{total}, run expects {shards_total}"
         )));
     }
-    let resident = json
-        .get("resident")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| fail("missing resident".into()))?;
     let acc = json
         .get("accumulator")
         .ok_or_else(|| fail("missing accumulator".into()))?;
-    let accumulator = accumulator_from_json(acc, kinds, size_buckets).map_err(fail)?;
+    let restored = accumulator_from_json(acc, kinds, size_buckets).map_err(fail)?;
+    // Folding the restored state into an empty accumulator sums its
+    // additive totals with the same checked arithmetic every later shard
+    // merge uses.
+    let mut accumulator = FleetAccumulator::new(kinds, size_buckets);
+    accumulator
+        .merge(&restored)
+        .map_err(|key| fail(format!("`{key}` overflows u64")))?;
     check_counts(&accumulator, cfg, shards_total, shards_done).map_err(fail)?;
     Ok(ResumeState {
         shards_done,
-        resident,
         accumulator,
     })
 }
@@ -210,16 +203,27 @@ fn check_counts(
             acc.tenants, acc.failed_tenants
         ));
     }
-    for (key, counts) in [
-        ("kind_counts", &acc.kind_counts),
-        ("bucket_tenants", &acc.bucket_tenants),
+    // Each recorded tenant lands once in every per-tenant tally.
+    for (key, total) in [
+        ("kind_counts", sum(&acc.kind_counts)),
+        ("bucket_tenants", sum(&acc.bucket_tenants)),
+        ("waste_hist", sum(&acc.waste_hist)),
+        ("heat", sum(&acc.heat)),
+        ("waste_milli", Some(acc.waste_milli.count())),
+        ("heap_size", Some(acc.heap_size.count())),
     ] {
-        if sum(counts) != Some(acc.tenants) {
+        if total != Some(acc.tenants) {
             return Err(format!(
                 "`{key}` does not sum to the {} recorded tenants",
                 acc.tenants
             ));
         }
+    }
+    if acc.panics.checked_add(acc.engine_failures) != Some(acc.failed_tenants) {
+        return Err(format!(
+            "{} panics + {} engine failures are not the {} quarantined tenants",
+            acc.panics, acc.engine_failures, acc.failed_tenants
+        ));
     }
     if acc.max_tenant >= cfg.tenants {
         return Err(format!(
@@ -270,7 +274,8 @@ fn accumulator_to_json(acc: &FleetAccumulator) -> Json {
             "bucket_tenants",
             Json::array(acc.bucket_tenants.iter().map(|&t| Json::from(t))),
         ),
-        ("metrics", acc.metrics.to_json()),
+        ("waste_milli", acc.waste_milli.to_json()),
+        ("heap_size", acc.heap_size.to_json()),
         ("objects_placed", Json::from(acc.objects_placed)),
         ("words_placed", Json::from(acc.words_placed)),
         ("words_moved", Json::from(acc.words_moved)),
@@ -296,7 +301,14 @@ fn f64_field(json: &Json, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("missing or non-numeric field `{key}`"))
 }
 
-fn u64_vec(json: &Json, key: &str, len: usize) -> Result<Vec<u64>, String> {
+/// The array `key` of exactly `len` entries, each read by `entry`
+/// (`Json::as_u64` or `Json::as_f64`).
+fn vec_field<T>(
+    json: &Json,
+    key: &str,
+    len: usize,
+    entry: fn(&Json) -> Option<T>,
+) -> Result<Vec<T>, String> {
     let items = json
         .get(key)
         .and_then(Json::as_array)
@@ -309,31 +321,15 @@ fn u64_vec(json: &Json, key: &str, len: usize) -> Result<Vec<u64>, String> {
     }
     items
         .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| format!("non-integer entry in `{key}`"))
-        })
+        .map(|v| entry(v).ok_or_else(|| format!("malformed entry in `{key}`")))
         .collect()
 }
 
-fn f64_vec(json: &Json, key: &str, len: usize) -> Result<Vec<f64>, String> {
-    let items = json
+fn hist_field(json: &Json, key: &str) -> Result<Histogram, String> {
+    let field = json
         .get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("missing array `{key}`"))?;
-    if items.len() != len {
-        return Err(format!(
-            "array `{key}` has {} entries, expected {len}",
-            items.len()
-        ));
-    }
-    items
-        .iter()
-        .map(|v| {
-            v.as_f64()
-                .ok_or_else(|| format!("non-numeric entry in `{key}`"))
-        })
-        .collect()
+        .ok_or_else(|| format!("missing histogram `{key}`"))?;
+    Histogram::from_json(field).map_err(|e| format!("histogram `{key}`: {e}"))
 }
 
 fn accumulator_from_json(
@@ -375,7 +371,7 @@ fn accumulator_from_json(
     }
     Ok(FleetAccumulator {
         tenants: u64_field(json, "tenants")?,
-        waste_hist: u64_vec(json, "waste_hist", WASTE_BUCKETS)?,
+        waste_hist: vec_field(json, "waste_hist", WASTE_BUCKETS, Json::as_u64)?,
         waste_sum: f64_field(json, "waste_sum")?,
         // `null` (serialized NEG_INFINITY) means no tenant recorded yet.
         max_waste: json
@@ -383,19 +379,16 @@ fn accumulator_from_json(
             .and_then(Json::as_f64)
             .unwrap_or(f64::NEG_INFINITY),
         max_tenant: u64_field(json, "max_tenant")?,
-        kind_counts: u64_vec(json, "kind_counts", kinds)?,
-        kind_waste_sum: f64_vec(json, "kind_waste_sum", kinds)?,
-        heat: u64_vec(json, "heat", size_buckets * HEAT_COLS)?,
-        kind_external: u64_vec(json, "kind_external", kinds)?,
-        kind_ghost: u64_vec(json, "kind_ghost", kinds)?,
-        kind_internal: u64_vec(json, "kind_internal", kinds)?,
-        bucket_waste_sum: f64_vec(json, "bucket_waste_sum", size_buckets)?,
-        bucket_tenants: u64_vec(json, "bucket_tenants", size_buckets)?,
-        metrics: pcb_metrics::MetricsSnapshot::from_json(
-            json.get("metrics")
-                .ok_or_else(|| "missing object `metrics`".to_string())?,
-        )
-        .map_err(|e| format!("metrics snapshot: {e}"))?,
+        kind_counts: vec_field(json, "kind_counts", kinds, Json::as_u64)?,
+        kind_waste_sum: vec_field(json, "kind_waste_sum", kinds, Json::as_f64)?,
+        heat: vec_field(json, "heat", size_buckets * HEAT_COLS, Json::as_u64)?,
+        kind_external: vec_field(json, "kind_external", kinds, Json::as_u64)?,
+        kind_ghost: vec_field(json, "kind_ghost", kinds, Json::as_u64)?,
+        kind_internal: vec_field(json, "kind_internal", kinds, Json::as_u64)?,
+        bucket_waste_sum: vec_field(json, "bucket_waste_sum", size_buckets, Json::as_f64)?,
+        bucket_tenants: vec_field(json, "bucket_tenants", size_buckets, Json::as_u64)?,
+        waste_milli: hist_field(json, "waste_milli")?,
+        heap_size: hist_field(json, "heap_size")?,
         objects_placed: u64_field(json, "objects_placed")?,
         words_placed: u64_field(json, "words_placed")?,
         words_moved: u64_field(json, "words_moved")?,
@@ -424,11 +417,6 @@ mod tests {
         other.tenants += 1;
         assert_ne!(base, fingerprint(&other, &run));
         assert_ne!(base, fingerprint(&cfg, &run.with_paranoia(4)));
-        assert_ne!(
-            base,
-            fingerprint(&cfg, &run.with_metrics(true)),
-            "the metric plane is part of the serialized accumulator"
-        );
         // A plan with a seed but no rates injects nothing — it is the
         // empty plan behaviorally, so it must fingerprint identically.
         assert_eq!(
@@ -458,9 +446,8 @@ mod tests {
         acc.kind_internal[2] = 13;
         acc.bucket_waste_sum[3] = 6.5;
         acc.bucket_tenants[3] = 4;
-        acc.metrics.add_counter("fleet.words_placed", 99_999);
-        acc.metrics.record_gauge_max("fleet.max_waste_milli", 1734);
-        acc.metrics.observe("fleet.waste_milli", 1734);
+        acc.waste_milli.record(1734);
+        acc.heap_size.record(2048);
         acc.record_failure(3, "churn", FailureCause::Panic("boom".into()));
         let json = accumulator_to_json(&acc);
         let back = accumulator_from_json(&json, 3, 4).expect("round trip");
@@ -474,11 +461,8 @@ mod tests {
         assert_eq!(back.kind_internal, acc.kind_internal);
         assert_eq!(back.bucket_waste_sum, acc.bucket_waste_sum);
         assert_eq!(back.bucket_tenants, acc.bucket_tenants);
-        assert_eq!(
-            back.metrics.to_json().to_string(),
-            acc.metrics.to_json().to_string(),
-            "metric plane survives the round trip byte-for-byte"
-        );
+        assert_eq!(back.waste_milli, acc.waste_milli);
+        assert_eq!(back.heap_size, acc.heap_size);
         assert_eq!(back.failures, acc.failures);
     }
 

@@ -24,7 +24,8 @@
 //! The aggregate [`FleetReport`] carries the fleet-wide p50/p99/max
 //! waste factor, per-family breakdowns, a size-bucket × waste heat-map
 //! rollup, and — under fault injection — the quarantined
-//! [`TenantFailure`]s.
+//! [`TenantFailure`]s. The `--metrics-out` snapshot is derived from it
+//! after the run ([`FleetReport::metrics`]); no tenant is folded twice.
 //!
 //! # Fault isolation
 //!
@@ -51,7 +52,7 @@ use pcb_alloc::ManagerKind;
 use pcb_chaos::FaultSite;
 use pcb_heap::{Execution, Heap, HeapSummary, Program};
 use pcb_json::{Json, ToJson};
-use pcb_metrics::MetricsSnapshot;
+use pcb_metrics::{Histogram, MetricsSnapshot};
 use pcb_workload::{MixerConfig, PanicProgram, TenantSpec, WorkloadMixer};
 
 use crate::bounds;
@@ -219,10 +220,12 @@ pub struct FleetAccumulator {
     pub bucket_waste_sum: Vec<f64>,
     /// Tenants per size bucket.
     pub bucket_tenants: Vec<u64>,
-    /// The fleet's metric plane: a [`MetricsSnapshot`] folded per shard
-    /// and merged in shard order. Empty unless
-    /// [`RunConfig::metrics`](crate::RunConfig) is on.
-    pub metrics: MetricsSnapshot,
+    /// Per-tenant waste factors in milli-units (`HS/M × 1000`), as a
+    /// power-of-two histogram: the one distribution the `--metrics-out`
+    /// file carries that the waste histogram above cannot answer.
+    pub waste_milli: Histogram,
+    /// Per-tenant peak heap sizes in words.
+    pub heap_size: Histogram,
     /// Total objects placed across the fleet.
     pub objects_placed: u64,
     /// Total words allocated across the fleet.
@@ -255,7 +258,8 @@ impl FleetAccumulator {
             kind_internal: vec![0; kinds],
             bucket_waste_sum: vec![0.0; size_buckets],
             bucket_tenants: vec![0; size_buckets],
-            metrics: MetricsSnapshot::new(),
+            waste_milli: Histogram::new(),
+            heap_size: Histogram::new(),
             objects_placed: 0,
             words_placed: 0,
             words_moved: 0,
@@ -288,31 +292,11 @@ impl FleetAccumulator {
         self.kind_internal[spec.kind] += summary.internal_waste;
         self.bucket_waste_sum[spec.size_rank] += waste;
         self.bucket_tenants[spec.size_rank] += 1;
+        self.waste_milli.record(milli(waste));
+        self.heap_size.record(summary.heap_size);
         self.objects_placed += summary.objects_placed;
         self.words_placed += summary.words_placed;
         self.words_moved += summary.words_moved;
-    }
-
-    /// Folds one tenant into the metric plane. Separate from
-    /// [`record`](Self::record) (and called only when metrics are on) so
-    /// the metrics-off fleet
-    /// does no string work per tenant. Every value is an integer —
-    /// counter sums, gauge maxes, histogram bucket counts — so the
-    /// merged snapshot is byte-identical for any thread count.
-    fn record_metrics(&mut self, family: &str, summary: &HeapSummary) {
-        let m = &mut self.metrics;
-        m.add_counter(format!("fleet.tenants.{family}"), 1);
-        m.add_counter("fleet.objects_placed", summary.objects_placed);
-        m.add_counter("fleet.words_placed", summary.words_placed);
-        m.add_counter("fleet.words_moved", summary.words_moved);
-        m.add_counter("waste.external_words", summary.external_waste);
-        m.add_counter("waste.ghost_words", summary.ghost_words);
-        m.add_counter("waste.internal_words", summary.internal_waste);
-        // Waste factors enter the integer-only plane in milli-units.
-        let waste_milli = (summary.waste_factor * 1000.0).max(0.0) as u64;
-        m.record_gauge_max("fleet.max_waste_milli", waste_milli);
-        m.observe("fleet.waste_milli", waste_milli);
-        m.observe("fleet.heap_size_words", summary.heap_size);
     }
 
     /// Quarantines one tenant failure. Counts are always exact; the
@@ -337,57 +321,89 @@ impl FleetAccumulator {
     /// Merges a later shard's accumulator into this one. Shards must be
     /// merged in shard (= tenant-range) order; the strict `>` keeps the
     /// lowest-index tenant among equal maxima.
-    fn merge(&mut self, other: &FleetAccumulator) {
-        self.tenants += other.tenants;
-        for (a, b) in self.waste_hist.iter_mut().zip(&other.waste_hist) {
-            *a += b;
+    ///
+    /// Integer totals add with checked arithmetic, and each per-kind or
+    /// per-bucket vector keeps its sum within `u64`; on overflow the
+    /// field's name comes back and `self` is left partly merged. Only
+    /// totals restored from a checkpoint can get there: 2⁶⁴ placed words
+    /// is out of any run's reach.
+    fn merge(&mut self, other: &FleetAccumulator) -> Result<(), &'static str> {
+        let totals = [
+            (&mut self.tenants, other.tenants, "tenants"),
+            (
+                &mut self.objects_placed,
+                other.objects_placed,
+                "objects_placed",
+            ),
+            (&mut self.words_placed, other.words_placed, "words_placed"),
+            (&mut self.words_moved, other.words_moved, "words_moved"),
+            (
+                &mut self.failed_tenants,
+                other.failed_tenants,
+                "failed_tenants",
+            ),
+            (&mut self.panics, other.panics, "panics"),
+            (
+                &mut self.engine_failures,
+                other.engine_failures,
+                "engine_failures",
+            ),
+        ];
+        for (into, from, key) in totals {
+            *into = into.checked_add(from).ok_or(key)?;
+        }
+        let tallies: [(&mut [u64], &[u64], &'static str); 7] = [
+            (&mut self.waste_hist, &other.waste_hist, "waste_hist"),
+            (&mut self.kind_counts, &other.kind_counts, "kind_counts"),
+            (&mut self.heat, &other.heat, "heat"),
+            (
+                &mut self.kind_external,
+                &other.kind_external,
+                "kind_external",
+            ),
+            (&mut self.kind_ghost, &other.kind_ghost, "kind_ghost"),
+            (
+                &mut self.kind_internal,
+                &other.kind_internal,
+                "kind_internal",
+            ),
+            (
+                &mut self.bucket_tenants,
+                &other.bucket_tenants,
+                "bucket_tenants",
+            ),
+        ];
+        for (into, from, key) in tallies {
+            for (a, &b) in into.iter_mut().zip(from) {
+                *a = a.checked_add(b).ok_or(key)?;
+            }
+            into.iter()
+                .try_fold(0u64, |a, &b| a.checked_add(b))
+                .ok_or(key)?;
+        }
+        let sums: [(&mut [f64], &[f64]); 2] = [
+            (&mut self.kind_waste_sum, &other.kind_waste_sum),
+            (&mut self.bucket_waste_sum, &other.bucket_waste_sum),
+        ];
+        for (into, from) in sums {
+            for (a, b) in into.iter_mut().zip(from) {
+                *a += b;
+            }
         }
         self.waste_sum += other.waste_sum;
         if other.max_waste > self.max_waste {
             self.max_waste = other.max_waste;
             self.max_tenant = other.max_tenant;
         }
-        for (a, b) in self.kind_counts.iter_mut().zip(&other.kind_counts) {
-            *a += b;
-        }
-        for (a, b) in self.kind_waste_sum.iter_mut().zip(&other.kind_waste_sum) {
-            *a += b;
-        }
-        for (a, b) in self.heat.iter_mut().zip(&other.heat) {
-            *a += b;
-        }
-        for (a, b) in self.kind_external.iter_mut().zip(&other.kind_external) {
-            *a += b;
-        }
-        for (a, b) in self.kind_ghost.iter_mut().zip(&other.kind_ghost) {
-            *a += b;
-        }
-        for (a, b) in self.kind_internal.iter_mut().zip(&other.kind_internal) {
-            *a += b;
-        }
-        for (a, b) in self
-            .bucket_waste_sum
-            .iter_mut()
-            .zip(&other.bucket_waste_sum)
-        {
-            *a += b;
-        }
-        for (a, b) in self.bucket_tenants.iter_mut().zip(&other.bucket_tenants) {
-            *a += b;
-        }
-        self.metrics.merge(&other.metrics);
-        self.objects_placed += other.objects_placed;
-        self.words_placed += other.words_placed;
-        self.words_moved += other.words_moved;
-        self.failed_tenants += other.failed_tenants;
-        self.panics += other.panics;
-        self.engine_failures += other.engine_failures;
+        self.waste_milli.merge(&other.waste_milli);
+        self.heap_size.merge(&other.heap_size);
         for failure in &other.failures {
             if self.failures.len() >= MAX_FAILURE_RECORDS {
                 break;
             }
             self.failures.push(failure.clone());
         }
+        Ok(())
     }
 
     /// The lower edge of the histogram bucket holding the `p`-quantile
@@ -410,7 +426,8 @@ impl FleetAccumulator {
     }
 
     /// Resident bytes of this accumulator — the per-shard aggregation
-    /// footprint (the O(shards) claim, made measurable).
+    /// footprint (the O(shards) claim, made measurable). The two
+    /// histograms are inline in the struct.
     pub fn resident_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.waste_hist.capacity() * std::mem::size_of::<u64>()
@@ -426,9 +443,15 @@ impl FleetAccumulator {
     }
 }
 
+/// Waste factor in milli-units, floored at 0: the integer form the
+/// histograms and gauges carry. Monotone, so it commutes with the max.
+fn milli(waste: f64) -> u64 {
+    (waste * 1000.0).max(0.0) as u64
+}
+
 /// The aggregate result of a fleet run. Every field is a deterministic
-/// function of the [`FleetConfig`] and the run's chaos, paranoia and
-/// metrics settings; nothing here depends on thread count or wall-clock.
+/// function of the [`FleetConfig`] and the run's chaos and paranoia
+/// settings; nothing here depends on thread count or wall-clock.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
     /// Tenants simulated.
@@ -472,6 +495,47 @@ impl FleetReport {
             .zip(&self.accumulator.bucket_tenants)
             .map(|(&sum, &count)| if count == 0 { 0.0 } else { sum / count as f64 })
             .collect()
+    }
+
+    /// The `fleet --metrics-out` snapshot, derived from the report: the
+    /// per-family tenant counts, the placement and waste-attribution
+    /// totals, the max-waste gauge, the two per-tenant histograms and
+    /// the quarantine counts. A key appears exactly when a per-tenant
+    /// fold would have created it: the success keys once any tenant
+    /// succeeded (a family's count once that family has a success), a
+    /// quarantine count once non-zero. Every value is an integer, so the
+    /// snapshot is identical for any thread count.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let acc = &self.accumulator;
+        let mut m = MetricsSnapshot::new();
+        if acc.tenants > 0 {
+            for (kind, &count) in self.kinds.iter().zip(&acc.kind_counts) {
+                if count > 0 {
+                    m.add_counter(format!("fleet.tenants.{kind}"), count);
+                }
+            }
+            m.add_counter("fleet.objects_placed", acc.objects_placed);
+            m.add_counter("fleet.words_placed", acc.words_placed);
+            m.add_counter("fleet.words_moved", acc.words_moved);
+            m.add_counter(
+                "waste.external_words",
+                acc.kind_external.iter().sum::<u64>(),
+            );
+            m.add_counter("waste.ghost_words", acc.kind_ghost.iter().sum::<u64>());
+            m.add_counter(
+                "waste.internal_words",
+                acc.kind_internal.iter().sum::<u64>(),
+            );
+            m.record_gauge_max("fleet.max_waste_milli", milli(acc.max_waste));
+            m.merge_histogram("fleet.waste_milli", &acc.waste_milli);
+            m.merge_histogram("fleet.heap_size_words", &acc.heap_size);
+        }
+        for (cause, count) in [("panic", acc.panics), ("engine", acc.engine_failures)] {
+            if count > 0 {
+                m.add_counter(format!("chaos.quarantined.{cause}"), count);
+            }
+        }
+        m
     }
     /// Renders the size × waste heat map as ASCII, one row per size
     /// bucket (largest tenants on top), columns spanning waste `[0, 8)`
@@ -722,15 +786,10 @@ fn run_tenant(
     let shape = mixer.shape(&spec);
     let family = mixer.family(&spec);
     // (M, log n, c) is a pure function of the size bucket, so the params
-    // were derived once per bucket in `drive` instead of once per tenant.
+    // were validated once per bucket in `run_with`, not once per tenant.
     let params = *bucket_params[spec.size_rank]
         .as_ref()
         .map_err(|e| FleetError::Config(format!("tenant {index}: {e}")))?;
-    debug_assert_eq!(
-        (params.m(), params.log_n(), params.c()),
-        (shape.m, shape.log_n, shape.c),
-        "bucket params must match the tenant's shape"
-    );
     let built = manager
         .try_build(&params)
         .map_err(|e| FleetError::Config(format!("tenant {index}: {e}")))?;
@@ -815,21 +874,15 @@ pub fn run_with(
     let kinds = mixer.kinds();
     let size_buckets = mixer.size_buckets();
 
-    // Per-bucket parameters, derived once: a tenant's (M, log n, c) is a
-    // pure function of its size bucket (the mixer's per-tenant log_n
-    // clamp is reproduced here), so the shards share these instead of
-    // re-deriving and re-validating them for every tenant. An invalid
-    // bucket stays lazy — it fails the fleet only when a tenant actually
-    // lands in it, exactly as the per-tenant derivation did.
+    // Per-bucket parameters, validated once: a tenant's (M, log n, c) is
+    // the mixer's function of its size bucket, so the shards share these
+    // instead of re-validating them for every tenant. An invalid bucket
+    // stays lazy — it fails the fleet only when a tenant actually lands
+    // in it.
     let bucket_params: Vec<Result<Params, String>> = (0..size_buckets)
         .map(|rank| {
-            let m = mixer.bucket_m(rank);
-            let log_n = cfg
-                .mixer
-                .log_n
-                .min((m.trailing_zeros()).saturating_sub(1))
-                .max(1);
-            Params::new(m, log_n, cfg.mixer.c).map_err(|e| e.to_string())
+            let (m, log_n, c) = mixer.bucket_shape(rank);
+            Params::new(m, log_n, c).map_err(|e| e.to_string())
         })
         .collect();
 
@@ -862,14 +915,16 @@ pub fn run_with(
         .collect();
 
     let mut merged = FleetAccumulator::new(kinds.len(), size_buckets);
-    let mut resident = merged.resident_bytes() as u64;
+    // Every accumulator has the same fixed size: the merged one plus one
+    // per shard make up the aggregation state.
+    let per_accumulator = merged.resident_bytes() as u64;
+    let resident = |shards: usize| (shards as u64 + 1) * per_accumulator;
     let mut done = 0usize;
 
     if let Some(opts) = ckpt {
         if opts.resume {
             let state = checkpoint::load(cfg, run, opts, shards, kinds.len(), size_buckets)?;
             merged = state.accumulator;
-            resident = state.resident;
             done = state.shards_done;
         }
     }
@@ -897,19 +952,8 @@ pub fn run_with(
                     let (spec, outcome) =
                         run_tenant(&mixer, &bucket_params, cfg.manager, run, index)?;
                     match outcome {
-                        Ok(summary) => {
-                            acc.record(&spec, &summary);
-                            if run.metrics {
-                                acc.record_metrics(kinds[spec.kind], &summary);
-                            }
-                        }
-                        Err(cause) => {
-                            if run.metrics {
-                                acc.metrics
-                                    .add_counter(format!("chaos.quarantined.{}", cause.name()), 1);
-                            }
-                            acc.record_failure(spec.index, kinds[spec.kind], cause);
-                        }
+                        Ok(summary) => acc.record(&spec, &summary),
+                        Err(cause) => acc.record_failure(spec.index, kinds[spec.kind], cause),
                     }
                 }
                 Ok(acc)
@@ -918,13 +962,13 @@ pub fn run_with(
         // Merge in shard (= tenant-range) order: par_map returns input
         // order, so this fold is independent of scheduling.
         for result in shard_results {
-            let acc = result?;
-            resident += acc.resident_bytes() as u64;
-            merged.merge(&acc);
+            merged
+                .merge(&result?)
+                .map_err(|key| FleetError::Checkpoint(format!("restored `{key}` overflows u64")))?;
         }
         done = end;
         if let Some(opts) = ckpt {
-            checkpoint::save(cfg, run, opts, shards, done, resident, &merged)?;
+            checkpoint::save(cfg, run, opts, shards, done, &merged)?;
         }
         let attempted = merged.tenants + merged.failed_tenants;
         let mean = if merged.tenants == 0 {
@@ -938,7 +982,7 @@ pub fn run_with(
             &[
                 ("shards_done", Json::from(done as u64)),
                 ("quarantined", Json::from(merged.failed_tenants)),
-                ("resident_bytes", Json::from(resident)),
+                ("resident_bytes", Json::from(resident(done))),
                 ("mean_waste", Json::from(mean)),
                 (
                     "waste_vs_thm1",
@@ -970,14 +1014,14 @@ pub fn run_with(
         shards,
         manager: cfg.manager.to_string(),
         kinds,
-        size_buckets: (0..size_buckets).map(|r| mixer.bucket_m(r)).collect(),
+        size_buckets: (0..size_buckets).map(|r| mixer.bucket_shape(r).0).collect(),
         p50_waste: merged.quantile(0.5),
         p99_waste: merged.quantile(0.99),
         max_waste: merged.max_waste.max(0.0),
         max_tenant: merged.max_tenant,
         mean_waste,
         bucket_thm1,
-        resident_bytes: resident,
+        resident_bytes: resident(shards),
         accumulator: merged,
     }))
 }
@@ -1216,7 +1260,9 @@ mod tests {
     fn checkpoints_stamped_with_the_retired_knobs_are_rejected() {
         // Checkpoints written while the occupancy substrate and the
         // manager mirror were run settings hashed both into the
-        // fingerprint; such a file must fail to resume cleanly.
+        // fingerprint; such a file must fail to resume cleanly. So must
+        // one in the v2 layout, which carried the metrics knob's
+        // snapshot and a resident-bytes figure.
         let cfg = tiny();
         let run_cfg = RunConfig::default();
         let path = temp_checkpoint("retired-knobs");
@@ -1226,28 +1272,46 @@ mod tests {
             FleetOutcome::Paused { .. }
         ));
         let old = checkpoint::hash_desc(&format!(
-            "{}|{}|{}|{:?}|bitmap|indexed|{}|{}|{}",
-            cfg.tenants,
-            cfg.shards,
-            cfg.manager,
-            cfg.mixer,
-            run_cfg.chaos,
-            run_cfg.paranoia,
-            run_cfg.metrics,
+            "{}|{}|{}|{:?}|bitmap|indexed|{}|{}|false",
+            cfg.tenants, cfg.shards, cfg.manager, cfg.mixer, run_cfg.chaos, run_cfg.paranoia,
         ));
         let current = checkpoint::fingerprint(&cfg, &run_cfg).to_string();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains(&current));
+        let resume = || {
+            run_with(
+                &cfg,
+                &run_cfg,
+                Some(&CheckpointOptions::new(&path).resume(true)),
+                None,
+            )
+            .unwrap_err()
+        };
         std::fs::write(&path, text.replace(&current, &old.to_string())).unwrap();
-        let err = run_with(
-            &cfg,
-            &run_cfg,
-            Some(&CheckpointOptions::new(&path).resume(true)),
-            None,
-        )
-        .unwrap_err();
+        let err = resume();
         assert!(matches!(err, FleetError::Checkpoint(_)), "{err}");
         assert!(err.to_string().contains("fingerprint mismatch"), "{err}");
+
+        let mut v2 = Json::parse(&text).unwrap();
+        let Json::Object(top) = &mut v2 else {
+            panic!("checkpoint is an object")
+        };
+        top.insert("format_version".into(), Json::from(2u64));
+        top.insert("resident".into(), Json::from(4096u64));
+        let Some(Json::Object(acc)) = top.get_mut("accumulator") else {
+            panic!("checkpoint has an accumulator")
+        };
+        acc.remove("waste_milli");
+        acc.remove("heap_size");
+        acc.insert("metrics".into(), MetricsSnapshot::new().to_json());
+        std::fs::write(&path, format!("{v2}\n")).unwrap();
+        let err = resume();
+        assert!(matches!(err, FleetError::Checkpoint(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("format version Some(2) (this build reads 3)"),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1278,6 +1342,9 @@ mod tests {
             ("kind_counts", Some(0), u64::MAX),
             ("bucket_tenants", Some(0), 33),
             ("max_tenant", None, 64),
+            ("objects_placed", None, u64::MAX),
+            ("words_placed", None, u64::MAX),
+            ("panics", None, u64::MAX),
         ] {
             let mut doc = saved.clone();
             let Json::Object(top) = &mut doc else {

@@ -18,7 +18,7 @@ use pcb_heap::{
     Execution, ExecutionError, Heap, HeapSummary, MemoryManager, Observer, Observers, Program,
     TimeSeries,
 };
-use pcb_workload::{tenant_by_kind, TenantProgram, TenantShape};
+use pcb_workload::{Family, TenantShape};
 
 use crate::params::Params;
 
@@ -30,12 +30,12 @@ pub enum Adversary {
     /// Robson's `P_R` (Algorithm 2); meaningful against non-moving
     /// managers.
     Robson,
-    /// A built-in workload family instead of an adversary. `rounds` and
+    /// A fleet tenant family instead of an adversary. `rounds` and
     /// `allocs` (allocations per round) default to the family's
     /// single-heap profile when `None`.
     Workload {
         /// The family.
-        family: Workload,
+        family: Family,
         /// Rounds to run.
         rounds: Option<u32>,
         /// Allocation attempts per round.
@@ -53,41 +53,20 @@ impl Adversary {
         match self {
             Adversary::Pf(_) => true,
             Adversary::Robson => false,
-            Adversary::Workload { family, .. } => family.tenant().needs_budget(),
+            Adversary::Workload { family, .. } => family.needs_budget(),
         }
     }
 }
 
-/// The workload families a [`Sim`] runs: the fleet's benign tenant
-/// kinds, instantiated through the same [`tenant_by_kind`] factories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Workload {
-    /// Steady-state churn (`churn`).
-    Churn,
-    /// Phased grow/release (`ramp`).
-    Ramp,
-    /// A synthesized allocation trace (`replay`).
-    Replay,
-}
-
-impl Workload {
-    fn tenant(self) -> &'static dyn TenantProgram {
-        let kind = match self {
-            Workload::Churn => "churn",
-            Workload::Ramp => "ramp",
-            Workload::Replay => "replay",
-        };
-        tenant_by_kind(kind).expect("built-in family")
-    }
-
-    /// The single-heap profile `(rounds, allocations per round)`:
-    /// churn's `typical` 200x64, ramp's 12 phases, replay's 24x32.
-    fn defaults(self) -> (u32, usize) {
-        match self {
-            Workload::Churn => (200, 64),
-            Workload::Ramp => (12, 64),
-            Workload::Replay => (24, 32),
-        }
+/// A family's single-heap profile `(rounds, allocations per round)`:
+/// churn's `typical` 200x64, ramp's 12 phases, replay's 24x32. The
+/// adversary family runs `P_F`'s own schedule, or churn's profile where
+/// it falls back to churn.
+fn single_heap_profile(family: Family) -> (u32, usize) {
+    match family {
+        Family::Churn | Family::Adversary => (200, 64),
+        Family::Ramp => (12, 64),
+        Family::Replay => (24, 32),
     }
 }
 
@@ -323,8 +302,8 @@ impl<'a> Sim<'a> {
                 rounds,
                 allocs,
             } => {
-                let (default_rounds, default_allocs) = family.defaults();
-                let program = family.tenant().instantiate(&TenantShape {
+                let (default_rounds, default_allocs) = single_heap_profile(family);
+                let program = family.instantiate(&TenantShape {
                     m: params.m(),
                     log_n: params.log_n(),
                     c: params.c(),
@@ -492,7 +471,7 @@ mod tests {
     #[test]
     fn workload_families_run_on_the_heap_their_manager_gets() {
         let churn = Adversary::Workload {
-            family: Workload::Churn,
+            family: Family::Churn,
             rounds: Some(20),
             allocs: None,
         };

@@ -38,51 +38,31 @@ fn report_bytes_identical_across_threads() {
     }
 }
 
-/// The metric plane obeys the same contract: with metrics on, the
-/// snapshot rides the accumulator (counter sums, gauge maxes, histogram
-/// buckets — integers only), so it is identical across thread counts.
+/// The metric plane obeys the same contract: the `--metrics-out`
+/// snapshot is derived from the report (counter sums, a gauge max,
+/// histogram buckets — integers only), so it is identical across thread
+/// counts.
 #[test]
 fn metrics_plane_identical_across_threads() {
     let cfg = small_fleet();
-    let with_metrics = RunConfig::default().with_metrics(true);
-    let baseline = fleet::run(&cfg, &with_metrics)
+    let baseline = fleet::run(&cfg, &RunConfig::default())
         .expect("fleet runs")
-        .accumulator
-        .metrics;
-    assert!(!baseline.is_empty(), "metrics-on run collects a snapshot");
+        .metrics();
+    assert!(!baseline.is_empty(), "a fleet with successes has metrics");
     for threads in [1usize, 2, 4] {
-        let run = with_metrics.with_threads(threads);
+        let run = RunConfig::default().with_threads(threads);
         let report = fleet::run(&cfg, &run).expect("fleet runs");
-        assert_eq!(report.accumulator.metrics, baseline, "threads={threads}");
+        assert_eq!(report.metrics(), baseline, "threads={threads}");
     }
-    // Metrics off: no snapshot.
-    let off = fleet::run(&cfg, &RunConfig::default()).expect("fleet runs");
-    assert!(off.accumulator.metrics.is_empty());
 }
 
-/// The metric plane is invisible in the report it rides: the same fleet
-/// with metrics on and off serializes and prints identically.
-#[test]
-fn metrics_plane_is_invisible_in_the_report() {
-    let cfg = small_fleet();
-    let off = fleet::run(&cfg, &RunConfig::default()).expect("fleet runs");
-    let on = fleet::run(&cfg, &RunConfig::default().with_metrics(true)).expect("fleet runs");
-    assert!(
-        !on.accumulator.metrics.is_empty(),
-        "metrics-on run collects"
-    );
-    assert_eq!(on.to_json().to_string(), off.to_json().to_string());
-    assert_eq!(on.to_string(), off.to_string());
-}
-
-/// The metric plane agrees with the accumulator it rode in on, and the
-/// attribution arrays line up with the Theorem 1 reference curve.
+/// The metric plane agrees with the accumulator it is derived from, and
+/// the attribution arrays line up with the Theorem 1 reference curve.
 #[test]
 fn attribution_counters_match_the_accumulator() {
-    let report =
-        fleet::run(&small_fleet(), &RunConfig::default().with_metrics(true)).expect("fleet runs");
+    let report = fleet::run(&small_fleet(), &RunConfig::default()).expect("fleet runs");
     let acc = &report.accumulator;
-    let metrics = &acc.metrics;
+    let metrics = &report.metrics();
     assert_eq!(
         metrics.counter("waste.external_words"),
         acc.kind_external.iter().sum::<u64>()

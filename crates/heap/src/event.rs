@@ -58,18 +58,6 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// The object the event concerns, if any.
-    pub fn object(&self) -> Option<ObjectId> {
-        match *self {
-            Event::Placed { id, .. } | Event::Freed { id, .. } | Event::Moved { id, .. } => {
-                Some(id)
-            }
-            Event::RoundStart { .. } | Event::RoundEnd { .. } => None,
-        }
-    }
-}
-
 /// A sink for execution events.
 pub trait Observer {
     /// Receives the `tick`-th event of the execution.
@@ -116,11 +104,6 @@ impl<'a> Observers<'a> {
         self
     }
 
-    /// Number of attached observers.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
     /// Whether no observer is attached.
     pub fn is_empty(&self) -> bool {
         self.sinks.is_empty()
@@ -130,7 +113,7 @@ impl<'a> Observers<'a> {
 impl fmt::Debug for Observers<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Observers")
-            .field("len", &self.len())
+            .field("len", &self.sinks.len())
             .finish()
     }
 }
@@ -186,22 +169,6 @@ mod tests {
                 },
                 TraceEvent::Freed { id: 1 },
             ]
-        );
-    }
-
-    #[test]
-    fn event_object_extraction() {
-        let id = ObjectId::from_raw(7);
-        assert_eq!(Event::RoundStart { round: 1 }.object(), None);
-        assert_eq!(
-            Event::Moved {
-                id,
-                from: Addr::new(0),
-                to: Addr::new(8),
-                size: Size::new(2)
-            }
-            .object(),
-            Some(id)
         );
     }
 }

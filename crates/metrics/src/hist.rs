@@ -126,9 +126,12 @@ impl Histogram {
                 buckets.len()
             ));
         }
-        let total: u64 = buckets.iter().sum();
-        if total != count {
-            return Err(format!("bucket counts sum to {total}, count says {count}"));
+        let total = buckets.iter().try_fold(0u64, |a, &b| a.checked_add(b));
+        if total != Some(count) {
+            return Err(match total {
+                Some(total) => format!("bucket counts sum to {total}, count says {count}"),
+                None => "bucket counts overflow u64".to_string(),
+            });
         }
         let mut h = Histogram {
             count,
@@ -138,6 +141,29 @@ impl Histogram {
         };
         h.buckets[..buckets.len()].copy_from_slice(buckets);
         Ok(h)
+    }
+
+    /// Rebuilds a histogram from its `ToJson` shape (the derived `mean`
+    /// is not read back).
+    ///
+    /// # Errors
+    ///
+    /// A description of the first missing or malformed field, or of the
+    /// inconsistency [`from_parts`](Self::from_parts) finds.
+    pub fn from_json(json: &Json) -> Result<Self, String> {
+        let field = |key: &str| -> Result<u64, String> {
+            json.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("missing u64 '{key}'"))
+        };
+        let buckets = json
+            .get("buckets")
+            .and_then(Json::as_array)
+            .ok_or_else(|| "missing 'buckets'".to_string())?
+            .iter()
+            .map(|b| b.as_u64().ok_or_else(|| "bucket is not a u64".to_string()))
+            .collect::<Result<Vec<u64>, String>>()?;
+        Self::from_parts(field("count")?, field("sum")?, field("max")?, &buckets)
     }
 }
 
@@ -225,6 +251,10 @@ mod tests {
         let back = Histogram::from_parts(h.count(), h.sum(), h.max(), &h.bucket_counts()).unwrap();
         assert_eq!(back, h);
         assert!(Histogram::from_parts(5, 0, 0, &[1, 2]).is_err());
+        let overflow = Histogram::from_parts(0, 0, 0, &[u64::MAX, 1]).unwrap_err();
+        assert!(overflow.contains("overflow"), "{overflow}");
+        let json = Json::parse(&h.to_json().to_string()).unwrap();
+        assert_eq!(Histogram::from_json(&json).unwrap(), h);
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //! [`snapshot`] depends only on *what* was recorded, never on which
 //! thread recorded it or how many threads there were. That is the same
 //! determinism contract the rest of the workspace keeps (`PCB_THREADS`
-//! must not change report bytes), extended to metrics. The fleet keeps
-//! its own per-shard snapshots and folds them in shard order; it never
-//! turns the registry on.
+//! must not change report bytes), extended to metrics. The fleet never
+//! turns the registry on: its snapshot is built from its finished
+//! report.
 //!
 //! ## Timing vs identity
 //!

@@ -144,24 +144,7 @@ impl MetricsSnapshot {
             return Err("'histograms' is not an object".into());
         };
         for (name, h) in map {
-            let field = |key: &str| -> Result<u64, String> {
-                h.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("histogram '{name}' missing u64 '{key}'"))
-            };
-            let buckets = h
-                .get("buckets")
-                .and_then(Json::as_array)
-                .ok_or_else(|| format!("histogram '{name}' missing 'buckets'"))?
-                .iter()
-                .map(|b| {
-                    b.as_u64()
-                        .ok_or_else(|| format!("histogram '{name}' bucket is not a u64"))
-                })
-                .collect::<Result<Vec<u64>, String>>()?;
-            let hist =
-                Histogram::from_parts(field("count")?, field("sum")?, field("max")?, &buckets)
-                    .map_err(|e| format!("histogram '{name}': {e}"))?;
+            let hist = Histogram::from_json(h).map_err(|e| format!("histogram '{name}': {e}"))?;
             snap.histograms.insert(name.clone(), hist);
         }
         Ok(snap)

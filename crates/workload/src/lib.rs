@@ -11,9 +11,10 @@
 //!   ([`Lifetime`]);
 //! * [`RampWorkload`] — phased grow/release behaviour, optionally with
 //!   escalating size scales that drift toward the adversarial regime;
-//! * [`TenantProgram`] + [`WorkloadMixer`] — an object-safe factory
-//!   interface over every family (churn/ramp/replay/adversary) plus the
-//!   deterministic per-tenant assignment used by `pcb fleet`.
+//! * [`Family`] + [`WorkloadMixer`] — one closed enum over every tenant
+//!   family (churn/ramp/replay/adversary) plus the deterministic
+//!   per-tenant assignment, and each size bucket's `(M, log n, c)`, used
+//!   by `pcb fleet`.
 //!
 //! Experiment E9 (`pcb figure 9`) uses these to measure how far typical
 //! behaviour sits below the worst-case `h`.
@@ -44,11 +45,8 @@ mod tenant;
 
 pub use churn::{ChurnConfig, ChurnWorkload, Lifetime};
 pub use dist::{SizeDist, SizeSampler};
-pub use mixer::{tenant_rng, MixWeights, MixerConfig, TenantSpec, WorkloadMixer};
+pub use mixer::{MixWeights, MixerConfig, TenantSpec, WorkloadMixer};
 pub use panic_inject::{PanicProgram, PANIC_MESSAGE_PREFIX};
 pub use ramp::{RampConfig, RampWorkload};
 pub use replay::TraceWorkload;
-pub use tenant::{
-    builtin_tenants, tenant_by_kind, AdversaryTenant, ChurnTenant, RampTenant, ReplayTenant,
-    TenantProgram, TenantShape,
-};
+pub use tenant::{Family, TenantShape};

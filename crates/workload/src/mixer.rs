@@ -10,12 +10,9 @@
 //! without coordination — the property that makes sharded simulation
 //! byte-deterministic regardless of thread count.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use pcb_heap::Program;
 
-use crate::tenant::{builtin_tenants, TenantProgram, TenantShape};
+use crate::tenant::{Family, TenantShape};
 
 /// Relative weights of the four built-in families (need not sum to
 /// anything in particular; all-zero is rejected).
@@ -101,12 +98,9 @@ pub struct TenantSpec {
     pub index: u64,
     /// Index into [`WorkloadMixer::kinds`] of the assigned family.
     pub kind: usize,
-    /// Size-bucket rank (0 = smallest bucket).
+    /// Size-bucket rank (0 = smallest bucket); the bucket fixes the
+    /// tenant's `(M, log n, c)` (see [`WorkloadMixer::bucket_shape`]).
     pub size_rank: usize,
-    /// The tenant's live bound `M` in words.
-    pub m: u64,
-    /// The tenant's clamped `log₂ n`.
-    pub log_n: u32,
     /// The tenant's RNG seed.
     pub seed: u64,
 }
@@ -115,7 +109,6 @@ pub struct TenantSpec {
 #[derive(Debug)]
 pub struct WorkloadMixer {
     cfg: MixerConfig,
-    families: [&'static dyn TenantProgram; 4],
     /// Cumulative family weights for the weighted pick.
     weight_cdf: [u64; 4],
     weight_total: u64,
@@ -183,7 +176,6 @@ impl WorkloadMixer {
         *size_cdf.last_mut().expect("at least one bucket") = u64::MAX;
         Ok(WorkloadMixer {
             cfg,
-            families: builtin_tenants(),
             weight_cdf,
             weight_total,
             size_cdf,
@@ -197,7 +189,7 @@ impl WorkloadMixer {
 
     /// Family names, indexed by [`TenantSpec::kind`].
     pub fn kinds(&self) -> Vec<&'static str> {
-        self.families.iter().map(|f| f.kind()).collect()
+        Family::ALL.iter().map(|f| f.kind()).collect()
     }
 
     /// Number of size buckets (heat-map rows).
@@ -205,9 +197,18 @@ impl WorkloadMixer {
         self.size_cdf.len()
     }
 
-    /// The live bound of size bucket `rank`.
-    pub fn bucket_m(&self, rank: usize) -> u64 {
-        self.cfg.m_min << rank
+    /// The `(M, log n, c)` every tenant of size bucket `rank` runs at:
+    /// `M` doubles per bucket from `m_min`, and `log n` is clamped so the
+    /// largest object fits with room to spare (`Params::new` requires
+    /// `M > 2^log n`).
+    pub fn bucket_shape(&self, rank: usize) -> (u64, u32, u64) {
+        let m = self.cfg.m_min << rank;
+        let log_n = self
+            .cfg
+            .log_n
+            .min(m.trailing_zeros().saturating_sub(1))
+            .max(1);
+        (m, log_n, self.cfg.c)
     }
 
     /// Derives the spec of tenant `index` — a pure function of the fleet
@@ -226,35 +227,26 @@ impl WorkloadMixer {
             .iter()
             .position(|&edge| size_draw <= edge)
             .expect("cdf ends at u64::MAX");
-        let m = self.bucket_m(size_rank);
-        // The largest object must fit in M with room to spare
-        // (Params::new requires m > 2^log_n).
-        let log_n = self
-            .cfg
-            .log_n
-            .min(m.trailing_zeros().saturating_sub(1))
-            .max(1);
         TenantSpec {
             index,
             kind,
             size_rank,
-            m,
-            log_n,
             seed: splitmix64(base ^ 0x3),
         }
     }
 
-    /// The family factory of a spec.
-    pub fn family(&self, spec: &TenantSpec) -> &'static dyn TenantProgram {
-        self.families[spec.kind]
+    /// The family of a spec.
+    pub fn family(&self, spec: &TenantSpec) -> Family {
+        Family::ALL[spec.kind]
     }
 
     /// The [`TenantShape`] a spec instantiates with.
     pub fn shape(&self, spec: &TenantSpec) -> TenantShape {
+        let (m, log_n, c) = self.bucket_shape(spec.size_rank);
         TenantShape {
-            m: spec.m,
-            log_n: spec.log_n,
-            c: self.cfg.c,
+            m,
+            log_n,
+            c,
             seed: spec.seed,
             rounds: self.cfg.rounds,
             allocs_per_round: self.cfg.allocs_per_round,
@@ -265,12 +257,6 @@ impl WorkloadMixer {
     pub fn instantiate(&self, spec: &TenantSpec) -> Box<dyn Program> {
         self.family(spec).instantiate(&self.shape(spec))
     }
-}
-
-/// A seeded RNG for one tenant, derived the same way as the mixer's
-/// draws — exposed for tests and oracles that re-derive tenant state.
-pub fn tenant_rng(fleet_seed: u64, index: u64) -> StdRng {
-    StdRng::seed_from_u64(splitmix64(fleet_seed ^ splitmix64(index)))
 }
 
 #[cfg(test)]
@@ -347,12 +333,12 @@ mod tests {
         })
         .expect("valid");
         for i in 0..1_000 {
-            let spec = m.tenant(i);
+            let shape = m.shape(&m.tenant(i));
             assert!(
-                spec.m > 1 << spec.log_n,
-                "largest object must fit: {spec:?}"
+                shape.m > 1 << shape.log_n,
+                "largest object must fit: {shape:?}"
             );
-            assert!(spec.log_n >= 1);
+            assert!(shape.log_n >= 1);
         }
     }
 

@@ -106,11 +106,6 @@ impl TraceWorkload {
             live_bound: peak.max(1),
         }
     }
-
-    /// Number of rounds in the replay.
-    pub fn rounds(&self) -> usize {
-        self.rounds.len()
-    }
 }
 
 impl Program for TraceWorkload {

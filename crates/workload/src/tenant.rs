@@ -1,14 +1,12 @@
-//! One object-safe interface over every tenant workload family.
+//! One closed enum over every tenant workload family.
 //!
 //! The fleet simulator (and the single-heap `simulate` command) needs to
 //! pick a program *kind* at runtime — churn, ramp, trace replay, or the
 //! paper's `P_F` adversary — and instantiate it for a concrete tenant
-//! shape. [`TenantProgram`] is that dispatch point: each family is a
-//! stateless factory; [`TenantProgram::instantiate`] stamps out a fresh
-//! [`Program`] for a given [`TenantShape`], so a mixer can hold one boxed
-//! factory per family and spawn millions of per-tenant programs from it.
-
-use std::fmt;
+//! shape. [`Family`] is that dispatch point: a family holds no per-run
+//! state, and [`Family::instantiate`] stamps out a fresh [`Program`] for
+//! a given [`TenantShape`], so a mixer can spawn millions of per-tenant
+//! programs from four values.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,29 +36,79 @@ pub struct TenantShape {
     pub allocs_per_round: usize,
 }
 
-/// A workload family that can stamp out per-tenant [`Program`]s.
-///
-/// Implementations are factories, not programs: they hold no per-run
-/// state, so one instance serves an entire fleet. The trait is
-/// object-safe — the mixer and the CLI both dispatch through
-/// `&dyn TenantProgram`.
-pub trait TenantProgram: fmt::Debug + Send + Sync {
-    /// Short family name for reports ("churn", "ramp", …).
-    fn kind(&self) -> &'static str;
+/// A tenant workload family: a factory for per-tenant [`Program`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// Steady-state churn (geometric sizes, die-young lifetimes).
+    Churn,
+    /// Phased grow/release (server-style ramps).
+    Ramp,
+    /// Replay of a deterministic synthetic "recorded session" derived
+    /// from the tenant's seed.
+    Replay,
+    /// The paper's `P_F` program. When no feasible `ρ` exists for the
+    /// tenant's `(M, n, c)` (small tenants), the tenant deterministically
+    /// degrades to churn: the fleet must never fail because the Zipf tail
+    /// handed the adversary a heap too small for Theorem 1's construction.
+    Adversary,
+}
 
-    /// Builds a fresh program for one tenant.
-    fn instantiate(&self, shape: &TenantShape) -> Box<dyn Program>;
+impl Family {
+    /// The four families, in canonical (mixer) order.
+    pub const ALL: [Family; 4] = [
+        Family::Churn,
+        Family::Ramp,
+        Family::Replay,
+        Family::Adversary,
+    ];
+
+    /// Short family name for reports ("churn", "ramp", …).
+    pub fn kind(self) -> &'static str {
+        match self {
+            Family::Churn => "churn",
+            Family::Ramp => "ramp",
+            Family::Replay => "replay",
+            Family::Adversary => "adversary",
+        }
+    }
 
     /// Whether the family's programs expect a c-partial (budgeted)
     /// compacting heap rather than a non-moving one.
-    fn needs_budget(&self) -> bool {
-        false
+    pub fn needs_budget(self) -> bool {
+        self == Family::Adversary
+    }
+
+    /// Builds a fresh program for one tenant.
+    pub fn instantiate(self, shape: &TenantShape) -> Box<dyn Program> {
+        match self {
+            Family::Churn => Box::new(ChurnWorkload::new(churn_config(shape))),
+            Family::Ramp => {
+                // A ramp phase fills the whole bound M, so the object
+                // count per tenant is M / mean size. The benign geometric
+                // default (~3-word mean) makes large tenants dominate a
+                // fleet's wall-clock; the bimodal cells-plus-buffers
+                // profile keeps phases fragmenting (small survivors pin
+                // big holes) at ~5x fewer objects.
+                let n = 1u64 << shape.log_n;
+                Box::new(RampWorkload::new(RampConfig {
+                    phases: shape.rounds,
+                    seed: shape.seed,
+                    dist: SizeDist::Bimodal {
+                        small: 2.min(n),
+                        large: n,
+                        p_large: 0.2,
+                    },
+                    ..RampConfig::benign(shape.m, shape.log_n)
+                }))
+            }
+            Family::Replay => Box::new(TraceWorkload::new(&synthesize(shape))),
+            Family::Adversary => match PfConfig::new(shape.m, shape.log_n, shape.c) {
+                Ok(cfg) => Box::new(PfProgram::new(cfg)),
+                Err(_) => Box::new(ChurnWorkload::new(churn_config(shape))),
+            },
+        }
     }
 }
-
-/// Steady-state churn tenants (geometric sizes, die-young lifetimes).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ChurnTenant;
 
 fn churn_config(shape: &TenantShape) -> ChurnConfig {
     ChurnConfig {
@@ -75,145 +123,51 @@ fn churn_config(shape: &TenantShape) -> ChurnConfig {
     }
 }
 
-impl TenantProgram for ChurnTenant {
-    fn kind(&self) -> &'static str {
-        "churn"
-    }
-
-    fn instantiate(&self, shape: &TenantShape) -> Box<dyn Program> {
-        Box::new(ChurnWorkload::new(churn_config(shape)))
-    }
-}
-
-/// Phased grow/release tenants (server-style ramps).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RampTenant;
-
-impl TenantProgram for RampTenant {
-    fn kind(&self) -> &'static str {
-        "ramp"
-    }
-
-    fn instantiate(&self, shape: &TenantShape) -> Box<dyn Program> {
-        // A ramp phase fills the whole bound M, so the object count per
-        // tenant is M / mean size. The benign geometric default (~3-word
-        // mean) makes large tenants dominate a fleet's wall-clock; the
-        // bimodal cells-plus-buffers profile keeps phases fragmenting
-        // (small survivors pin big holes) at ~5x fewer objects.
-        let n = 1u64 << shape.log_n;
-        Box::new(RampWorkload::new(RampConfig {
-            phases: shape.rounds,
-            seed: shape.seed,
-            dist: SizeDist::Bimodal {
-                small: 2.min(n),
-                large: n,
-                p_large: 0.2,
-            },
-            ..RampConfig::benign(shape.m, shape.log_n)
-        }))
-    }
-}
-
-/// Trace-replay tenants: each tenant replays a deterministic synthetic
-/// "recorded session" derived from its seed.
-///
-/// The synthesis emits a round-structured request stream (allocations
-/// drawn from a geometric distribution, ~half of the live set freed at
-/// each round boundary) directly as [`TraceEvent`]s, then replays it
-/// through [`TraceWorkload`] — exercising the same code path as replaying
-/// a trace recorded from a real run, without retaining any per-tenant
-/// trace storage beyond the program's own lifetime.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReplayTenant;
-
-impl ReplayTenant {
-    /// Synthesizes the session trace for one tenant shape.
-    pub fn synthesize(shape: &TenantShape) -> Trace {
-        let mut rng = StdRng::seed_from_u64(shape.seed);
-        let dist = SizeDist::Geometric(0.25).sampler(shape.log_n);
-        let mut trace = Trace::new(u64::MAX);
-        let mut next_id = 0u64;
-        let mut live: Vec<(u64, u64)> = Vec::new();
-        let mut live_words = 0u64;
-        // Addresses are synthetic (never validated by the replay, which
-        // reuses only the request stream); a bump cursor keeps them
-        // distinct for readability in dumps.
-        let mut cursor = 0u64;
-        for round in 0..shape.rounds {
-            trace.events.push(TraceEvent::RoundStart { round });
-            if round > 0 {
-                // Free roughly half of the live set, oldest-biased.
-                let drop = live.len() / 2;
-                for (id, size) in live.drain(..drop) {
-                    live_words -= size;
-                    trace.events.push(TraceEvent::Freed { id });
-                }
+/// Synthesizes a replay tenant's session trace: a round-structured
+/// request stream (allocations drawn from a geometric distribution, ~half
+/// of the live set freed at each round boundary) emitted directly as
+/// [`TraceEvent`]s. Replaying it through [`TraceWorkload`] exercises the
+/// same code path as replaying a trace recorded from a real run, without
+/// retaining any per-tenant trace storage beyond the program's lifetime.
+fn synthesize(shape: &TenantShape) -> Trace {
+    let mut rng = StdRng::seed_from_u64(shape.seed);
+    let dist = SizeDist::Geometric(0.25).sampler(shape.log_n);
+    let mut trace = Trace::new(u64::MAX);
+    let mut next_id = 0u64;
+    let mut live: Vec<(u64, u64)> = Vec::new();
+    let mut live_words = 0u64;
+    // Addresses are synthetic (never validated by the replay, which
+    // reuses only the request stream); a bump cursor keeps them
+    // distinct for readability in dumps.
+    let mut cursor = 0u64;
+    for round in 0..shape.rounds {
+        trace.events.push(TraceEvent::RoundStart { round });
+        if round > 0 {
+            // Free roughly half of the live set, oldest-biased.
+            let drop = live.len() / 2;
+            for (id, size) in live.drain(..drop) {
+                live_words -= size;
+                trace.events.push(TraceEvent::Freed { id });
             }
-            for _ in 0..shape.allocs_per_round {
-                let size = dist.sample(&mut rng).get();
-                if live_words + size > shape.m {
-                    continue;
-                }
-                trace.events.push(TraceEvent::Placed {
-                    id: next_id,
-                    addr: cursor,
-                    size,
-                });
-                live.push((next_id, size));
-                live_words += size;
-                cursor += size;
-                next_id += 1;
+        }
+        for _ in 0..shape.allocs_per_round {
+            let size = dist.sample(&mut rng).get();
+            if live_words + size > shape.m {
+                continue;
             }
-            trace.events.push(TraceEvent::RoundEnd { round });
+            trace.events.push(TraceEvent::Placed {
+                id: next_id,
+                addr: cursor,
+                size,
+            });
+            live.push((next_id, size));
+            live_words += size;
+            cursor += size;
+            next_id += 1;
         }
-        trace
+        trace.events.push(TraceEvent::RoundEnd { round });
     }
-}
-
-impl TenantProgram for ReplayTenant {
-    fn kind(&self) -> &'static str {
-        "replay"
-    }
-
-    fn instantiate(&self, shape: &TenantShape) -> Box<dyn Program> {
-        Box::new(TraceWorkload::new(&Self::synthesize(shape)))
-    }
-}
-
-/// Adversarial tenants running the paper's `P_F` program.
-///
-/// When no feasible `ρ` exists for the tenant's `(M, n, c)` (small
-/// tenants), the tenant deterministically degrades to churn — the fleet
-/// must never fail because the Zipf tail handed the adversary a heap too
-/// small for Theorem 1's construction.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdversaryTenant;
-
-impl TenantProgram for AdversaryTenant {
-    fn kind(&self) -> &'static str {
-        "adversary"
-    }
-
-    fn instantiate(&self, shape: &TenantShape) -> Box<dyn Program> {
-        match PfConfig::new(shape.m, shape.log_n, shape.c) {
-            Ok(cfg) => Box::new(PfProgram::new(cfg)),
-            Err(_) => Box::new(ChurnWorkload::new(churn_config(shape))),
-        }
-    }
-
-    fn needs_budget(&self) -> bool {
-        true
-    }
-}
-
-/// The four built-in families, in canonical (mixer) order.
-pub fn builtin_tenants() -> [&'static dyn TenantProgram; 4] {
-    [&ChurnTenant, &RampTenant, &ReplayTenant, &AdversaryTenant]
-}
-
-/// Looks a family up by its [`TenantProgram::kind`] name.
-pub fn tenant_by_kind(kind: &str) -> Option<&'static dyn TenantProgram> {
-    builtin_tenants().into_iter().find(|t| t.kind() == kind)
+    trace
 }
 
 #[cfg(test)]
@@ -235,7 +189,7 @@ mod tests {
 
     #[test]
     fn every_family_instantiates_and_runs() {
-        for family in builtin_tenants() {
+        for family in Family::ALL {
             let shape = shape();
             let program = family.instantiate(&shape);
             let heap = if family.needs_budget() {
@@ -254,10 +208,10 @@ mod tests {
 
     #[test]
     fn replay_synthesis_is_deterministic() {
-        let a = ReplayTenant::synthesize(&shape());
-        let b = ReplayTenant::synthesize(&shape());
+        let a = synthesize(&shape());
+        let b = synthesize(&shape());
         assert_eq!(a.events, b.events);
-        let c = ReplayTenant::synthesize(&TenantShape {
+        let c = synthesize(&TenantShape {
             seed: 43,
             ..shape()
         });
@@ -273,18 +227,20 @@ mod tests {
             log_n: 2,
             ..shape()
         };
-        let program = AdversaryTenant.instantiate(&tiny);
+        let program = Family::Adversary.instantiate(&tiny);
         assert_eq!(program.name(), "churn");
     }
 
     #[test]
     fn kind_lookup_round_trips() {
-        for family in builtin_tenants() {
-            assert_eq!(
-                tenant_by_kind(family.kind()).expect("registered").kind(),
-                family.kind()
-            );
+        // A spec's kind index names its family in the mixer's kind list.
+        let mixer = crate::WorkloadMixer::new(crate::MixerConfig::default()).expect("valid");
+        let kinds = mixer.kinds();
+        assert_eq!(kinds.len(), Family::ALL.len());
+        for index in 0..256 {
+            let spec = mixer.tenant(index);
+            assert_eq!(mixer.family(&spec).kind(), kinds[spec.kind]);
+            assert_eq!(Family::ALL[spec.kind], mixer.family(&spec));
         }
-        assert!(tenant_by_kind("nope").is_none());
     }
 }

@@ -30,8 +30,8 @@ use std::time::Duration;
 use partial_compaction::heap::{heat_map_rows, Event, Heap, Observer, Tick, TraceReader};
 use partial_compaction::metrics::spans;
 use partial_compaction::progress::{Heartbeat, ProgressMode, ProgressOptions};
-use partial_compaction::sim::{Adversary, Sim, SimError, Workload};
-use partial_compaction::workload::MixWeights;
+use partial_compaction::sim::{Adversary, Sim, SimError};
+use partial_compaction::workload::{Family, MixWeights};
 use partial_compaction::{bounds, figures, fleet, metrics, ManagerKind, Params};
 use partial_compaction::{Observers, PfVariant, RunConfig, TraceWriter};
 use pcb_json::{Json, ToJson};
@@ -263,11 +263,7 @@ impl Flags {
                 "--checkpoint-every" => every = args.parse(name)?,
                 "--resume" => resume = true,
                 "--stop-after" => stop_after = Some(args.parse(name)?),
-                "--metrics-out" => {
-                    flags.metrics_out = Some(args.value(name)?);
-                    // Asking for the artifact implies collecting it.
-                    *run = run.with_metrics(true);
-                }
+                "--metrics-out" => flags.metrics_out = Some(args.value(name)?),
                 "--progress" => {
                     let secs = match flag.strip_prefix("--progress=") {
                         Some(secs) => cadence(secs)?,
@@ -391,9 +387,9 @@ fn program(name: &str, rounds: Option<u32>, allocs: Option<usize>) -> Result<Adv
         "pf" => return Ok(Adversary::PF),
         "pf-baseline" => return Ok(Adversary::Pf(PfVariant::BASELINE)),
         "robson" => return Ok(Adversary::Robson),
-        "churn" => Workload::Churn,
-        "ramp" => Workload::Ramp,
-        "replay" => Workload::Replay,
+        "churn" => Family::Churn,
+        "ramp" => Family::Ramp,
+        "replay" => Family::Replay,
         other => return Err(format!("--program: unknown program {other}")),
     };
     Ok(Adversary::Workload {
@@ -470,7 +466,8 @@ fn cmd_simulate(args: &[String], record_to: Option<String>) -> Result<(), String
     let params = Params::new(m, log_n, flags.c.unwrap_or(20)).map_err(|e| e.to_string())?;
     let adversary = program(&name, flags.rounds, flags.allocs)?;
     let run = &flags.run;
-    if run.metrics {
+    // Asking for the artifact implies collecting it.
+    if flags.metrics_out.is_some() {
         metrics::enable();
     }
     if profile {
@@ -638,7 +635,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
         print!("{report}");
     }
     if let Some(path) = &flags.metrics_out {
-        write_metrics(path, &report.accumulator.metrics)?;
+        write_metrics(path, &report.metrics())?;
     }
     // Wall-clock goes to stderr only: the report itself (stdout and JSON)
     // is byte-deterministic across thread counts and machines.
@@ -746,7 +743,8 @@ fn cmd_worst_case(args: &[String]) -> Result<(), String> {
         ));
     }
     let run = &flags.run;
-    if run.metrics {
+    // Asking for the artifact implies collecting it.
+    if flags.metrics_out.is_some() {
         metrics::enable();
     }
     let mut heartbeat = Heartbeat::new("worst-case", &flags.progress)

@@ -424,6 +424,64 @@ fn fleet_checkpoint_pause_resume_is_byte_identical() {
     std::fs::remove_file(path).ok();
 }
 
+/// The metrics file is derived from the report, so a fleet paused
+/// without `--metrics-out` resumes with it and writes the uninterrupted
+/// run's file byte-for-byte, quarantine counters included.
+#[test]
+fn fleet_resume_adds_metrics_out_and_writes_the_uninterrupted_file() {
+    let dir = std::env::temp_dir().join("pcb-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let ck = dir.join("fleet-metrics-resume-ck.json");
+    let full = dir.join("fleet-metrics-full.json");
+    let resumed = dir.join("fleet-metrics-resumed.json");
+    std::fs::remove_file(&ck).ok();
+    let base = [
+        "fleet",
+        "--tenants",
+        "256",
+        "--shards",
+        "16",
+        "--m-min",
+        "128",
+        "--m-max",
+        "1024",
+        "--chaos",
+        "seed=7,tenant-panic=20000",
+    ];
+    let with = |extra: &[&str]| {
+        let mut args: Vec<&str> = base.to_vec();
+        args.extend(extra);
+        let (stdout, stderr, ok) = pcb(&args);
+        assert!(ok, "{args:?}: {stderr}");
+        (stdout, stderr)
+    };
+    let (report, _) = with(&["--metrics-out", full.to_str().unwrap()]);
+    let ck_path = ck.to_str().unwrap();
+    let (_, stderr) = with(&[
+        "--checkpoint",
+        ck_path,
+        "--checkpoint-every",
+        "2",
+        "--stop-after",
+        "6",
+    ]);
+    assert!(stderr.contains("paused after 6/16 shards"), "{stderr}");
+    let (resumed_report, _) = with(&[
+        "--checkpoint",
+        ck_path,
+        "--resume",
+        "--metrics-out",
+        resumed.to_str().unwrap(),
+    ]);
+    assert_eq!(resumed_report, report);
+    let text = std::fs::read_to_string(&full).unwrap();
+    assert!(text.contains("\"chaos.quarantined.panic\""), "{text}");
+    assert_eq!(std::fs::read_to_string(&resumed).unwrap(), text);
+    for path in [ck, full, resumed] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
 #[test]
 fn resume_without_a_checkpoint_path_is_an_error() {
     let (_, stderr, ok) = pcb(&["fleet", "--resume"]);

@@ -95,7 +95,7 @@ const SIM_PINS: &[(&str, &str, u64)] = &[
 ];
 
 /// Digest of `fleet --tenants 2000 --chaos seed=7,tenant-panic=20000 --json`.
-const FLEET_PIN: u64 = 0x61434cc137558d16;
+const FLEET_PIN: u64 = 0x1aabe20d818eb496;
 
 fn adversary(name: &str) -> sim::Adversary {
     match name {
